@@ -7,8 +7,10 @@
     corolower diff --all tests/corpus
 
 Exit codes: 0 success, 1 compile error, 2 runtime error, 3 divergence.
-Diagnostics go to stderr, program output to stdout. COROLOWER_BUDGET
-overrides the evaluation step budget (default 10^7 steps).
+Input nested or recursing too deeply for Python's stack fails the same
+way: code 1 while compiling, 2 while running. Diagnostics go to stderr,
+program output to stdout. COROLOWER_BUDGET overrides the evaluation
+step budget (default 10^7 steps).
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .defunc import defunctionalize
-from .errors import InterpError, MiniError
+from .errors import MiniError
 from .interp import (
     DEFAULT_STEP_BUDGET,
     Interpreter,
@@ -108,6 +111,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _stage(code: int, path: str):
+    """Fail with `code`, the exit code of the stage the block belongs to,
+    on a diagnostic or when deep input exhausts Python's stack."""
+    try:
+        yield
+    except MiniError as err:
+        raise _Failure(code, f"{path}: {err}") from None
+    except RecursionError:
+        raise _Failure(
+            code, f"{path}: nesting or recursion too deep for the Python stack"
+        ) from None
+
+
 def _step_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
@@ -123,21 +140,17 @@ def _load(path: str) -> Program:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Failure(EXIT_COMPILE, f"cannot read {path}: {err.strerror}")
-    try:
+    with _stage(EXIT_COMPILE, path):
         return parse_source(source)
-    except MiniError as err:
-        raise _Failure(EXIT_COMPILE, f"{path}: {err}")
 
 
 def cmd_compile(args) -> int:
     program = _load(args.input)
-    try:
+    with _stage(EXIT_COMPILE, args.input):
         lowered = transform_program(program, args.optimize)
         if args.emit == "first-order":
             lowered = defunctionalize(lowered)
-    except MiniError as err:
-        raise _Failure(EXIT_COMPILE, f"{args.input}: {err}")
-    text = print_source(lowered)
+        text = print_source(lowered)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -147,10 +160,8 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     program = _load(args.input)
-    try:
+    with _stage(EXIT_RUNTIME, args.input):
         output = Interpreter(program, _step_budget()).run()
-    except InterpError as err:
-        raise _Failure(EXIT_RUNTIME, f"{args.input}: {err}")
     sys.stdout.write(render_output(output))
     return EXIT_OK
 
@@ -164,11 +175,13 @@ def cmd_cfg(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for decl in generators:
-        graph = cfg_mod.build_cfg(decl)
-        if args.optimize:
-            graph = cfg_mod.merge_blocks(graph)
+        with _stage(EXIT_COMPILE, args.input):
+            graph = cfg_mod.build_cfg(decl)
+            if args.optimize:
+                graph = cfg_mod.merge_blocks(graph)
+            dot = cfg_mod.emit_dot(graph, decl.name)
         path = out_dir / f"{decl.name}.dot"
-        path.write_text(cfg_mod.emit_dot(graph, decl.name), encoding="utf-8")
+        path.write_text(dot, encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
@@ -190,8 +203,12 @@ def program_forms(program: Program) -> dict[str, Program]:
 
 def diff_program(program: Program, resumptions: int, step_budget: int) -> list[str]:
     """Run the agreement check; returns human-readable divergences."""
+    return diff_forms(program_forms(program), resumptions, step_budget)
+
+
+def diff_forms(forms: dict[str, Program], resumptions: int, step_budget: int) -> list[str]:
+    """The agreement check on the forms program_forms produced."""
     divergences: list[str] = []
-    forms = program_forms(program)
     outputs = {}
     for form, prog in forms.items():
         outputs[form] = Interpreter(prog, step_budget).run()
@@ -207,7 +224,7 @@ def diff_program(program: Program, resumptions: int, step_budget: int) -> list[s
                 f"{form}: output line {index}: expected {expected_text}, got {got_text}"
             )
     script = [NULL] + list(range(1, resumptions))
-    for decl in program.decls:
+    for decl in forms["native"].decls:
         if not decl.is_generator:
             continue
         args = list(range(1, len(decl.params) + 1))
@@ -258,15 +275,11 @@ def cmd_diff(args) -> int:
     if not args.all_dir and len(paths) > 1:
         # Compare the outputs of later files against the first one.
         reference_path, rest = paths[0], paths[1:]
-        try:
+        with _stage(EXIT_RUNTIME, reference_path):
             reference = Interpreter(_load(reference_path), step_budget).run()
-        except InterpError as err:
-            raise _Failure(EXIT_RUNTIME, f"{reference_path}: {err}")
         for path in rest:
-            try:
+            with _stage(EXIT_RUNTIME, path):
                 got = Interpreter(_load(path), step_budget).run()
-            except InterpError as err:
-                raise _Failure(EXIT_RUNTIME, f"{path}: {err}")
             index = _first_mismatch(reference, got)
             if index is None:
                 print(f"{path}: OK (matches {reference_path})", file=sys.stderr)
@@ -281,12 +294,10 @@ def cmd_diff(args) -> int:
         return code
     for path in paths:
         program = _load(path)
-        try:
-            divergences = diff_program(program, args.budget, step_budget)
-        except InterpError as err:
-            raise _Failure(EXIT_RUNTIME, f"{path}: {err}")
-        except MiniError as err:
-            raise _Failure(EXIT_COMPILE, f"{path}: {err}")
+        with _stage(EXIT_COMPILE, path):
+            forms = program_forms(program)
+        with _stage(EXIT_RUNTIME, path):
+            divergences = diff_forms(forms, args.budget, step_budget)
         if divergences:
             code = EXIT_DIVERGENCE
             print(f"{path}: DIVERGED", file=sys.stderr)

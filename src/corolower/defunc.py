@@ -16,30 +16,24 @@ from dataclasses import dataclass
 from .errors import DefuncError
 from .syntax import (
     Assign,
-    Binary,
     Block,
     Call,
     Expr,
-    ExprStmt,
     FieldGet,
     FieldSet,
     FuncDecl,
     FuncLit,
     FuncRef,
-    If,
     IntLit,
     Let,
     NextCall,
+    Node,
     NullLit,
-    Print,
     Program,
     RecordLit,
     Return,
-    Stmt,
-    Unary,
     Var,
-    While,
-    block_exprs,
+    map_tree,
     program_identifiers,
 )
 from .transform import NameAllocator
@@ -112,8 +106,9 @@ def defunctionalize(program: Program) -> Program:
         fo_name = names.fresh(f"{decl.name}_fo")
         env_param = names.fresh("_e")
         env_fields = [shape.inst_var] + shape.params + shape.hoisted
-        _check_free_vars(decl.name, shape, env_fields, global_names)
-        machine = _env_rewrite_block(shape.machine_body, env_param, set(env_fields))
+        bound = global_names | {shape.resume_param}
+        to_env = _to_env(decl.name, env_param, set(env_fields), bound)
+        machine = map_tree(shape.machine_body, to_env)
         decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, machine))
         env_init: list[tuple[str, Expr]] = [(shape.inst_var, IntLit(1))]
         env_init += [(p, Var(p)) for p in shape.params]
@@ -130,21 +125,12 @@ def defunctionalize(program: Program) -> Program:
         decls.append(FuncDecl(decl.name, list(decl.params), False, ctor_body))
         lifted.append(LiftedClosure(env_fields, fo_name, decl.name))
 
-    decls = [_rewrite_next_decl(d, apply_name) for d in decls]
-    rewrote_next = any(
-        isinstance(e, NextCall) for d in program.decls for e in block_exprs(d.body)
-    )
-
-    for decl in decls:
-        for expr in block_exprs(decl.body):
-            if isinstance(expr, FuncLit):
-                raise DefuncError(
-                    f"{decl.name!r} contains a closure that is not a state machine"
-                )
-
+    first_order = [map_tree(d, _to_apply(d.name, apply_name)) for d in decls]
+    # map_tree returns a declaration unchanged unless it rewrote a next.
+    rewrote_next = any(new is not old for new, old in zip(first_order, decls))
     if lifted or rewrote_next:
-        decls.insert(0, _apply_decl(apply_name))
-    return Program(decls, program.entry)
+        first_order.insert(0, _apply_decl(apply_name))
+    return Program(first_order, program.entry)
 
 
 def _apply_decl(name: str) -> FuncDecl:
@@ -162,174 +148,43 @@ def _apply_decl(name: str) -> FuncDecl:
     return FuncDecl(name, ["c", "r"], False, body)
 
 
-def _check_free_vars(name, shape, env_fields, global_names):
-    bound = set(env_fields) | {shape.resume_param} | global_names
-    for expr in block_exprs(shape.machine_body):
-        if isinstance(expr, Var) and expr.name not in bound:
+# -- node rewrites for map_tree ---------------------------------------------
+
+
+def _to_env(name: str, env: str, captured: set[str], bound: set[str]):
+    """Captured variables become fields of the environment record; any
+    other variable must be bound without it."""
+
+    def rewrite(node: Node) -> Node:
+        if isinstance(node, Var):
+            if node.name in captured:
+                return FieldGet(Var(env), node.name, pos=node.pos)
+            if node.name not in bound:
+                raise DefuncError(
+                    f"{name!r}: machine body references {node.name!r}, "
+                    "which is neither captured nor global"
+                )
+        if isinstance(node, Assign) and node.name in captured:
+            return FieldSet(Var(env), node.name, node.value, pos=node.pos)
+        if isinstance(node, FuncLit):
+            raise DefuncError("nested closure inside a machine body")
+        return node
+
+    return rewrite
+
+
+def _to_apply(name: str, apply_name: str):
+    """`next(g, v)` becomes `apply(g, v)`, a missing v null; no closure
+    may remain."""
+
+    def rewrite(node: Node) -> Node:
+        if isinstance(node, NextCall):
+            arg = node.arg if node.arg is not None else NullLit()
+            return Call(Var(apply_name), [node.gen, arg], pos=node.pos)
+        if isinstance(node, FuncLit):
             raise DefuncError(
-                f"{name!r}: machine body references {expr.name!r}, "
-                "which is neither captured nor global"
+                f"{name!r} contains a closure that is not a state machine"
             )
+        return node
 
-
-# -- captured-variable rewriting ---------------------------------------------
-
-
-def _env_rewrite_block(block: Block, env: str, captured: set[str]) -> Block:
-    return Block([_env_rewrite_stmt(s, env, captured) for s in block.stmts])
-
-
-def _env_rewrite_stmt(stmt: Stmt, env: str, captured: set[str]) -> Stmt:
-    def rewrite(e: Expr) -> Expr:
-        return _env_rewrite_expr(e, env, captured)
-
-    if isinstance(stmt, Assign):
-        if stmt.name in captured:
-            return FieldSet(Var(env), stmt.name, rewrite(stmt.value))
-        return Assign(stmt.name, rewrite(stmt.value))
-    if isinstance(stmt, Let):
-        return Let(stmt.name, rewrite(stmt.value))
-    if isinstance(stmt, If):
-        return If(
-            rewrite(stmt.cond),
-            _env_rewrite_block(stmt.then, env, captured),
-            _env_rewrite_block(stmt.orelse, env, captured)
-            if stmt.orelse is not None
-            else None,
-        )
-    if isinstance(stmt, While):
-        return While(rewrite(stmt.cond), _env_rewrite_block(stmt.body, env, captured))
-    if isinstance(stmt, Return):
-        return Return(rewrite(stmt.value) if stmt.value is not None else None)
-    if isinstance(stmt, Print):
-        return Print(rewrite(stmt.value))
-    if isinstance(stmt, ExprStmt):
-        return ExprStmt(rewrite(stmt.value))
-    if isinstance(stmt, FieldSet):
-        return FieldSet(rewrite(stmt.record), stmt.field, rewrite(stmt.value))
-    raise DefuncError(f"unexpected statement in a machine body: {stmt!r}")
-
-
-def _env_rewrite_expr(expr: Expr, env: str, captured: set[str]) -> Expr:
-    def rewrite(e: Expr) -> Expr:
-        return _env_rewrite_expr(e, env, captured)
-
-    if isinstance(expr, Var):
-        if expr.name in captured:
-            return FieldGet(Var(env), expr.name)
-        return expr
-    if isinstance(expr, Binary):
-        return Binary(expr.op, rewrite(expr.lhs), rewrite(expr.rhs))
-    if isinstance(expr, Unary):
-        return Unary(expr.op, rewrite(expr.operand))
-    if isinstance(expr, Call):
-        return Call(rewrite(expr.callee), [rewrite(a) for a in expr.args])
-    if isinstance(expr, NextCall):
-        return NextCall(
-            rewrite(expr.gen), rewrite(expr.arg) if expr.arg is not None else None
-        )
-    if isinstance(expr, FieldGet):
-        return FieldGet(rewrite(expr.record), expr.field)
-    if isinstance(expr, RecordLit):
-        return RecordLit([(k, rewrite(v)) for k, v in expr.fields])
-    if isinstance(expr, FuncLit):
-        raise DefuncError("nested closure inside a machine body")
-    return expr
-
-
-# -- next(g, v) -> apply(g, v) -------------------------------------------------
-
-
-def _rewrite_next_decl(decl: FuncDecl, apply_name: str) -> FuncDecl:
-    body = _next_rewrite_block(decl.body, apply_name)
-    if body is decl.body:
-        return decl
-    return FuncDecl(decl.name, list(decl.params), decl.is_generator, body)
-
-
-def _next_rewrite_block(block: Block, apply_name: str) -> Block:
-    stmts = [_next_rewrite_stmt(s, apply_name) for s in block.stmts]
-    if all(new is old for new, old in zip(stmts, block.stmts)):
-        return block
-    return Block(stmts)
-
-
-def _next_rewrite_stmt(stmt: Stmt, apply_name: str) -> Stmt:
-    def rw(e: Expr) -> Expr:
-        return _next_rewrite_expr(e, apply_name)
-
-    if isinstance(stmt, (Let, Assign)):
-        value = rw(stmt.value)
-        if value is stmt.value:
-            return stmt
-        cls = type(stmt)
-        return cls(stmt.name, value)
-    if isinstance(stmt, If):
-        cond = rw(stmt.cond)
-        then = _next_rewrite_block(stmt.then, apply_name)
-        orelse = (
-            _next_rewrite_block(stmt.orelse, apply_name)
-            if stmt.orelse is not None
-            else None
-        )
-        if cond is stmt.cond and then is stmt.then and orelse is stmt.orelse:
-            return stmt
-        return If(cond, then, orelse)
-    if isinstance(stmt, While):
-        cond = rw(stmt.cond)
-        body = _next_rewrite_block(stmt.body, apply_name)
-        if cond is stmt.cond and body is stmt.body:
-            return stmt
-        return While(cond, body)
-    if isinstance(stmt, Return):
-        if stmt.value is None:
-            return stmt
-        value = rw(stmt.value)
-        return stmt if value is stmt.value else Return(value)
-    if isinstance(stmt, (Print, ExprStmt)):
-        value = rw(stmt.value)
-        if value is stmt.value:
-            return stmt
-        return type(stmt)(value)
-    if isinstance(stmt, FieldSet):
-        record = rw(stmt.record)
-        value = rw(stmt.value)
-        if record is stmt.record and value is stmt.value:
-            return stmt
-        return FieldSet(record, stmt.field, value)
-    return stmt
-
-
-def _next_rewrite_expr(expr: Expr, apply_name: str) -> Expr:
-    def rw(e: Expr) -> Expr:
-        return _next_rewrite_expr(e, apply_name)
-
-    if isinstance(expr, NextCall):
-        gen = rw(expr.gen)
-        arg = rw(expr.arg) if expr.arg is not None else NullLit()
-        return Call(Var(apply_name), [gen, arg])
-    if isinstance(expr, Binary):
-        lhs, rhs = rw(expr.lhs), rw(expr.rhs)
-        if lhs is expr.lhs and rhs is expr.rhs:
-            return expr
-        return Binary(expr.op, lhs, rhs)
-    if isinstance(expr, Unary):
-        operand = rw(expr.operand)
-        return expr if operand is expr.operand else Unary(expr.op, operand)
-    if isinstance(expr, Call):
-        callee = rw(expr.callee)
-        args = [rw(a) for a in expr.args]
-        if callee is expr.callee and all(a is b for a, b in zip(args, expr.args)):
-            return expr
-        return Call(callee, args)
-    if isinstance(expr, FieldGet):
-        record = rw(expr.record)
-        return expr if record is expr.record else FieldGet(record, expr.field)
-    if isinstance(expr, RecordLit):
-        fields = [(k, rw(v)) for k, v in expr.fields]
-        if all(v is w for (_, v), (_, w) in zip(fields, expr.fields)):
-            return expr
-        return RecordLit(fields)
-    if isinstance(expr, FuncLit):
-        return FuncLit(expr.params, _next_rewrite_block(expr.body, apply_name))
-    return expr
+    return rewrite

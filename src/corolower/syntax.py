@@ -12,8 +12,9 @@ Node equality is structural; source positions never participate in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
+from typing import Callable, Iterator, Optional, TypeVar
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,47 @@ def iter_stmts(block: Block, into_functions: bool = False) -> Iterator[Stmt]:
                 for e in iter_exprs(expr):
                     if isinstance(e, FuncLit):
                         yield from iter_stmts(e.body, into_functions)
+
+
+NodeT = TypeVar("NodeT", bound=Node)
+
+
+def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
+    """Rebuild a tree bottom-up: map every child node first (in lists and
+    record literal fields too, and through FuncLit bodies), then apply fn
+    to the node. A rebuilt node keeps its source position, and a subtree
+    that nothing changes is returned as is."""
+    changes = {}
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            new = map_tree(value, fn)
+        elif isinstance(value, list):
+            new = value
+            for i, item in enumerate(value):
+                if isinstance(item, Node):
+                    mapped = map_tree(item, fn)
+                elif isinstance(item, tuple):  # a record literal's (name, value)
+                    inner = map_tree(item[1], fn)
+                    mapped = item if inner is item[1] else (item[0], inner)
+                else:
+                    continue
+                if mapped is not item:
+                    if new is value:
+                        new = list(value)
+                    new[i] = mapped
+        else:
+            continue
+        if new is not value:
+            changes[name] = new
+    if changes:
+        node = replace(node, **changes)
+    return fn(node)
+
+
+@cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "pos")
 
 
 def iter_exprs(root: Expr) -> Iterator[Expr]:

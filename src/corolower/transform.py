@@ -3,11 +3,19 @@
 A generator `fn* f(p)` becomes an ordinary `fn f(p)` that initializes an
 instruction variable to 1, declares every hoisted local as null, and
 returns a one-parameter anonymous function whose body is an instruction
-dispatch (an if/else-if chain on the instruction variable) wrapped in
-`while (true)`. A block ending in a yield updates the instruction
-variable and returns the yielded value; a plain jump updates it and
-falls back into the dispatch; finishing sets it to 0, the sink state in
-which every later call returns null.
+dispatch wrapped in `while (true)`. A block ending in a yield updates
+the instruction variable and returns the yielded value; a plain jump
+updates it and falls back into the dispatch; finishing sets it to 0, the
+sink state in which every later call returns null.
+
+The dispatch is a balanced binary search over the sorted instruction
+numbers, the case-statement lowering of Hennessy & Mendelsohn (1982):
+`if (_i < m) { ... } else { ... }` halves the range until at most
+CHAIN_MAX states are left, and such a range is an if/else-if chain of
+`_i == k` tests ending in `return null`. A transition therefore costs
+O(log states) tests and the dispatch nests O(log states) deep. A machine
+of CHAIN_MAX states or fewer is a single chain, the figure of the paper.
+Unknown instructions, the sink 0 included, fall through to `return null`.
 
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
@@ -42,14 +50,22 @@ from .syntax import (
 )
 
 
+# A range of at most this many states dispatches through a chain of `==`
+# tests. A chain of four costs 2.5 tests per transition on average, as
+# does one `<` test over two chains of two, and fib's three-state machine
+# keeps the paper's shape.
+CHAIN_MAX = 4
+
+
 @dataclass
 class StateMachinePlan:
-    """How a generator maps onto its dispatch: block id -> instruction
-    number (the end sentinel stays 0), the hoisted locals, and the two
-    fresh names woven into the machine."""
+    """How a generator maps onto its dispatch: the instruction numbers in
+    ascending order (block ids serve as instruction numbers, and the end
+    sentinel is the sink 0), the hoisted locals, and the two fresh names
+    woven into the machine."""
 
     func: str
-    states: dict[int, int]
+    states: list[int]
     hoisted: list[str]
     params: list[str]
     resume_param: str
@@ -77,9 +93,9 @@ class NameAllocator:
 def plan_generator(
     func: FuncDecl, opt: bool = True, names: NameAllocator | None = None
 ) -> tuple[Cfg, StateMachinePlan]:
-    """Build (and optionally merge) the CFG and assign instruction numbers.
-    Block ids are already dense reverse-postorder integers, so the state
-    map is the identity; entry is state 1."""
+    """Build (and optionally merge) the CFG and plan its machine. Block
+    ids are dense reverse-postorder integers and serve directly as
+    instruction numbers; entry is state 1."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
     graph = build_cfg(func)
@@ -90,7 +106,7 @@ def plan_generator(
     hoisted = [n for n in declared_locals(func.body) if n not in func.params]
     plan = StateMachinePlan(
         func=func.name,
-        states={bid: bid for bid in graph.blocks},
+        states=sorted(graph.blocks),
         hoisted=hoisted,
         params=list(func.params),
         resume_param=names.fresh("_r"),
@@ -106,28 +122,39 @@ def rewrite_generator(
     and parameters."""
     graph, plan = plan_generator(func, opt, names)
     receivers = _receivers(graph)
-    inst = plan.inst_var
-    dispatch: Stmt = _else_return_null()
-    for bid in sorted(graph.blocks, reverse=True):
-        state_body = _state_stmts(graph.blocks[bid], receivers.get(bid), plan)
-        dispatch = If(
-            Binary("==", Var(inst), IntLit(plan.states[bid])),
-            Block(state_body),
-            Block([dispatch]),
-        )
+    bodies = {
+        bid: _state_stmts(block, receivers.get(bid), plan)
+        for bid, block in graph.blocks.items()
+    }
+    dispatch = _dispatch(plan.states, bodies, plan.inst_var)
     machine = FuncLit(
         [plan.resume_param],
         Block([While(BoolLit(True), Block([dispatch]))]),
     )
-    body: list[Stmt] = [Let(inst, IntLit(1))]
+    body: list[Stmt] = [Let(plan.inst_var, IntLit(1))]
     body.extend(Let(name, NullLit()) for name in plan.hoisted)
     body.append(Return(machine))
     return FuncDecl(func.name, list(func.params), False, Block(body))
 
 
-def _else_return_null() -> Stmt:
+def _dispatch(states: list[int], bodies: dict[int, list[Stmt]], inst: str) -> Stmt:
+    """Select the body of state `inst` among the ascending `states`."""
+    if len(states) > CHAIN_MAX:
+        mid = len(states) // 2
+        return If(
+            Binary("<", Var(inst), IntLit(states[mid])),
+            Block([_dispatch(states[:mid], bodies, inst)]),
+            Block([_dispatch(states[mid:], bodies, inst)]),
+        )
     # Unknown instruction (0 included): the machine is exhausted.
-    return Return(NullLit())
+    chain: Stmt = Return(NullLit())
+    for state in reversed(states):
+        chain = If(
+            Binary("==", Var(inst), IntLit(state)),
+            Block(bodies[state]),
+            Block([chain]),
+        )
+    return chain
 
 
 def _receivers(graph: Cfg) -> dict[int, str]:
@@ -158,17 +185,17 @@ def _state_stmts(
             out.append(stmt)
     term = block.terminator
     if isinstance(term, Goto):
-        out.append(Assign(inst, IntLit(_state(plan, term.target))))
+        out.append(Assign(inst, IntLit(term.target)))
     elif isinstance(term, Branch):
         out.append(
             If(
                 term.cond,
-                Block([Assign(inst, IntLit(_state(plan, term.then)))]),
-                Block([Assign(inst, IntLit(_state(plan, term.orelse)))]),
+                Block([Assign(inst, IntLit(term.then))]),
+                Block([Assign(inst, IntLit(term.orelse))]),
             )
         )
     elif isinstance(term, YieldTo):
-        out.append(Assign(inst, IntLit(_state(plan, term.resume))))
+        out.append(Assign(inst, IntLit(term.resume)))
         out.append(Return(term.value))
     elif isinstance(term, Finish):
         out.append(Assign(inst, IntLit(0)))
@@ -176,10 +203,6 @@ def _state_stmts(
     else:
         raise AssertionError(f"unhandled terminator {term!r}")
     return out
-
-
-def _state(plan: StateMachinePlan, target: int) -> int:
-    return 0 if target == END else plan.states[target]
 
 
 def transform_program(program: Program, opt: bool = True) -> Program:

@@ -12,6 +12,36 @@ FIB_SOURCE = (CORPUS_DIR / "fib.mini").read_text()
 RECEIVE_SOURCE = (CORPUS_DIR / "receive.mini").read_text()
 
 
+def wide_source(arms: int, nexts: int) -> str:
+    """One generator of `arms` sequential if/else arms, each arm a yield,
+    in an endless loop (3 * arms + 2 CFG blocks), printed `nexts` times
+    by main."""
+    arm_text = "".join(
+        f"""    if ((i + {j}) % 2 == 0) {{
+      yield i + {j}
+    }} else {{
+      yield i - {j}
+    }}
+"""
+        for j in range(1, arms + 1)
+    )
+    return f"""fn* wide(i) {{
+  while (true) {{
+{arm_text}    i = i + 1
+  }}
+}}
+
+fn main() {{
+  let g = wide(0)
+  let n = 0
+  while (n < {nexts}) {{
+    print(next(g))
+    n = n + 1
+  }}
+}}
+"""
+
+
 @pytest.fixture(scope="session")
 def corpus_programs():
     from corolower.parser import parse_source

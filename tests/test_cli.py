@@ -1,10 +1,13 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from corolower.cli import main
 
-from conftest import CORPUS_DIR, FIB_SOURCE, GOLDEN_DIR
+from conftest import CORPUS_DIR, FIB_SOURCE, GOLDEN_DIR, wide_source
 
 FIB_RUN = GOLDEN_DIR.joinpath("fib.run.txt").read_text()
 
@@ -148,3 +151,46 @@ def test_exit_codes_are_exactly_documented_set():
         2,
         3,
     )
+
+
+def test_too_deep_to_compile_exit_1(capsys, tmp_path):
+    depth = 1200
+    nested_ifs = tmp_path / "nested_ifs.mini"
+    nested_ifs.write_text(
+        "fn main() {\n" + "if (true) {\n" * depth + "print(1)\n" + "}\n" * depth + "}\n"
+    )
+    parens = tmp_path / "parens.mini"
+    parens.write_text("fn main() { print(" + "(" * 3000 + "1" + ")" * 3000 + ") }\n")
+    for argv in (("run", nested_ifs), ("compile", parens), ("diff", nested_ifs)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and "too deep" in err
+
+
+def test_too_deep_to_run_exit_2(capsys, tmp_path):
+    path = tmp_path / "runaway.mini"
+    path.write_text("fn f(n) { return f(n + 1) }\nfn main() { print(f(0)) }\n")
+    for command in ("run", "diff"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ") and "too deep" in err
+
+
+def test_compile_first_order_of_two_hundred_arms(capsys, tmp_path):
+    path = tmp_path / "wide200.mini"
+    path.write_text(wide_source(200, 1))
+    code, out, err = run_cli(capsys, "compile", path, "--emit", "first-order")
+    assert code == 0, err
+    assert "fn wide_fo(" in out
+
+
+def test_python_dash_m(fib_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corolower", "run", str(fib_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == FIB_RUN

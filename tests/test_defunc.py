@@ -1,7 +1,8 @@
 import pytest
 
+from corolower.cli import program_forms
 from corolower.defunc import defunctionalize, match_factory
-from corolower.errors import DefuncError
+from corolower.errors import DefuncError, InterpError
 from corolower.interp import Interpreter, interp, interp_native, resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
@@ -97,6 +98,19 @@ def test_rejects_foreign_closures():
         defunctionalize(program)
 
 
+@pytest.mark.parametrize(
+    "machine, message",
+    [
+        ("return zz", "'f': machine body references 'zz'"),
+        ("print(fn (y) { return 1 })", "nested closure inside a machine body"),
+    ],
+)
+def test_rejects_machines_it_cannot_lift(machine, message):
+    source = f"fn f() {{\n  let _i = 1\n  return fn (_r) {{\n    {machine}\n  }}\n}}\nfn main() {{ }}"
+    with pytest.raises(DefuncError, match=message):
+        defunctionalize(parse_source(source))
+
+
 def test_match_factory_shape():
     lowered = transform_program(parse_source(FIB_SOURCE))
     shape = match_factory(lowered.decls[0])
@@ -151,3 +165,23 @@ fn main() { }
         resume_any(interp_, b, None),
     ]
     assert seq == [0, 0, 1, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("let z = n - n\n  yield 10 / z", "division by zero"),
+        ("let flag = n > 0\n  yield n + flag", "expected an integer"),
+    ],
+)
+def test_runtime_error_position_is_the_same_in_every_form(body, message):
+    source = f"fn* g(n) {{\n  yield n\n  {body}\n}}\n" + (
+        "fn main() {\n  let it = g(3)\n  print(next(it))\n  print(next(it))\n}\n"
+    )
+    positions = {}
+    for name, form in program_forms(parse_source(source)).items():
+        with pytest.raises(InterpError, match=message) as info:
+            Interpreter(form).run()
+        positions[name] = (info.value.line, info.value.col)
+    assert positions["native"][0] == 4
+    assert set(positions.values()) == {positions["native"]}, positions

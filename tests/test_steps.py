@@ -1,0 +1,51 @@
+"""Interpreter steps per form, pinned exactly.
+
+Step counts are deterministic, so a change to the lowering or to the
+interpreter that moves them has to update these numbers on purpose.
+"""
+
+import pytest
+
+from corolower.cli import program_forms
+from corolower.interp import Interpreter
+from corolower.parser import parse_source
+
+from conftest import FIB_SOURCE, wide_source
+
+FORMS = ("native", "lowered-opt", "lowered-noopt", "first-order")
+
+
+def steps_per_form(source):
+    steps = {}
+    for name, form in program_forms(parse_source(source)).items():
+        interp = Interpreter(form)
+        interp.run()
+        steps[name] = interp.steps
+    return steps
+
+
+def test_fib_steps_per_next():
+    nexts = 20_000
+    source = FIB_SOURCE.replace("while (i < 10)", f"while (i < {nexts})")
+    assert source != FIB_SOURCE
+    steps = steps_per_form(source)
+    assert steps == {
+        "native": 460_005,
+        "lowered-opt": 980_007,
+        "lowered-noopt": 1_420_003,
+        "first-order": 1_459_998,
+    }
+    assert [round(steps[form] / nexts) for form in FORMS] == [23, 49, 71, 73]
+
+
+def test_hundred_arm_family_steps_per_next():
+    # 301 states optimized, 302 unoptimized, dispatched by bisection.
+    nexts = 300
+    steps = steps_per_form(wide_source(100, nexts))
+    assert steps == {
+        "native": 6_924,
+        "lowered-opt": 30_294,
+        "lowered-noopt": 30_424,
+        "first-order": 39_443,
+    }
+    assert steps["lowered-opt"] / nexts == pytest.approx(100.98)

@@ -1,21 +1,36 @@
+import math
+import sys
+
 import pytest
 
+from corolower import cli
 from corolower.cfg import build_cfg, merge_blocks
+from corolower.defunc import defunctionalize
 from corolower.errors import TransformError
 from corolower.interp import interp, interp_native, resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.syntax import (
+    Binary,
     FuncLit,
     If,
+    IntLit,
     LetYield,
+    NullLit,
+    Return,
+    Var,
     While,
     YieldStmt,
     iter_stmts,
 )
-from corolower.transform import plan_generator, rewrite_generator, transform_program
+from corolower.transform import (
+    CHAIN_MAX,
+    plan_generator,
+    rewrite_generator,
+    transform_program,
+)
 
-from conftest import CORPUS_FILES, FIB_SOURCE, GOLDEN_DIR, RECEIVE_SOURCE
+from conftest import CORPUS_FILES, FIB_SOURCE, GOLDEN_DIR, RECEIVE_SOURCE, wide_source
 
 # The two-yield coroutine of the paper, and its expected machine: state 1
 # returns n and advances; state 2 binds the resume value, finishes, and
@@ -79,21 +94,63 @@ fn fib() {
 """
 
 
-def dispatch_states(decl):
-    """Number of if-arms in the machine's dispatch chain."""
+def dispatch_root(decl):
+    """The dispatch statement inside the machine's `while (true)`."""
     ret = decl.body.stmts[-1]
     machine = ret.value
     assert isinstance(machine, FuncLit)
     loop = machine.body.stmts[0]
     assert isinstance(loop, While)
-    count = 0
-    stmt = loop.body.stmts[0]
+    assert len(loop.body.stmts) == 1
+    return loop.body.stmts[0]
+
+
+def dispatch_tests(decl):
+    """(test, depth) for every dispatch `If`, whose test is `_i < k` or
+    `_i == k`; depth counts the dispatch `If`s from the root down to and
+    including it. State bodies are not entered."""
+    inst = decl.body.stmts[0].name
+    out = []
+    stack = [(dispatch_root(decl), 1)]
+    while stack:
+        stmt, depth = stack.pop()
+        if isinstance(stmt, Return):
+            continue  # unknown instruction
+        assert isinstance(stmt, If)
+        cond = stmt.cond
+        assert isinstance(cond, Binary) and cond.op in ("<", "==")
+        assert cond.lhs == Var(inst) and isinstance(cond.rhs, IntLit)
+        out.append((stmt, depth))
+        (rest,) = stmt.orelse.stmts
+        stack.append((rest, depth + 1))
+        if cond.op == "<":
+            (left,) = stmt.then.stmts
+            stack.append((left, depth + 1))
+    return out
+
+
+def dispatch_states(decl):
+    """Number of `_i == k` arms anywhere in the machine's dispatch tree."""
+    return sum(1 for stmt, _ in dispatch_tests(decl) if stmt.cond.op == "==")
+
+
+def dispatch_depth(decl):
+    """Deepest nesting of dispatch `If`s."""
+    return max(depth for _, depth in dispatch_tests(decl))
+
+
+def select_state(decl, instruction):
+    """Walk the dispatch tree as the interpreter would for one instruction
+    value; returns the state whose arm runs, or None for `return null`."""
+    stmt = dispatch_root(decl)
     while isinstance(stmt, If):
-        count += 1
-        if stmt.orelse is None:
-            break
-        stmt = stmt.orelse.stmts[0]
-    return count
+        k = stmt.cond.rhs.value
+        if stmt.cond.op == "==" and instruction == k:
+            return k
+        taken = stmt.cond.op == "<" and instruction < k
+        (stmt,) = (stmt.then if taken else stmt.orelse).stmts
+    assert stmt == Return(NullLit())
+    return None
 
 
 def test_simple_coroutine_two_state_machine():
@@ -242,8 +299,63 @@ def test_plan_shape():
     program = parse_source(FIB_SOURCE)
     graph, plan = plan_generator(program.decls[0], True)
     assert plan.func == "fib"
-    assert plan.states == {1: 1, 2: 2, 3: 3}
+    assert plan.states == [1, 2, 3]
     assert plan.hoisted == ["a", "b", "c"]
     assert plan.params == []
-    assert sorted(plan.states.values()) == list(range(1, len(graph.blocks) + 1))
+    assert plan.states == sorted(graph.blocks) == list(range(1, len(graph.blocks) + 1))
     assert plan.inst_var != plan.resume_param
+
+
+def test_small_machines_keep_the_chain():
+    # Up to CHAIN_MAX states the dispatch is the paper's if/else-if chain.
+    for arms, states in ((1, 4), (2, 7)):
+        machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
+        assert dispatch_states(machine) == states
+        ops = {stmt.cond.op for stmt, _ in dispatch_tests(machine)}
+        assert ops == ({"=="} if states <= CHAIN_MAX else {"<", "=="})
+    assert CHAIN_MAX == 4
+
+
+def test_dispatch_tree_selects_every_state():
+    decl = parse_source(wide_source(20, 1)).decls[0]
+    for opt in (True, False):
+        machine = rewrite_generator(decl, opt)
+        _, plan = plan_generator(decl, opt)
+        for state in plan.states:
+            assert select_state(machine, state) == state
+        for unknown in (0, plan.states[-1] + 1, -1):
+            assert select_state(machine, unknown) is None
+
+
+def test_dispatch_depth_grows_logarithmically():
+    depths = {}
+    for arms in (10, 20, 40, 80, 160):
+        machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
+        states = dispatch_states(machine)
+        assert states == 3 * arms + 1
+        depths[states] = dispatch_depth(machine)
+        # Halving down to a chain of at most CHAIN_MAX, then the chain.
+        assert depths[states] <= math.ceil(math.log2(states / CHAIN_MAX)) + CHAIN_MAX
+    sizes = sorted(depths)
+    for small, large in zip(sizes, sizes[1:]):
+        assert depths[large] - depths[small] <= 1  # states roughly double
+    assert depths[481] < 12
+
+
+def test_two_hundred_arms_at_the_default_recursion_limit(tmp_path, capsys):
+    # About 600 blocks. Every recursive pass (print_source, parse,
+    # defunctionalize, the interpreter) walks the dispatch, so it has to
+    # nest shallowly enough for Python's default stack.
+    assert sys.getrecursionlimit() <= 1000
+    source = wide_source(200, 30)
+    program = parse_source(source)
+    lowered = transform_program(program)
+    first_order = defunctionalize(lowered)
+    for form in (lowered, first_order):
+        text = print_source(form)
+        assert print_source(parse_source(text)) == text
+    # diff runs and traces all four forms, lowered-noopt's 602 states too.
+    path = tmp_path / "wide200.mini"
+    path.write_text(source)
+    assert cli.main(["diff", str(path)]) == 0
+    assert capsys.readouterr().err.strip().endswith(": OK")
