@@ -9,8 +9,9 @@
 Exit codes: 0 success, 1 compile error, 2 runtime error, 3 divergence.
 Input nested or recursing too deeply for Python's stack fails the same
 way: code 1 while compiling, 2 while running. Diagnostics go to stderr,
-program output to stdout. COROLOWER_BUDGET overrides the evaluation
-step budget (default 10^7 steps).
+program output to stdout; `run` writes the output printed before a
+runtime error too. COROLOWER_BUDGET overrides the evaluation step budget
+(default 10^7 steps); it and `diff --budget` must be at least 1.
 """
 
 from __future__ import annotations
@@ -130,9 +131,12 @@ def _step_budget() -> int:
     if raw is None:
         return DEFAULT_STEP_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise _Failure(EXIT_COMPILE, f"{BUDGET_ENV} is not an integer: {raw!r}")
+    if budget < 1:
+        raise _Failure(EXIT_COMPILE, f"{BUDGET_ENV} must be at least 1, got {budget}")
+    return budget
 
 
 def _load(path: str) -> Program:
@@ -160,9 +164,13 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     program = _load(args.input)
-    with _stage(EXIT_RUNTIME, args.input):
-        output = Interpreter(program, _step_budget()).run()
-    sys.stdout.write(render_output(output))
+    interpreter = Interpreter(program, _step_budget())
+    try:
+        with _stage(EXIT_RUNTIME, args.input):
+            interpreter.run()
+    finally:
+        # What was printed before a runtime error is output too.
+        sys.stdout.write(render_output(interpreter.output))
     return EXIT_OK
 
 
@@ -262,6 +270,8 @@ def _item_text(values: list, index: int) -> str:
 
 
 def cmd_diff(args) -> int:
+    if args.budget < 1:
+        raise _Failure(EXIT_COMPILE, f"--budget must be at least 1, got {args.budget}")
     if args.all_dir:
         paths = sorted(str(p) for p in Path(args.all_dir).glob("*.mini"))
         if not paths:

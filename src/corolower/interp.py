@@ -1,4 +1,4 @@
-"""Tree-walking evaluator defining the semantics of both languages.
+"""Table-dispatched evaluator defining the semantics of both languages.
 
 One evaluator runs generator-bearing source programs (interp_native) and
 the lowered/first-order outputs (interp). Generators are instantiated
@@ -12,10 +12,24 @@ records, and late-bound function references. Locals are function-scoped
 and pre-bound to null when a frame is created, mirroring the uniform
 variable hoisting performed by the lowering (a `let` executes as plain
 assignment into the frame).
+
+Evaluation looks each node's class up in one of two module-level
+tables, `_EXPR` and `_STMT`, and calls the handler found there. A
+handler charges its node's step before anything else: one step per
+evaluated expression, per executed statement and per further `while`
+iteration. Binary operators on two integers are looked up in
+`_INT_OPS`. Function bodies run through one of two executors:
+
+- `_exec` runs a plain body as ordinary calls. It returns None when the
+  body falls off its end and `(value,)` on `return`.
+- `_exec_gen` is the Python generator behind a generator instance. It
+  handles `yield`, `let x = yield`, `if` and `while` itself, and hands
+  every other statement to `_STMT`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceeded, InterpError, ValidationError
@@ -25,7 +39,6 @@ from .syntax import (
     Block,
     BoolLit,
     Call,
-    Expr,
     ExprStmt,
     FieldGet,
     FieldSet,
@@ -41,7 +54,6 @@ from .syntax import (
     Program,
     RecordLit,
     Return,
-    Stmt,
     Unary,
     Var,
     While,
@@ -55,13 +67,20 @@ DEFAULT_STEP_BUDGET = 10_000_000
 NULL = None
 
 _INT_MIN = -(2**63)
+_INT_MAX = 2**63 - 1
 _WRAP = 2**64
 
 # Distinguishes falling off a body's end from an explicit `return null`.
 _ABSENT = object()
+# What `_exec` and `_exec_gen` return for a bare `return`.
+_BARE = (_ABSENT,)
+
+_OVER = "step budget exceeded"
 
 
 def wrap64(x: int) -> int:
+    if _INT_MIN <= x <= _INT_MAX:
+        return x
     return (x - _INT_MIN) % _WRAP + _INT_MIN
 
 
@@ -99,8 +118,8 @@ class Env:
 
     __slots__ = ("vars", "parent")
 
-    def __init__(self, parent: "Env | None" = None):
-        self.vars: dict[str, object] = {}
+    def __init__(self, parent: "Env | None" = None, bindings: dict | None = None):
+        self.vars: dict[str, object] = {} if bindings is None else bindings
         self.parent = parent
 
     def declare(self, name, value):
@@ -114,26 +133,26 @@ class Env:
             env = env.parent
         raise _err(f"unbound name {name!r}", node)
 
-    def assign(self, name, value, node=None):
-        env = self
-        while env is not None:
-            if name in env.vars:
-                env.vars[name] = value
-                return
-            env = env.parent
-        raise _err(f"assignment to undeclared name {name!r}", node)
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
 
 def _err(message, node=None):
     pos = getattr(node, "pos", None)
     if pos is not None:
         return InterpError(message, pos.line, pos.col)
     return InterpError(message)
+
+
+def _not_int(v, node):
+    return _err(f"expected an integer, got {render_value(v)}", node)
+
+
+def _bool(v, node) -> bool:
+    if v is True or v is False:
+        return v
+    raise _not_bool(v, node)
+
+
+def _not_bool(v, node):
+    return _err(f"expected a boolean, got {render_value(v)}", node)
 
 
 def values_equal(a, b) -> bool:
@@ -195,32 +214,26 @@ class Interpreter:
         self.call(entry, [])
         return self.output
 
-    def _charge(self, node=None):
-        self.steps += 1
-        if self.steps > self.step_budget:
-            raise BudgetExceeded("step budget exceeded")
-
     # -- calls and resumption -------------------------------------------------
 
     def call(self, fn, args, node=None):
-        if isinstance(fn, FuncRefV):
+        if type(fn) is FuncRefV:
             fn = self._resolve_ref(fn, node)
-        if not isinstance(fn, Closure):
+        if type(fn) is not Closure:
             raise _err(f"value {render_value(fn)} is not callable", node)
         if len(args) != len(fn.params):
             raise _err(
                 f"{fn.name or 'fn'} expects {len(fn.params)} argument(s), got {len(args)}",
                 node,
             )
-        env = Env(fn.env)
-        for name, value in zip(fn.params, args):
-            env.declare(name, value)
+        bindings = dict(zip(fn.params, args))
         for name in self._locals_of(fn.body):
-            if name not in env.vars:
-                env.declare(name, NULL)
+            bindings.setdefault(name, NULL)
+        env = Env(fn.env, bindings)
         if fn.is_generator:
             return GenInstance(fn, env)
-        return self._run_plain(fn.body, env)
+        result = _exec(self, fn.body.stmts, env)
+        return NULL if result is None or result is _BARE else result[0]
 
     def _locals_of(self, body: Block) -> list[str]:
         # Keyed by identity; the entry pins the block so ids never recycle.
@@ -236,20 +249,10 @@ class Interpreter:
             raise _err(f"&{ref.name} does not name a function", node)
         return target
 
-    def _run_plain(self, body: Block, env: Env):
-        walker = self._exec_block(body, env)
-        try:
-            next(walker)
-        except StopIteration:
-            return NULL
-        except _Return as ret:
-            return NULL if ret.value is _ABSENT else ret.value
-        raise AssertionError("yield escaped a non-generator body")
-
     def next_value(self, target, value, node=None):
-        if isinstance(target, GenInstance):
+        if type(target) is GenInstance:
             return self.resume(target, value)
-        if isinstance(target, Closure):
+        if type(target) is Closure:
             return self.call(target, [value], node)
         raise _err(f"next on non-resumable value {render_value(target)}", node)
 
@@ -260,187 +263,368 @@ class Interpreter:
         if inst.done:
             return NULL
         if not inst.started:
-            inst.runner = self._run_generator(inst)
+            inst.runner = _exec_gen(self, inst.closure.body.stmts, inst.env)
             inst.started = True
             value = None  # not-started: the argument is discarded
         try:
             return inst.runner.send(value)
         except StopIteration as stop:
             inst.done = True
-            # _ABSENT marks falling off the end (or a bare return): that
-            # resumption observes null and the trace records nothing. An
-            # explicit `return null` is a real finish value.
-            inst.finish_value = stop.value
+            # Falling off the end or a bare return finishes with _ABSENT:
+            # that resumption observes null and the trace records nothing.
+            # An explicit `return null` is a real finish value.
+            inst.finish_value = _ABSENT if stop.value is None else stop.value[0]
             return NULL if inst.finish_value is _ABSENT else inst.finish_value
         except ValueError:
             raise _err("generator is already running")
 
-    def _run_generator(self, inst: GenInstance):
-        try:
-            yield from self._exec_block(inst.closure.body, inst.env)
-        except _Return as ret:
-            return ret.value  # _ABSENT for a bare return, else a value
-        return _ABSENT
 
-    # -- statements -----------------------------------------------------------
+# -- executors ----------------------------------------------------------------
+#
+# Every handler takes (interpreter, node, env) and starts by charging the
+# node's step. Statement handlers return None, or the `(value,)` of a
+# `return` for the executor to pass up.
 
-    def _exec_block(self, block: Block, env: Env):
-        for stmt in block.stmts:
-            self._charge(stmt)
-            if isinstance(stmt, Let):
-                env.declare(stmt.name, self._eval(stmt.value, env))
-            elif isinstance(stmt, Assign):
-                env.assign(stmt.name, self._eval(stmt.value, env), stmt)
-            elif isinstance(stmt, LetYield):
-                received = yield self._eval(stmt.value, env)
-                env.declare(stmt.name, received)
-            elif isinstance(stmt, YieldStmt):
-                yield self._eval(stmt.value, env)
-            elif isinstance(stmt, If):
-                if self._bool(self._eval(stmt.cond, env), stmt.cond):
-                    yield from self._exec_block(stmt.then, env)
-                elif stmt.orelse is not None:
-                    yield from self._exec_block(stmt.orelse, env)
-            elif isinstance(stmt, While):
-                while self._bool(self._eval(stmt.cond, env), stmt.cond):
-                    yield from self._exec_block(stmt.body, env)
-                    self._charge(stmt)
-            elif isinstance(stmt, Return):
-                raise _Return(
-                    _ABSENT if stmt.value is None else self._eval(stmt.value, env)
-                )
-            elif isinstance(stmt, Print):
-                self.output.append(self._eval(stmt.value, env))
-            elif isinstance(stmt, ExprStmt):
-                self._eval(stmt.value, env)
-            elif isinstance(stmt, FieldSet):
-                self._field_set(stmt, env)
-            else:
-                raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def exec_straight(self, stmt: Stmt, env: Env):
-        """Execute one straight-line statement (no control flow, no yield);
-        used by the CFG executor."""
-        self._charge(stmt)
-        if isinstance(stmt, Let):
-            env.declare(stmt.name, self._eval(stmt.value, env))
-        elif isinstance(stmt, Assign):
-            env.assign(stmt.name, self._eval(stmt.value, env), stmt)
-        elif isinstance(stmt, Print):
-            self.output.append(self._eval(stmt.value, env))
-        elif isinstance(stmt, ExprStmt):
-            self._eval(stmt.value, env)
-        elif isinstance(stmt, FieldSet):
-            self._field_set(stmt, env)
+def _exec(it: Interpreter, stmts, env: Env):
+    for stmt in stmts:
+        result = _STMT[type(stmt)](it, stmt, env)
+        if result is not None:
+            return result
+    return None
+
+
+def _exec_gen(it: Interpreter, stmts, env: Env):
+    for stmt in stmts:
+        kind = type(stmt)
+        if kind not in _GEN_KINDS:
+            result = _STMT[kind](it, stmt, env)
+            if result is not None:
+                return result
+            continue
+        it.steps += 1
+        if it.steps > it.step_budget:
+            raise BudgetExceeded(_OVER)
+        if kind is If:
+            cond = stmt.cond
+            block = stmt.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else stmt.orelse
+            if block is not None:
+                result = yield from _exec_gen(it, block.stmts, env)
+                if result is not None:
+                    return result
+        elif kind is While:
+            cond, body = stmt.cond, stmt.body.stmts
+            while _bool(_EXPR[type(cond)](it, cond, env), cond):
+                result = yield from _exec_gen(it, body, env)
+                if result is not None:
+                    return result
+                it.steps += 1
+                if it.steps > it.step_budget:
+                    raise BudgetExceeded(_OVER)
         else:
-            raise AssertionError(f"not a straight-line statement: {stmt!r}")
+            value = stmt.value
+            received = yield _EXPR[type(value)](it, value, env)
+            if kind is LetYield:
+                env.vars[stmt.name] = received
+    return None
 
-    def _field_set(self, stmt: FieldSet, env: Env):
-        record = self._eval(stmt.record, env)
-        if not isinstance(record, Record):
-            raise _err("field assignment on a non-record value", stmt)
-        if stmt.field not in record.fields:
-            raise _err(f"record has no field {stmt.field!r}", stmt)
-        record.fields[stmt.field] = self._eval(stmt.value, env)
 
-    # -- expressions ----------------------------------------------------------
+# The statements that `_exec_gen` runs itself, because they may yield.
+_GEN_KINDS = frozenset({If, While, YieldStmt, LetYield})
 
-    def _eval(self, expr: Expr, env: Env):
-        self._charge(expr)
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, NullLit):
-            return NULL
-        if isinstance(expr, Var):
-            return env.lookup(expr.name, expr)
-        if isinstance(expr, Binary):
-            return self._binary(expr, env)
-        if isinstance(expr, Unary):
-            operand = self._eval(expr.operand, env)
-            if expr.op == "-":
-                return wrap64(-self._int(operand, expr))
-            return not self._bool(operand, expr)
-        if isinstance(expr, Call):
-            callee = self._eval(expr.callee, env)
-            args = [self._eval(a, env) for a in expr.args]
-            return self.call(callee, args, expr)
-        if isinstance(expr, NextCall):
-            gen = self._eval(expr.gen, env)
-            value = NULL if expr.arg is None else self._eval(expr.arg, env)
-            return self.next_value(gen, value, expr)
-        if isinstance(expr, FieldGet):
-            record = self._eval(expr.record, env)
-            if not isinstance(record, Record):
-                raise _err("field access on a non-record value", expr)
-            if expr.field not in record.fields:
-                raise _err(f"record has no field {expr.field!r}", expr)
-            return record.fields[expr.field]
-        if isinstance(expr, RecordLit):
-            return Record({k: self._eval(v, env) for k, v in expr.fields})
-        if isinstance(expr, FuncRef):
-            self._resolve_ref(FuncRefV(expr.name), expr)
-            return FuncRefV(expr.name)
-        if isinstance(expr, FuncLit):
-            return Closure(expr.params, expr.body, env)
-        raise AssertionError(f"unhandled expression {expr!r}")
 
-    def _binary(self, expr: Binary, env: Env):
-        op = expr.op
-        if op == "&&":
-            if not self._bool(self._eval(expr.lhs, env), expr.lhs):
-                return False
-            return self._bool(self._eval(expr.rhs, env), expr.rhs)
-        if op == "||":
-            if self._bool(self._eval(expr.lhs, env), expr.lhs):
-                return True
-            return self._bool(self._eval(expr.rhs, env), expr.rhs)
-        lhs = self._eval(expr.lhs, env)
-        rhs = self._eval(expr.rhs, env)
-        if op == "==":
-            return values_equal(lhs, rhs)
-        if op == "!=":
-            return not values_equal(lhs, rhs)
-        a = self._int(lhs, expr)
-        b = self._int(rhs, expr)
-        if op == "+":
-            return wrap64(a + b)
-        if op == "-":
-            return wrap64(a - b)
-        if op == "*":
-            return wrap64(a * b)
-        if op == "/":
-            if b == 0:
-                raise _err("division by zero", expr)
-            q = abs(a) // abs(b)
-            return wrap64(-q if (a < 0) != (b < 0) else q)
-        if op == "%":
-            if b == 0:
-                raise _err("modulo by zero", expr)
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            return wrap64(a - q * b)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise AssertionError(f"unhandled operator {op!r}")
+def _eval(it: Interpreter, expr, env: Env):
+    return _EXPR[type(expr)](it, expr, env)
 
-    def _int(self, v, node) -> int:
-        if isinstance(v, int) and not isinstance(v, bool):
-            return v
-        raise _err(f"expected an integer, got {render_value(v)}", node)
 
-    def _bool(self, v, node) -> bool:
-        if isinstance(v, bool):
-            return v
-        raise _err(f"expected a boolean, got {render_value(v)}", node)
+# -- statements -----------------------------------------------------------------
+
+
+def _let(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    value = stmt.value
+    env.vars[stmt.name] = _EXPR[type(value)](it, value, env)
+
+
+def _assign(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    value = stmt.value
+    value = _EXPR[type(value)](it, value, env)
+    name = stmt.name
+    while env is not None:
+        if name in env.vars:
+            env.vars[name] = value
+            return None
+        env = env.parent
+    raise _err(f"assignment to undeclared name {name!r}", stmt)
+
+
+def _yield_outside_generator(it, stmt, env):
+    # Validation rejects a yield outside a generator; _exec_gen runs its own.
+    raise AssertionError("yield escaped a non-generator body")
+
+
+def _if(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    cond = stmt.cond
+    truth = _EXPR[type(cond)](it, cond, env)
+    if truth is True:
+        block = stmt.then
+    elif truth is False:
+        block = stmt.orelse
+        if block is None:
+            return None
+    else:
+        raise _not_bool(truth, cond)
+    # The branch runs here, not through _exec: one Python frame per level.
+    for inner in block.stmts:
+        result = _STMT[type(inner)](it, inner, env)
+        if result is not None:
+            return result
+    return None
+
+
+def _while(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    cond, body = stmt.cond, stmt.body.stmts
+    while _bool(_EXPR[type(cond)](it, cond, env), cond):
+        for inner in body:
+            result = _STMT[type(inner)](it, inner, env)
+            if result is not None:
+                return result
+        it.steps += 1
+        if it.steps > it.step_budget:
+            raise BudgetExceeded(_OVER)
+    return None
+
+
+def _return(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    value = stmt.value
+    if value is None:
+        return _BARE
+    return (_EXPR[type(value)](it, value, env),)
+
+
+def _print(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    value = stmt.value
+    it.output.append(_EXPR[type(value)](it, value, env))
+
+
+def _expr_stmt(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    value = stmt.value
+    _EXPR[type(value)](it, value, env)
+
+
+def _field_set(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    record, value = stmt.record, stmt.value
+    record = _EXPR[type(record)](it, record, env)
+    if type(record) is not Record or stmt.field not in record.fields:
+        raise _field_error(record, stmt, "assignment")
+    record.fields[stmt.field] = _EXPR[type(value)](it, value, env)
+
+
+def _field_error(record, node, action):
+    if type(record) is not Record:
+        return _err(f"field {action} on a non-record value", node)
+    return _err(f"record has no field {node.field!r}", node)
+
+
+_STMT = {
+    Let: _let,
+    Assign: _assign,
+    LetYield: _yield_outside_generator,
+    YieldStmt: _yield_outside_generator,
+    If: _if,
+    While: _while,
+    Return: _return,
+    Print: _print,
+    ExprStmt: _expr_stmt,
+    FieldSet: _field_set,
+}
+
+
+# -- expressions ------------------------------------------------------------------
+
+
+def _literal(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    return expr.value
+
+
+def _null(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    return NULL
+
+
+def _var(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    name = expr.name
+    while env is not None:
+        if name in env.vars:
+            return env.vars[name]
+        env = env.parent
+    raise _err(f"unbound name {name!r}", expr)
+
+
+def _binary(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    op, lhs, rhs = expr.op, expr.lhs, expr.rhs
+    a = _EXPR[type(lhs)](it, lhs, env)
+    if op in _SHORT_CIRCUIT:
+        # The lhs decides `&&` when false and `||` when true.
+        if _bool(a, lhs) is _SHORT_CIRCUIT[op]:
+            return a
+        return _bool(_EXPR[type(rhs)](it, rhs, env), rhs)
+    b = _EXPR[type(rhs)](it, rhs, env)
+    if type(a) is int and type(b) is int:
+        try:
+            return _INT_OPS[op](a, b)
+        except ZeroDivisionError:
+            raise _err(_BY_ZERO[op], expr) from None
+    if op == "==":
+        return values_equal(a, b)
+    if op == "!=":
+        return not values_equal(a, b)
+    raise _not_int(b if type(a) is int else a, expr)
+
+
+def _div(a, b):
+    q = abs(a) // abs(b)
+    return wrap64(-q if (a < 0) != (b < 0) else q)
+
+
+def _mod(a, b):
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return wrap64(a - q * b)
+
+
+_SHORT_CIRCUIT = {"&&": False, "||": True}
+_BY_ZERO = {"/": "division by zero", "%": "modulo by zero"}
+# On two integers `==` and `!=` agree with values_equal.
+_INT_OPS = {
+    "+": lambda a, b: wrap64(a + b),
+    "-": lambda a, b: wrap64(a - b),
+    "*": lambda a, b: wrap64(a * b),
+    "/": _div,
+    "%": _mod,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def _unary(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    operand = expr.operand
+    operand = _EXPR[type(operand)](it, operand, env)
+    if expr.op == "-":
+        if type(operand) is not int:
+            raise _not_int(operand, expr)
+        return wrap64(-operand)
+    return not _bool(operand, expr)
+
+
+def _call(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    callee = expr.callee
+    fn = _EXPR[type(callee)](it, callee, env)
+    return it.call(fn, [_EXPR[type(a)](it, a, env) for a in expr.args], expr)
+
+
+def _next_call(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    gen, arg = expr.gen, expr.arg
+    target = _EXPR[type(gen)](it, gen, env)
+    value = NULL if arg is None else _EXPR[type(arg)](it, arg, env)
+    return it.next_value(target, value, expr)
+
+
+def _field_get(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    record = expr.record
+    record = _EXPR[type(record)](it, record, env)
+    if type(record) is not Record or expr.field not in record.fields:
+        raise _field_error(record, expr, "access")
+    return record.fields[expr.field]
+
+
+def _record_lit(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    return Record({k: _eval(it, v, env) for k, v in expr.fields})
+
+
+def _func_ref(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    it._resolve_ref(FuncRefV(expr.name), expr)
+    return FuncRefV(expr.name)
+
+
+def _func_lit(it, expr, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    return Closure(expr.params, expr.body, env)
+
+
+_EXPR = {
+    IntLit: _literal,
+    BoolLit: _literal,
+    NullLit: _null,
+    Var: _var,
+    Binary: _binary,
+    Unary: _unary,
+    Call: _call,
+    NextCall: _next_call,
+    FieldGet: _field_get,
+    RecordLit: _record_lit,
+    FuncRef: _func_ref,
+    FuncLit: _func_lit,
+}
 
 
 # -- public entry points ----------------------------------------------------
@@ -576,22 +760,22 @@ def eval_cfg(
                 break
             block = graph.blocks[ip]
             for stmt in block.stmts:
-                interp_.exec_straight(stmt, env)
+                _STMT[type(stmt)](interp_, stmt, env)
             term = block.terminator
             if isinstance(term, cfg_mod.Goto):
                 ip = term.target
             elif isinstance(term, cfg_mod.Branch):
-                cond = interp_._eval(term.cond, env)
-                ip = term.then if interp_._bool(cond, term.cond) else term.orelse
+                cond = _eval(interp_, term.cond, env)
+                ip = term.then if _bool(cond, term.cond) else term.orelse
             elif isinstance(term, cfg_mod.YieldTo):
-                items.append(interp_._eval(term.value, env))
+                items.append(_eval(interp_, term.value, env))
                 receiver = term.receiver
                 ip = term.resume
                 break
             elif isinstance(term, cfg_mod.Finish):
                 terminated = True
                 if term.value is not None:
-                    items.append(interp_._eval(term.value, env))
+                    items.append(_eval(interp_, term.value, env))
                 break
             else:
                 raise AssertionError(f"unhandled terminator {term!r}")

@@ -93,6 +93,44 @@ def test_budget_env_exit_2(capsys, tmp_path, monkeypatch):
     assert "budget exceeded" in err
 
 
+
+@pytest.mark.parametrize(
+    "last, budget, error",
+    [
+        ("print(1 / 0)", None, "division by zero (line 5, col 11)"),
+        ("while (true) { }", "5000", "step budget exceeded"),
+    ],
+)
+def test_run_writes_output_printed_before_the_error(
+    capsys, tmp_path, monkeypatch, last, budget, error
+):
+    path = tmp_path / "partial.mini"
+    path.write_text(f"fn main() {{\n  print(3)\n  print(5)\n  print(10)\n  {last}\n}}\n")
+    if budget is not None:
+        monkeypatch.setenv("COROLOWER_BUDGET", budget)
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 2
+    assert out == "3\n5\n10\n"
+    assert err.startswith("error: ") and err.rstrip().endswith(error)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_env_below_one_exit_1(capsys, monkeypatch, fib_path, budget):
+    monkeypatch.setenv("COROLOWER_BUDGET", budget)
+    for command in ("run", "diff"):
+        code, out, err = run_cli(capsys, command, fib_path)
+        assert code == 1, command
+        assert out == ""
+        assert err.startswith("error: ") and "COROLOWER_BUDGET" in err
+
+
+@pytest.mark.parametrize("resumptions", ["0", "-3"])
+def test_diff_budget_below_one_exit_1(capsys, fib_path, resumptions):
+    code, out, err = run_cli(capsys, "diff", "--budget", resumptions, fib_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--budget" in err and "OK" not in err
+
 def test_cfg_golden_files(capsys, tmp_path, fib_path):
     code, _, err = run_cli(capsys, "cfg", fib_path, "--out-dir", tmp_path)
     assert code == 0

@@ -234,3 +234,19 @@ def test_render_value_forms():
     assert render_value(-(2**63)) == str(-(2**63))
     assert render_value(False) == "false"
     assert render_value(None) == "null"
+
+
+def test_dispatch_tables_cover_the_ast():
+    # A node kind missing from a table would fail only when first run.
+    from corolower import syntax
+    from corolower.interp import _EXPR, _STMT
+
+    def node_kinds(base):
+        return {
+            cls
+            for cls in vars(syntax).values()
+            if isinstance(cls, type) and issubclass(cls, base) and cls is not base
+        }
+
+    assert set(_EXPR) == node_kinds(syntax.Expr)
+    assert set(_STMT) == node_kinds(syntax.Stmt)

@@ -7,6 +7,7 @@ interpreter that moves them has to update these numbers on purpose.
 import pytest
 
 from corolower.cli import program_forms
+from corolower.errors import BudgetExceeded
 from corolower.interp import Interpreter
 from corolower.parser import parse_source
 
@@ -49,3 +50,28 @@ def test_hundred_arm_family_steps_per_next():
         "first-order": 39_443,
     }
     assert steps["lowered-opt"] / nexts == pytest.approx(100.98)
+
+
+FIB_VALUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+
+
+@pytest.mark.parametrize(
+    "form, steps, at_100, at_50",
+    [
+        ("native", 235, [0, 1, 1, 2], [0, 1]),
+        ("lowered-opt", 497, [0, 1], [0]),
+        ("lowered-noopt", 713, [0], []),
+        ("first-order", 728, [0], []),
+    ],
+)
+def test_budget_exhaustion_is_step_exact(form, steps, at_100, at_50):
+    program = program_forms(parse_source(FIB_SOURCE))[form]
+    interp = Interpreter(program, steps)
+    assert interp.run() == FIB_VALUES
+    assert interp.steps == steps
+    for budget, printed in ((steps - 1, FIB_VALUES), (100, at_100), (50, at_50)):
+        interp = Interpreter(program, budget)
+        with pytest.raises(BudgetExceeded):
+            interp.run()
+        assert interp.output == printed, budget
+        assert interp.steps == budget + 1
