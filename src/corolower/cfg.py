@@ -11,12 +11,16 @@ an edge needs a real block: as the entry of an empty body or as a
 yield's resume target. Block ids are dense, entry = 1, and follow
 reverse postorder, which makes the fib example number its blocks exactly
 like the published figure.
+
+build_cfg routes edges past empty blocks in one sweep over the
+terminators, and merge_blocks absorbs goto chains in one walk over the
+block ids per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import TransformError
 from .printer import expr_source, stmt_lines
@@ -93,10 +97,7 @@ def _targets(term: Terminator) -> list[int]:
     return []
 
 
-def _retarget(term: Terminator, mapping: dict[int, int]) -> Terminator:
-    def m(t):
-        return mapping.get(t, t)
-
+def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
     if isinstance(term, Goto):
         return Goto(m(term.target))
     if isinstance(term, Branch):
@@ -188,7 +189,8 @@ class _Builder:
 
 
 def build_cfg(func: FuncDecl) -> Cfg:
-    """Build the control flow graph of a validated generator body."""
+    """Build the control flow graph of a validated generator body, route
+    edges past empty blocks, drop unreachable blocks and renumber."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
     b = _Builder()
@@ -196,86 +198,63 @@ def build_cfg(func: FuncDecl) -> Cfg:
     open_block = b.lower(func.body.stmts, entry)
     if open_block is not None:
         b.terms[open_block] = Finish(None)
-    entry = _drop_goto_stubs(b, entry)
-    _drop_empty_finishes(b, entry)
+    entry = _bypass_empty_blocks(b, entry)
     return _renumber(b.stmts, b.terms, entry)
 
 
-def _receiver_resume_targets(terms) -> set[int]:
-    return {
+def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
+    """Route every edge past empty blocks and return the new entry;
+    _renumber drops the blocks this leaves unreachable. An empty goto block
+    forwards to its target, except the resume block of a receiver-carrying
+    yield: the receiver binding must run only on a fresh resumption, never
+    on a same-call jump into a shared successor. An edge into an empty
+    Finish(absent) block leaves the function instead (a branch arm points
+    at END, a goto becomes the finish), except into the entry or a resume
+    target, because a resume edge needs a real block to land on."""
+    receivers = {
         t.resume
-        for t in terms.values()
+        for t in b.terms.values()
         if isinstance(t, YieldTo) and t.receiver is not None
     }
+    forward = {
+        bid: t.target
+        for bid, t in b.terms.items()
+        if isinstance(t, Goto) and not b.stmts[bid] and bid not in receivers
+    }
 
+    def through(target: int) -> int:
+        chain = []
+        while target in forward and target not in chain:  # stop on a cycle
+            chain.append(target)
+            target = forward[target]
+        for bid in chain:
+            forward[bid] = target
+        return target
 
-def _resume_targets(terms) -> set[int]:
-    return {t.resume for t in terms.values() if isinstance(t, YieldTo)}
+    for bid, term in b.terms.items():
+        b.terms[bid] = _retarget(term, through)
+    entry = through(entry)
 
+    resumes = {t.resume for t in b.terms.values() if isinstance(t, YieldTo)}
+    finishes = {
+        bid
+        for bid, t in b.terms.items()
+        if isinstance(t, Finish)
+        and t.value is None
+        and not b.stmts[bid]
+        and bid != entry
+        and bid not in resumes
+    }
 
-def _drop_goto_stubs(b: _Builder, entry: int) -> int:
-    """Remove empty blocks whose only job is a goto. A receiver-carrying
-    yield keeps its dedicated resume block: the receiver binding must run
-    only on a fresh resumption, never on a same-call jump into a shared
-    successor."""
-    changed = True
-    while changed:
-        changed = False
-        protected = _receiver_resume_targets(b.terms)
-        for bid in sorted(b.terms):
-            term = b.terms[bid]
-            if (
-                not b.stmts[bid]
-                and isinstance(term, Goto)
-                and term.target != bid
-                and bid not in protected
-            ):
-                mapping = {bid: term.target}
-                if entry == bid:
-                    entry = term.target
-                for other in b.terms:
-                    if other != bid and b.terms[other] is not None:
-                        b.terms[other] = _retarget(b.terms[other], mapping)
-                del b.stmts[bid], b.terms[bid]
-                changed = True
-                break
+    def past(target: int) -> int:
+        return END if target in finishes else target
+
+    for bid, term in b.terms.items():
+        if isinstance(term, Goto) and term.target in finishes:
+            b.terms[bid] = Finish(None)
+        else:
+            b.terms[bid] = _retarget(term, past)
     return entry
-
-
-def _drop_empty_finishes(b: _Builder, entry: int) -> None:
-    """Route edges into an empty Finish(absent) block straight out of the
-    function: branch arms point at END, a predecessor goto becomes the
-    finish itself. The entry and resume targets keep their block (a
-    resume edge needs a real block to land on)."""
-    changed = True
-    while changed:
-        changed = False
-        resume_targets = _resume_targets(b.terms)
-        for bid in sorted(b.terms):
-            term = b.terms[bid]
-            if (
-                b.stmts[bid]
-                or not isinstance(term, Finish)
-                or term.value is not None
-                or bid == entry
-                or bid in resume_targets
-            ):
-                continue
-            for other in sorted(b.terms):
-                if other == bid:
-                    continue
-                t = b.terms[other]
-                if isinstance(t, Goto) and t.target == bid:
-                    b.terms[other] = Finish(None)
-                elif isinstance(t, Branch) and bid in (t.then, t.orelse):
-                    b.terms[other] = Branch(
-                        t.cond,
-                        END if t.then == bid else t.then,
-                        END if t.orelse == bid else t.orelse,
-                    )
-            del b.stmts[bid], b.terms[bid]
-            changed = True
-            break
 
 
 def _renumber(
@@ -311,7 +290,8 @@ def _renumber(
     for old, new in mapping.items():
         term = terms[old]
         assert term is not None, f"block {old} has no terminator"
-        blocks[new] = BasicBlock(new, list(stmts[old]), _retarget(term, mapping))
+        term = _retarget(term, lambda t: mapping.get(t, t))
+        blocks[new] = BasicBlock(new, list(stmts[old]), term)
     graph = Cfg(blocks, 1)
     check_cfg(graph)
     return graph
@@ -335,8 +315,11 @@ def merge_blocks(graph: Cfg) -> Cfg:
     other predecessor, absorbs t; (b) a branch on a literal true/false
     becomes a goto (or a finish when the surviving arm is the end
     sentinel); (c) a yield resuming into an empty Finish(absent) block
-    resumes at END instead. Diamond squashing is out of scope. Ids are
-    reassigned densely in reverse postorder; the input is not modified."""
+    resumes at END instead. Each round applies (b) and (c) to every block,
+    then walks the blocks once in id order, each absorbing for as long as
+    (a) holds; a round repeats only because (c) can enable absorptions.
+    Diamond squashing is out of scope. Ids are reassigned densely in
+    reverse postorder; the input is not modified."""
     blocks = {
         bid: BasicBlock(bid, list(b.stmts), b.terminator)
         for bid, b in graph.blocks.items()
@@ -362,23 +345,22 @@ def merge_blocks(graph: Cfg) -> Cfg:
                 ):
                     block.terminator = YieldTo(term.value, term.receiver, END)
                     changed = True
-        merged = True
-        while merged:
-            merged = False
-            preds = _pred_counts(blocks, entry)
-            for bid in sorted(blocks):
-                term = blocks[bid].terminator
-                if (
-                    isinstance(term, Goto)
-                    and term.target != bid
-                    and preds.get(term.target) == 1
-                ):
-                    victim = blocks.pop(term.target)
-                    blocks[bid].stmts = blocks[bid].stmts + victim.stmts
-                    blocks[bid].terminator = victim.terminator
-                    merged = True
-                    changed = True
-                    break
+        preds = _pred_counts(blocks, entry)
+        # Absorbing moves the victim's out-edges to the absorber, so no
+        # other block's predecessor count changes and one walk suffices.
+        for bid in sorted(blocks):
+            if bid not in blocks:  # absorbed earlier in this walk
+                continue
+            block = blocks[bid]
+            while (
+                isinstance(block.terminator, Goto)
+                and block.terminator.target != bid
+                and preds.get(block.terminator.target) == 1
+            ):
+                victim = blocks.pop(block.terminator.target)
+                block.stmts += victim.stmts
+                block.terminator = victim.terminator
+                changed = True
     stmts = {bid: b.stmts for bid, b in blocks.items()}
     terms = {bid: b.terminator for bid, b in blocks.items()}
     return _renumber(stmts, terms, entry)

@@ -6,7 +6,8 @@
     corolower diff fib.mini
     corolower diff --all tests/corpus
 
-Exit codes: 0 success, 1 compile error, 2 runtime error, 3 divergence.
+Exit codes: 0 success, 1 compile or usage error, 2 runtime error,
+3 divergence.
 Input nested or recursing too deeply for Python's stack fails the same
 way: code 1 while compiling, 2 while running. Diagnostics go to stderr,
 program output to stdout; `run` writes the output printed before a
@@ -64,8 +65,17 @@ def main(argv=None) -> int:
         return failure.code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error instead of argparse's 2, which is the
+    runtime-error code here. Subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_COMPILE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="corolower",
         description="Lower generator coroutines to closure state machines.",
     )

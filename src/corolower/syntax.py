@@ -317,14 +317,12 @@ def iter_exprs(root: Expr) -> Iterator[Expr]:
         stack.extend(sub_exprs(e))
 
 
-def block_exprs(block: Block, into_functions: bool = True) -> Iterator[Expr]:
-    """All expressions under a block, including inside FuncLit bodies."""
-    for stmt in iter_stmts(block, into_functions=into_functions):
+def block_exprs(block: Block) -> Iterator[Expr]:
+    """All expressions under a block, including inside FuncLit bodies,
+    each once: iter_stmts already reaches the statements of those bodies."""
+    for stmt in iter_stmts(block, into_functions=True):
         for expr in stmt_exprs(stmt):
-            for e in iter_exprs(expr):
-                yield e
-                if into_functions and isinstance(e, FuncLit):
-                    yield from block_exprs(e.body, into_functions)
+            yield from iter_exprs(expr)
 
 
 def declared_locals(block: Block) -> list[str]:

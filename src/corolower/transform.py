@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import END, BasicBlock, Branch, Cfg, Finish, Goto, YieldTo, build_cfg, merge_blocks
-from .errors import TransformError
 from .syntax import (
     Assign,
     Binary,
@@ -96,8 +95,6 @@ def plan_generator(
     """Build (and optionally merge) the CFG and plan its machine. Block
     ids are dense reverse-postorder integers and serve directly as
     instruction numbers; entry is state 1."""
-    if not func.is_generator:
-        raise TransformError(f"{func.name!r} is not a generator")
     graph = build_cfg(func)
     if opt:
         graph = merge_blocks(graph)

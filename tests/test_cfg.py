@@ -124,6 +124,30 @@ def test_receivers_in_both_arms_get_distinct_resume_blocks():
     assert resumes["x"] != resumes["y"]
 
 
+def test_else_arm_keeps_a_finish_that_is_also_a_resume_target():
+    # Block 3 is both the else arm and the yield's resume target, so the
+    # arm is not routed to END; merging then resumes block 2 at END.
+    graph = build_cfg(gen_decl("if (c) { yield 1 }", "c"))
+    expected = {
+        1: Branch(Var("c"), 2, 3),
+        2: YieldTo(IntLit(1), None, 3),
+        3: Finish(None),
+    }
+    assert {bid: b.terminator for bid, b in graph.blocks.items()} == expected
+    merged = merge_blocks(graph)
+    expected[2] = YieldTo(IntLit(1), None, END)
+    assert {bid: b.terminator for bid, b in merged.blocks.items()} == expected
+    assert all(not b.stmts for b in merged.blocks.values())
+
+
+def test_empty_receiver_block_survives_build_and_merge():
+    graph = build_cfg(gen_decl("let x = yield 1 while (x < 3) { x = x + 1 }"))
+    for g in (graph, merge_blocks(graph)):
+        assert g.blocks[1].terminator == YieldTo(IntLit(1), "x", 2)
+        assert g.blocks[2].stmts == []
+        assert g.blocks[2].terminator == Goto(3)
+
+
 def test_yield_counts_match_source():
     for path in CORPUS_FILES:
         program = parse_source(path.read_text())

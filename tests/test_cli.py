@@ -131,6 +131,29 @@ def test_diff_budget_below_one_exit_1(capsys, fib_path, resumptions):
     assert out == ""
     assert err.startswith("error: ") and "--budget" in err and "OK" not in err
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run"], ["diff", "--budget", "x", "FIB"], ["frobnicate"]],
+    ids=["bare", "run-without-input", "diff-budget-not-int", "unknown-command"],
+)
+def test_usage_error_exit_1(capsys, fib_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(fib_path) if a == "FIB" else a for a in argv])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: corolower")
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["diff", "--help"]])
+def test_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert "usage: corolower" in capsys.readouterr().out
+
+
 def test_cfg_golden_files(capsys, tmp_path, fib_path):
     code, _, err = run_cli(capsys, "cfg", fib_path, "--out-dir", tmp_path)
     assert code == 0

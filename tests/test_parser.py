@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from corolower.errors import ParseError, ValidationError
@@ -21,6 +23,7 @@ from corolower.syntax import (
     Var,
     While,
     YieldStmt,
+    block_exprs,
 )
 
 from conftest import FIB_SOURCE
@@ -143,6 +146,17 @@ def test_funclit():
     value = program.decls[0].body.stmts[0].value
     assert isinstance(value, FuncLit)
     assert value.params == ["x"]
+
+
+def test_block_exprs_visits_nested_closure_bodies_once():
+    program = parse_source(
+        "fn main() { let c = 1 "
+        "let f = fn (a) { return fn (b) { return fn (d) { return c } } } }"
+    )
+    exprs = list(block_exprs(program.decls[0].body))
+    kinds = Counter(type(e).__name__ for e in exprs)
+    assert kinds == {"IntLit": 1, "FuncLit": 3, "Var": 1}
+    assert len({id(e) for e in exprs}) == len(exprs)
 
 
 def test_assign_to_call_rejected():

@@ -342,20 +342,30 @@ def test_dispatch_depth_grows_logarithmically():
     assert depths[481] < 12
 
 
-def test_two_hundred_arms_at_the_default_recursion_limit(tmp_path, capsys):
-    # About 600 blocks. Every recursive pass (print_source, parse,
-    # defunctionalize, the interpreter) walks the dispatch, so it has to
-    # nest shallowly enough for Python's default stack.
+def check_wide_family_at_the_default_recursion_limit(arms, tmp_path, capsys):
+    # Every recursive pass (print_source, parse, defunctionalize, the
+    # interpreter) walks the dispatch, so it has to nest shallowly enough
+    # for Python's default stack.
     assert sys.getrecursionlimit() <= 1000
-    source = wide_source(200, 30)
+    source = wide_source(arms, 30)
     program = parse_source(source)
     lowered = transform_program(program)
     first_order = defunctionalize(lowered)
     for form in (lowered, first_order):
         text = print_source(form)
         assert print_source(parse_source(text)) == text
-    # diff runs and traces all four forms, lowered-noopt's 602 states too.
-    path = tmp_path / "wide200.mini"
+    # diff runs and traces all four forms, lowered-noopt's 3 * arms + 2
+    # states too.
+    path = tmp_path / f"wide{arms}.mini"
     path.write_text(source)
     assert cli.main(["diff", str(path)]) == 0
     assert capsys.readouterr().err.strip().endswith(": OK")
+
+
+def test_two_hundred_arms_at_the_default_recursion_limit(tmp_path, capsys):
+    check_wide_family_at_the_default_recursion_limit(200, tmp_path, capsys)
+
+
+def test_eight_hundred_arms_at_the_default_recursion_limit(tmp_path, capsys):
+    # deep-states' size: 2,402 blocks before merging.
+    check_wide_family_at_the_default_recursion_limit(800, tmp_path, capsys)
