@@ -45,40 +45,33 @@ def lex(source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
     line = 1
-    col = 1
+    line_start = 0  # index of the current line's first character
     n = len(source)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
     while i < n:
         c = source[i]
-        if c in " \t\r\n":
-            advance()
+        if c == "\n":
+            i += 1
+            line += 1
+            line_start = i
             continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance()
+        if c in " \t\r":
+            i += 1
             continue
-        start_line, start_col = line, col
+        if c == "/" and source.startswith("//", i):
+            i = source.find("\n", i)
+            if i < 0:
+                i = n
+            continue
+        col = i - line_start + 1
         if c.isdigit():
             j = i
             while j < n and source[j].isdigit():
                 j += 1
             text = source[i:j]
             if int(text) > INT_MAX:
-                raise LexError(
-                    f"integer literal {text} out of range", start_line, start_col
-                )
-            tokens.append(Token("int", text, start_line, start_col))
-            advance(j - i)
+                raise LexError(f"integer literal {text} out of range", line, col)
+            tokens.append(Token("int", text, line, col))
+            i = j
             continue
         if c.isalpha() or c == "_":
             j = i
@@ -86,19 +79,19 @@ def lex(source: str) -> list[Token]:
                 j += 1
             text = source[i:j]
             kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col))
-            advance(j - i)
+            tokens.append(Token(kind, text, line, col))
+            i = j
             continue
         two = source[i : i + 2]
         if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, start_line, start_col))
-            advance(2)
+            tokens.append(Token("op", two, line, col))
+            i += 2
             continue
         if c in _ONE_CHAR_OPS:
-            tokens.append(Token("op", c, start_line, start_col))
-            advance()
+            tokens.append(Token("op", c, line, col))
+            i += 1
             continue
-        raise LexError(f"unexpected character {c!r}", start_line, start_col)
+        raise LexError(f"unexpected character {c!r}", line, col)
 
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, n - line_start + 1))
     return tokens

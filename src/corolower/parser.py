@@ -39,9 +39,7 @@ from .syntax import (
     Var,
     While,
     YieldStmt,
-    iter_exprs,
-    iter_stmts,
-    stmt_exprs,
+    walk,
 )
 
 BINARY_PRECEDENCE = {
@@ -365,15 +363,13 @@ def _check_params(params: list[str], pos) -> None:
 
 
 def _check_yields(block: Block, allowed: bool) -> None:
-    for stmt in iter_stmts(block):
-        if isinstance(stmt, (YieldStmt, LetYield)) and not allowed:
+    for node in walk(block, into_functions=False):
+        if isinstance(node, (YieldStmt, LetYield)) and not allowed:
             raise ValidationError(
                 "yield outside a generator",
-                stmt.pos.line if stmt.pos else None,
-                stmt.pos.col if stmt.pos else None,
+                node.pos.line if node.pos else None,
+                node.pos.col if node.pos else None,
             )
-        for expr_root in stmt_exprs(stmt):
-            for expr in iter_exprs(expr_root):
-                if isinstance(expr, FuncLit):
-                    _check_params(expr.params, expr.pos)
-                    _check_yields(expr.body, False)
+        if isinstance(node, FuncLit):
+            _check_params(node.params, node.pos)
+            _check_yields(node.body, False)

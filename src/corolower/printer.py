@@ -44,10 +44,6 @@ def print_source(program: Program) -> str:
     return "\n".join(_decl(d) for d in program.decls)
 
 
-def print_decl(decl: FuncDecl) -> str:
-    return _decl(decl)
-
-
 def expr_source(expr: Expr, indent: int = 0) -> str:
     """Render a single expression (used for CFG labels and diagnostics)."""
     return _expr(expr, 1, indent)

@@ -21,7 +21,7 @@ from corolower.interp import (
 )
 from corolower.parser import parse_source
 from corolower.printer import print_source
-from corolower.syntax import FuncLit, block_exprs
+from corolower.syntax import FuncLit, walk
 from corolower.transform import transform_program
 
 from conftest import CORPUS_FILES, FIB_SOURCE
@@ -142,7 +142,7 @@ def test_criterion_6_first_order_purity():
         assert not any(d.is_generator for d in first_order.decls), path.name
         for decl in first_order.decls:
             assert not any(
-                isinstance(e, FuncLit) for e in block_exprs(decl.body)
+                isinstance(node, FuncLit) for node in walk(decl.body)
             ), (path.name, decl.name)
         reparsed = parse_source(print_source(first_order))
         assert reparsed == first_order, path.name

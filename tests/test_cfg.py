@@ -25,6 +25,7 @@ from corolower.syntax import (
     LetYield,
     Var,
     YieldStmt,
+    walk,
 )
 
 from conftest import CORPUS_FILES, FIB_SOURCE
@@ -154,11 +155,9 @@ def test_yield_counts_match_source():
         for decl in program.decls:
             if not decl.is_generator:
                 continue
-            from corolower.syntax import iter_stmts
-
             source_yields = sum(
-                isinstance(s, (YieldStmt, LetYield))
-                for s in iter_stmts(decl.body)
+                isinstance(node, (YieldStmt, LetYield))
+                for node in walk(decl.body, into_functions=False)
             )
             assert yield_count(build_cfg(decl)) == source_yields, decl.name
 

@@ -6,7 +6,7 @@ from corolower.errors import DefuncError, InterpError
 from corolower.interp import Interpreter, interp, interp_native, resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
-from corolower.syntax import FuncLit, RecordLit, FuncRef, block_exprs
+from corolower.syntax import FuncLit, RecordLit, FuncRef, walk
 from corolower.transform import transform_program
 
 from conftest import CORPUS_FILES, FIB_SOURCE
@@ -59,7 +59,7 @@ def test_no_anonymous_functions_anywhere():
             program = first_order(path.read_text(), opt)
             for decl in program.decls:
                 assert not any(
-                    isinstance(e, FuncLit) for e in block_exprs(decl.body)
+                    isinstance(node, FuncLit) for node in walk(decl.body)
                 ), (path.name, decl.name)
             assert not any(d.is_generator for d in program.decls)
 

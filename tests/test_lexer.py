@@ -68,3 +68,34 @@ def test_error_position_inside_input():
     lines = source.split("\n")
     assert 1 <= err.value.line <= len(lines)
     assert 1 <= err.value.col <= len(lines[err.value.line - 1]) + 1
+
+
+def test_positions_after_crlf():
+    tokens = lex("let a\r\n  = 1\r\n")
+    assert [(t.text, t.line, t.col) for t in tokens] == [
+        ("let", 1, 1),
+        ("a", 1, 5),
+        ("=", 2, 3),
+        ("1", 2, 5),
+        ("", 3, 1),
+    ]
+
+
+def eof(source):
+    token = lex(source)[-1]
+    assert token.kind == "eof"
+    return token.line, token.col
+
+
+def test_eof_after_trailing_comment_without_newline():
+    assert eof("x // note") == (1, 10)
+    assert eof("x\n// note") == (2, 8)
+    assert eof("x //") == (1, 5)
+    assert len(lex("x //")) == 2
+
+
+def test_eof_position():
+    assert eof("") == (1, 1)
+    assert eof("ab") == (1, 3)
+    assert eof("fn main() { }\n") == (2, 1)
+    assert eof("a\n\t b ") == (2, 5)

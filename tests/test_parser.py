@@ -23,7 +23,8 @@ from corolower.syntax import (
     Var,
     While,
     YieldStmt,
-    block_exprs,
+    Expr,
+    walk,
 )
 
 from conftest import FIB_SOURCE
@@ -148,12 +149,12 @@ def test_funclit():
     assert value.params == ["x"]
 
 
-def test_block_exprs_visits_nested_closure_bodies_once():
+def test_walk_visits_nested_closure_bodies_once():
     program = parse_source(
         "fn main() { let c = 1 "
         "let f = fn (a) { return fn (b) { return fn (d) { return c } } } }"
     )
-    exprs = list(block_exprs(program.decls[0].body))
+    exprs = [n for n in walk(program.decls[0].body) if isinstance(n, Expr)]
     kinds = Counter(type(e).__name__ for e in exprs)
     assert kinds == {"IntLit": 1, "FuncLit": 3, "Var": 1}
     assert len({id(e) for e in exprs}) == len(exprs)

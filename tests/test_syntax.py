@@ -1,0 +1,125 @@
+import pytest
+
+from corolower import syntax
+from corolower.defunc import defunctionalize
+from corolower.parser import parse_source
+from corolower.syntax import (
+    Binary,
+    Block,
+    BoolLit,
+    FuncDecl,
+    FuncLit,
+    If,
+    IntLit,
+    Let,
+    Print,
+    Program,
+    Return,
+    Var,
+    declared_locals,
+    map_tree,
+    program_identifiers,
+    walk,
+)
+from corolower.transform import transform_program
+
+from conftest import CORPUS_FILES
+
+# One program that uses every construct of the grammar.
+EVERY_NODE_SOURCE = """
+fn* g(a) {
+  let x = yield a
+  yield -x
+  return
+}
+
+fn main() {
+  let r = { f: &g, h: fn (b) { return b } }
+  r.f = null
+  if (true) { print(r.f) } else { }
+  while (false) { }
+  let n = next(g(1), 2)
+  n = 1 + n
+  r.h(n)
+}
+"""
+
+
+def all_forms(program):
+    lowered = [transform_program(program, opt) for opt in (True, False)]
+    return [program, *lowered, *(defunctionalize(p) for p in lowered)]
+
+
+def concrete_node_classes():
+    abstract = {syntax.Node, syntax.Expr, syntax.Stmt}
+    return {
+        cls
+        for cls in vars(syntax).values()
+        if isinstance(cls, type) and issubclass(cls, syntax.Node) and cls not in abstract
+    }
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_walk_yields_the_nodes_map_tree_maps(path):
+    for program in all_forms(parse_source(path.read_text())):
+        mapped = []
+
+        def record(node):
+            mapped.append(node)
+            return node
+
+        assert map_tree(program, record) is program
+        walked = list(walk(program))
+        assert len({id(n) for n in walked}) == len(walked)
+        assert sorted(map(id, walked)) == sorted(map(id, mapped))
+
+
+def test_walk_reaches_every_node_class():
+    # A node class whose children walk missed would hide its subtree.
+    program = parse_source(EVERY_NODE_SOURCE)
+    assert {type(n) for n in walk(program)} == concrete_node_classes()
+
+
+def test_walk_is_pre_order_in_source_order():
+    program = parse_source("fn main() { if (a) { print(1 - 2) } else { c = 3 } }")
+    shape = [
+        type(n).__name__ + (f" {n.value}" if isinstance(n, IntLit) else "")
+        for n in walk(program)
+    ]
+    assert shape == [
+        "Program", "FuncDecl", "Block", "If", "Var", "Block", "Print",
+        "Binary", "IntLit 1", "IntLit 2", "Block", "Assign", "IntLit 3",
+    ]  # fmt: skip
+
+
+def test_walk_without_functions_stops_at_a_closure():
+    program = parse_source("fn main() { let f = fn (a) { let b = a return b } }")
+    body = program.decls[0].body
+    kinds = [type(n).__name__ for n in walk(body, into_functions=False)]
+    assert kinds == ["Block", "Let", "FuncLit"]
+    assert len(list(walk(body))) == 8
+    assert declared_locals(body) == ["f"]
+
+
+def test_declared_locals_keeps_first_occurrence_order():
+    program = parse_source(
+        "fn* g() { let b = 1 if (b) { let a = 2 let b = 3 } let a = yield 4 } "
+        "fn main() { }"
+    )
+    assert declared_locals(program.decls[0].body) == ["b", "a"]
+
+
+def test_deeply_nested_ast_walks_without_recursion():
+    depth = 3000
+    body = Block([Print(Var("x0"))])
+    for k in range(depth):
+        body = Block([Let(f"x{k}", IntLit(k)), If(BoolLit(True), body)])
+    closure = FuncLit(["p"], Block([Return(Var("p"))]))
+    for _ in range(depth):
+        closure = FuncLit(["p"], Block([Return(closure)]))
+    body.stmts.append(Return(Binary("+", closure, Var("y"))))
+    program = Program([FuncDecl("main", [], False, body)])
+    assert declared_locals(body) == [f"x{k}" for k in reversed(range(depth))]
+    assert program_identifiers(program) == (
+        {"main", "p", "y"} | {f"x{k}" for k in range(depth)}
+    )

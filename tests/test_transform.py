@@ -21,7 +21,7 @@ from corolower.syntax import (
     Var,
     While,
     YieldStmt,
-    iter_stmts,
+    walk,
 )
 from corolower.transform import (
     CHAIN_MAX,
@@ -237,8 +237,8 @@ def test_no_yields_or_generators_in_output():
             lowered = transform_program(program, opt)
             assert not any(d.is_generator for d in lowered.decls)
             for decl in lowered.decls:
-                for stmt in iter_stmts(decl.body, into_functions=True):
-                    assert not isinstance(stmt, (YieldStmt, LetYield)), path.name
+                for node in walk(decl.body):
+                    assert not isinstance(node, (YieldStmt, LetYield)), path.name
 
 
 def test_identity_on_generator_free_programs():
