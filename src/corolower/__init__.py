@@ -6,7 +6,7 @@ observationally equivalent to the original program.
 """
 
 from .cfg import BasicBlock, Branch, Cfg, END, Finish, Goto, YieldTo, build_cfg, check_cfg, emit_dot, merge_blocks
-from .defunc import LiftedClosure, defunctionalize
+from .defunc import defunctionalize
 from .errors import (
     BudgetExceeded,
     DefuncError,
@@ -52,7 +52,6 @@ __all__ = [
     "Interpreter",
     "InterpError",
     "LexError",
-    "LiftedClosure",
     "MiniError",
     "ParseError",
     "Program",

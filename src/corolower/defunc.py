@@ -2,16 +2,24 @@
 lifted top-level functions, applied through one global dispatcher.
 
 Each state-machine factory F becomes (a) a lifted `F_fo(env, r)` holding
-the dispatch loop with every captured variable rewritten to a field of
-env, and (b) a constructor returning `{ env: {...}, fn: &F_fo }`. A
-single `apply(c, r)` performs `c.fn(c.env, r)`, and every `next(g, v)`
-call site anywhere in the program becomes `apply(g, v)`. The result
-contains no anonymous functions at all.
+the machine with every captured variable rewritten to a field of env,
+and (b) a constructor returning `{ env: {...}, fn: &F_fo }`. A single
+`apply(c, r)` performs `c.fn(c.env, r)`, and every `next(g, v)` call
+site anywhere in the program becomes `apply(g, v)`. The result contains
+no anonymous functions at all.
+
+A threaded factory (see transform) holds one closure per state. Each is
+lifted too, to a top-level `F_sK(env, r)`, so the environment's `_i`
+field holds `&F_sK` and its `_k` field the sentinel record, and `F_fo`
+runs `while (true) { let _v = _e._i(_e, _r)  if (_v != _e._k) { return
+_v } }`. This is defunctionalization carried one level further (Danvy &
+Nielsen, PPDP 2001): a state is named by a function reference instead
+of a number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DefuncError
 from .syntax import (
@@ -33,19 +41,12 @@ from .syntax import (
     RecordLit,
     Return,
     Var,
+    declared_locals,
     map_tree,
     program_identifiers,
+    walk,
 )
-from .transform import NameAllocator
-
-
-@dataclass
-class LiftedClosure:
-    """Record-and-function pair a factory's closure turns into."""
-
-    env_fields: list[str]  # inst var, then params, then hoisted locals
-    lifted_fn: str
-    ctor_fn: str
+from .transform import NameAllocator, threaded_loop
 
 
 @dataclass
@@ -55,11 +56,18 @@ class _FactoryShape:
     hoisted: list[str]
     resume_param: str
     machine_body: Block
+    # A threaded factory's sentinel, its state closures by name and the
+    # name of the one it starts in; None and empty for a numbered dispatch.
+    sentinel: str | None = None
+    states: dict[str, FuncLit] = field(default_factory=dict)
+    entry: str | None = None
 
 
 def match_factory(decl: FuncDecl) -> _FactoryShape | None:
-    """Recognize the exact shape transform emits: `let inst = 1`, a null
-    `let` per hoisted local, then `return fn (r) { ... }`."""
+    """Recognize the exact shapes transform emits: `let inst = 1`, a null
+    `let` per hoisted local, then `return fn (r) { ... }`; or, threaded,
+    `let k = {}`, a one-parameter closure `let` per state, `let inst =
+    <a state>`, the null `let`s, then `return fn (r) { <threaded_loop> }`."""
     stmts = decl.body.stmts
     if not stmts or not isinstance(stmts[-1], Return):
         return None
@@ -69,21 +77,52 @@ def match_factory(decl: FuncDecl) -> _FactoryShape | None:
     lets = stmts[:-1]
     if not lets or not all(isinstance(s, Let) for s in lets):
         return None
-    first = lets[0]
-    if not (isinstance(first.value, IntLit) and first.value.value == 1):
-        return None
-    hoisted = []
-    for s in lets[1:]:
-        if not isinstance(s.value, NullLit):
-            return None
-        hoisted.append(s.name)
-    return _FactoryShape(
-        inst_var=first.name,
+    shape = _FactoryShape(
+        inst_var="",
         params=list(decl.params),
-        hoisted=hoisted,
+        hoisted=[],
         resume_param=ret.value.params[0],
         machine_body=ret.value.body,
     )
+    rest = iter(lets)
+    first = next(rest)
+    if first.value == RecordLit([]):
+        shape.sentinel = first.name
+        first = next(rest, None)
+        while first is not None and isinstance(first.value, FuncLit):
+            if len(first.value.params) != 1:
+                return None
+            shape.states[first.name] = first.value
+            first = next(rest, None)
+        if first is None or not _is_threaded_machine(first, shape):
+            return None
+        shape.entry = first.value.name
+    elif first.value != IntLit(1):
+        return None
+    shape.inst_var = first.name
+    for s in rest:
+        if not isinstance(s.value, NullLit):
+            return None
+        shape.hoisted.append(s.name)
+    # Every name the environment record holds is bound once, and no
+    # function parameter shadows one.
+    bound = [s.name for s in lets] + shape.params
+    params = {shape.resume_param} | {c.params[0] for c in shape.states.values()}
+    if len(set(bound)) != len(bound) or params & set(bound):
+        return None
+    return shape
+
+
+def _is_threaded_machine(inst: Let, shape: _FactoryShape) -> bool:
+    """`let inst = <a state>` and a machine that is exactly the threaded
+    loop calling `inst(r)`."""
+    if not (isinstance(inst.value, Var) and inst.value.name in shape.states):
+        return False
+    values = declared_locals(shape.machine_body)
+    if len(values) != 1:
+        return False
+    call = Call(Var(inst.name), [Var(shape.resume_param)])
+    return shape.machine_body == threaded_loop(call, values[0], Var(shape.sentinel))
 
 
 def defunctionalize(program: Program) -> Program:
@@ -97,20 +136,39 @@ def defunctionalize(program: Program) -> Program:
     global_names = {d.name for d in program.decls}
 
     decls: list[FuncDecl] = []
-    lifted: list[LiftedClosure] = []
+    lifted_any = False
     for decl in program.decls:
         shape = match_factory(decl)
         if shape is None:
             decls.append(decl)
             continue
+        lifted_any = True
         fo_name = names.fresh(f"{decl.name}_fo")
         env_param = names.fresh("_e")
         env_fields = [shape.inst_var] + shape.params + shape.hoisted
-        bound = global_names | {shape.resume_param}
-        to_env = _to_env(decl.name, env_param, set(env_fields), bound)
-        machine = map_tree(shape.machine_body, to_env)
-        decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, machine))
-        env_init: list[tuple[str, Expr]] = [(shape.inst_var, IntLit(1))]
+        if shape.sentinel is None:
+            bound = global_names | {shape.resume_param}
+            to_env = _to_env(decl.name, env_param, set(env_fields), bound)
+            machine = map_tree(shape.machine_body, to_env)
+            decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, machine))
+            inst_init: Expr = IntLit(1)
+            sentinel_init = []
+        else:
+            env_fields.insert(1, shape.sentinel)
+            refs = {s: names.fresh(f"{decl.name}{s}") for s in shape.states}
+            decls.append(_threaded_machine(shape, fo_name, env_param))
+            for state, closure in shape.states.items():
+                _check_transfers(decl.name, closure.body, shape.inst_var, refs)
+                (resume,) = closure.params
+                to_env = _to_env(
+                    decl.name, env_param, set(env_fields), global_names | {resume}, refs
+                )
+                body = map_tree(closure.body, to_env)
+                decls.append(FuncDecl(refs[state], [env_param, resume], False, body))
+            inst_init = FuncRef(refs[shape.entry])
+            sentinel_init = [(shape.sentinel, RecordLit([]))]
+        env_init: list[tuple[str, Expr]] = [(shape.inst_var, inst_init)]
+        env_init += sentinel_init
         env_init += [(p, Var(p)) for p in shape.params]
         env_init += [(h, NullLit()) for h in shape.hoisted]
         ctor_body = Block(
@@ -123,14 +181,38 @@ def defunctionalize(program: Program) -> Program:
             ]
         )
         decls.append(FuncDecl(decl.name, list(decl.params), False, ctor_body))
-        lifted.append(LiftedClosure(env_fields, fo_name, decl.name))
 
     first_order = [map_tree(d, _to_apply(d.name, apply_name)) for d in decls]
     # map_tree returns a declaration unchanged unless it rewrote a next.
     rewrote_next = any(new is not old for new, old in zip(first_order, decls))
-    if lifted or rewrote_next:
+    if lifted_any or rewrote_next:
         first_order.insert(0, _apply_decl(apply_name))
     return Program(first_order, program.entry)
+
+
+def _threaded_machine(shape: _FactoryShape, name: str, env: str) -> FuncDecl:
+    # fn F_fo(_e, _r) { while (true) { let _v = _e._i(_e, _r) if (_v != _e._k) { return _v } } }
+    (value,) = declared_locals(shape.machine_body)
+    state = FieldGet(Var(env), shape.inst_var)
+    call = Call(state, [Var(env), Var(shape.resume_param)])
+    body = threaded_loop(call, value, FieldGet(Var(env), shape.sentinel))
+    return FuncDecl(name, [env, shape.resume_param], False, body)
+
+
+def _check_transfers(name: str, body: Block, inst: str, states: dict[str, str]) -> None:
+    """A state body may name a state or the instruction variable only in
+    `inst = <a state>`: a lifted state is a function reference, which is
+    no closure to call or compare."""
+    transfers = uses = 0
+    for node in walk(body):
+        if type(node) is Assign and node.name == inst:
+            if not (type(node.value) is Var and node.value.name in states):
+                raise DefuncError(f"{name!r}: the next state is not a state closure")
+            transfers += 1
+        elif type(node) is Var and (node.name == inst or node.name in states):
+            uses += 1
+    if uses != transfers:
+        raise DefuncError(f"{name!r}: a state closure is used as a value")
 
 
 def _apply_decl(name: str) -> FuncDecl:
@@ -151,12 +233,22 @@ def _apply_decl(name: str) -> FuncDecl:
 # -- node rewrites for map_tree ---------------------------------------------
 
 
-def _to_env(name: str, env: str, captured: set[str], bound: set[str]):
-    """Captured variables become fields of the environment record; any
-    other variable must be bound without it."""
+def _to_env(
+    name: str,
+    env: str,
+    captured: set[str],
+    bound: set[str],
+    refs: dict[str, str] | None = None,
+):
+    """Captured variables become fields of the environment record, and a
+    state closure in `refs` a reference to its lifted function; any other
+    variable must be bound without them."""
+    refs = refs or {}
 
     def rewrite(node: Node) -> Node:
         if isinstance(node, Var):
+            if node.name in refs:
+                return FuncRef(refs[node.name], pos=node.pos)
             if node.name in captured:
                 return FieldGet(Var(env), node.name, pos=node.pos)
             if node.name not in bound:

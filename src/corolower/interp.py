@@ -244,8 +244,11 @@ class Interpreter:
         return entry[1]
 
     def _resolve_ref(self, ref: FuncRefV, node=None) -> Closure:
-        target = self.globals.lookup(ref.name, node)
-        if not isinstance(target, Closure):
+        # A function reference names a global; globals have no parent.
+        target = self.globals.vars.get(ref.name, _ABSENT)
+        if type(target) is not Closure:
+            if target is _ABSENT:
+                raise _err(f"unbound name {ref.name!r}", node)
             raise _err(f"&{ref.name} does not name a function", node)
         return target
 
@@ -600,8 +603,9 @@ def _func_ref(it, expr, env):
     it.steps += 1
     if it.steps > it.step_budget:
         raise BudgetExceeded(_OVER)
-    it._resolve_ref(FuncRefV(expr.name), expr)
-    return FuncRefV(expr.name)
+    ref = FuncRefV(expr.name)
+    it._resolve_ref(ref, expr)
+    return ref
 
 
 def _func_lit(it, expr, env):

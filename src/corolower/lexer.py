@@ -29,6 +29,10 @@ _ONE_CHAR_OPS = "*(){},.:=&+-/%<>!"
 
 INT_MAX = 2**63 - 1
 
+# Only ASCII digits are digits: `str.isdigit` also takes `²` and `٣`.
+_DIGITS = frozenset("0123456789")
+_WORD = _DIGITS | {"_"}
+
 
 @dataclass(frozen=True)
 class Token:
@@ -63,9 +67,9 @@ def lex(source: str) -> list[Token]:
                 i = n
             continue
         col = i - line_start + 1
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             text = source[i:j]
             if int(text) > INT_MAX:
@@ -75,7 +79,7 @@ def lex(source: str) -> list[Token]:
             continue
         if c.isalpha() or c == "_":
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and (source[j].isalpha() or source[j] in _WORD):
                 j += 1
             text = source[i:j]
             kind = "kw" if text in KEYWORDS else "ident"

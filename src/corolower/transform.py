@@ -1,21 +1,38 @@
 """Lowering of generators to closure-based state machines.
 
-A generator `fn* f(p)` becomes an ordinary `fn f(p)` that initializes an
-instruction variable to 1, declares every hoisted local as null, and
-returns a one-parameter anonymous function whose body is an instruction
-dispatch wrapped in `while (true)`. A block ending in a yield updates
-the instruction variable and returns the yielded value; a plain jump
-updates it and falls back into the dispatch; finishing sets it to 0, the
-sink state in which every later call returns null.
+A generator `fn* f(p)` becomes an ordinary `fn f(p)` that declares every
+hoisted local as null and returns a one-parameter anonymous function,
+the machine, whose body is an instruction dispatch wrapped in
+`while (true)`. A block ending in a yield updates the instruction
+variable and returns the yielded value; a plain jump updates it and
+goes back to the dispatch; finishing selects the sink state 0, in which
+every later call returns null. Block ids serve as instruction numbers,
+and the entry block is state 1.
 
-The dispatch is a balanced binary search over the sorted instruction
-numbers, the case-statement lowering of Hennessy & Mendelsohn (1982):
-`if (_i < m) { ... } else { ... }` halves the range until at most
-CHAIN_MAX states are left, and such a range is an if/else-if chain of
-`_i == k` tests ending in `return null`. A transition therefore costs
-O(log states) tests and the dispatch nests O(log states) deep. A machine
-of CHAIN_MAX states or fewer is a single chain, the figure of the paper.
-Unknown instructions, the sink 0 included, fall through to `return null`.
+The dispatch scheme depends only on the number of states:
+
+- Up to BISECT_MAX states the instruction variable holds the state's
+  number, initially 1, and the dispatch is a balanced binary search
+  over the sorted numbers, the case-statement lowering of Hennessy &
+  Mendelsohn (1982): `if (_i < m) { ... } else { ... }` halves the range
+  until at most CHAIN_MAX states are left, and such a range is an
+  if/else-if chain of `_i == k` tests ending in `return null`. A
+  transition costs O(log states) tests. A machine of CHAIN_MAX states
+  or fewer is a single chain, the figure of the paper. Unknown
+  instructions, the sink 0 included, fall through to `return null`.
+- Above BISECT_MAX states the dispatch is threaded (Bell, *Threaded
+  code*, 1973): each state, the sink `_s0` included, is a closure
+  `let _sK = fn (_r) { ... }` of the factory, and the instruction
+  variable holds the closure of the next state, initially `_s1`. The
+  factory also makes a sentinel record `let _k = {}`. A goto or branch
+  ends in `_i = _sT; return _k`, a yield in `_i = _sT; return v` and a
+  finish in `_i = _s0; return v`, and the machine is
+  `while (true) { let _v = _i(_r)  if (_v != _k) { return _v } }`.
+  Records compare by identity, so no yielded value equals the sentinel,
+  and a loop without a yield stays a loop, never a recursion. A
+  transition costs one call, but a call costs several tests here and an
+  instance builds one closure per state, so small machines keep
+  bisection.
 
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
@@ -25,6 +42,7 @@ between a variable's definition and its use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .cfg import END, BasicBlock, Branch, Cfg, Finish, Goto, YieldTo, build_cfg, merge_blocks
 from .syntax import (
@@ -32,6 +50,8 @@ from .syntax import (
     Binary,
     Block,
     BoolLit,
+    Call,
+    Expr,
     FuncDecl,
     FuncLit,
     If,
@@ -39,6 +59,7 @@ from .syntax import (
     Let,
     NullLit,
     Program,
+    RecordLit,
     Return,
     Stmt,
     Var,
@@ -54,6 +75,12 @@ from .syntax import (
 # does one `<` test over two chains of two, and fib's three-state machine
 # keeps the paper's shape.
 CHAIN_MAX = 4
+
+# A machine of more than this many states dispatches through threaded
+# state closures instead. Against bisection (CPython 3.11, 2-core VM),
+# threaded dispatch ran 1.25 times as long at 8 states, about as long at
+# 49-67 and 0.77-0.86 times as long at 130-301.
+BISECT_MAX = 128
 
 
 @dataclass
@@ -117,21 +144,62 @@ def rewrite_generator(
 ) -> FuncDecl:
     """Rewrite one generator into a state-machine factory of the same name
     and parameters."""
+    if names is None:
+        names = NameAllocator(identifiers(func))
     graph, plan = plan_generator(func, opt, names)
     receivers = _receivers(graph)
-    bodies = {
-        bid: _state_stmts(block, receivers.get(bid), plan)
-        for bid, block in graph.blocks.items()
-    }
-    dispatch = _dispatch(plan.states, bodies, plan.inst_var)
-    machine = FuncLit(
-        [plan.resume_param],
-        Block([While(BoolLit(True), Block([dispatch]))]),
-    )
-    body: list[Stmt] = [Let(plan.inst_var, IntLit(1))]
-    body.extend(Let(name, NullLit()) for name in plan.hoisted)
-    body.append(Return(machine))
+    if len(plan.states) > BISECT_MAX:
+        body = _threaded_factory(graph, plan, receivers, names)
+    else:
+        bodies = {
+            bid: _state_stmts(block, receivers.get(bid), plan, IntLit)
+            for bid, block in graph.blocks.items()
+        }
+        dispatch = _dispatch(plan.states, bodies, plan.inst_var)
+        machine = Block([While(BoolLit(True), Block([dispatch]))])
+        body = [Let(plan.inst_var, IntLit(1))]
+        body.extend(Let(name, NullLit()) for name in plan.hoisted)
+        body.append(Return(FuncLit([plan.resume_param], machine)))
     return FuncDecl(func.name, list(func.params), False, Block(body))
+
+
+def _threaded_factory(
+    graph: Cfg, plan: StateMachinePlan, receivers: dict[int, str], names: NameAllocator
+) -> list[Stmt]:
+    """The factory body of a threaded machine: the sentinel, the sink's
+    closure and one per state, the instruction variable holding the entry
+    state's closure, the hoisted locals, and the machine."""
+    sentinel = names.fresh("_k")
+    closures = {state: names.fresh(f"_s{state}") for state in [END] + plan.states}
+    value = names.fresh("_v")
+
+    def select(state: int) -> Expr:
+        return Var(closures[state])
+
+    body: list[Stmt] = [
+        Let(sentinel, RecordLit([])),
+        Let(closures[END], FuncLit([plan.resume_param], Block([Return(NullLit())]))),
+    ]
+    for state in plan.states:
+        stmts = _state_stmts(
+            graph.blocks[state], receivers.get(state), plan, select, sentinel
+        )
+        body.append(Let(closures[state], FuncLit([plan.resume_param], Block(stmts))))
+    body.append(Let(plan.inst_var, select(graph.entry)))
+    body.extend(Let(name, NullLit()) for name in plan.hoisted)
+    call = Call(Var(plan.inst_var), [Var(plan.resume_param)])
+    machine = threaded_loop(call, value, Var(sentinel))
+    body.append(Return(FuncLit([plan.resume_param], machine)))
+    return body
+
+
+def threaded_loop(call: Expr, value: str, sentinel: Expr) -> Block:
+    """`while (true) { let value = call  if (value != sentinel) { return
+    value } }`: run states until one returns something other than the
+    sentinel. defunc builds the first-order machine from it too."""
+    keep_going = Binary("!=", Var(value), sentinel)
+    step = Block([Let(value, call), If(keep_going, Block([Return(Var(value))]))])
+    return Block([While(BoolLit(True), step)])
 
 
 def _dispatch(states: list[int], bodies: dict[int, list[Stmt]], inst: str) -> Stmt:
@@ -169,8 +237,15 @@ def _receivers(graph: Cfg) -> dict[int, str]:
 
 
 def _state_stmts(
-    block: BasicBlock, receiver: str | None, plan: StateMachinePlan
+    block: BasicBlock,
+    receiver: str | None,
+    plan: StateMachinePlan,
+    select: Callable[[int], Expr],
+    sentinel: str | None = None,
 ) -> list[Stmt]:
+    """One state's statements. `select(k)` is the value of the instruction
+    variable that selects state k. A goto or branch returns the sentinel
+    when there is one, and otherwise falls back into the dispatch."""
     inst = plan.inst_var
     out: list[Stmt] = []
     if receiver is not None:
@@ -182,23 +257,25 @@ def _state_stmts(
             out.append(stmt)
     term = block.terminator
     if isinstance(term, Goto):
-        out.append(Assign(inst, IntLit(term.target)))
+        out.append(Assign(inst, select(term.target)))
     elif isinstance(term, Branch):
         out.append(
             If(
                 term.cond,
-                Block([Assign(inst, IntLit(term.then))]),
-                Block([Assign(inst, IntLit(term.orelse))]),
+                Block([Assign(inst, select(term.then))]),
+                Block([Assign(inst, select(term.orelse))]),
             )
         )
     elif isinstance(term, YieldTo):
-        out.append(Assign(inst, IntLit(term.resume)))
+        out.append(Assign(inst, select(term.resume)))
         out.append(Return(term.value))
     elif isinstance(term, Finish):
-        out.append(Assign(inst, IntLit(0)))
+        out.append(Assign(inst, select(END)))
         out.append(Return(term.value if term.value is not None else NullLit()))
     else:
         raise AssertionError(f"unhandled terminator {term!r}")
+    if sentinel is not None and isinstance(term, (Goto, Branch)):
+        out.append(Return(Var(sentinel)))
     return out
 
 

@@ -76,6 +76,16 @@ def test_compile_error_exit_1(capsys, tmp_path):
     assert "yield outside a generator" in err
 
 
+@pytest.mark.parametrize("command", ["run", "diff", "compile"])
+def test_non_ascii_digit_exit_1(capsys, tmp_path, command):
+    path = tmp_path / "digit.mini"
+    path.write_text("fn main() { print(\u00b2) }\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: unexpected character '\u00b2' (line 1, col 19)\n"
+
+
 def test_runtime_error_exit_2(capsys, tmp_path):
     path = tmp_path / "crash.mini"
     path.write_text("fn main() {\n  print(1 / 0)\n}")

@@ -1,5 +1,6 @@
 import pytest
 
+from corolower import transform
 from corolower.cli import program_forms
 from corolower.defunc import defunctionalize, match_factory
 from corolower.errors import DefuncError, InterpError
@@ -9,7 +10,7 @@ from corolower.printer import print_source
 from corolower.syntax import FuncLit, RecordLit, FuncRef, walk
 from corolower.transform import transform_program
 
-from conftest import CORPUS_FILES, FIB_SOURCE
+from conftest import CORPUS_FILES, FIB_SOURCE, wide_source
 
 
 def first_order(source, opt=True):
@@ -185,3 +186,126 @@ def test_runtime_error_position_is_the_same_in_every_form(body, message):
         positions[name] = (info.value.line, info.value.col)
     assert positions["native"][0] == 4
     assert set(positions.values()) == {positions["native"]}, positions
+
+
+SIMPLE_THREADED_FIRST_ORDER = """fn apply(c, r) {
+  return c.fn(c.env, r)
+}
+
+fn f_fo(_e, _r) {
+  while (true) {
+    let _v = _e._i(_e, _r)
+    if (_v != _e._k) {
+      return _v
+    }
+  }
+}
+
+fn f_s0(_e, _r) {
+  return null
+}
+
+fn f_s1(_e, _r) {
+  _e._i = &f_s2
+  return _e.n
+}
+
+fn f_s2(_e, _r) {
+  _e.x = _r
+  _e._i = &f_s0
+  return _e.n + _e.x
+}
+
+fn f(n) {
+  return { env: { _i: &f_s1, _k: {}, n: n, x: null }, fn: &f_fo }
+}
+
+fn main() {
+}
+"""
+
+
+def test_threaded_first_order_shape(monkeypatch):
+    monkeypatch.setattr(transform, "BISECT_MAX", 0)
+    lowered = transform_program(
+        parse_source("fn* f(n) { let x = yield n yield n + x } fn main() { }")
+    )
+    program = defunctionalize(lowered)
+    assert print_source(program) == SIMPLE_THREADED_FIRST_ORDER
+    assert resume_sequence(program, "f", [5], [None, 3, None]) == [5, 8, None]
+
+
+def test_threaded_factory_matches_after_a_round_trip():
+    lowered = transform_program(parse_source(wide_source(50, 5)))
+    again = parse_source(print_source(lowered))
+    shape = match_factory(again.decls[0])
+    assert shape is not None and shape.sentinel == "_k" and shape.entry == "_s1"
+    assert len(shape.states) == 152  # the sink and 151 states
+    program = defunctionalize(again)
+    assert program == defunctionalize(lowered)
+    assert interp(program) == interp_native(parse_source(wide_source(50, 5)))
+
+
+THREADED_FACTORY = """fn f() {{
+  let _k = {{}}
+  let _s0 = fn (_r) {{
+    return null
+  }}
+  let _s1 = fn (_r) {{
+    {state}
+  }}
+  let _i = _s1
+  return fn (_r) {{
+    while (true) {{
+      let _v = _i(_r)
+      if (_v != _k) {{
+        return _v
+      }}
+    }}
+  }}
+}}
+fn main() {{ }}
+"""
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("_i = _s0\n    return _s1", "'f': a state closure is used as a value"),
+        ("_i = _s0\n    return _i", "'f': a state closure is used as a value"),
+        ("_i = 1\n    return 1", "'f': the next state is not a state closure"),
+        ("_i = _s0\n    return zz", "'f': machine body references 'zz'"),
+    ],
+)
+def test_rejects_threaded_machines_it_cannot_lift(state, message):
+    program = parse_source(THREADED_FACTORY.format(state=state))
+    with pytest.raises(DefuncError, match=message):
+        defunctionalize(program)
+
+
+def test_threaded_factory_shape_is_exact():
+    # The machine must be exactly the threaded loop; anything else stays a
+    # closure, which defunctionalize rejects.
+    source = THREADED_FACTORY.format(state="_i = _s0\n    return 1")
+    assert match_factory(parse_source(source).decls[0]) is not None
+    for old, new in (("_v != _k", "_v == _k"), ("let _i = _s1", "let _i = 1")):
+        program = parse_source(source.replace(old, new))
+        assert match_factory(program.decls[0]) is None
+        with pytest.raises(DefuncError, match="not a state machine"):
+            defunctionalize(program)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        # The machine's parameter shadows a hoisted local.
+        "let _i = 1\n  let a = null\n  return fn (a) {\n    return a\n  }",
+        # The environment would bind `a` twice.
+        "let _i = 1\n  let a = null\n  let a = null\n  return fn (_r) {\n    return a\n  }",
+    ],
+)
+def test_rejects_factories_whose_names_clash(factory):
+    program = parse_source(f"fn f() {{\n  {factory}\n}}\nfn main() {{ }}\n")
+    assert match_factory(program.decls[0]) is None
+    with pytest.raises(DefuncError, match="not a state machine"):
+        defunctionalize(program)

@@ -6,6 +6,7 @@ after merging."""
 
 import pytest
 
+from corolower import transform
 from corolower.cfg import build_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.interp import (
@@ -16,7 +17,8 @@ from corolower.interp import (
     trace_generator,
 )
 from corolower.parser import parse_source
-from corolower.transform import transform_program
+from corolower.printer import print_source
+from corolower.transform import CHAIN_MAX, transform_program
 
 from conftest import CORPUS_FILES, corpus_ids
 
@@ -120,3 +122,20 @@ def test_eval_cfg_agrees_before_and_after_merging(path):
         assert unmerged_trace == merged_trace, decl.name
         native = trace_generator(program, decl.name, generator_args(decl), script)
         assert unmerged_trace == native, decl.name
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=corpus_ids())
+def test_threaded_forms_agree(path, monkeypatch):
+    # The checks above with threaded dispatch for every machine above
+    # CHAIN_MAX states, and the first-order forms through their text.
+    monkeypatch.setattr(transform, "BISECT_MAX", CHAIN_MAX)
+    test_program_outputs_agree(path)
+    test_generator_traces_agree(path)
+    test_lowered_text_reparses_and_reruns(path)
+    test_two_instances_stay_independent(path)
+    program = parse_source(path.read_text())
+    reference = Interpreter(program).run()
+    for name, form in forms_of(program).items():
+        reparsed = parse_source(print_source(form))
+        assert reparsed == form, name
+        assert Interpreter(reparsed).run() == reference, name

@@ -99,3 +99,27 @@ def test_eof_position():
     assert eof("ab") == (1, 3)
     assert eof("fn main() { }\n") == (2, 1)
     assert eof("a\n\t b ") == (2, 5)
+
+
+@pytest.mark.parametrize(
+    "source, col",
+    [
+        ("fn main() { print(²) }", 19),  # superscript two
+        ("let x = ٣", 9),  # Arabic-Indic three
+        ("let x = 1٣", 10),
+        ("let x² = 1", 6),
+    ],
+)
+def test_only_ascii_digits_are_digits(source, col):
+    with pytest.raises(LexError, match="unexpected character") as err:
+        lex(source)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_ascii_digits_in_identifiers_and_literals():
+    assert kinds_texts("let x09_ = 0123") == [
+        ("kw", "let"),
+        ("ident", "x09_"),
+        ("op", "="),
+        ("int", "0123"),
+    ]

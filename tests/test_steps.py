@@ -40,16 +40,34 @@ def test_fib_steps_per_next():
 
 
 def test_hundred_arm_family_steps_per_next():
-    # 301 states optimized, 302 unoptimized, dispatched by bisection.
+    # 301 states optimized, 302 unoptimized: above BISECT_MAX, so each
+    # transition is one call of a state closure or lifted state function.
     nexts = 300
     steps = steps_per_form(wide_source(100, nexts))
     assert steps == {
         "native": 6_924,
-        "lowered-opt": 30_294,
-        "lowered-noopt": 30_424,
-        "first-order": 39_443,
+        "lowered-opt": 15_956,
+        "lowered-noopt": 16_006,
+        "first-order": 21_367,
     }
-    assert steps["lowered-opt"] / nexts == pytest.approx(100.98)
+    assert round(steps["lowered-opt"] / nexts, 2) == 53.19
+
+
+def test_instance_steps_per_dispatch_scheme():
+    # A threaded lowered instance makes the sentinel and one closure per
+    # state, the sink included: 2 + 2 * 302 + 4 steps at 100 arms. A
+    # numbered one, at 42 arms (127 states), sets `_i` and makes the
+    # machine. First-order instances build a record either way.
+    for arms, expected in (
+        (100, {"native": 0, "lowered-opt": 610, "lowered-noopt": 612, "first-order": 7}),
+        (42, {"native": 0, "lowered-opt": 4, "lowered-noopt": 4, "first-order": 6}),
+    ):
+        steps = {}
+        for name, form in program_forms(parse_source(wide_source(arms, 1))).items():
+            interp = Interpreter(form)
+            interp.call(interp.globals.lookup("wide"), [0])
+            steps[name] = interp.steps
+        assert steps == expected, arms
 
 
 FIB_VALUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]

@@ -3,20 +3,24 @@ import sys
 
 import pytest
 
-from corolower import cli
-from corolower.cfg import build_cfg, merge_blocks
+from corolower import cli, transform
+from corolower.cfg import END, Branch, Goto, YieldTo, build_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.errors import TransformError
-from corolower.interp import interp, interp_native, resume_sequence
+from corolower.interp import Interpreter, Record, interp, interp_native, resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.syntax import (
+    Assign,
     Binary,
+    BoolLit,
     FuncLit,
     If,
     IntLit,
+    Let,
     LetYield,
     NullLit,
+    RecordLit,
     Return,
     Var,
     While,
@@ -24,6 +28,7 @@ from corolower.syntax import (
     walk,
 )
 from corolower.transform import (
+    BISECT_MAX,
     CHAIN_MAX,
     plan_generator,
     rewrite_generator,
@@ -94,13 +99,42 @@ fn fib() {
 """
 
 
-def dispatch_root(decl):
-    """The dispatch statement inside the machine's `while (true)`."""
+def is_threaded(decl):
+    """A threaded factory starts with its sentinel, `let _k = {}`."""
+    first = decl.body.stmts[0]
+    return isinstance(first, Let) and first.value == RecordLit([])
+
+
+def state_lets(decl):
+    """A threaded factory's `let _sK = fn (_r) { ... }`, indexed by state
+    number: the sink 0, then the states in ascending order, which are 1,
+    2, ... up to the state count."""
+    return [
+        stmt
+        for stmt in decl.body.stmts
+        if isinstance(stmt, Let) and isinstance(stmt.value, FuncLit)
+    ]
+
+
+def state_closures(decl):
+    return {state: let.value for state, let in enumerate(state_lets(decl))}
+
+
+def machine_loop(decl):
+    """The machine's `while (true)`."""
     ret = decl.body.stmts[-1]
     machine = ret.value
     assert isinstance(machine, FuncLit)
-    loop = machine.body.stmts[0]
-    assert isinstance(loop, While)
+    (loop,) = machine.body.stmts
+    assert isinstance(loop, While) and loop.cond == BoolLit(True)
+    return loop
+
+
+def dispatch_root(decl):
+    """The dispatch statement inside the machine's `while (true)` of a
+    numbered dispatch."""
+    assert not is_threaded(decl)
+    loop = machine_loop(decl)
     assert len(loop.body.stmts) == 1
     return loop.body.stmts[0]
 
@@ -108,7 +142,10 @@ def dispatch_root(decl):
 def dispatch_tests(decl):
     """(test, depth) for every dispatch `If`, whose test is `_i < k` or
     `_i == k`; depth counts the dispatch `If`s from the root down to and
-    including it. State bodies are not entered."""
+    including it. State bodies are not entered. A threaded machine has
+    none: it selects a state by calling it."""
+    if is_threaded(decl):
+        return []
     inst = decl.body.stmts[0].name
     out = []
     stack = [(dispatch_root(decl), 1)]
@@ -129,19 +166,45 @@ def dispatch_tests(decl):
     return out
 
 
+def dispatch_arms(decl):
+    """{state: statements run when the dispatch selects it}, in either
+    scheme; the sink 0 is no arm."""
+    if is_threaded(decl):
+        closures = state_closures(decl)
+        assert closures[0].body.stmts == [Return(NullLit())]
+        return {state: c.body.stmts for state, c in closures.items() if state}
+    arms = [
+        (stmt.cond.rhs.value, stmt.then.stmts)
+        for stmt, _ in dispatch_tests(decl)
+        if stmt.cond.op == "=="
+    ]
+    assert len(dict(arms)) == len(arms), "a state has two arms"
+    return dict(arms)
+
+
 def dispatch_states(decl):
-    """Number of `_i == k` arms anywhere in the machine's dispatch tree."""
-    return sum(1 for stmt, _ in dispatch_tests(decl) if stmt.cond.op == "==")
+    """Number of states the machine's dispatch can select."""
+    return len(dispatch_arms(decl))
 
 
 def dispatch_depth(decl):
-    """Deepest nesting of dispatch `If`s."""
+    """Deepest nesting of dispatch `If`s; 1 for a threaded machine, which
+    selects in one call."""
+    if is_threaded(decl):
+        return 1
     return max(depth for _, depth in dispatch_tests(decl))
 
 
 def select_state(decl, instruction):
-    """Walk the dispatch tree as the interpreter would for one instruction
-    value; returns the state whose arm runs, or None for `return null`."""
+    """Run the dispatch as the interpreter would for one instruction
+    number; returns the state whose statements run, or None for `return
+    null`. In a threaded machine the instruction variable holds state
+    k's closure, and an unknown number names no closure."""
+    if is_threaded(decl):
+        closure = state_closures(decl).get(instruction)
+        if closure is None or closure.body.stmts == [Return(NullLit())]:
+            return None
+        return instruction
     stmt = dispatch_root(decl)
     while isinstance(stmt, If):
         k = stmt.cond.rhs.value
@@ -151,6 +214,48 @@ def select_state(decl, instruction):
         (stmt,) = (stmt.then if taken else stmt.orelse).stmts
     assert stmt == Return(NullLit())
     return None
+
+
+def instruction_var(decl):
+    """Bound first, or in a threaded factory, called by the machine."""
+    if is_threaded(decl):
+        return machine_loop(decl).body.stmts[0].value.callee.name
+    return decl.body.stmts[0].name
+
+
+def transfers(decl, stmts):
+    """The states that statements hand control to, by state number:
+    `_i = k`, or threaded, `_i = _sK`."""
+    inst = instruction_var(decl)
+    numbers = {let.name: state for state, let in enumerate(state_lets(decl))}
+    out = set()
+    for stmt in stmts:
+        for node in walk(stmt):
+            if isinstance(node, Assign) and node.name == inst:
+                value = node.value
+                out.add(numbers[value.name] if isinstance(value, Var) else value.value)
+    return out
+
+
+def successors(block):
+    term = block.terminator
+    if isinstance(term, Goto):
+        return {term.target}
+    if isinstance(term, Branch):
+        return {term.then, term.orelse}
+    if isinstance(term, YieldTo):
+        return {term.resume}
+    return {END}
+
+
+def check_arms_follow_the_cfg(decl, opt):
+    machine = rewrite_generator(decl, opt)
+    graph, _ = plan_generator(decl, opt)
+    arms = dispatch_arms(machine)
+    assert sorted(arms) == sorted(graph.blocks)
+    for state, block in graph.blocks.items():
+        assert transfers(machine, arms[state]) == successors(block), state
+    return machine
 
 
 def test_simple_coroutine_two_state_machine():
@@ -317,14 +422,17 @@ def test_small_machines_keep_the_chain():
 
 
 def test_dispatch_tree_selects_every_state():
-    decl = parse_source(wide_source(20, 1)).decls[0]
-    for opt in (True, False):
-        machine = rewrite_generator(decl, opt)
-        _, plan = plan_generator(decl, opt)
-        for state in plan.states:
-            assert select_state(machine, state) == state
-        for unknown in (0, plan.states[-1] + 1, -1):
-            assert select_state(machine, unknown) is None
+    # 61 states by bisection, 151 threaded.
+    for arms in (20, 50):
+        decl = parse_source(wide_source(arms, 1)).decls[0]
+        for opt in (True, False):
+            machine = rewrite_generator(decl, opt)
+            _, plan = plan_generator(decl, opt)
+            assert is_threaded(machine) == (arms == 50)
+            for state in plan.states:
+                assert select_state(machine, state) == state
+            for unknown in (0, plan.states[-1] + 1, -1):
+                assert select_state(machine, unknown) is None
 
 
 def test_dispatch_depth_grows_logarithmically():
@@ -340,6 +448,112 @@ def test_dispatch_depth_grows_logarithmically():
     for small, large in zip(sizes, sizes[1:]):
         assert depths[large] - depths[small] <= 1  # states roughly double
     assert depths[481] < 12
+
+
+@pytest.mark.parametrize("bisect_max", [BISECT_MAX, CHAIN_MAX])
+def test_arms_follow_the_cfg(monkeypatch, bisect_max):
+    # Each state's arm hands control to its block's successors and to no
+    # other state, in every scheme; at CHAIN_MAX every machine above it is
+    # threaded.
+    monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
+    decls = [parse_source(wide_source(50, 1)).decls[0]]
+    for path in CORPUS_FILES:
+        decls += [d for d in parse_source(path.read_text()).decls if d.is_generator]
+    threaded = set()
+    for decl in decls:
+        for opt in (True, False):
+            machine = check_arms_follow_the_cfg(decl, opt)
+            if is_threaded(machine):
+                threaded.add(decl.name)
+    assert len(threaded) == (1 if bisect_max == BISECT_MAX else 7)
+
+
+def yields_source(count):
+    """A generator of `count` yields in a row: `count` states optimized."""
+    body = "".join(f"  yield {k}\n" for k in range(1, count + 1))
+    return f"fn* g() {{\n{body}}}\n\nfn main() {{\n}}\n"
+
+
+@pytest.mark.parametrize("states", [BISECT_MAX, BISECT_MAX + 1])
+def test_threaded_dispatch_starts_above_bisect_max(states):
+    program = parse_source(yields_source(states))
+    decl = program.decls[0]
+    machine = rewrite_generator(decl)
+    assert dispatch_states(machine) == states == len(merge_blocks(build_cfg(decl)).blocks)
+    assert is_threaded(machine) == (states > BISECT_MAX)
+    assert dispatch_depth(machine) == (1 if states > BISECT_MAX else 9)
+    forms = cli.program_forms(program)
+    lifted = {d.name for d in forms["first-order"].decls} - {"apply", "g_fo", "g", "main"}
+    assert len(lifted) == (states + 1 if states > BISECT_MAX else 0)  # the sink too
+    script = [None] * (states + 2)
+    expected = list(range(1, states + 1)) + [None, None]
+    for name, form in forms.items():
+        assert resume_sequence(form, "g", [], script) == expected, name
+
+
+SIMPLE_THREADED_MACHINE = """
+fn f(n) {
+  let _k = {}
+  let _s0 = fn (_r) {
+    return null
+  }
+  let _s1 = fn (_r) {
+    _i = _s2
+    return n
+  }
+  let _s2 = fn (_r) {
+    x = _r
+    _i = _s0
+    return n + x
+  }
+  let _i = _s1
+  let x = null
+  return fn (_r) {
+    while (true) {
+      let _v = _i(_r)
+      if (_v != _k) {
+        return _v
+      }
+    }
+  }
+}
+"""
+
+
+def test_simple_coroutine_threaded_machine(monkeypatch):
+    monkeypatch.setattr(transform, "BISECT_MAX", 0)
+    machine = rewrite_generator(parse_source(SIMPLE_COROUTINE).decls[0])
+    expected = parse_source(SIMPLE_THREADED_MACHINE + "fn main() { }").decls[0]
+    assert machine == expected
+
+
+def test_threaded_loop_without_a_yield_stays_a_loop():
+    # 100,000 iterations without a yield: the state closures return the
+    # sentinel to the machine's loop, so the Python stack never grows.
+    assert sys.getrecursionlimit() <= 1000
+    yields = "".join(f"  yield {k}\n" for k in range(BISECT_MAX))
+    source = (
+        "fn* g() {\n  let n = 0\n  while (n < 100000) {\n    n = n + 1\n  }\n"
+        f"  yield n\n{yields}}}\n\nfn main() {{\n  let it = g()\n  print(next(it))\n}}\n"
+    )
+    forms = cli.program_forms(parse_source(source))
+    assert is_threaded(forms["lowered-opt"].decls[0])
+    for name in ("native", "lowered-opt", "first-order"):
+        assert Interpreter(forms[name]).run() == [100_000], name
+
+
+def test_threaded_machine_yields_records():
+    # Records compare by identity, so no yielded `{}` is the sentinel.
+    yields = "".join("  yield {}\n" for _ in range(BISECT_MAX))
+    program = parse_source(f"fn* g() {{\n  yield null\n{yields}}}\n\nfn main() {{\n}}\n")
+    assert is_threaded(transform_program(program).decls[0])
+    script = [None] * (BISECT_MAX + 3)
+    for name, form in cli.program_forms(program).items():
+        seq = resume_sequence(form, "g", [], script)
+        assert seq[0] is None and seq[-2:] == [None, None], name
+        records = seq[1:-2]
+        assert len(records) == BISECT_MAX
+        assert all(type(v) is Record and v.fields == {} for v in records), name
 
 
 def check_wide_family_at_the_default_recursion_limit(arms, tmp_path, capsys):
