@@ -30,9 +30,18 @@ The dispatch scheme depends only on the number of states:
   `while (true) { let _v = _i(_r)  if (_v != _k) { return _v } }`.
   Records compare by identity, so no yielded value equals the sentinel,
   and a loop without a yield stays a loop, never a recursion. A
-  transition costs one call, but a call costs several tests here and an
-  instance builds one closure per state, so small machines keep
-  bisection.
+  transition costs one call, but a call costs several tests here, so
+  small machines keep bisection.
+
+Threaded dispatch moves cost from each `next` to instance creation: a
+lowered instance spends 2 + 2 * (states + 1) more steps on being made,
+for the sentinel, the sink and one closure per state. What it gains
+therefore depends on how often each instance is resumed, which the
+consumer decides and the lowering cannot see. At 301 states it saves
+about 48 steps per `next` and pays back after 13 `next`s in steps; in
+time, where making a closure costs more than a dispatch test, after
+about 50. A first-order instance only stores the entry state's
+reference and gains from the first `next`.
 
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
@@ -79,7 +88,10 @@ CHAIN_MAX = 4
 # A machine of more than this many states dispatches through threaded
 # state closures instead. Against bisection (CPython 3.11, 2-core VM),
 # threaded dispatch ran 1.25 times as long at 8 states, about as long at
-# 49-67 and 0.77-0.86 times as long at 130-301.
+# 49 and 0.77-0.97 times as long at 67-301, on one instance resumed
+# throughout. 128 is a conservative choice above that crossover, not a
+# measured one: a lowered instance makes one closure per state, and the
+# fewer the states the less a transition saves to pay for them.
 BISECT_MAX = 128
 
 

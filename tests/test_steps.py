@@ -6,10 +6,12 @@ interpreter that moves them has to update these numbers on purpose.
 
 import pytest
 
+from corolower import transform
 from corolower.cli import program_forms
 from corolower.errors import BudgetExceeded
 from corolower.interp import Interpreter
 from corolower.parser import parse_source
+from corolower.transform import BISECT_MAX
 
 from conftest import FIB_SOURCE, wide_source
 
@@ -68,6 +70,31 @@ def test_instance_steps_per_dispatch_scheme():
             interp.call(interp.globals.lookup("wide"), [0])
             steps[name] = interp.steps
         assert steps == expected, arms
+
+
+@pytest.mark.parametrize(
+    "nexts, numbered, threaded",
+    [
+        (0, (14, 14, 16), (620, 622, 17)),
+        (1, (109, 151, 140), (671, 689, 88)),
+        (12, (1_210, 1_252, 1_574), (1_232, 1_250, 869)),
+        (13, (1_313, 1_347, 1_708), (1_283, 1_301, 940)),
+        (300, (30_294, 30_424, 39_443), (15_956, 16_006, 21_367)),
+    ],
+)
+def test_threaded_instance_pays_back_by_nexts(monkeypatch, nexts, numbered, threaded):
+    # Whole-run steps of one 100-arm instance resumed `nexts` times, in
+    # lowered-opt, lowered-noopt and first-order form, with bisection
+    # forced (BISECT_MAX above 302) and with threaded dispatch. A lowered
+    # instance makes 302 closures up front and saves about 48 steps per
+    # next, so it is dearer up to 12 nexts and cheaper from 13 on; a
+    # first-order instance is cheaper from the first next.
+    steps = {}
+    for bisect_max, scheme in ((302, "numbered"), (BISECT_MAX, "threaded")):
+        monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
+        counts = steps_per_form(wide_source(100, nexts))
+        steps[scheme] = tuple(counts[form] for form in FORMS[1:])
+    assert steps == {"numbered": numbered, "threaded": threaded}
 
 
 FIB_VALUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]

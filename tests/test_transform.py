@@ -435,10 +435,14 @@ def test_dispatch_tree_selects_every_state():
                 assert select_state(machine, unknown) is None
 
 
-def test_dispatch_depth_grows_logarithmically():
+def test_dispatch_depth_grows_logarithmically(monkeypatch):
+    # Bisection at every size, the two above BISECT_MAX included, so the
+    # bound is measured on nested tests and not on a threaded machine.
+    monkeypatch.setattr(transform, "BISECT_MAX", 3 * 160 + 1)
     depths = {}
     for arms in (10, 20, 40, 80, 160):
         machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
+        assert not is_threaded(machine)
         states = dispatch_states(machine)
         assert states == 3 * arms + 1
         depths[states] = dispatch_depth(machine)
