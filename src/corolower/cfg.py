@@ -87,7 +87,7 @@ class Cfg:
 _STRAIGHT_LINE = (Let, Assign, ExprStmt, Print, FieldSet)
 
 
-def _targets(term: Terminator) -> list[int]:
+def targets(term: Terminator) -> list[int]:
     if isinstance(term, Goto):
         return [term.target]
     if isinstance(term, Branch):
@@ -119,7 +119,7 @@ def check_cfg(graph: Cfg) -> None:
             assert isinstance(stmt, _STRAIGHT_LINE), (
                 f"control-flow statement inside block {bid}: {stmt!r}"
             )
-        for target in _targets(block.terminator):
+        for target in targets(block.terminator):
             assert target == END or target in graph.blocks, (
                 f"dangling edge {bid} -> {target}"
             )
@@ -278,7 +278,7 @@ def _renumber(
         seen.add(bid)
         stack.append((bid, True))
         term = terms[bid]
-        succs = _targets(term) if term is not None else []
+        succs = targets(term) if term is not None else []
         if isinstance(term, Branch):
             succs = [term.orelse, term.then]
         for s in reversed(succs):
@@ -300,11 +300,11 @@ def _renumber(
 # -- merging ------------------------------------------------------------------
 
 
-def _pred_counts(blocks: dict[int, BasicBlock], entry: int) -> dict[int, int]:
+def pred_counts(blocks: dict[int, BasicBlock], entry: int) -> dict[int, int]:
     preds = {bid: 0 for bid in blocks}
     preds[entry] += 1  # virtual edge: the entry is never absorbed
     for block in blocks.values():
-        for target in _targets(block.terminator):
+        for target in targets(block.terminator):
             if target != END:
                 preds[target] += 1
     return preds
@@ -345,7 +345,7 @@ def merge_blocks(graph: Cfg) -> Cfg:
                 ):
                     block.terminator = YieldTo(term.value, term.receiver, END)
                     changed = True
-        preds = _pred_counts(blocks, entry)
+        preds = pred_counts(blocks, entry)
         # Absorbing moves the victim's out-edges to the absorber, so no
         # other block's predecessor count changes and one walk suffices.
         for bid in sorted(blocks):

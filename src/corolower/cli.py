@@ -90,7 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--optimize",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="merge CFG blocks before lowering (default on)",
+        help=(
+            "merge CFG blocks and run single-predecessor branch arms in place "
+            "when lowering (default on)"
+        ),
     )
     p_compile.add_argument("-o", "--output", help="output path (default stdout)")
     p_compile.set_defaults(func=cmd_compile)

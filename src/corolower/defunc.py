@@ -242,10 +242,20 @@ def _to_env(
 ):
     """Captured variables become fields of the environment record, and a
     state closure in `refs` a reference to its lifted function; any other
-    variable must be bound without them."""
+    variable must be bound without them. A `let` of a captured name would
+    shadow it in the machine but not in the lifted body, which reads the
+    field, so it is refused."""
     refs = refs or {}
 
     def rewrite(node: Node) -> Node:
+        if isinstance(node, Let) and node.name in captured:
+            pos = node.pos
+            raise DefuncError(
+                f"{name!r}: machine body declares {node.name!r}, "
+                "which shadows a variable of the factory",
+                pos and pos.line,
+                pos and pos.col,
+            )
         if isinstance(node, Var):
             if node.name in refs:
                 return FuncRef(refs[node.name], pos=node.pos)

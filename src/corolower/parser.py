@@ -60,6 +60,12 @@ BINARY_PRECEDENCE = {
 
 _UNARY_OPS = ("-", "!")
 
+# Deepest nesting of blocks, expressions and unary operators the parser
+# accepts. A level costs at most four Python frames here, and the later
+# passes recurse on the statement and expression nesting as well, so this
+# keeps every pass within Python's default recursion limit of 1,000.
+MAX_NESTING = 150
+
 # Tokens that may begin an expression; used to decide `return` vs `return e`.
 _EXPR_START_KWS = frozenset(["true", "false", "null", "next", "fn"])
 _EXPR_START_OPS = frozenset(["(", "{", "&", "-", "!"])
@@ -69,6 +75,16 @@ class _Tokens:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        # Levels of nesting open at the current token. Each recursive rule
+        # adds one and checks it, then takes it off on the way out; a
+        # parse that fails is abandoned, so no level needs unwinding.
+        self.depth = 0
+
+    def too_deep(self) -> ValidationError:
+        tok = self.peek()
+        return ValidationError(
+            f"nesting too deep (more than {MAX_NESTING} levels)", tok.line, tok.col
+        )
 
     def peek(self, ahead: int = 0) -> Token:
         j = min(self.i + ahead, len(self.tokens) - 1)
@@ -139,6 +155,9 @@ def _params(ts: _Tokens) -> list[str]:
 
 
 def _block(ts: _Tokens) -> Block:
+    ts.depth += 1
+    if ts.depth > MAX_NESTING:
+        raise ts.too_deep()
     start = ts.expect("op", "{")
     stmts = []
     while not ts.at("op", "}"):
@@ -146,6 +165,7 @@ def _block(ts: _Tokens) -> Block:
             raise ParseError("expected '}'", ts.peek().line, ts.peek().col)
         stmts.append(_stmt(ts))
     ts.expect("op", "}")
+    ts.depth -= 1
     return Block(stmts, pos=_pos(start))
 
 
@@ -209,13 +229,15 @@ def _stmt(ts: _Tokens) -> Stmt:
 
 
 def _expr(ts: _Tokens, min_prec: int = 1) -> Expr:
+    ts.depth += 1
+    if ts.depth > MAX_NESTING:
+        raise ts.too_deep()
     lhs = _unary(ts)
     while True:
         tok = ts.peek()
-        if tok.kind != "op":
-            return lhs
-        prec = BINARY_PRECEDENCE.get(tok.text)
+        prec = BINARY_PRECEDENCE.get(tok.text) if tok.kind == "op" else None
         if prec is None or prec < min_prec:
+            ts.depth -= 1
             return lhs
         ts.next()
         rhs = _expr(ts, prec + 1)
@@ -226,7 +248,12 @@ def _unary(ts: _Tokens) -> Expr:
     tok = ts.peek()
     if tok.kind == "op" and tok.text in _UNARY_OPS:
         ts.next()
-        return Unary(tok.text, _unary(ts), pos=_pos(tok))
+        ts.depth += 1
+        if ts.depth > MAX_NESTING:
+            raise ts.too_deep()
+        operand = _unary(ts)
+        ts.depth -= 1
+        return Unary(tok.text, operand, pos=_pos(tok))
     return _postfix(ts)
 
 

@@ -9,6 +9,18 @@ goes back to the dispatch; finishing selects the sink state 0, in which
 every later call returns null. Block ids serve as instruction numbers,
 and the entry block is state 1.
 
+Optimized, a block runs in place of the one edge that reaches it, inside
+its branch arm, when it is neither the entry nor a yield's resume target
+and does not end in a branch itself: structured translation (Ramsey,
+*Beyond Relooper*, ICFP 2022) restricted to leaves. The states are then
+the entry, the resume targets, the blocks with two or more predecessor
+edges and the blocks ending in a branch, and their numbers are sparse
+(many-short's tally keeps 1, 2, 4 and 7 of its 8 blocks). A `next`
+passes the dispatch once per resume point rather than once per block,
+and no block is copied. An inlined block holds no branch, so a flat run
+of thousands of `if (x == k) { return k }` guards nests no deeper than
+one of them. Unoptimized, every block is a state.
+
 The dispatch scheme depends only on the number of states:
 
 - Up to BISECT_MAX states the instruction variable holds the state's
@@ -37,11 +49,10 @@ Threaded dispatch moves cost from each `next` to instance creation: a
 lowered instance spends 2 + 2 * (states + 1) more steps on being made,
 for the sentinel, the sink and one closure per state. What it gains
 therefore depends on how often each instance is resumed, which the
-consumer decides and the lowering cannot see. At 301 states it saves
-about 48 steps per `next` and pays back after 13 `next`s in steps; in
-time, where making a closure costs more than a dispatch test, after
-about 50. A first-order instance only stores the entry state's
-reference and gains from the first `next`.
+consumer decides and the lowering cannot see. At 101 states
+(wide-states' generator) it saves about 18 steps per `next` and pays
+back after 12 `next`s in steps. A first-order instance only stores the
+entry state's reference and gains from the first `next`.
 
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
@@ -53,7 +64,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .cfg import END, BasicBlock, Branch, Cfg, Finish, Goto, YieldTo, build_cfg, merge_blocks
+from .cfg import (
+    END,
+    BasicBlock,
+    Branch,
+    Cfg,
+    Finish,
+    Goto,
+    YieldTo,
+    build_cfg,
+    merge_blocks,
+    pred_counts,
+)
 from .syntax import (
     Assign,
     Binary,
@@ -86,21 +108,28 @@ from .syntax import (
 CHAIN_MAX = 4
 
 # A machine of more than this many states dispatches through threaded
-# state closures instead. Against bisection (CPython 3.11, 2-core VM),
-# threaded dispatch ran 1.25 times as long at 8 states, about as long at
-# 49 and 0.77-0.97 times as long at 67-301, on one instance resumed
-# throughout. 128 is a conservative choice above that crossover, not a
-# measured one: a lowered instance makes one closure per state, and the
-# fewer the states the less a transition saves to pay for them.
-BISECT_MAX = 128
+# state closures instead. Threaded time over bisection time, lowered-opt,
+# for a loop of plain sequential yields (CPython 3.11, 2-core VM, best of
+# 15 alternating runs; first-order was 0.88-1.19 throughout):
+#
+#   states                          8     32    49    64    70    100   128
+#   one instance, 3,000 nexts       1.18  1.00  0.90  0.91  0.94  0.86  0.86
+#   200 instances of 5 nexts each   1.41  1.55  1.75  2.20  2.01  2.12  2.51
+#
+# Long-lived instances gain from about 49 states on; short-lived lowered
+# instances lose at every size, because each makes one closure per state.
+# 64 keeps wide-states' generator, 101 states once its arms run in place,
+# threaded: bisected, it takes 55.66 steps per next instead of 37.85 and
+# prints 34,645 bytes instead of 15,252.
+BISECT_MAX = 64
 
 
 @dataclass
 class StateMachinePlan:
-    """How a generator maps onto its dispatch: the instruction numbers in
-    ascending order (block ids serve as instruction numbers, and the end
-    sentinel is the sink 0), the hoisted locals, and the two fresh names
-    woven into the machine."""
+    """How a generator maps onto its dispatch: the states' instruction
+    numbers in ascending order (block ids serve as instruction numbers, a
+    block run in place has none, and the end sentinel is the sink 0), the
+    hoisted locals, and the two fresh names woven into the machine."""
 
     func: str
     states: list[int]
@@ -133,16 +162,19 @@ def plan_generator(
 ) -> tuple[Cfg, StateMachinePlan]:
     """Build (and optionally merge) the CFG and plan its machine. Block
     ids are dense reverse-postorder integers and serve directly as
-    instruction numbers; entry is state 1."""
+    instruction numbers; entry is state 1. Optimized, the blocks that are
+    emitted in place (see `_inlined`) are no states."""
     graph = build_cfg(func)
+    inlined: set[int] = set()
     if opt:
         graph = merge_blocks(graph)
+        inlined = _inlined(graph)
     if names is None:
         names = NameAllocator(identifiers(func))
     hoisted = [n for n in declared_locals(func.body) if n not in func.params]
     plan = StateMachinePlan(
         func=func.name,
-        states=sorted(graph.blocks),
+        states=sorted(set(graph.blocks) - inlined),
         hoisted=hoisted,
         params=list(func.params),
         resume_param=names.fresh("_r"),
@@ -160,12 +192,16 @@ def rewrite_generator(
         names = NameAllocator(identifiers(func))
     graph, plan = plan_generator(func, opt, names)
     receivers = _receivers(graph)
+    states = set(plan.states)
+    inlined = {bid: block for bid, block in graph.blocks.items() if bid not in states}
     if len(plan.states) > BISECT_MAX:
-        body = _threaded_factory(graph, plan, receivers, names)
+        body = _threaded_factory(graph, plan, receivers, inlined, names)
     else:
         bodies = {
-            bid: _state_stmts(block, receivers.get(bid), plan, IntLit)
-            for bid, block in graph.blocks.items()
+            state: _state_stmts(
+                graph.blocks[state], receivers.get(state), plan, IntLit, inlined
+            )
+            for state in plan.states
         }
         dispatch = _dispatch(plan.states, bodies, plan.inst_var)
         machine = Block([While(BoolLit(True), Block([dispatch]))])
@@ -176,7 +212,11 @@ def rewrite_generator(
 
 
 def _threaded_factory(
-    graph: Cfg, plan: StateMachinePlan, receivers: dict[int, str], names: NameAllocator
+    graph: Cfg,
+    plan: StateMachinePlan,
+    receivers: dict[int, str],
+    inlined: dict[int, BasicBlock],
+    names: NameAllocator,
 ) -> list[Stmt]:
     """The factory body of a threaded machine: the sentinel, the sink's
     closure and one per state, the instruction variable holding the entry
@@ -194,7 +234,7 @@ def _threaded_factory(
     ]
     for state in plan.states:
         stmts = _state_stmts(
-            graph.blocks[state], receivers.get(state), plan, select, sentinel
+            graph.blocks[state], receivers.get(state), plan, select, inlined, sentinel
         )
         body.append(Let(closures[state], FuncLit([plan.resume_param], Block(stmts))))
     body.append(Let(plan.inst_var, select(graph.entry)))
@@ -234,6 +274,26 @@ def _dispatch(states: list[int], bodies: dict[int, list[Stmt]], inst: str) -> St
     return chain
 
 
+def _inlined(graph: Cfg) -> set[int]:
+    """Blocks emitted in place of the one edge that reaches them: neither
+    the entry nor a resume target, and not ending in a branch, so an
+    inlined block nests no further and a long run of guards stays flat."""
+    preds = pred_counts(graph.blocks, graph.entry)
+    resumes = {
+        block.terminator.resume
+        for block in graph.blocks.values()
+        if isinstance(block.terminator, YieldTo)
+    }
+    return {
+        bid
+        for bid, block in graph.blocks.items()
+        if preds[bid] == 1
+        and bid != graph.entry
+        and bid not in resumes
+        and not isinstance(block.terminator, Branch)
+    }
+
+
 def _receivers(graph: Cfg) -> dict[int, str]:
     """Resume targets that must bind the resume value before running."""
     out: dict[int, str] = {}
@@ -253,42 +313,52 @@ def _state_stmts(
     receiver: str | None,
     plan: StateMachinePlan,
     select: Callable[[int], Expr],
+    inlined: dict[int, BasicBlock],
     sentinel: str | None = None,
 ) -> list[Stmt]:
     """One state's statements. `select(k)` is the value of the instruction
-    variable that selects state k. A goto or branch returns the sentinel
-    when there is one, and otherwise falls back into the dispatch."""
-    inst = plan.inst_var
-    out: list[Stmt] = []
-    if receiver is not None:
-        out.append(Assign(receiver, Var(plan.resume_param)))
-    for stmt in block.stmts:
-        if isinstance(stmt, Let):
-            out.append(Assign(stmt.name, stmt.value))  # declaration was hoisted
+    variable that selects state k. A transfer to an `inlined` block runs
+    it in place. A state that can fall through returns the sentinel when
+    there is one, and otherwise falls back into the dispatch."""
+
+    def run(block: BasicBlock) -> list[Stmt]:
+        out = [
+            Assign(stmt.name, stmt.value) if isinstance(stmt, Let) else stmt
+            for stmt in block.stmts  # a declaration was hoisted
+        ]
+        term = block.terminator
+        if isinstance(term, Goto):
+            out += goto(term.target)
+        elif isinstance(term, Branch):
+            out.append(If(term.cond, Block(goto(term.then)), Block(goto(term.orelse))))
+        elif isinstance(term, YieldTo):
+            out.append(Assign(plan.inst_var, select(term.resume)))
+            out.append(Return(term.value))
+        elif isinstance(term, Finish):
+            out.append(Assign(plan.inst_var, select(END)))
+            out.append(Return(term.value if term.value is not None else NullLit()))
         else:
-            out.append(stmt)
-    term = block.terminator
-    if isinstance(term, Goto):
-        out.append(Assign(inst, select(term.target)))
-    elif isinstance(term, Branch):
-        out.append(
-            If(
-                term.cond,
-                Block([Assign(inst, select(term.then))]),
-                Block([Assign(inst, select(term.orelse))]),
-            )
-        )
-    elif isinstance(term, YieldTo):
-        out.append(Assign(inst, select(term.resume)))
-        out.append(Return(term.value))
-    elif isinstance(term, Finish):
-        out.append(Assign(inst, select(END)))
-        out.append(Return(term.value if term.value is not None else NullLit()))
-    else:
-        raise AssertionError(f"unhandled terminator {term!r}")
-    if sentinel is not None and isinstance(term, (Goto, Branch)):
+            raise AssertionError(f"unhandled terminator {term!r}")
+        return out
+
+    def goto(target: int) -> list[Stmt]:
+        if target in inlined:
+            return run(inlined[target])
+        return [Assign(plan.inst_var, select(target))]
+
+    out = [Assign(receiver, Var(plan.resume_param))] if receiver is not None else []
+    out += run(block)
+    if sentinel is not None and not _returns(out):
         out.append(Return(Var(sentinel)))
     return out
+
+
+def _returns(stmts: list[Stmt]) -> bool:
+    """Whether a state's statements, or an arm's, return on every path."""
+    last = stmts[-1]
+    if isinstance(last, If):
+        return _returns(last.then.stmts) and _returns(last.orelse.stmts)
+    return isinstance(last, Return)
 
 
 def transform_program(program: Program, opt: bool = True) -> Program:

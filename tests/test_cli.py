@@ -239,6 +239,36 @@ def test_too_deep_to_compile_exit_1(capsys, tmp_path):
         assert err.startswith("error: ") and "too deep" in err
 
 
+@pytest.mark.parametrize("command", ["run", "compile", "diff", "cfg"])
+def test_nesting_limit_exit_1(capsys, tmp_path, command):
+    # The parser's nesting limit, not Python's stack, rejects the input,
+    # so the message names the position.
+    path = tmp_path / "parens.mini"
+    path.write_text("fn main() { print(" + "(" * 3000 + "1" + ")" * 3000 + ") }\n")
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: nesting too deep (more than 150 levels) (line 1, col 168)\n"
+
+
+def test_diff_of_a_factory_whose_machine_shadows_a_local_exit_1(capsys, tmp_path):
+    # Hand-written in the lowered shape; its machine's own `a` is no field
+    # of the environment, so defunctionalize refuses it instead of reading
+    # the factory's `a`.
+    path = tmp_path / "shadow.mini"
+    path.write_text(
+        "fn f() {\n  let _i = 1\n  let a = null\n  return fn (_r) {\n"
+        "    let a = 5\n    return a\n  }\n}\n\nfn main() {\n  print(next(f()))\n}\n"
+    )
+    code, out, err = run_cli(capsys, "diff", path)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {path}: 'f': machine body declares 'a', which shadows a variable "
+        "of the factory (line 5, col 5)\n"
+    )
+
+
 def test_too_deep_to_run_exit_2(capsys, tmp_path):
     path = tmp_path / "runaway.mini"
     path.write_text("fn f(n) { return f(n + 1) }\nfn main() { print(f(0)) }\n")

@@ -236,14 +236,14 @@ def test_threaded_first_order_shape(monkeypatch):
 
 
 def test_threaded_factory_matches_after_a_round_trip():
-    lowered = transform_program(parse_source(wide_source(50, 5)))
+    lowered = transform_program(parse_source(wide_source(80, 5)))
     again = parse_source(print_source(lowered))
     shape = match_factory(again.decls[0])
     assert shape is not None and shape.sentinel == "_k" and shape.entry == "_s1"
-    assert len(shape.states) == 152  # the sink and 151 states
+    assert len(shape.states) == 82  # the sink and 81 states
     program = defunctionalize(again)
     assert program == defunctionalize(lowered)
-    assert interp(program) == interp_native(parse_source(wide_source(50, 5)))
+    assert interp(program) == interp_native(parse_source(wide_source(80, 5)))
 
 
 THREADED_FACTORY = """fn f() {{
@@ -308,4 +308,27 @@ def test_rejects_factories_whose_names_clash(factory):
     program = parse_source(f"fn f() {{\n  {factory}\n}}\nfn main() {{ }}\n")
     assert match_factory(program.decls[0]) is None
     with pytest.raises(DefuncError, match="not a state machine"):
+        defunctionalize(program)
+
+
+@pytest.mark.parametrize(
+    "factory, shadowed",
+    [
+        # The machine declares a local that shadows a hoisted local.
+        ("let _i = 1\n  let a = null\n  return fn (_r) {\n    let a = 5\n    return a\n  }", "a"),
+        # A threaded state declares a local that shadows the sentinel.
+        (
+            "let _k = {}\n  let _s1 = fn (_r) {\n    let _k = 5\n    _i = _s1\n    return _k\n  }\n"
+            "  let _i = _s1\n  return fn (_r) {\n    while (true) {\n      let _v = _i(_r)\n"
+            "      if (_v != _k) {\n        return _v\n      }\n    }\n  }",
+            "_k",
+        ),
+    ],
+)
+def test_rejects_machine_locals_that_shadow_the_factory(factory, shadowed):
+    # The lifted body would read the environment's field where the machine
+    # reads its own local: `next(f())` gives 5 natively and null lifted.
+    program = parse_source(f"fn f() {{\n  {factory}\n}}\nfn main() {{ }}\n")
+    assert match_factory(program.decls[0]) is not None
+    with pytest.raises(DefuncError, match=f"declares '{shadowed}', which shadows"):
         defunctionalize(program)

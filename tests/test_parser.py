@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from corolower.errors import ParseError, ValidationError
-from corolower.parser import parse_source
+from corolower.parser import MAX_NESTING, parse_source
 from corolower.syntax import (
     Assign,
     Binary,
@@ -209,3 +209,31 @@ def test_error_positions_stay_in_bounds_under_corruption():
                 lines = mangled.split("\n")
                 assert 1 <= err.line <= len(lines)
                 assert 1 <= err.col <= len(lines[err.line - 1]) + 2
+
+
+def nested_parens(depth):
+    return "fn main() { print(" + "(" * depth + "1" + ")" * depth + ") }"
+
+
+def test_nesting_limit_is_a_validation_error_with_a_position():
+    # The body and print's argument are two levels, so the 150th `(` (col
+    # 18 + 150) opens level 151.
+    with pytest.raises(ValidationError, match="nesting too deep") as err:
+        parse_source(nested_parens(3000))
+    assert (err.value.line, err.value.col) == (1, 168)
+    assert MAX_NESTING == 150
+
+
+def test_nesting_limit_boundary():
+    # Parentheses, unary operators and blocks each cost a level.
+    program = parse_source(nested_parens(MAX_NESTING - 2))
+    assert program.decls[0].body.stmts[0].value == IntLit(1)
+    parse_source("fn main() { print(" + "-" * (MAX_NESTING - 2) + "1) }")
+    parse_source("fn main() {\n" + "if (true) {\n" * (MAX_NESTING - 1) + "}\n" * (MAX_NESTING - 1) + "}")
+    for source in (
+        nested_parens(MAX_NESTING - 1),
+        "fn main() { print(" + "-" * (MAX_NESTING - 1) + "1) }",
+        "fn main() {\n" + "if (true) {\n" * MAX_NESTING + "}\n" * MAX_NESTING + "}",
+    ):
+        with pytest.raises(ValidationError, match="nesting too deep"):
+            parse_source(source)

@@ -42,27 +42,29 @@ def test_fib_steps_per_next():
 
 
 def test_hundred_arm_family_steps_per_next():
-    # 301 states optimized, 302 unoptimized: above BISECT_MAX, so each
-    # transition is one call of a state closure or lifted state function.
+    # 101 states optimized, each arm's two yields inlined into its branch,
+    # and 302 unoptimized: above BISECT_MAX, so each transition is one
+    # call of a state closure or lifted state function.
     nexts = 300
     steps = steps_per_form(wide_source(100, nexts))
     assert steps == {
         "native": 6_924,
-        "lowered-opt": 15_956,
+        "lowered-opt": 11_356,
         "lowered-noopt": 16_006,
-        "first-order": 21_367,
+        "first-order": 15_667,
     }
-    assert round(steps["lowered-opt"] / nexts, 2) == 53.19
+    assert round(steps["lowered-opt"] / nexts, 2) == 37.85
 
 
 def test_instance_steps_per_dispatch_scheme():
     # A threaded lowered instance makes the sentinel and one closure per
-    # state, the sink included: 2 + 2 * 302 + 4 steps at 100 arms. A
-    # numbered one, at 42 arms (127 states), sets `_i` and makes the
-    # machine. First-order instances build a record either way.
+    # state, the sink included: 2 + 2 * 102 + 4 steps at 100 arms
+    # optimized, 2 + 2 * 303 + 4 unoptimized. A numbered one, at 20 arms
+    # (21 and 62 states), sets `_i` and makes the machine. First-order
+    # instances build a record either way.
     for arms, expected in (
-        (100, {"native": 0, "lowered-opt": 610, "lowered-noopt": 612, "first-order": 7}),
-        (42, {"native": 0, "lowered-opt": 4, "lowered-noopt": 4, "first-order": 6}),
+        (100, {"native": 0, "lowered-opt": 210, "lowered-noopt": 612, "first-order": 7}),
+        (20, {"native": 0, "lowered-opt": 4, "lowered-noopt": 4, "first-order": 6}),
     ):
         steps = {}
         for name, form in program_forms(parse_source(wide_source(arms, 1))).items():
@@ -75,26 +77,76 @@ def test_instance_steps_per_dispatch_scheme():
 @pytest.mark.parametrize(
     "nexts, numbered, threaded",
     [
-        (0, (14, 14, 16), (620, 622, 17)),
-        (1, (109, 151, 140), (671, 689, 88)),
-        (12, (1_210, 1_252, 1_574), (1_232, 1_250, 869)),
-        (13, (1_313, 1_347, 1_708), (1_283, 1_301, 940)),
-        (300, (30_294, 30_424, 39_443), (15_956, 16_006, 21_367)),
+        (0, (14, 14, 16), (220, 622, 17)),
+        (1, (65, 151, 85), (257, 689, 69)),
+        (12, (674, 1_252, 904), (664, 1_250, 641)),
+        (13, (725, 1_347, 973), (701, 1_301, 693)),
+        (300, (16_698, 30_424, 22_448), (11_356, 16_006, 15_667)),
+        (11, (615, 1_153, 825), (627, 1_199, 589)),
     ],
 )
 def test_threaded_instance_pays_back_by_nexts(monkeypatch, nexts, numbered, threaded):
     # Whole-run steps of one 100-arm instance resumed `nexts` times, in
     # lowered-opt, lowered-noopt and first-order form, with bisection
-    # forced (BISECT_MAX above 302) and with threaded dispatch. A lowered
-    # instance makes 302 closures up front and saves about 48 steps per
-    # next, so it is dearer up to 12 nexts and cheaper from 13 on; a
-    # first-order instance is cheaper from the first next.
+    # forced (BISECT_MAX above 302) and with threaded dispatch. An
+    # optimized lowered instance makes 102 closures up front and saves
+    # about 18 steps per next, so it is dearer up to 11 nexts and cheaper
+    # from 12 on; an unoptimized one makes 303 and pays back from 12 on
+    # too; a first-order instance is cheaper from the first next.
     steps = {}
     for bisect_max, scheme in ((302, "numbered"), (BISECT_MAX, "threaded")):
         monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
         counts = steps_per_form(wide_source(100, nexts))
         steps[scheme] = tuple(counts[form] for form in FORMS[1:])
     assert steps == {"numbered": numbered, "threaded": threaded}
+
+
+TALLY_SOURCE = """fn* tally(start) {
+  let total = start
+  let round = 0
+  while (round < 3) {
+    let add = yield total
+    if (add == null) {
+      total = total
+    } else {
+      total = total + add
+    }
+    round = round + 1
+  }
+  return total
+}
+
+fn main() {
+  let i = 0
+  while (i < 1000) {
+    let t = tally(i * 7919 + 104729)
+    print(next(t))
+    print(next(t, i * 31 - 1000003))
+    print(next(t))
+    print(next(t, i - 4099))
+    print(next(t, i))
+    i = i + 1
+  }
+}
+"""
+
+
+def test_many_short_tally_steps_per_next():
+    # 1,000 three-round receivers resumed five times each. Optimized, the
+    # yield, the two arms of the null test and the finish run in place of
+    # their branch arm, so the machine has 4 states (1, 2, 4 and 7) of
+    # its 8 blocks. Merging finds no goto chain here, and unoptimized the
+    # machine has all 8.
+    nexts = 5_000
+    steps = steps_per_form(TALLY_SOURCE)
+    assert steps == {
+        "native": 102_006,
+        "lowered-opt": 302_006,
+        "lowered-noopt": 478_006,
+        "first-order": 419_006,
+    }
+    per_next = [round(steps[form] / nexts, 2) for form in FORMS]
+    assert per_next == [20.40, 60.40, 95.60, 83.80]
 
 
 FIB_VALUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]

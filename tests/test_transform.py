@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -106,18 +107,20 @@ def is_threaded(decl):
 
 
 def state_lets(decl):
-    """A threaded factory's `let _sK = fn (_r) { ... }`, indexed by state
-    number: the sink 0, then the states in ascending order, which are 1,
-    2, ... up to the state count."""
-    return [
-        stmt
-        for stmt in decl.body.stmts
-        if isinstance(stmt, Let) and isinstance(stmt.value, FuncLit)
-    ]
+    """A threaded factory's `let _sK = fn (_r) { ... }` by state number K:
+    the sink 0, then the states in ascending order. No program here uses
+    a name that would make the allocator bump `_sK`."""
+    lets = {}
+    for stmt in decl.body.stmts:
+        if isinstance(stmt, Let) and isinstance(stmt.value, FuncLit):
+            assert re.fullmatch(r"_s\d+", stmt.name), stmt.name
+            lets[int(stmt.name[2:])] = stmt
+    assert list(lets) == sorted(lets)
+    return lets
 
 
 def state_closures(decl):
-    return {state: let.value for state, let in enumerate(state_lets(decl))}
+    return {state: let.value for state, let in state_lets(decl).items()}
 
 
 def machine_loop(decl):
@@ -227,7 +230,7 @@ def transfers(decl, stmts):
     """The states that statements hand control to, by state number:
     `_i = k`, or threaded, `_i = _sK`."""
     inst = instruction_var(decl)
-    numbers = {let.name: state for state, let in enumerate(state_lets(decl))}
+    numbers = {let.name: state for state, let in state_lets(decl).items()}
     out = set()
     for stmt in stmts:
         for node in walk(stmt):
@@ -248,13 +251,50 @@ def successors(block):
     return {END}
 
 
+def expected_states(graph, opt):
+    """The blocks that are dispatch states. Unoptimized, every block.
+    Optimized, the entry, the resume targets, the blocks with two or more
+    predecessor edges and the blocks ending in a branch; any other block
+    runs in place of the one edge that reaches it."""
+    if not opt:
+        return set(graph.blocks)
+    preds = {bid: 0 for bid in graph.blocks}
+    resumes = set()
+    for block in graph.blocks.values():
+        for target in successors(block) - {END}:
+            preds[target] += 1
+        if isinstance(block.terminator, Branch) and block.terminator.then == block.terminator.orelse:
+            preds[block.terminator.then] += 1  # both arms are edges
+        if isinstance(block.terminator, YieldTo):
+            resumes.add(block.terminator.resume)
+    return (
+        {graph.entry}
+        | resumes
+        | {bid for bid, n in preds.items() if n >= 2}
+        | {bid for bid, b in graph.blocks.items() if isinstance(b.terminator, Branch)}
+    ) - {END}
+
+
+def region_exits(graph, states, bid):
+    """The states (and END) that control reaches from block `bid` before
+    it meets another state: the successors of its inlined region."""
+    out = set()
+    for target in successors(graph.blocks[bid]):
+        if target == END or target in states:
+            out.add(target)
+        else:
+            out |= region_exits(graph, states, target)
+    return out
+
+
 def check_arms_follow_the_cfg(decl, opt):
     machine = rewrite_generator(decl, opt)
-    graph, _ = plan_generator(decl, opt)
+    graph, plan = plan_generator(decl, opt)
     arms = dispatch_arms(machine)
-    assert sorted(arms) == sorted(graph.blocks)
-    for state, block in graph.blocks.items():
-        assert transfers(machine, arms[state]) == successors(block), state
+    states = expected_states(graph, opt)
+    assert sorted(arms) == plan.states == sorted(states)
+    for state in states:
+        assert transfers(machine, arms[state]) == region_exits(graph, states, state), state
     return machine
 
 
@@ -285,6 +325,9 @@ def test_fib_state_counts():
 
 
 def test_state_count_equals_merged_block_count():
+    # Optimized, the merged blocks that stay states; unoptimized, every
+    # block of the unmerged CFG.
+    counts = {}
     for path in CORPUS_FILES:
         program = parse_source(path.read_text())
         for decl in program.decls:
@@ -292,9 +335,34 @@ def test_state_count_equals_merged_block_count():
                 continue
             machine = rewrite_generator(decl, True)
             merged = merge_blocks(build_cfg(decl))
-            assert dispatch_states(machine) == len(merged.blocks), decl.name
+            states = len(expected_states(merged, True))
+            assert dispatch_states(machine) == states, decl.name
             machine_noopt = rewrite_generator(decl, False)
             assert dispatch_states(machine_noopt) == len(build_cfg(decl).blocks)
+            counts[f"{path.stem}.{decl.name}"] = (states, len(merged.blocks))
+    assert counts == EXPECTED_STATE_COUNTS
+
+
+# (dispatch states, merged blocks) of every corpus generator, optimized.
+EXPECTED_STATE_COUNTS = {
+    "const_false.filtered": (3, 5),
+    "early_return.until_negative": (2, 4),
+    "empty_gen.nothing": (1, 1),
+    "exhaust.trio": (3, 3),
+    "fib.fib": (3, 3),
+    "helper_driver.squares": (3, 3),
+    "if_in_loop.signed": (4, 6),
+    "interleave.counter": (3, 3),
+    "nested_next.inner": (3, 3),
+    "nested_next.outer": (3, 4),
+    "nested_while.grid": (4, 7),
+    "print_inside.chatty": (2, 2),
+    "receive.pair": (2, 2),
+    "tally.tally": (3, 5),
+    "two_gens.ones": (1, 1),
+    "two_gens.doubler": (3, 3),
+    "yield_branches.pick": (2, 4),
+}
 
 
 def test_empty_generator_machine():
@@ -413,7 +481,9 @@ def test_plan_shape():
 
 def test_small_machines_keep_the_chain():
     # Up to CHAIN_MAX states the dispatch is the paper's if/else-if chain.
-    for arms, states in ((1, 4), (2, 7)):
+    # Each arm's two yields run in place, so `arms` arms make arms + 1
+    # states.
+    for arms, states in ((3, 4), (4, 5)):
         machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
         assert dispatch_states(machine) == states
         ops = {stmt.cond.op for stmt, _ in dispatch_tests(machine)}
@@ -422,29 +492,33 @@ def test_small_machines_keep_the_chain():
 
 
 def test_dispatch_tree_selects_every_state():
-    # 61 states by bisection, 151 threaded.
-    for arms in (20, 50):
+    # 21 and 62 states by bisection, 81 and 242 threaded; optimized, the
+    # ids of the blocks that run in place select nothing.
+    for arms in (20, 80):
         decl = parse_source(wide_source(arms, 1)).decls[0]
         for opt in (True, False):
             machine = rewrite_generator(decl, opt)
-            _, plan = plan_generator(decl, opt)
-            assert is_threaded(machine) == (arms == 50)
+            graph, plan = plan_generator(decl, opt)
+            assert is_threaded(machine) == (arms == 80)
+            assert len(plan.states) == (arms + 1 if opt else 3 * arms + 2)
             for state in plan.states:
                 assert select_state(machine, state) == state
-            for unknown in (0, plan.states[-1] + 1, -1):
+            inlined = set(graph.blocks) - set(plan.states)
+            assert len(inlined) == (2 * arms if opt else 0)
+            for unknown in (0, plan.states[-1] + 1, -1, *inlined):
                 assert select_state(machine, unknown) is None
 
 
 def test_dispatch_depth_grows_logarithmically(monkeypatch):
     # Bisection at every size, the two above BISECT_MAX included, so the
     # bound is measured on nested tests and not on a threaded machine.
-    monkeypatch.setattr(transform, "BISECT_MAX", 3 * 160 + 1)
+    monkeypatch.setattr(transform, "BISECT_MAX", 480 + 1)
     depths = {}
-    for arms in (10, 20, 40, 80, 160):
+    for arms in (30, 60, 120, 240, 480):
         machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
         assert not is_threaded(machine)
         states = dispatch_states(machine)
-        assert states == 3 * arms + 1
+        assert states == arms + 1
         depths[states] = dispatch_depth(machine)
         # Halving down to a chain of at most CHAIN_MAX, then the chain.
         assert depths[states] <= math.ceil(math.log2(states / CHAIN_MAX)) + CHAIN_MAX
@@ -456,9 +530,9 @@ def test_dispatch_depth_grows_logarithmically(monkeypatch):
 
 @pytest.mark.parametrize("bisect_max", [BISECT_MAX, CHAIN_MAX])
 def test_arms_follow_the_cfg(monkeypatch, bisect_max):
-    # Each state's arm hands control to its block's successors and to no
-    # other state, in every scheme; at CHAIN_MAX every machine above it is
-    # threaded.
+    # Each state's arm hands control to the states its inlined region
+    # leads to and to no other, in every scheme; at CHAIN_MAX every
+    # machine above it is threaded.
     monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
     decls = [parse_source(wide_source(50, 1)).decls[0]]
     for path in CORPUS_FILES:
@@ -485,7 +559,7 @@ def test_threaded_dispatch_starts_above_bisect_max(states):
     machine = rewrite_generator(decl)
     assert dispatch_states(machine) == states == len(merge_blocks(build_cfg(decl)).blocks)
     assert is_threaded(machine) == (states > BISECT_MAX)
-    assert dispatch_depth(machine) == (1 if states > BISECT_MAX else 9)
+    assert dispatch_depth(machine) == (1 if states > BISECT_MAX else 8)
     forms = cli.program_forms(program)
     lifted = {d.name for d in forms["first-order"].decls} - {"apply", "g_fo", "g", "main"}
     assert len(lifted) == (states + 1 if states > BISECT_MAX else 0)  # the sink too
@@ -587,3 +661,37 @@ def test_two_hundred_arms_at_the_default_recursion_limit(tmp_path, capsys):
 def test_eight_hundred_arms_at_the_default_recursion_limit(tmp_path, capsys):
     # deep-states' size: 2,402 blocks before merging.
     check_wide_family_at_the_default_recursion_limit(800, tmp_path, capsys)
+
+
+def guards_source(count):
+    """A generator of `count` flat `if (x == k) { return k }` guards, then
+    a yield: each guard is a state, its finish runs in place."""
+    guards = "".join(f"  if (x == {k}) {{\n    return {k}\n  }}\n" for k in range(count))
+    return (
+        f"fn* g(x) {{\n{guards}  yield x\n  return 0 - x\n}}\n\n"
+        "fn main() {\n  let a = g(2999)\n  print(next(a))\n  print(next(a))\n"
+        "  let b = g(5000)\n  print(next(b))\n  print(next(b))\n  print(next(b))\n}\n"
+    )
+
+
+def test_three_thousand_flat_guards_stay_flat(tmp_path, capsys):
+    # Inlining only blocks that end without a branch keeps each guard's
+    # finish in its arm and the next guard a state, so the machine does
+    # not nest 3,000 levels deep.
+    assert sys.getrecursionlimit() <= 1000
+    source = guards_source(3000)
+    program = parse_source(source)
+    graph, plan = plan_generator(program.decls[0], True)
+    # 3,000 guard states and the resume target; each finish and the yield
+    # run in their guard's arm.
+    assert len(plan.states) == 3001 and len(graph.blocks) == 6002
+    lowered = transform_program(program)
+    assert is_threaded(lowered.decls[0])
+    text = print_source(lowered)
+    assert print_source(parse_source(text)) == text
+    assert Interpreter(program).run() == [2999, None, 5000, -5000, None]
+    # diff runs and traces every form against the native run.
+    path = tmp_path / "guards.mini"
+    path.write_text(source)
+    assert cli.main(["diff", str(path)]) == 0
+    assert capsys.readouterr().err.strip().endswith(": OK")
