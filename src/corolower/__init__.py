@@ -5,7 +5,7 @@ defunctionalize, with a reference interpreter proving every stage
 observationally equivalent to the original program.
 """
 
-from .cfg import BasicBlock, Branch, Cfg, END, Finish, Goto, YieldTo, build_cfg, check_cfg, emit_dot, merge_blocks
+from .cfg import BasicBlock, Branch, Cfg, END, Finish, Goto, YieldTo, build_cfg, check_cfg, emit_dot, eval_cfg, merge_blocks
 from .defunc import defunctionalize
 from .errors import (
     BudgetExceeded,
@@ -19,14 +19,11 @@ from .errors import (
 )
 from .interp import (
     Interpreter,
-    YieldTrace,
-    eval_cfg,
     interp,
     interp_native,
     render_output,
     render_value,
     resume_sequence,
-    trace_generator,
     values_equal,
 )
 from .lexer import Token, lex
@@ -61,7 +58,6 @@ __all__ = [
     "TransformError",
     "ValidationError",
     "YieldTo",
-    "YieldTrace",
     "build_cfg",
     "check_cfg",
     "defunctionalize",
@@ -80,7 +76,6 @@ __all__ = [
     "render_value",
     "resume_sequence",
     "rewrite_generator",
-    "trace_generator",
     "transform_program",
     "validate",
     "values_equal",

@@ -14,7 +14,9 @@ like the published figure.
 
 build_cfg routes edges past empty blocks in one sweep over the
 terminators, and merge_blocks absorbs goto chains in one walk over the
-block ids per round.
+block ids per round. eval_cfg runs a graph directly on the interpreter's
+statement and expression tables, independently of the lowering: it is
+the oracle showing that merging preserves what a caller observes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .errors import TransformError
+from .interp import _EXPR, _STMT, DEFAULT_STEP_BUDGET, Env, Interpreter, _bool
 from .printer import expr_source, stmt_lines
 from .syntax import (
     Assign,
@@ -35,6 +38,7 @@ from .syntax import (
     Let,
     LetYield,
     Print,
+    Program,
     Return,
     Stmt,
     While,
@@ -370,6 +374,57 @@ def yield_count(graph: Cfg) -> int:
     return sum(
         1 for b in graph.blocks.values() if isinstance(b.terminator, YieldTo)
     )
+
+
+# -- direct execution ---------------------------------------------------------
+
+
+def eval_cfg(
+    graph: Cfg,
+    bindings: dict,
+    resume_values,
+    program: Program | None = None,
+    step_budget: int = DEFAULT_STEP_BUDGET,
+) -> list:
+    """Run a graph as a generator resumed once per resume value and return
+    what each resumption produces, in resume_sequence's shape: the yielded
+    value; at the finish, its value, or null for a bare finish or a
+    transfer to END; null for every later resumption. bindings supplies
+    the parameters; the first resume value is discarded, and a later one
+    binds the receiver of the yield that suspended the run."""
+    it = Interpreter(program if program is not None else Program([], entry=""), step_budget)
+    env = Env(it.globals, dict(bindings))
+    results: list = []
+    ip = graph.entry
+    receiver: str | None = None
+    for value in resume_values:
+        if receiver is not None:
+            env.vars[receiver] = value
+            receiver = None
+        result = None
+        while ip != END:
+            block = graph.blocks[ip]
+            for stmt in block.stmts:
+                _STMT[type(stmt)](it, stmt, env)
+            term = block.terminator
+            if isinstance(term, Goto):
+                ip = term.target
+            elif isinstance(term, Branch):
+                cond = term.cond
+                ip = term.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else term.orelse
+            elif isinstance(term, YieldTo):
+                result = _EXPR[type(term.value)](it, term.value, env)
+                receiver = term.receiver
+                ip = term.resume
+                break
+            elif isinstance(term, Finish):
+                if term.value is not None:
+                    result = _EXPR[type(term.value)](it, term.value, env)
+                ip = END
+            else:
+                raise AssertionError(f"unhandled terminator {term!r}")
+        results.append(result)
+    return results
 
 
 # -- rendering ----------------------------------------------------------------

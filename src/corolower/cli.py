@@ -168,6 +168,12 @@ def cmd_compile(args) -> int:
         if args.emit == "first-order":
             lowered = defunctionalize(lowered)
         text = print_source(lowered)
+        # Lowering nests deeper than its input, so a source inside the
+        # parser's nesting limit can compile to a program outside it.
+        try:
+            parse_source(text)
+        except MiniError as err:
+            raise _Failure(EXIT_COMPILE, f"{args.input}: compiled output: {err}") from None
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

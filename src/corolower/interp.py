@@ -58,9 +58,7 @@ from .syntax import (
     Var,
     While,
     YieldStmt,
-    declared_locals,
 )
-from . import cfg as cfg_mod
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -199,7 +197,6 @@ class Interpreter:
         self.step_budget = step_budget
         self.steps = 0
         self.output: list[object] = []
-        self._locals_cache: dict[int, tuple[Block, list[str]]] = {}
         self.globals = Env()
         for decl in program.decls:
             self.globals.declare(
@@ -227,21 +224,13 @@ class Interpreter:
                 node,
             )
         bindings = dict(zip(fn.params, args))
-        for name in self._locals_of(fn.body):
+        for name in fn.body.declared:
             bindings.setdefault(name, NULL)
         env = Env(fn.env, bindings)
         if fn.is_generator:
             return GenInstance(fn, env)
         result = _exec(self, fn.body.stmts, env)
         return NULL if result is None or result is _BARE else result[0]
-
-    def _locals_of(self, body: Block) -> list[str]:
-        # Keyed by identity; the entry pins the block so ids never recycle.
-        entry = self._locals_cache.get(id(body))
-        if entry is None or entry[0] is not body:
-            entry = (body, declared_locals(body))
-            self._locals_cache[id(body)] = entry
-        return entry[1]
 
     def _resolve_ref(self, ref: FuncRefV, node=None) -> Closure:
         # A function reference names a global; globals have no parent.
@@ -648,19 +637,6 @@ def interp(program: Program, step_budget: int = DEFAULT_STEP_BUDGET):
     return Interpreter(program, step_budget).run()
 
 
-@dataclass
-class YieldTrace:
-    items: list
-    terminated: bool = False
-
-
-def _instantiate(interp_: Interpreter, gen_name: str, args):
-    factory = interp_.globals.lookup(gen_name)
-    if not isinstance(factory, Closure):
-        raise InterpError(f"{gen_name!r} is not a function")
-    return interp_.call(factory, list(args))
-
-
 def resume_any(interp_: Interpreter, instance, value):
     """Resume whatever a generator became in some form: a native instance,
     a state-machine closure, or a first-order record ({env, fn})."""
@@ -677,41 +653,6 @@ def resume_any(interp_: Interpreter, instance, value):
     raise InterpError("value cannot be resumed")
 
 
-def trace_generator(
-    program: Program,
-    gen_name: str,
-    args,
-    resume_values,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> YieldTrace:
-    """Instantiate gen_name with args and resume once per entry of
-    resume_values, recording produced values. In native mode the trace
-    stops at Finish with terminated=True (recording an explicit return
-    value when present); lowered forms cannot signal termination, so
-    their traces simply record each call's result."""
-    interp_ = Interpreter(program, step_budget)
-    instance = _instantiate(interp_, gen_name, args)
-    items: list = []
-    terminated = False
-    for index, value in enumerate(resume_values):
-        try:
-            if isinstance(instance, GenInstance):
-                result = interp_.resume(instance, value)
-                if instance.done:
-                    terminated = True
-                    if instance.finish_value is not _ABSENT:
-                        items.append(instance.finish_value)
-                    break
-                items.append(result)
-            else:
-                items.append(resume_any(interp_, instance, value))
-        except InterpError as err:
-            raise InterpError(
-                f"resumption {index}: {err.message}", err.line, err.col
-            ) from err
-    return YieldTrace(items, terminated)
-
-
 def resume_sequence(
     program: Program,
     gen_name: str,
@@ -722,65 +663,19 @@ def resume_sequence(
     """The caller-observable protocol: the raw result of every `next`,
     one per resume value, with no early stop (a finished native instance
     keeps producing null exactly like an exhausted state machine). This
-    is the unit the differential oracle compares across forms."""
+    is the unit the differential oracle compares across forms. A runtime
+    error is re-raised with the index of the resumption that raised it."""
     interp_ = Interpreter(program, step_budget)
-    instance = _instantiate(interp_, gen_name, args)
-    return [resume_any(interp_, instance, value) for value in resume_values]
-
-
-def eval_cfg(
-    graph,
-    bindings: dict,
-    resume_values,
-    program: Program | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> YieldTrace:
-    """Execute a control flow graph directly, independently of the
-    rewriter: the oracle showing merge_blocks preserves semantics.
-    bindings supplies parameters; hoisted locals default to null.
-    A transfer to the end sentinel finishes with no recorded value."""
-    interp_ = Interpreter(
-        program if program is not None else Program([], entry=""), step_budget
-    )
-    env = Env(interp_.globals)
-    for name, value in bindings.items():
-        env.declare(name, value)
-    items: list = []
-    terminated = False
-    ip: int | None = None
-    receiver: str | None = None
-    for value in resume_values:
-        if terminated:
-            break
-        if ip is None:
-            ip = graph.entry
-        else:
-            if receiver is not None and ip != cfg_mod.END:
-                env.declare(receiver, value)
-            receiver = None
-        while True:
-            if ip == cfg_mod.END:
-                terminated = True
-                break
-            block = graph.blocks[ip]
-            for stmt in block.stmts:
-                _STMT[type(stmt)](interp_, stmt, env)
-            term = block.terminator
-            if isinstance(term, cfg_mod.Goto):
-                ip = term.target
-            elif isinstance(term, cfg_mod.Branch):
-                cond = _eval(interp_, term.cond, env)
-                ip = term.then if _bool(cond, term.cond) else term.orelse
-            elif isinstance(term, cfg_mod.YieldTo):
-                items.append(_eval(interp_, term.value, env))
-                receiver = term.receiver
-                ip = term.resume
-                break
-            elif isinstance(term, cfg_mod.Finish):
-                terminated = True
-                if term.value is not None:
-                    items.append(_eval(interp_, term.value, env))
-                break
-            else:
-                raise AssertionError(f"unhandled terminator {term!r}")
-    return YieldTrace(items, terminated)
+    factory = interp_.globals.lookup(gen_name)
+    if not isinstance(factory, Closure):
+        raise InterpError(f"{gen_name!r} is not a function")
+    instance = interp_.call(factory, list(args))
+    results = []
+    for index, value in enumerate(resume_values):
+        try:
+            results.append(resume_any(interp_, instance, value))
+        except InterpError as err:
+            raise type(err)(
+                f"resumption {index}: {err.message}", err.line, err.col
+            ) from err
+    return results

@@ -13,7 +13,7 @@ Node equality is structural; source positions never participate in it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, TypeVar
 
 
@@ -122,6 +122,13 @@ class FuncLit(Expr):
 @dataclass
 class Block(Node):
     stmts: list[Stmt] = field(default_factory=list)
+
+    @cached_property
+    def declared(self) -> list[str]:
+        """declared_locals of this block, computed on first use. Not a
+        field, so equality, repr and the tree walks never see it, and a
+        node rebuilt by `replace` starts without it."""
+        return declared_locals(self)
 
 
 @dataclass
@@ -280,9 +287,9 @@ def declared_locals(block: Block) -> list[str]:
 
     Only statements bind names, so this follows the blocks under each
     statement and skips the expressions, which are most of a body's nodes
-    and which `walk` would visit too: the interpreter asks this once per
-    function body per run, and through `walk` it made a short run of a
-    large body up to 1.5 times slower."""
+    and which `walk` would visit too: through `walk` it made a short run
+    of a large body up to 1.5 times slower. `Block.declared` caches it for
+    the interpreter, which pre-binds these names on every call."""
     names: dict[str, None] = {}
     stack = [block]
     while stack:

@@ -7,17 +7,15 @@ and no timing claims beyond the suite budgets asserted here.
 
 import time
 
-from corolower.cfg import build_cfg, merge_blocks
+from corolower.cfg import build_cfg, eval_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.interp import (
     NULL,
     Interpreter,
-    eval_cfg,
     interp,
     interp_native,
     render_output,
     resume_sequence,
-    trace_generator,
 )
 from corolower.parser import parse_source
 from corolower.printer import print_source
@@ -69,15 +67,9 @@ def test_criterion_3_simple_coroutine_golden():
         "lowered": transform_program(program, True),
         "first-order": defunctionalize(transform_program(program, True)),
     }
+    # It yields 5 and 8, then every form produces null from the finish on.
     for name, form in forms.items():
-        trace = trace_generator(form, "f", [5], [NULL, 3])
-        assert trace.items == [5, 8], name
-    # Then it terminates: natively via the flag, in machine forms by
-    # producing null forever.
-    native = trace_generator(program, "f", [5], [NULL, 3, NULL])
-    assert native.items == [5, 8] and native.terminated
-    for name in ("lowered", "first-order"):
-        seq = resume_sequence(forms[name], "f", [5], [NULL, 3, NULL, NULL])
+        seq = resume_sequence(form, "f", [5], [NULL, 3, NULL, NULL])
         assert seq == [5, 8, NULL, NULL], name
     report(3, "the two-yield coroutine yields [5, 8] then terminates in all forms")
 
@@ -131,6 +123,8 @@ def test_criterion_5_merge_preserves_semantics():
             before = eval_cfg(graph, bindings, script, program)
             after = eval_cfg(merged, bindings, script, program)
             assert before == after, (path.name, decl.name)
+            native = resume_sequence(program, decl.name, list(bindings.values()), script)
+            assert before == native, (path.name, decl.name)
             assert merge_blocks(merged) == merged, (path.name, decl.name)
     report(5, "eval_cfg traces are identical before/after merging; merging is idempotent")
 

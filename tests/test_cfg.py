@@ -11,11 +11,12 @@ from corolower.cfg import (
     build_cfg,
     check_cfg,
     emit_dot,
+    eval_cfg,
     merge_blocks,
     yield_count,
 )
 from corolower.errors import TransformError
-from corolower.interp import eval_cfg, trace_generator
+from corolower.interp import resume_sequence
 from corolower.parser import parse_source
 from corolower.syntax import (
     Assign,
@@ -258,16 +259,13 @@ def test_merge_preserves_semantics_via_eval_cfg():
     t1 = eval_cfg(graph, {}, script, program)
     t2 = eval_cfg(merged, {}, script, program)
     assert t1 == t2
-    assert t1.items == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
-    native = trace_generator(program, "fib", [], script)
-    assert t1.items == native.items and t1.terminated == native.terminated
+    assert t1 == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    assert t1 == resume_sequence(program, "fib", [], script)
 
 
 def test_eval_cfg_entry_finish_value():
     graph = Cfg({1: BasicBlock(1, [], Finish(IntLit(7)))}, 1)
-    trace = eval_cfg(graph, {}, [None])
-    assert trace.items == [7]
-    assert trace.terminated is True
+    assert eval_cfg(graph, {}, [None, None]) == [7, None]
 
 
 def test_eval_cfg_constant_branch_goes_one_way():
@@ -279,15 +277,12 @@ def test_eval_cfg_constant_branch_goes_one_way():
         },
         1,
     )
-    trace = eval_cfg(graph, {}, [None, None])
-    assert trace.items == [1]
-    assert trace.terminated is True
+    assert eval_cfg(graph, {}, [None, None, None]) == [1, None, None]
 
 
 def test_eval_cfg_receiver_binding():
     graph = build_cfg(gen_decl("let x = yield 1 yield x * 2"))
-    trace = eval_cfg(graph, {"x": None}, [None, 21])
-    assert trace.items == [1, 42]
+    assert eval_cfg(graph, {"x": None}, [None, 21, 5]) == [1, 42, None]
 
 
 # -- DOT rendering ---------------------------------------------------------------

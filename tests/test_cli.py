@@ -206,6 +206,15 @@ def test_diff_detects_corruption(capsys, tmp_path, fib_path):
     assert "DIVERGED" in err and "expected" in err and "got" in err
 
 
+def test_diff_names_the_failing_resumption(capsys, tmp_path):
+    path = tmp_path / "crash.mini"
+    path.write_text("fn* g() { yield 1 yield 1 / 0 } fn main() { }")
+    code, out, err = run_cli(capsys, "diff", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: resumption 1: division by zero (line 1, col 27)\n"
+
+
 def test_diff_all_corpus(capsys):
     code, _, err = run_cli(capsys, "diff", "--all", CORPUS_DIR)
     assert code == 0
@@ -249,6 +258,26 @@ def test_nesting_limit_exit_1(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert err == f"error: {path}: nesting too deep (more than 150 levels) (line 1, col 168)\n"
+
+
+def test_compile_refuses_output_that_nests_too_deeply(capsys, tmp_path):
+    # Inside the nesting limit as source and as first-order output, but
+    # the lowered form adds a factory, machine, loop and dispatch arm.
+    path = tmp_path / "deep.mini"
+    path.write_text("fn* g() { yield " + "-" * 146 + "1 }\nfn main() { print(next(g())) }\n")
+    assert run_cli(capsys, "run", path)[:2] == (0, "1\n")
+    first_order = tmp_path / "deep.fo.mini"
+    assert run_cli(capsys, "compile", path, "--emit", "first-order", "-o", first_order)[0] == 0
+    assert run_cli(capsys, "run", first_order)[:2] == (0, "1\n")
+    lowered = tmp_path / "deep.lowered.mini"
+    code, out, err = run_cli(capsys, "compile", path, "-o", lowered)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {path}: compiled output: nesting too deep (more than 150 levels) "
+        "(line 7, col 161)\n"
+    )
+    assert not lowered.exists()
 
 
 def test_diff_of_a_factory_whose_machine_shadows_a_local_exit_1(capsys, tmp_path):

@@ -7,14 +7,12 @@ after merging."""
 import pytest
 
 from corolower import transform
-from corolower.cfg import build_cfg, merge_blocks
+from corolower.cfg import build_cfg, eval_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.interp import (
     NULL,
     Interpreter,
-    eval_cfg,
     resume_sequence,
-    trace_generator,
 )
 from corolower.parser import parse_source
 from corolower.printer import print_source
@@ -120,7 +118,7 @@ def test_eval_cfg_agrees_before_and_after_merging(path):
         unmerged_trace = eval_cfg(graph, bindings, script, program)
         merged_trace = eval_cfg(merged, bindings, script, program)
         assert unmerged_trace == merged_trace, decl.name
-        native = trace_generator(program, decl.name, generator_args(decl), script)
+        native = resume_sequence(program, decl.name, generator_args(decl), script)
         assert unmerged_trace == native, decl.name
 
 

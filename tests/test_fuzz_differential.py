@@ -5,9 +5,9 @@ seeds) runs clean; 200 keep the suite fast."""
 import pytest
 
 from corolower import transform
-from corolower.cfg import build_cfg, merge_blocks
+from corolower.cfg import build_cfg, eval_cfg, merge_blocks
 from corolower.defunc import defunctionalize
-from corolower.interp import eval_cfg, resume_sequence, trace_generator
+from corolower.interp import resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.transform import CHAIN_MAX, transform_program
@@ -33,16 +33,15 @@ def check_forms_agree(seed):
     for form_name, form in forms.items():
         assert resume_sequence(form, name, args, SCRIPT) == reference, form_name
         assert parse_source(print_source(form)) == form, form_name
-    return program, name, args
+    return program, name, args, reference
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_generator_agrees_across_forms(seed):
-    program, name, args = check_forms_agree(seed)
+    program, name, args, native = check_forms_agree(seed)
     decl = program.decls[0]
     bindings = dict(zip(decl.params, args))
     graph = build_cfg(decl)
-    native = trace_generator(program, name, args, SCRIPT)
     assert eval_cfg(graph, bindings, SCRIPT, program) == native
     assert eval_cfg(merge_blocks(graph), bindings, SCRIPT, program) == native
 

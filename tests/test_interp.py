@@ -7,7 +7,6 @@ from corolower.interp import (
     render_output,
     render_value,
     resume_sequence,
-    trace_generator,
 )
 from corolower.parser import parse_source
 from corolower.transform import transform_program
@@ -32,34 +31,24 @@ def test_receive_program_output():
 
 def test_trace_fib_ten_nulls():
     program = parse_source(FIB_SOURCE)
-    trace = trace_generator(program, "fib", [], [None] * 10)
-    assert trace.items == FIB_FIRST_TEN
-    assert trace.terminated is False
+    assert resume_sequence(program, "fib", [], [None] * 10) == FIB_FIRST_TEN
 
 
 def test_trace_receive():
     program = parse_source(RECEIVE_SOURCE)
-    trace = trace_generator(program, "pair", [5], [None, 3])
-    assert trace.items == [5, 8]
-    assert trace.terminated is False
-    # One more resumption terminates it.
-    trace = trace_generator(program, "pair", [5], [None, 3, None])
-    assert trace.items == [5, 8]
-    assert trace.terminated is True
+    assert resume_sequence(program, "pair", [5], [None, 3]) == [5, 8]
+    # One more resumption finishes it; the ones after that produce null too.
+    assert resume_sequence(program, "pair", [5], [None, 3, None, None]) == [5, 8, None, None]
 
 
 def test_trace_empty_generator():
     program = parse_source("fn* nothing() { } fn main() { }")
-    trace = trace_generator(program, "nothing", [], [None])
-    assert trace.items == []
-    assert trace.terminated is True
+    assert resume_sequence(program, "nothing", [], [None, None]) == [None, None]
 
 
 def test_trace_return_value_recorded():
     program = parse_source("fn* once() { return 7 } fn main() { }")
-    trace = trace_generator(program, "once", [], [None, None])
-    assert trace.items == [7]
-    assert trace.terminated is True
+    assert resume_sequence(program, "once", [], [None, None]) == [7, None]
 
 
 def test_next_on_non_resumable():
@@ -77,8 +66,7 @@ def test_next_on_closure_is_application():
 
 def test_first_resumption_value_discarded():
     program = parse_source("fn* g() { yield 1 } fn main() { }")
-    trace = trace_generator(program, "g", [], [99])
-    assert trace.items == [1]
+    assert resume_sequence(program, "g", [], [99]) == [1]
 
 
 def test_instantiation_is_lazy():
@@ -180,8 +168,15 @@ def test_runtime_error_carries_position():
 
 def test_trace_error_carries_resumption_index():
     program = parse_source("fn* g() { yield 1 yield 1 / 0 } fn main() { }")
-    with pytest.raises(InterpError, match="resumption 1"):
-        trace_generator(program, "g", [], [None, None])
+    with pytest.raises(InterpError) as err:
+        resume_sequence(program, "g", [], [None, None])
+    assert str(err.value) == "resumption 1: division by zero (line 1, col 27)"
+
+
+def test_trace_budget_error_keeps_its_kind():
+    program = parse_source("fn* g() { yield 1 while (true) { } } fn main() { }")
+    with pytest.raises(BudgetExceeded, match="resumption 1: step budget exceeded"):
+        resume_sequence(program, "g", [], [None, None], 5_000)
 
 
 def test_generator_reentrancy_rejected():
