@@ -15,17 +15,29 @@ like the published figure.
 build_cfg routes edges past empty blocks in one sweep over the
 terminators, and merge_blocks absorbs goto chains in one walk over the
 block ids per round. eval_cfg runs a graph directly on the interpreter's
-statement and expression tables, independently of the lowering: it is
-the oracle showing that merging preserves what a caller observes.
+statement and expression tables, independently of the lowering: it walks
+the graph as a Python generator that follows the native executor's
+protocol and resumes it through resume_sequence's loop. It is the oracle
+showing that merging preserves what a caller observes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .errors import TransformError
-from .interp import _EXPR, _STMT, DEFAULT_STEP_BUDGET, Env, Interpreter, _bool
+from .interp import (
+    _EXPR,
+    _STMT,
+    DEFAULT_STEP_BUDGET,
+    NULL,
+    Env,
+    GenInstance,
+    Interpreter,
+    _bool,
+    trace_instance,
+)
 from .printer import expr_source, stmt_lines
 from .syntax import (
     Assign,
@@ -86,6 +98,8 @@ class BasicBlock:
 class Cfg:
     blocks: dict[int, BasicBlock]
     entry: int
+    # The body's declared locals, kept because merging can drop a dead `let`.
+    declared: list[str] = field(default_factory=list)
 
 
 _STRAIGHT_LINE = (Let, Assign, ExprStmt, Print, FieldSet)
@@ -203,7 +217,7 @@ def build_cfg(func: FuncDecl) -> Cfg:
     if open_block is not None:
         b.terms[open_block] = Finish(None)
     entry = _bypass_empty_blocks(b, entry)
-    return _renumber(b.stmts, b.terms, entry)
+    return _renumber(b.stmts, b.terms, entry, func.body.declared)
 
 
 def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
@@ -265,6 +279,7 @@ def _renumber(
     stmts: dict[int, list[Stmt]],
     terms: dict[int, Terminator | None],
     entry: int,
+    declared: list[str],
 ) -> Cfg:
     """Drop unreachable blocks and assign dense reverse-postorder ids with
     entry = 1. Branch successors are walked else-first, which numbers the
@@ -296,7 +311,7 @@ def _renumber(
         assert term is not None, f"block {old} has no terminator"
         term = _retarget(term, lambda t: mapping.get(t, t))
         blocks[new] = BasicBlock(new, list(stmts[old]), term)
-    graph = Cfg(blocks, 1)
+    graph = Cfg(blocks, 1, list(declared))
     check_cfg(graph)
     return graph
 
@@ -367,7 +382,7 @@ def merge_blocks(graph: Cfg) -> Cfg:
                 changed = True
     stmts = {bid: b.stmts for bid, b in blocks.items()}
     terms = {bid: b.terminator for bid, b in blocks.items()}
-    return _renumber(stmts, terms, entry)
+    return _renumber(stmts, terms, entry, graph.declared)
 
 
 def yield_count(graph: Cfg) -> int:
@@ -387,44 +402,40 @@ def eval_cfg(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> list:
     """Run a graph as a generator resumed once per resume value and return
-    what each resumption produces, in resume_sequence's shape: the yielded
-    value; at the finish, its value, or null for a bare finish or a
-    transfer to END; null for every later resumption. bindings supplies
-    the parameters; the first resume value is discarded, and a later one
-    binds the receiver of the yield that suspended the run."""
+    what each resumption produces, in resume_sequence's shape and through
+    its loop. bindings supplies the parameters, and the graph's declared
+    locals start as null, as in a native call."""
     it = Interpreter(program if program is not None else Program([], entry=""), step_budget)
-    env = Env(it.globals, dict(bindings))
-    results: list = []
+    env = Env(it.globals, dict.fromkeys(graph.declared, NULL) | bindings)
+    return trace_instance(it, GenInstance(None, _walk(it, graph, env)), resume_values)
+
+
+def _walk(it: Interpreter, graph: Cfg, env: Env):
+    """The graph's body as a Python generator with `_exec_gen`'s protocol:
+    it yields at a YieldTo, binding its receiver to the value sent back,
+    and returns `(value,)` at a Finish with a value."""
     ip = graph.entry
-    receiver: str | None = None
-    for value in resume_values:
-        if receiver is not None:
-            env.vars[receiver] = value
-            receiver = None
-        result = None
-        while ip != END:
-            block = graph.blocks[ip]
-            for stmt in block.stmts:
-                _STMT[type(stmt)](it, stmt, env)
-            term = block.terminator
-            if isinstance(term, Goto):
-                ip = term.target
-            elif isinstance(term, Branch):
-                cond = term.cond
-                ip = term.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else term.orelse
-            elif isinstance(term, YieldTo):
-                result = _EXPR[type(term.value)](it, term.value, env)
-                receiver = term.receiver
-                ip = term.resume
-                break
-            elif isinstance(term, Finish):
-                if term.value is not None:
-                    result = _EXPR[type(term.value)](it, term.value, env)
-                ip = END
-            else:
-                raise AssertionError(f"unhandled terminator {term!r}")
-        results.append(result)
-    return results
+    while ip != END:
+        block = graph.blocks[ip]
+        for stmt in block.stmts:
+            _STMT[type(stmt)](it, stmt, env)
+        term = block.terminator
+        if isinstance(term, Goto):
+            ip = term.target
+        elif isinstance(term, Branch):
+            cond = term.cond
+            ip = term.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else term.orelse
+        elif isinstance(term, YieldTo):
+            received = yield _EXPR[type(term.value)](it, term.value, env)
+            if term.receiver is not None:
+                env.vars[term.receiver] = received
+            ip = term.resume
+        elif isinstance(term, Finish):
+            if term.value is None:
+                return None
+            return (_EXPR[type(term.value)](it, term.value, env),)
+        else:
+            raise AssertionError(f"unhandled terminator {term!r}")
 
 
 # -- rendering ----------------------------------------------------------------

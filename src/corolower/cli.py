@@ -235,50 +235,35 @@ def diff_program(program: Program, resumptions: int, step_budget: int) -> list[s
 
 def diff_forms(forms: dict[str, Program], resumptions: int, step_budget: int) -> list[str]:
     """The agreement check on the forms program_forms produced."""
-    divergences: list[str] = []
-    outputs = {}
-    for form, prog in forms.items():
-        outputs[form] = Interpreter(prog, step_budget).run()
-    reference = outputs["native"]
-    for form, got in outputs.items():
-        if form == "native":
-            continue
-        index = _first_mismatch(reference, got)
-        if index is not None:
-            expected_text = _item_text(reference, index)
-            got_text = _item_text(got, index)
-            divergences.append(
-                f"{form}: output line {index}: expected {expected_text}, got {got_text}"
-            )
+    results = {
+        "output line": {
+            form: Interpreter(prog, step_budget).run() for form, prog in forms.items()
+        }
+    }
     script = [NULL] + list(range(1, resumptions))
     for decl in forms["native"].decls:
-        if not decl.is_generator:
-            continue
-        args = list(range(1, len(decl.params) + 1))
-        traces = {
-            form: resume_sequence(prog, decl.name, args, script, step_budget)
-            for form, prog in forms.items()
-        }
-        reference_trace = traces["native"]
-        for form, got in traces.items():
-            if form == "native":
-                continue
-            index = _first_mismatch(reference_trace, got)
-            if index is not None:
-                divergences.append(
-                    f"{form}: generator {decl.name}: resumption {index}: "
-                    f"expected {_item_text(reference_trace, index)}, "
-                    f"got {_item_text(got, index)}"
-                )
+        if decl.is_generator:
+            args = list(range(1, len(decl.params) + 1))
+            results[f"generator {decl.name}: resumption"] = {
+                form: resume_sequence(prog, decl.name, args, script, step_budget)
+                for form, prog in forms.items()
+            }
+    divergences: list[str] = []
+    for what, by_form in results.items():
+        reference = by_form.pop("native")
+        for form, got in by_form.items():
+            mismatch = _mismatch(reference, got)
+            if mismatch is not None:
+                divergences.append(f"{form}: {what} {mismatch}")
     return divergences
 
 
-def _first_mismatch(expected: list, got: list) -> int | None:
+def _mismatch(expected: list, got: list) -> str | None:
+    """`i: expected e, got g` for the first index i where the lists differ,
+    or None when they are equal."""
     for i in range(max(len(expected), len(got))):
-        if i >= len(expected) or i >= len(got):
-            return i
-        if not values_equal(expected[i], got[i]):
-            return i
+        if i >= len(expected) or i >= len(got) or not values_equal(expected[i], got[i]):
+            return f"{i}: expected {_item_text(expected, i)}, got {_item_text(got, i)}"
     return None
 
 
@@ -309,16 +294,11 @@ def cmd_diff(args) -> int:
         for path in rest:
             with _stage(EXIT_RUNTIME, path):
                 got = Interpreter(_load(path), step_budget).run()
-            index = _first_mismatch(reference, got)
-            if index is None:
+            mismatch = _mismatch(reference, got)
+            if mismatch is None:
                 print(f"{path}: OK (matches {reference_path})", file=sys.stderr)
             else:
-                print(
-                    f"{path}: DIVERGED at output line {index}: "
-                    f"expected {_item_text(reference, index)}, "
-                    f"got {_item_text(got, index)}",
-                    file=sys.stderr,
-                )
+                print(f"{path}: DIVERGED at output line {mismatch}", file=sys.stderr)
                 code = EXIT_DIVERGENCE
         return code
     for path in paths:

@@ -18,13 +18,17 @@ tables, `_EXPR` and `_STMT`, and calls the handler found there. A
 handler charges its node's step before anything else: one step per
 evaluated expression, per executed statement and per further `while`
 iteration. Binary operators on two integers are looked up in
-`_INT_OPS`. Function bodies run through one of two executors:
+`_INT_OPS`. Function bodies run in one of two ways:
 
-- `_exec` runs a plain body as ordinary calls. It returns None when the
-  body falls off its end and `(value,)` on `return`.
+- `Interpreter.call` runs a plain body's statements itself, as `_if` and
+  `_while` run their blocks', so one call costs one Python frame.
 - `_exec_gen` is the Python generator behind a generator instance. It
   handles `yield`, `let x = yield`, `if` and `while` itself, and hands
-  every other statement to `_STMT`.
+  every other statement to `_STMT`. It returns None when the body falls
+  off its end and `(value,)` on `return`.
+
+`trace_instance` is the one loop that traces a generator, one result per
+resumption; `resume_sequence` and `cfg.eval_cfg` both use it.
 """
 
 from __future__ import annotations
@@ -68,11 +72,6 @@ _INT_MIN = -(2**63)
 _INT_MAX = 2**63 - 1
 _WRAP = 2**64
 
-# Distinguishes falling off a body's end from an explicit `return null`.
-_ABSENT = object()
-# What `_exec` and `_exec_gen` return for a bare `return`.
-_BARE = (_ABSENT,)
-
 _OVER = "step budget exceeded"
 
 
@@ -93,12 +92,12 @@ class Closure:
 
 @dataclass(eq=False)
 class GenInstance:
-    closure: Closure
-    env: "Env"
-    runner: object = dc_field(default=None, repr=False)
+    """A generator instance: `runner` is the Python generator that runs its
+    body, made with the instance and started by its first resumption."""
+
+    name: str | None
+    runner: object = dc_field(repr=False)
     started: bool = False
-    done: bool = False
-    finish_value: object = _ABSENT
 
 
 @dataclass(eq=False)
@@ -181,7 +180,7 @@ def render_value(v) -> str:
     if isinstance(v, FuncRefV):
         return f"&{v.name}"
     if isinstance(v, GenInstance):
-        return f"<generator {v.closure.name or 'fn'}>"
+        return f"<generator {v.name or 'fn'}>"
     if isinstance(v, Closure):
         return f"<fn {v.name}>" if v.name else "<fn>"
     raise AssertionError(f"unrenderable value {v!r}")
@@ -228,15 +227,19 @@ class Interpreter:
             bindings.setdefault(name, NULL)
         env = Env(fn.env, bindings)
         if fn.is_generator:
-            return GenInstance(fn, env)
-        result = _exec(self, fn.body.stmts, env)
-        return NULL if result is None or result is _BARE else result[0]
+            return GenInstance(fn.name, _exec_gen(self, fn.body.stmts, env))
+        # The body runs here, not through a helper: one Python frame per call.
+        for stmt in fn.body.stmts:
+            result = _STMT[type(stmt)](self, stmt, env)
+            if result is not None:
+                return result[0]
+        return NULL
 
     def _resolve_ref(self, ref: FuncRefV, node=None) -> Closure:
-        # A function reference names a global; globals have no parent.
-        target = self.globals.vars.get(ref.name, _ABSENT)
+        # A function reference names a global; globals hold only closures.
+        target = self.globals.vars.get(ref.name)
         if type(target) is not Closure:
-            if target is _ABSENT:
+            if target is None:
                 raise _err(f"unbound name {ref.name!r}", node)
             raise _err(f"&{ref.name} does not name a function", node)
         return target
@@ -251,22 +254,16 @@ class Interpreter:
     def resume(self, inst: GenInstance, value):
         """Resume protocol: first resumption discards its value and runs from
         the top; later ones deliver the value to a `let x = yield` receiver;
-        a finished instance keeps returning null."""
-        if inst.done:
-            return NULL
+        the finishing one returns the `return` value, or null; a finished
+        instance keeps returning null, because a finished Python generator
+        raises a bare StopIteration on every later send."""
         if not inst.started:
-            inst.runner = _exec_gen(self, inst.closure.body.stmts, inst.env)
             inst.started = True
             value = None  # not-started: the argument is discarded
         try:
             return inst.runner.send(value)
         except StopIteration as stop:
-            inst.done = True
-            # Falling off the end or a bare return finishes with _ABSENT:
-            # that resumption observes null and the trace records nothing.
-            # An explicit `return null` is a real finish value.
-            inst.finish_value = _ABSENT if stop.value is None else stop.value[0]
-            return NULL if inst.finish_value is _ABSENT else inst.finish_value
+            return NULL if stop.value is None else stop.value[0]
         except ValueError:
             raise _err("generator is already running")
 
@@ -276,14 +273,6 @@ class Interpreter:
 # Every handler takes (interpreter, node, env) and starts by charging the
 # node's step. Statement handlers return None, or the `(value,)` of a
 # `return` for the executor to pass up.
-
-
-def _exec(it: Interpreter, stmts, env: Env):
-    for stmt in stmts:
-        result = _STMT[type(stmt)](it, stmt, env)
-        if result is not None:
-            return result
-    return None
 
 
 def _exec_gen(it: Interpreter, stmts, env: Env):
@@ -323,10 +312,6 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
 
 # The statements that `_exec_gen` runs itself, because they may yield.
 _GEN_KINDS = frozenset({If, While, YieldStmt, LetYield})
-
-
-def _eval(it: Interpreter, expr, env: Env):
-    return _EXPR[type(expr)](it, expr, env)
 
 
 # -- statements -----------------------------------------------------------------
@@ -374,7 +359,7 @@ def _if(it, stmt, env):
             return None
     else:
         raise _not_bool(truth, cond)
-    # The branch runs here, not through _exec: one Python frame per level.
+    # The branch runs here, not through a helper: one Python frame per level.
     for inner in block.stmts:
         result = _STMT[type(inner)](it, inner, env)
         if result is not None:
@@ -404,7 +389,7 @@ def _return(it, stmt, env):
         raise BudgetExceeded(_OVER)
     value = stmt.value
     if value is None:
-        return _BARE
+        return (NULL,)
     return (_EXPR[type(value)](it, value, env),)
 
 
@@ -585,7 +570,7 @@ def _record_lit(it, expr, env):
     it.steps += 1
     if it.steps > it.step_budget:
         raise BudgetExceeded(_OVER)
-    return Record({k: _eval(it, v, env) for k, v in expr.fields})
+    return Record({k: _EXPR[type(v)](it, v, env) for k, v in expr.fields})
 
 
 def _func_ref(it, expr, env):
@@ -663,13 +648,16 @@ def resume_sequence(
     """The caller-observable protocol: the raw result of every `next`,
     one per resume value, with no early stop (a finished native instance
     keeps producing null exactly like an exhausted state machine). This
-    is the unit the differential oracle compares across forms. A runtime
-    error is re-raised with the index of the resumption that raised it."""
+    is the unit the differential oracle compares across forms."""
     interp_ = Interpreter(program, step_budget)
-    factory = interp_.globals.lookup(gen_name)
-    if not isinstance(factory, Closure):
-        raise InterpError(f"{gen_name!r} is not a function")
-    instance = interp_.call(factory, list(args))
+    instance = interp_.call(interp_.globals.lookup(gen_name), list(args))
+    return trace_instance(interp_, instance, resume_values)
+
+
+def trace_instance(interp_: Interpreter, instance, resume_values) -> list:
+    """Resume `instance` once per resume value and return the results. A
+    runtime error is re-raised with the index of the resumption that
+    raised it. resume_sequence and cfg.eval_cfg both trace through here."""
     results = []
     for index, value in enumerate(resume_values):
         try:

@@ -95,7 +95,6 @@ from .syntax import (
     Stmt,
     Var,
     While,
-    declared_locals,
     identifiers,
     program_identifiers,
 )
@@ -171,7 +170,7 @@ def plan_generator(
         inlined = _inlined(graph)
     if names is None:
         names = NameAllocator(identifiers(func))
-    hoisted = [n for n in declared_locals(func.body) if n not in func.params]
+    hoisted = [n for n in graph.declared if n not in func.params]
     plan = StateMachinePlan(
         func=func.name,
         states=sorted(set(graph.blocks) - inlined),

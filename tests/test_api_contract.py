@@ -6,7 +6,10 @@ import ast
 import importlib
 from pathlib import Path
 
-from corolower.interp import resume_sequence
+import pytest
+
+from corolower.cli import program_forms
+from corolower.interp import Closure, GenInstance, Interpreter, Record, resume_any, resume_sequence
 from corolower.parser import parse_source
 
 from conftest import FIB_SOURCE
@@ -44,3 +47,22 @@ def test_resume_sequence_returns_a_plain_list():
     result = resume_sequence(program, "fib", [], [None] * 5, 10_000)
     assert type(result) is list
     assert result == [0, 1, 1, 2, 3]
+
+
+def test_run_returns_the_printed_list_and_counts_steps():
+    interp = Interpreter(parse_source(FIB_SOURCE), 10_000)
+    output = interp.run()
+    assert type(output) is list
+    assert output == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    assert type(interp.steps) is int and interp.steps > 0
+
+
+@pytest.mark.parametrize(
+    "form, kind",
+    [("native", GenInstance), ("lowered-opt", Closure), ("first-order", Record)],
+)
+def test_resume_any_resumes_the_instance_of_every_form(form, kind):
+    interp = Interpreter(program_forms(parse_source(FIB_SOURCE))[form], 10_000)
+    instance = interp.call(interp.globals.lookup("fib"), [])
+    assert type(instance) is kind
+    assert [resume_any(interp, instance, None) for _ in range(6)] == [0, 1, 1, 2, 3, 5]

@@ -15,7 +15,7 @@ from corolower.cfg import (
     merge_blocks,
     yield_count,
 )
-from corolower.errors import TransformError
+from corolower.errors import InterpError, TransformError
 from corolower.interp import resume_sequence
 from corolower.parser import parse_source
 from corolower.syntax import (
@@ -283,6 +283,24 @@ def test_eval_cfg_constant_branch_goes_one_way():
 def test_eval_cfg_receiver_binding():
     graph = build_cfg(gen_decl("let x = yield 1 yield x * 2"))
     assert eval_cfg(graph, {"x": None}, [None, 21, 5]) == [1, 42, None]
+
+
+def test_eval_cfg_prebinds_locals_whose_let_merging_dropped():
+    program = parse_source("fn* g() { if (false) { let x = 1 } yield x } fn main() { }")
+    graph = build_cfg(program.decls[0])
+    merged = merge_blocks(graph)
+    assert not any(block.stmts for block in merged.blocks.values())
+    script = [None, None]
+    assert resume_sequence(program, "g", [], script) == [None, None]
+    assert eval_cfg(graph, {}, script, program) == [None, None]
+    assert eval_cfg(merged, {}, script, program) == [None, None]
+
+
+def test_eval_cfg_error_names_the_resumption():
+    program = parse_source("fn* g() { yield 1 yield 1 / 0 } fn main() { }")
+    with pytest.raises(InterpError) as err:
+        eval_cfg(build_cfg(program.decls[0]), {}, [None, None], program)
+    assert str(err.value) == "resumption 1: division by zero (line 1, col 27)"
 
 
 # -- DOT rendering ---------------------------------------------------------------

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from corolower.cli import main
+from corolower import cli
+from corolower.cli import diff_forms, main, program_forms
+from corolower.parser import parse_source
+from corolower.printer import print_source
 
 from conftest import CORPUS_DIR, FIB_SOURCE, GOLDEN_DIR, wide_source
 
@@ -213,6 +216,57 @@ def test_diff_names_the_failing_resumption(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: resumption 1: division by zero (line 1, col 27)\n"
+
+
+def corrupted_fib_forms():
+    """fib's forms with the lowered-opt machine adding one to b."""
+    forms = program_forms(parse_source(FIB_SOURCE))
+    text = print_source(forms["lowered-opt"])
+    corrupted = text.replace("b = c + a", "b = c + a + 1")
+    assert corrupted != text
+    forms["lowered-opt"] = parse_source(corrupted)
+    return forms
+
+
+CORRUPTED_FIB_REPORT = [
+    "lowered-opt: output line 2: expected 1, got 2",
+    "lowered-opt: generator fib: resumption 2: expected 1, got 2",
+]
+
+
+def test_diff_forms_reports_the_first_divergence_of_output_and_trace():
+    assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
+
+
+def test_diff_prints_each_divergence_indented_and_exits_3(capsys, monkeypatch, fib_path):
+    forms = corrupted_fib_forms()
+    monkeypatch.setattr(cli, "program_forms", lambda program: forms)
+    code, out, err = run_cli(capsys, "diff", fib_path)
+    assert code == 3
+    assert out == ""
+    assert err == "".join(
+        [f"{fib_path}: DIVERGED\n"] + [f"  {line}\n" for line in CORRUPTED_FIB_REPORT]
+    )
+
+
+def test_diff_of_several_files_reports_each_before_a_later_failure(capsys, tmp_path, fib_path):
+    lowered = tmp_path / "fib.lowered.mini"
+    assert run_cli(capsys, "compile", fib_path, "-o", lowered)[0] == 0
+    bad = tmp_path / "fib.bad.mini"
+    bad.write_text(lowered.read_text().replace("b = c + a", "b = c + a + 1"))
+    short = tmp_path / "short.mini"
+    short.write_text("fn main() { print(0) print(1) }")
+    crash = tmp_path / "crash.mini"
+    crash.write_text("fn main() { print(1 / 0) }")
+    code, out, err = run_cli(capsys, "diff", fib_path, lowered, bad, short, crash)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"{lowered}: OK (matches {fib_path})\n"
+        f"{bad}: DIVERGED at output line 2: expected 1, got 2\n"
+        f"{short}: DIVERGED at output line 2: expected 1, got <missing>\n"
+        f"error: {crash}: division by zero (line 1, col 21)\n"
+    )
 
 
 def test_diff_all_corpus(capsys):
