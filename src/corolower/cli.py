@@ -91,8 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "merge CFG blocks and run single-predecessor branch arms in place "
-            "when lowering (default on)"
+            "merge CFG blocks, run single-predecessor branch arms in place "
+            "and run if/else joins right after their if when lowering "
+            "(default on)"
         ),
     )
     p_compile.add_argument("-o", "--output", help="output path (default stdout)")
@@ -157,8 +158,19 @@ def _load(path: str) -> Program:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Failure(EXIT_COMPILE, f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise _Failure(
+            EXIT_COMPILE, f"{path}: not UTF-8: {err.reason} at byte {err.start}"
+        ) from None
     with _stage(EXIT_COMPILE, path):
         return parse_source(source)
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise _Failure(EXIT_COMPILE, f"{path}: cannot write: {err.strerror}") from None
 
 
 def cmd_compile(args) -> int:
@@ -175,7 +187,7 @@ def cmd_compile(args) -> int:
         except MiniError as err:
             raise _Failure(EXIT_COMPILE, f"{args.input}: compiled output: {err}") from None
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(Path(args.output), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -200,7 +212,12 @@ def cmd_cfg(args) -> int:
         print("warning: no generators in program", file=sys.stderr)
         return EXIT_OK
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise _Failure(
+            EXIT_COMPILE, f"{out_dir}: cannot make directory: {err.strerror}"
+        ) from None
     for decl in generators:
         with _stage(EXIT_COMPILE, args.input):
             graph = cfg_mod.build_cfg(decl)
@@ -208,7 +225,7 @@ def cmd_cfg(args) -> int:
                 graph = cfg_mod.merge_blocks(graph)
             dot = cfg_mod.emit_dot(graph, decl.name)
         path = out_dir / f"{decl.name}.dot"
-        path.write_text(dot, encoding="utf-8")
+        _write(path, dot)
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 

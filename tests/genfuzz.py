@@ -30,10 +30,11 @@ from corolower.syntax import (
 
 
 class _GenFuzz:
-    def __init__(self, rng: random.Random, params: list[str]):
+    def __init__(self, rng: random.Random, params: list[str], arm_yields: bool):
         self.rng = rng
         self.vars = list(params) + ["v0", "v1"]
         self.loops = 0
+        self.arm_yields = arm_yields
 
     def int_expr(self, depth=2):
         rng = self.rng
@@ -62,6 +63,19 @@ class _GenFuzz:
         self.vars = saved
         return block
 
+    def arm(self, depth, budget) -> Block:
+        if self.arm_yields:
+            return self.scoped(depth, budget)
+        # Assignments and prints only, so the arms of an if/else meet at a
+        # join unless a loop header follows it.
+        rng = self.rng
+        return Block([
+            Assign(rng.choice(self.vars), self.int_expr())
+            if rng.random() < 0.75
+            else Print(self.int_expr())
+            for _ in range(rng.randrange(1, 4))
+        ])
+
     def stmts(self, depth, budget):
         rng = self.rng
         out = []
@@ -75,12 +89,14 @@ class _GenFuzz:
                 # Resume scripts feed integers, so within this statement
                 # list the receiver is int-valued from here on.
                 self.vars.append(name)
-            elif roll < 0.62:
+            elif roll < 0.62 and (self.arm_yields or depth == 0):
                 out.append(Assign(rng.choice(self.vars), self.int_expr()))
             elif roll < 0.72 and depth > 0:
+                # Without arm yields, an if/else takes the share of the
+                # assignment above too, so more programs have joins.
                 cond = self.cond()
-                then = self.scoped(depth - 1, budget)
-                orelse = self.scoped(depth - 1, budget) if rng.random() < 0.6 else None
+                then = self.arm(depth - 1, budget)
+                orelse = self.arm(depth - 1, budget) if rng.random() < 0.6 else None
                 out.append(If(cond, then, orelse))
             elif roll < 0.82 and depth > 0 and budget > 0:
                 counter = f"w{self.loops}"
@@ -103,15 +119,22 @@ class _GenFuzz:
         return out
 
 
-def random_generator_program(seed: int) -> tuple[Program, str, int]:
+def random_generator_program(
+    seed: int, arm_yields: bool = True
+) -> tuple[Program, str, int]:
     """A program holding one random generator plus an empty main; returns
-    (program, generator name, arity)."""
+    (program, generator name, arity). Without `arm_yields`, the same seed
+    draws a generator whose `if` arms hold only assignments and prints,
+    and whose body ends in a yield, so that most of its if/else
+    statements have a join that runs after them."""
     rng = random.Random(seed)
     arity = rng.randrange(0, 3)
     params = [f"p{i}" for i in range(arity)]
-    fuzz = _GenFuzz(rng, params)
+    fuzz = _GenFuzz(rng, params, arm_yields)
     body = [Let("v0", IntLit(rng.randrange(0, 10))), Let("v1", self_init(rng, params))]
     body += fuzz.stmts(depth=2, budget=2)
+    if not arm_yields:
+        body.append(YieldStmt(Var("v0")))
     decls = [
         FuncDecl("gen", params, True, Block(body)),
         FuncDecl("main", [], False, Block([])),

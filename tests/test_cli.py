@@ -89,6 +89,33 @@ def test_non_ascii_digit_exit_1(capsys, tmp_path, command):
     assert err == f"error: {path}: unexpected character '\u00b2' (line 1, col 19)\n"
 
 
+@pytest.mark.parametrize("command", ["run", "compile", "cfg", "diff"])
+def test_non_utf8_source_exit_1(capsys, tmp_path, command):
+    path = tmp_path / "latin1.mini"
+    # Latin-1 `é` at byte 29, after 23 bytes of code and `// caf`.
+    path.write_bytes(b"fn main() { print(1) }\n// caf\xe9\n")
+    out_dir = ["--out-dir", tmp_path] if command == "cfg" else []
+    code, out, err = run_cli(capsys, command, path, *out_dir)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: not UTF-8: invalid continuation byte at byte 29\n"
+
+
+def test_compile_to_a_missing_directory_exit_1(capsys, tmp_path, fib_path):
+    target = tmp_path / "missing" / "fib.lowered.mini"
+    code, out, err = run_cli(capsys, "compile", fib_path, "-o", target)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {target}: cannot write: No such file or directory\n"
+
+
+def test_cfg_out_dir_naming_a_file_exit_1(capsys, fib_path):
+    code, out, err = run_cli(capsys, "cfg", fib_path, "--out-dir", fib_path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {fib_path}: cannot make directory: File exists\n"
+
+
 def test_runtime_error_exit_2(capsys, tmp_path):
     path = tmp_path / "crash.mini"
     path.write_text("fn main() {\n  print(1 / 0)\n}")

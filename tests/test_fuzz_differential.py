@@ -1,6 +1,8 @@
 """Randomized differential check: seeded runnable generators traced
 through every form and through the CFG executor. A wider sweep (2000+
-seeds) runs clean; 200 keep the suite fast."""
+seeds) runs clean; 200 keep the suite fast. A second sweep draws the
+same seeds without yields in `if` arms, so that the optimized lowering
+runs if/else joins after their `if`."""
 
 import pytest
 
@@ -10,7 +12,7 @@ from corolower.defunc import defunctionalize
 from corolower.interp import resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
-from corolower.transform import CHAIN_MAX, transform_program
+from corolower.transform import CHAIN_MAX, plan_generator, transform_program
 
 from genfuzz import random_generator_program
 
@@ -18,8 +20,8 @@ SEEDS = range(200)
 SCRIPT = [None] + list(range(1, 30))
 
 
-def check_forms_agree(seed):
-    program, name, arity = random_generator_program(seed)
+def check_forms_agree(seed, arm_yields=True):
+    program, name, arity = random_generator_program(seed, arm_yields)
     args = list(range(1, arity + 1))
     reference = resume_sequence(program, name, args, SCRIPT)
     lowered_opt = transform_program(program, True)
@@ -36,9 +38,7 @@ def check_forms_agree(seed):
     return program, name, args, reference
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_generator_agrees_across_forms(seed):
-    program, name, args, native = check_forms_agree(seed)
+def check_eval_cfg_agrees(program, name, args, native):
     decl = program.decls[0]
     bindings = dict(zip(decl.params, args))
     graph = build_cfg(decl)
@@ -47,8 +47,30 @@ def test_random_generator_agrees_across_forms(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_random_generator_agrees_across_forms(seed):
+    check_eval_cfg_agrees(*check_forms_agree(seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_random_generator_agrees_across_threaded_forms(seed, monkeypatch):
     # Threaded dispatch for every machine above CHAIN_MAX states; otherwise
     # no program here reaches it (the largest has 11 states).
     monkeypatch.setattr(transform, "BISECT_MAX", CHAIN_MAX)
     check_forms_agree(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_generator_with_joins_agrees_across_forms(seed, monkeypatch):
+    check_eval_cfg_agrees(*check_forms_agree(seed, arm_yields=False))
+    monkeypatch.setattr(transform, "BISECT_MAX", CHAIN_MAX)
+    check_forms_agree(seed, arm_yields=False)
+
+
+def test_the_join_sweep_plans_joins():
+    # With yields in `if` arms, 3 of the 200 seeds plan a join.
+    planned = {True: 0, False: 0}
+    for arm_yields in planned:
+        for seed in SEEDS:
+            program, _, _ = random_generator_program(seed, arm_yields)
+            planned[arm_yields] += bool(plan_generator(program.decls[0])[1].joins)
+    assert planned == {True: 3, False: 76}

@@ -134,19 +134,20 @@ fn main() {
 def test_many_short_tally_steps_per_next():
     # 1,000 three-round receivers resumed five times each. Optimized, the
     # yield, the two arms of the null test and the finish run in place of
-    # their branch arm, so the machine has 4 states (1, 2, 4 and 7) of
-    # its 8 blocks. Merging finds no goto chain here, and unoptimized the
-    # machine has all 8.
+    # their branch arm, and the join after the null test (`round = round
+    # + 1`) runs right after its `if`, so the machine has 3 states (1, 2
+    # and 4) of its 8 blocks. Merging finds no goto chain here, and
+    # unoptimized the machine has all 8.
     nexts = 5_000
     steps = steps_per_form(TALLY_SOURCE)
     assert steps == {
         "native": 102_006,
-        "lowered-opt": 302_006,
+        "lowered-opt": 238_006,
         "lowered-noopt": 478_006,
-        "first-order": 419_006,
+        "first-order": 339_006,
     }
     per_next = [round(steps[form] / nexts, 2) for form in FORMS]
-    assert per_next == [20.40, 60.40, 95.60, 83.80]
+    assert per_next == [20.40, 47.60, 95.60, 67.80]
 
 
 FIB_VALUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]

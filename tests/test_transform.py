@@ -36,7 +36,7 @@ from corolower.transform import (
     transform_program,
 )
 
-from conftest import CORPUS_FILES, FIB_SOURCE, GOLDEN_DIR, RECEIVE_SOURCE, wide_source
+from conftest import CORPUS_DIR, CORPUS_FILES, FIB_SOURCE, GOLDEN_DIR, RECEIVE_SOURCE, wide_source
 
 # The two-yield coroutine of the paper, and its expected machine: state 1
 # returns n and advances; state 2 binds the resume value, finishes, and
@@ -254,8 +254,11 @@ def successors(block):
 def expected_states(graph, opt):
     """The blocks that are dispatch states. Unoptimized, every block.
     Optimized, the entry, the resume targets, the blocks with two or more
-    predecessor edges and the blocks ending in a branch; any other block
-    runs in place of the one edge that reaches it."""
+    predecessor edges and the blocks ending in a branch, except the
+    joins; any other block runs in place of the one edge that reaches
+    it. A join has exactly two predecessor edges, both ending the arms of
+    one branch, each directly or through blocks that run in place and end
+    in a goto; it runs right after its branch's `if`."""
     if not opt:
         return set(graph.blocks)
     preds = {bid: 0 for bid in graph.blocks}
@@ -267,23 +270,50 @@ def expected_states(graph, opt):
             preds[block.terminator.then] += 1  # both arms are edges
         if isinstance(block.terminator, YieldTo):
             resumes.add(block.terminator.resume)
-    return (
+    states = (
         {graph.entry}
         | resumes
         | {bid for bid, n in preds.items() if n >= 2}
         | {bid for bid, b in graph.blocks.items() if isinstance(b.terminator, Branch)}
     ) - {END}
 
+    def arm_end(target):
+        while target != END and target not in states:
+            term = graph.blocks[target].terminator
+            if not isinstance(term, Goto):
+                return None
+            target = term.target
+        return target
+
+    joins = set()
+    for block in graph.blocks.values():
+        term = block.terminator
+        if isinstance(term, Branch):
+            end = arm_end(term.then)
+            if (
+                end not in (None, END, graph.entry)
+                and end not in resumes
+                and preds[end] == 2
+                and arm_end(term.orelse) == end
+            ):
+                joins.add(end)
+    return states - joins
+
 
 def region_exits(graph, states, bid):
     """The states (and END) that control reaches from block `bid` before
-    it meets another state: the successors of its inlined region."""
-    out = set()
-    for target in successors(graph.blocks[bid]):
+    it meets another state: the successors of its inlined region. Both
+    arms of a branch reach its join, so the walk skips blocks it has
+    seen, and it is a loop because a run of joins can be long."""
+    out, seen = set(), set()
+    stack = list(successors(graph.blocks[bid]))
+    while stack:
+        target = stack.pop()
         if target == END or target in states:
             out.add(target)
-        else:
-            out |= region_exits(graph, states, target)
+        elif target not in seen:
+            seen.add(target)
+            stack.extend(successors(graph.blocks[target]))
     return out
 
 
@@ -295,6 +325,15 @@ def check_arms_follow_the_cfg(decl, opt):
     assert sorted(arms) == plan.states == sorted(states)
     for state in states:
         assert transfers(machine, arms[state]) == region_exits(graph, states, state), state
+    # Every branch is emitted once, a join's included, and an arm holds
+    # no branch, so no block is copied and nothing nests deeper.
+    ifs = [
+        node for stmts in arms.values() for stmt in stmts for node in walk(stmt)
+        if isinstance(node, If)
+    ]
+    assert len(ifs) == sum(isinstance(b.terminator, Branch) for b in graph.blocks.values())
+    for node in ifs:
+        assert not any(isinstance(n, If) for n in walk(node) if n is not node)
     return machine
 
 
@@ -316,6 +355,87 @@ def test_receive_lowered_file_golden():
     program = parse_source(RECEIVE_SOURCE)
     expected = GOLDEN_DIR.joinpath("receive.lowered.mini").read_text()
     assert print_source(transform_program(program, True)) == expected
+
+
+TALLY_SOURCE = """
+fn* tally(start) {
+  let total = start
+  let round = 0
+  while (round < 3) {
+    let add = yield total
+    if (add == null) {
+      total = total
+    } else {
+      total = total + add
+    }
+    round = round + 1
+  }
+  return total
+}
+fn main() { }
+"""
+
+# many-short's receiver: the arms of the null test run in their `if`, and
+# its join, `round = round + 1`, right after it, so the states are 1, 2
+# and 4 of the 8 merged blocks.
+TALLY_MACHINE = """
+fn tally(start) {
+  let _i = 1
+  let total = null
+  let round = null
+  let add = null
+  return fn (_r) {
+    while (true) {
+      if (_i == 1) {
+        total = start
+        round = 0
+        _i = 2
+      } else {
+        if (_i == 2) {
+          if (round < 3) {
+            _i = 4
+            return total
+          } else {
+            _i = 0
+            return total
+          }
+        } else {
+          if (_i == 4) {
+            add = _r
+            if (add == null) {
+              total = total
+            } else {
+              total = total + add
+            }
+            round = round + 1
+            _i = 2
+          } else {
+            return null
+          }
+        }
+      }
+    }
+  }
+}
+"""
+
+
+def test_tally_join_runs_after_its_if():
+    decl = parse_source(TALLY_SOURCE).decls[0]
+    graph, plan = plan_generator(decl, True)
+    assert plan.states == [1, 2, 4] and len(graph.blocks) == 8
+    assert plan.joins == {4: 7}
+    expected = parse_source(TALLY_MACHINE + "fn main() { }").decls[0]
+    assert rewrite_generator(decl, True) == expected
+
+
+def test_an_if_without_else_keeps_no_else():
+    # joins.rounds' `if (total < 0)`: its else arm is the edge to its
+    # join, so the arm is empty and the `if` prints without `else`.
+    program = parse_source((CORPUS_DIR / "joins.mini").read_text())
+    text = print_source(transform_program(program))
+    assert "if (total < 0) {\n              total = 0 - total\n            }\n" in text
+    assert "} else {\n            }" not in text
 
 
 def test_fib_state_counts():
@@ -353,6 +473,8 @@ EXPECTED_STATE_COUNTS = {
     "helper_driver.squares": (3, 3),
     "if_in_loop.signed": (4, 6),
     "interleave.counter": (3, 3),
+    "joins.rounds": (3, 13),
+    "joins.kept": (3, 8),
     "nested_next.inner": (3, 3),
     "nested_next.outer": (3, 4),
     "nested_while.grid": (4, 7),
@@ -532,7 +654,7 @@ def test_dispatch_depth_grows_logarithmically(monkeypatch):
 def test_arms_follow_the_cfg(monkeypatch, bisect_max):
     # Each state's arm hands control to the states its inlined region
     # leads to and to no other, in every scheme; at CHAIN_MAX every
-    # machine above it is threaded.
+    # machine above it is threaded: 8 corpus generators and the wide one.
     monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
     decls = [parse_source(wide_source(50, 1)).decls[0]]
     for path in CORPUS_FILES:
@@ -543,7 +665,7 @@ def test_arms_follow_the_cfg(monkeypatch, bisect_max):
             machine = check_arms_follow_the_cfg(decl, opt)
             if is_threaded(machine):
                 threaded.add(decl.name)
-    assert len(threaded) == (1 if bisect_max == BISECT_MAX else 7)
+    assert len(threaded) == (1 if bisect_max == BISECT_MAX else 9)
 
 
 def yields_source(count):
@@ -692,6 +814,42 @@ def test_three_thousand_flat_guards_stay_flat(tmp_path, capsys):
     assert Interpreter(program).run() == [2999, None, 5000, -5000, None]
     # diff runs and traces every form against the native run.
     path = tmp_path / "guards.mini"
+    path.write_text(source)
+    assert cli.main(["diff", str(path)]) == 0
+    assert capsys.readouterr().err.strip().endswith(": OK")
+
+
+def diamonds_source(count):
+    """A generator of `count` sequential if/else statements without a
+    yield in their arms, then a yield: each join is the next branch."""
+    diamonds = "".join(
+        f"  if (x % {k + 2} == 0) {{\n    x = x + {k}\n  }} else {{\n    x = x - 1\n  }}\n"
+        for k in range(count)
+    )
+    return (
+        f"fn* g(x) {{\n{diamonds}  yield x\n  return 0 - x\n}}\n\n"
+        "fn main() {\n  let a = g(7)\n  print(next(a))\n  print(next(a))\n"
+        "  print(next(a))\n}\n"
+    )
+
+
+def test_a_thousand_sequential_diamonds_stay_flat(tmp_path, capsys):
+    # Each join runs after its branch's `if` at the same level, and the
+    # emitter walks the run of joins in a loop, so 1,000 diamonds are one
+    # flat sequence of `if`s in the entry state.
+    assert sys.getrecursionlimit() <= 1000
+    source = diamonds_source(1000)
+    program = parse_source(source)
+    graph, plan = plan_generator(program.decls[0], True)
+    assert plan.states == [1, len(graph.blocks)] and len(plan.joins) == 1000
+    lowered = transform_program(program)
+    entry_arm = dispatch_arms(lowered.decls[0])[1]
+    assert sum(isinstance(stmt, If) for stmt in entry_arm) == 1000
+    for form in (lowered, defunctionalize(lowered)):
+        text = print_source(form)
+        assert print_source(parse_source(text)) == text
+    assert Interpreter(lowered).run() == Interpreter(program).run() == [279, -279, None]
+    path = tmp_path / "diamonds.mini"
     path.write_text(source)
     assert cli.main(["diff", str(path)]) == 0
     assert capsys.readouterr().err.strip().endswith(": OK")
