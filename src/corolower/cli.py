@@ -13,12 +13,18 @@ way: code 1 while compiling, 2 while running. Diagnostics go to stderr,
 program output to stdout; `run` writes the output printed before a
 runtime error too. COROLOWER_BUDGET overrides the evaluation step budget
 (default 10^7 steps); it and `diff --budget` must be at least 1.
+
+`diff` compares values by what `print` shows for them. It runs the
+forms in up to one process per usable CPU, each pinned to its own CPU,
+and its report, messages and exit codes are those of a serial run.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,9 +36,7 @@ from .interp import (
     Interpreter,
     NULL,
     render_output,
-    render_value,
     resume_sequence,
-    values_equal,
 )
 from .parser import parse_source
 from .printer import print_source
@@ -251,43 +255,152 @@ def diff_program(program: Program, resumptions: int, step_budget: int) -> list[s
 
 
 def diff_forms(forms: dict[str, Program], resumptions: int, step_budget: int) -> list[str]:
-    """The agreement check on the forms program_forms produced."""
-    results = {
-        "output line": {
-            form: Interpreter(prog, step_budget).run() for form, prog in forms.items()
-        }
-    }
+    """The agreement check on the forms program_forms produced. Every
+    form runs `main` and traces every generator, and the forms agree when
+    `print` would show the same text for every value. The forms are dealt
+    round-robin to up to one process per usable CPU, this one included
+    (see `_run_share`), yet the report and the error raised are those of
+    a serial run: the first run that fails, taking every form's output in
+    form order and then each generator's traces in form order, raises."""
     script = [NULL] + list(range(1, resumptions))
-    for decl in forms["native"].decls:
-        if decl.is_generator:
-            args = list(range(1, len(decl.params) + 1))
-            results[f"generator {decl.name}: resumption"] = {
-                form: resume_sequence(prog, decl.name, args, script, step_budget)
-                for form, prog in forms.items()
-            }
+    traces = [
+        (f"generator {decl.name}: resumption", decl.name, list(range(1, len(decl.params) + 1)))
+        for decl in forms["native"].decls
+        if decl.is_generator
+    ]
+    names = list(forms)
+    cpus = _usable_cpus()
+    workers = max(1, min(len(names), len(cpus)))
+    shares = [names[k::workers] for k in range(workers)]
+    children = []  # (share, pid, pipe) of every child not reaped yet
+    if workers > 1:
+        _pin({cpus[0]})
+    try:
+        rerun = []
+        for share, cpu in zip(shares[1:], cpus[1:]):
+            try:
+                pid, pipe = _run_share(forms, share, traces, script, step_budget, cpu)
+            except OSError:  # no process to spare
+                rerun.append(share)
+            else:
+                children.append((share, pid, pipe))
+        results = _run_share(forms, shares[0], traces, script, step_budget)
+        payloads = [pipe.read() for _, _, pipe in children]
+        for payload in payloads:
+            share, pid, pipe = children[0]
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status == 0:  # the child exited with code 0 after writing
+                results.update(pickle.loads(payload))
+            else:  # the child ended without its results
+                rerun.append(share)
+        for share in rerun:
+            results.update(_run_share(forms, share, traces, script, step_budget))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if workers > 1:
+            _pin(cpus)
+    whats = ["output line"] + [what for what, _, _ in traces]
+    order = [(what, form) for what in whats for form in names]
+    for key in order:
+        if isinstance(results[key], BaseException):
+            raise results[key]
     divergences: list[str] = []
-    for what, by_form in results.items():
-        reference = by_form.pop("native")
-        for form, got in by_form.items():
-            mismatch = _mismatch(reference, got)
-            if mismatch is not None:
-                divergences.append(f"{form}: {what} {mismatch}")
+    for what, form in order:
+        mismatch = _mismatch(results[what, "native"], results[what, form])
+        if mismatch is not None:
+            divergences.append(f"{form}: {what} {mismatch}")
     return divergences
 
 
-def _mismatch(expected: list, got: list) -> str | None:
-    """`i: expected e, got g` for the first index i where the lists differ,
-    or None when they are equal."""
-    for i in range(max(len(expected), len(got))):
-        if i >= len(expected) or i >= len(got) or not values_equal(expected[i], got[i]):
-            return f"{i}: expected {_item_text(expected, i)}, got {_item_text(got, i)}"
-    return None
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in order, or none where it
+    cannot fork workers and pin each to a CPU of its own."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return []
 
 
-def _item_text(values: list, index: int) -> str:
-    if index >= len(values):
-        return "<missing>"
-    return render_value(values[index])
+def _pin(cpus) -> None:
+    """Run this process on `cpus` only, where the system allows it. A
+    kernel that does not balance load between CPUs (a cpuset with
+    sched_load_balance off) keeps a forked child on its parent's CPU, and
+    the workers would take turns on it rather than run at once."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # not a CPU this process may use: run where it is
+        pass
+
+
+def _run_share(forms, share, traces, script, step_budget, cpu=None):
+    """Run `main` in each form of `share`, then each generator's trace in
+    each of them, and stop at the first run that raises a diagnostic or
+    exhausts Python's stack. Returns {(what, form): what `print` would
+    show of the values (render_output), or that error}. Given a `cpu`,
+    a child process pinned to it runs the share at this same stack depth
+    and writes the pickled result to a pipe; this process gets the
+    child's pid and the pipe's read end. A forked child starts with the
+    forms already built and imports nothing; corolower starts no
+    threads, which would make forking unsafe."""
+    fork = cpu is not None
+    if fork:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid:
+            os.close(write_end)
+            return pid, open(read_end, "rb")
+        os.close(read_end)
+    code = 1
+    try:
+        if fork:
+            _pin({cpu})
+        runs = [("output line", form, None) for form in share]
+        runs += [(what, form, (name, args)) for what, name, args in traces for form in share]
+        results = {}
+        for what, form, trace in runs:
+            try:
+                if trace is None:
+                    values = Interpreter(forms[form], step_budget).run()
+                else:
+                    values = resume_sequence(forms[form], *trace, script, step_budget)
+                results[what, form] = render_output(values)
+            except (MiniError, RecursionError) as err:
+                results[what, form] = err
+                break
+        if not fork:
+            return results
+        with open(write_end, "wb") as pipe:
+            pickle.dump(results, pipe)
+        code = 0
+    finally:
+        if fork:  # the child never returns to its caller
+            os._exit(code)
+
+
+def _mismatch(expected: str, got: str) -> str | None:
+    """`i: expected e, got g` for the first line i where two outputs of
+    render_output differ, or None when they are equal. A rendered value
+    holds no line break."""
+    if expected == got:
+        return None
+    expected_lines, got_lines = expected.splitlines(), got.splitlines()
+    i = 0
+    while i < min(len(expected_lines), len(got_lines)) and expected_lines[i] == got_lines[i]:
+        i += 1
+    return f"{i}: expected {_line(expected_lines, i)}, got {_line(got_lines, i)}"
+
+
+def _line(lines: list[str], index: int) -> str:
+    return lines[index] if index < len(lines) else "<missing>"
 
 
 def cmd_diff(args) -> int:
@@ -307,10 +420,10 @@ def cmd_diff(args) -> int:
         # Compare the outputs of later files against the first one.
         reference_path, rest = paths[0], paths[1:]
         with _stage(EXIT_RUNTIME, reference_path):
-            reference = Interpreter(_load(reference_path), step_budget).run()
+            reference = render_output(Interpreter(_load(reference_path), step_budget).run())
         for path in rest:
             with _stage(EXIT_RUNTIME, path):
-                got = Interpreter(_load(path), step_budget).run()
+                got = render_output(Interpreter(_load(path), step_budget).run())
             mismatch = _mismatch(reference, got)
             if mismatch is None:
                 print(f"{path}: OK (matches {reference_path})", file=sys.stderr)

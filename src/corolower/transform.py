@@ -28,8 +28,9 @@ leaves, which hold no branch, so a flat run of thousands of
 `if (x == k) { return k }` guards nests no deeper than one of them. A
 join may end in a branch with a join of its own, so a run of if/else
 statements without yields in their arms becomes one flat run of `if`s,
-which the emitter walks in a loop. Unoptimized, every block is a
-state.
+which the emitter walks in a loop. An arm that ends the generator
+selects the sink and returns null in place, instead of passing the
+dispatch once more. Unoptimized, every block is a state.
 
 The dispatch scheme depends only on the number of states:
 
@@ -208,6 +209,8 @@ def rewrite_generator(
     receivers = _receivers(graph)
     states = set(plan.states)
     inlined = {bid: block for bid, block in graph.blocks.items() if bid not in states}
+    if opt:  # a transfer to the end selects the sink and returns null in place
+        inlined[END] = BasicBlock(END, [], Finish())
     if len(plan.states) > BISECT_MAX:
         body = _threaded_factory(graph, plan, receivers, inlined, names)
     else:

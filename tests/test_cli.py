@@ -7,6 +7,7 @@ import pytest
 
 from corolower import cli
 from corolower.cli import diff_forms, main, program_forms
+from corolower.errors import BudgetExceeded
 from corolower.parser import parse_source
 from corolower.printer import print_source
 
@@ -274,6 +275,140 @@ def test_diff_prints_each_divergence_indented_and_exits_3(capsys, monkeypatch, f
     assert err == "".join(
         [f"{fib_path}: DIVERGED\n"] + [f"  {line}\n" for line in CORRUPTED_FIB_REPORT]
     )
+
+
+RECORDS_SOURCE = (
+    "fn* g() { yield { a: 1, b: { c: null } } yield {} }\n"
+    "fn main() { let r = { b: 2 } print(r) }\n"
+)
+
+
+def test_diff_compares_records_by_what_print_shows(capsys, tmp_path):
+    # Each form runs in an interpreter of its own, so the records it
+    # prints and yields are never the native run's records.
+    path = tmp_path / "records.mini"
+    path.write_text(RECORDS_SOURCE)
+    code, out, err = run_cli(capsys, "diff", path)
+    assert (code, out, err) == (0, "", f"{path}: OK\n")
+
+
+def test_a_record_that_prints_differently_diverges(capsys, monkeypatch, tmp_path):
+    forms = program_forms(parse_source(RECORDS_SOURCE))
+    forms["first-order"] = parse_source(
+        RECORDS_SOURCE.replace("{ c: null }", "{ c: 0 }").replace("{ b: 2 }", "{ b: 3 }")
+    )
+    monkeypatch.setattr(cli, "program_forms", lambda program: forms)
+    path = tmp_path / "records.mini"
+    path.write_text(RECORDS_SOURCE)
+    code, out, err = run_cli(capsys, "diff", path)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"{path}: DIVERGED\n"
+        "  first-order: output line 0: expected { b: 2 }, got { b: 3 }\n"
+        "  first-order: generator g: resumption 0: "
+        "expected { a: 1, b: { c: null } }, got { a: 1, b: { c: 0 } }\n"
+    )
+
+
+def cpus(monkeypatch, count):
+    """Make `count` CPUs usable, so that diff deals its forms to
+    min(count, 4) processes on any machine. Pinning a process to CPUs is
+    recorded instead of done; returns the record of this process."""
+    pins = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)), raising=False
+    )
+    return pins
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FAILING_FORMS = {
+    "fine": "fn* g() { yield 1 } fn main() { print(1) }",
+    "output": "fn* g() { yield 1 } fn main() { print(1 / 0) }",
+    "output too": "fn* g() { yield 1 } fn main() { print(1 % 0) }",
+    "trace": "fn* g() { yield 2 / 0 } fn main() { print(1) }",
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize(
+    "failing, message",
+    [
+        # Forms in form order, whichever process runs them.
+        (("output", "output too", "fine"), "division by zero (line 1, col 41)"),
+        # Every output before any trace.
+        (("trace", "output too", "output"), "modulo by zero (line 1, col 41)"),
+    ],
+    ids=["form-order", "outputs-first"],
+)
+def test_diff_raises_the_error_a_serial_run_reaches_first(
+    capsys, monkeypatch, tmp_path, count, failing, message
+):
+    cpus(monkeypatch, count)
+    forms = {"native": parse_source(FAILING_FORMS["fine"])}
+    for form, kind in zip(("lowered-opt", "lowered-noopt", "first-order"), failing):
+        forms[form] = parse_source(FAILING_FORMS[kind])
+    monkeypatch.setattr(cli, "program_forms", lambda program: forms)
+    path = tmp_path / "fine.mini"
+    path.write_text(FAILING_FORMS["fine"])
+    code, out, err = run_cli(capsys, "diff", path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_diff_forms_leaves_no_child(monkeypatch, count):
+    # Nor a pin: this process runs on the first CPU while its children
+    # run, and on every usable CPU again once they are reaped.
+    pins = cpus(monkeypatch, count)
+    assert diff_forms(program_forms(parse_source(FIB_SOURCE)), 100, 10_000_000) == []
+    assert_no_child_left()
+    assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
+    assert_no_child_left()
+    with pytest.raises(BudgetExceeded):
+        diff_forms(corrupted_fib_forms(), 100, 50)
+    assert_no_child_left()
+    assert pins == ([{0}, set(range(count))] * 3 if count > 1 else [])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_diff_forms_gives_back_the_cpus_it_pinned():
+    usable = os.sched_getaffinity(0)
+    assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
+    assert os.sched_getaffinity(0) == usable
+    assert_no_child_left()
+
+
+def test_diff_forms_runs_every_share_itself_on_one_cpu(monkeypatch):
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", fork)
+    assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
+
+
+def test_diff_forms_reruns_the_share_of_a_child_without_results(monkeypatch):
+    # A child that cannot pickle its results exits without them, and the
+    # parent runs that child's forms itself; so does a fork that fails.
+    def no_pickle(results, pipe):
+        raise RuntimeError("cannot pickle")
+
+    cpus(monkeypatch, 4)
+    monkeypatch.setattr(cli.pickle, "dump", no_pickle)
+    assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
+    assert_no_child_left()
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
 
 
 def test_diff_of_several_files_reports_each_before_a_later_failure(capsys, tmp_path, fib_path):
