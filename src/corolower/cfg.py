@@ -1,6 +1,7 @@
 """Control flow graphs of generator bodies.
 
-Blocks hold straight-line statements; control transfers live in the
+Blocks hold statements that never leave the generator, a whole `if` or
+`while` among them (see build_cfg); control transfers live in the
 terminator (goto, two-way branch, yield, finish). Yields end their block
 because they are exactly the points where the lowering must cut states.
 
@@ -38,6 +39,7 @@ from .interp import (
     _bool,
     trace_instance,
 )
+from .parser import MAX_NESTING
 from .printer import expr_source, stmt_lines
 from .syntax import (
     Assign,
@@ -55,6 +57,8 @@ from .syntax import (
     Stmt,
     While,
     YieldStmt,
+    nesting,
+    walk,
 )
 
 END = 0
@@ -125,18 +129,22 @@ def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
     return term
 
 
+def _cuts(stmt: Stmt) -> bool:
+    """Whether a statement holds a yield or a return, closure bodies aside."""
+    cuts = (YieldStmt, LetYield, Return)
+    return any(isinstance(node, cuts) for node in walk(stmt, into_functions=False))
+
+
 def check_cfg(graph: Cfg) -> None:
     """Structural invariants: dense ids 1..n, entry = 1, no dangling edges,
-    straight-line statements only inside blocks."""
+    no yield or return inside a block's statements."""
     ids = sorted(graph.blocks)
     assert ids == list(range(1, len(ids) + 1)), f"non-dense block ids {ids}"
     assert graph.entry == 1, f"entry is {graph.entry}, expected 1"
     for bid, block in graph.blocks.items():
         assert block.id == bid
         for stmt in block.stmts:
-            assert isinstance(stmt, _STRAIGHT_LINE), (
-                f"control-flow statement inside block {bid}: {stmt!r}"
-            )
+            assert not _cuts(stmt), f"yield or return inside block {bid}: {stmt!r}"
         for target in targets(block.terminator):
             assert target == END or target in graph.blocks, (
                 f"dangling edge {bid} -> {target}"
@@ -147,10 +155,11 @@ def check_cfg(graph: Cfg) -> None:
 
 
 class _Builder:
-    def __init__(self):
+    def __init__(self, room: int | None):
         self.stmts: dict[int, list[Stmt]] = {}
         self.terms: dict[int, Terminator | None] = {}
         self._next = 1
+        self.room = room  # the most nesting a whole if or while may have
 
     def fresh(self) -> int:
         bid = self._next
@@ -163,6 +172,7 @@ class _Builder:
         """Lower a statement list into blocks starting at cur; returns the
         open continuation block, or None when every path returned.
         Statements after a return are unreachable and dropped."""
+        opt = self.room is not None
         for stmt in stmts:
             if cur is None:
                 break
@@ -176,6 +186,14 @@ class _Builder:
             elif isinstance(stmt, Return):
                 self.terms[cur] = Finish(stmt.value)
                 cur = None
+            elif opt and isinstance(stmt, If) and isinstance(stmt.cond, BoolLit):
+                arm = stmt.then if stmt.cond.value else stmt.orelse
+                if arm is not None:  # only the arm that runs
+                    cur = self.lower(arm.stmts, cur)
+            elif opt and stmt.cond == BoolLit(False):
+                pass  # a loop that never runs
+            elif opt and stmt.cond != BoolLit(True) and not _cuts(stmt) and nesting(stmt) <= self.room:
+                self.stmts[cur].append(stmt)  # whole; `while (true)` stays a loop of the graph
             elif isinstance(stmt, If):
                 join = self.fresh()
                 then_entry = self.fresh()
@@ -206,12 +224,16 @@ class _Builder:
         return cur
 
 
-def build_cfg(func: FuncDecl) -> Cfg:
+def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
     """Build the control flow graph of a validated generator body, route
-    edges past empty blocks, drop unreachable blocks and renumber."""
+    edges past empty blocks, drop unreachable blocks and renumber. With
+    opt, keep only what a literal test runs, `while (true)` aside, and
+    keep an `if` or `while` without a yield or return whole where its
+    nesting leaves room for the lowering's own (transform.LOWERED_DEPTH)."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
-    b = _Builder()
+    from .transform import LOWERED_DEPTH  # the lowering imports this module
+    b = _Builder(MAX_NESTING - LOWERED_DEPTH if opt else None)
     entry = b.fresh()
     open_block = b.lower(func.body.stmts, entry)
     if open_block is not None:
@@ -456,9 +478,7 @@ def emit_dot(graph: Cfg, name: str = "cfg") -> str:
             lines.append(f'  bb{bid} [shape=circle, xlabel="bb{bid}", label="{label}"];')
         else:
             body = "\\l".join(
-                _escape(line)
-                for stmt in block.stmts
-                for line in _stmt_label(stmt)
+                _escape(line) for stmt in block.stmts for line in stmt_lines(stmt)
             )
             label = body + "\\l" if body else f"bb{bid}"
             lines.append(f'  bb{bid} [shape=box, xlabel="bb{bid}", label="{label}"];')
@@ -487,10 +507,6 @@ def emit_dot(graph: Cfg, name: str = "cfg") -> str:
 
 def _node(target: int) -> str:
     return "end" if target == END else f"bb{target}"
-
-
-def _stmt_label(stmt: Stmt) -> list[str]:
-    return [line.strip() for line in stmt_lines(stmt, 0)]
 
 
 def _escape(text: str) -> str:

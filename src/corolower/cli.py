@@ -95,9 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "merge CFG blocks, run single-predecessor branch arms in place "
-            "and run if/else joins right after their if when lowering "
-            "(default on)"
+            "keep if/while without a yield or return whole, merge CFG "
+            "blocks and run single-predecessor branch arms in place when "
+            "lowering (default on)"
         ),
     )
     p_compile.add_argument("-o", "--output", help="output path (default stdout)")
@@ -200,12 +200,12 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     program = _load(args.input)
     interpreter = Interpreter(program, _step_budget())
-    try:
-        with _stage(EXIT_RUNTIME, args.input):
+    with _stage(EXIT_RUNTIME, args.input):
+        try:
             interpreter.run()
-    finally:
-        # What was printed before a runtime error is output too.
-        sys.stdout.write(render_output(interpreter.output))
+        finally:
+            # What was printed before a runtime error is output too.
+            sys.stdout.write(render_output(interpreter.output))
     return EXIT_OK
 
 
@@ -224,7 +224,7 @@ def cmd_cfg(args) -> int:
         ) from None
     for decl in generators:
         with _stage(EXIT_COMPILE, args.input):
-            graph = cfg_mod.build_cfg(decl)
+            graph = cfg_mod.build_cfg(decl, args.optimize)
             if args.optimize:
                 graph = cfg_mod.merge_blocks(graph)
             dot = cfg_mod.emit_dot(graph, decl.name)

@@ -213,8 +213,8 @@ class Program(Node):
 # -- tree walks -------------------------------------------------------------
 #
 # One table of child fields (`_child_fields`) serves every traversal: `walk`
-# visits every node top-down, `map_tree` rebuilds a tree bottom-up, and
-# `declared_locals` follows only the blocks under statements.
+# and `nesting` visit every node top-down, `map_tree` rebuilds a tree
+# bottom-up, and `declared_locals` follows only the blocks under statements.
 
 
 def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
@@ -238,6 +238,24 @@ def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
                         stack.append(item)
                     elif type(item) is tuple:  # a record literal's (name, value)
                         stack.append(item[1])
+
+
+def nesting(root: Node) -> int:
+    """An upper bound on the levels of nesting that the parser counts in
+    root's printed text: one per block and at most two per expression, its
+    own and a pair of parentheses around it. Iterative, like walk."""
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depth += 1 if type(node) is Block else 2 if isinstance(node, Expr) else 0
+        deepest = max(deepest, depth)
+        for name in _child_fields(type(node)):
+            value = getattr(node, name)
+            for item in value if type(value) is list else [value]:
+                item = item[1] if type(item) is tuple else item  # a record field
+                if isinstance(item, Node):
+                    stack.append((item, depth))
+    return deepest
 
 
 NodeT = TypeVar("NodeT", bound=Node)

@@ -9,28 +9,20 @@ goes back to the dispatch; finishing selects the sink state 0, in which
 every later call returns null. Block ids serve as instruction numbers,
 and the entry block is state 1.
 
-Optimized, two kinds of block run in place, following the structured
-translation of Ramsey (*Beyond Relooper*, ICFP 2022) a step at a time.
-A leaf, a block that is neither the entry nor a yield's resume target
-and does not end in a branch, runs in place of the one edge that reaches
-it, inside its branch arm. A join, a block whose two predecessor edges
-end the two arms of one branch, each directly or through a chain of
-leaves ending in a goto to it, runs right after that branch's `if`, at
-the same level, like a Relooper simple block (Zakai, *Emscripten*,
-Onward! 2011); the arms lose their transfer to it, and an empty else
-arm is an `if` without `else`. The states are then the entry, the
-resume targets, the branch blocks and the other blocks with two or more
-predecessor edges, and their numbers are sparse (many-short's tally
-keeps 1, 2 and 4 of its 8 blocks: `round = round + 1` runs after the
-null test's `if`). A `next` passes the dispatch once per resume point
-rather than once per block, and no block is copied. An arm holds only
-leaves, which hold no branch, so a flat run of thousands of
-`if (x == k) { return k }` guards nests no deeper than one of them. A
-join may end in a branch with a join of its own, so a run of if/else
-statements without yields in their arms becomes one flat run of `if`s,
-which the emitter walks in a loop. An arm that ends the generator
-selects the sink and returns null in place, instead of passing the
-dispatch once more. Unoptimized, every block is a state.
+Optimized, an `if` or `while` without a yield or return is one
+statement of its block (cfg.build_cfg), its `let`s made assignments:
+with no cut point inside, the source's structure is the answer and a
+loop stays a loop, the simplest case of structured translation (Ramsey,
+*Beyond Relooper*, ICFP 2022) and the Relooper's loop blocks (Zakai,
+*Emscripten*, Onward! 2011). A leaf, a block that is neither the entry
+nor a resume target and does not end in a branch, runs in place of the
+one edge that reaches it, inside its branch arm; an arm to the end
+selects the sink and returns null there. The other blocks are the
+states, sparsely numbered (many-short's tally keeps 1, 2 and 4 of 5,
+its null test a statement of state 4), so a `next` passes the dispatch
+once per resume point. Arms hold no branch, so a flat run of thousands
+of `if (x == k) { return k }` guards stays flat. Unoptimized, every
+`if` and `while` is split and every block is a state.
 
 The dispatch scheme depends only on the number of states:
 
@@ -72,6 +64,7 @@ between a variable's definition and its use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,18 +127,24 @@ CHAIN_MAX = 4
 BISECT_MAX = 64
 
 
+# The levels of nesting the optimized lowering puts above a statement of a
+# block, as the parser counts them (13): the factory's body, `return fn
+# (_r)`, the machine's body and its loop, the bisection of BISECT_MAX states
+# down to CHAIN_MAX, a chain of CHAIN_MAX and a branch arm. Threaded states
+# and the first-order form nest less.
+LOWERED_DEPTH = 4 + math.ceil(math.log2(BISECT_MAX / CHAIN_MAX)) + CHAIN_MAX + 1
+
+
 @dataclass
 class StateMachinePlan:
     """How a generator maps onto its dispatch: the states' instruction
     numbers in ascending order (block ids serve as instruction numbers, a
     block run in place has none, and the end sentinel is the sink 0;
-    many-short's tally has 1, 2 and 4), the joins that run after their
-    branch's `if` keyed by the branch (tally's {4: 7}), the hoisted
-    locals, and the two fresh names woven into the machine."""
+    many-short's tally has 1, 2 and 4), the hoisted locals, and the two
+    fresh names woven into the machine."""
 
     func: str
     states: list[int]
-    joins: dict[int, int]
     hoisted: list[str]
     params: list[str]
     resume_param: str
@@ -177,19 +176,13 @@ def plan_generator(
     ids are dense reverse-postorder integers and serve directly as
     instruction numbers; entry is state 1. Optimized, the blocks that are
     emitted in place (see `_inlined`) are no states."""
-    graph = build_cfg(func)
-    leaves: set[int] = set()
-    joins: dict[int, int] = {}
-    if opt:
-        graph = merge_blocks(graph)
-        leaves, joins = _inlined(graph)
+    graph = merge_blocks(build_cfg(func, True)) if opt else build_cfg(func)
     if names is None:
         names = NameAllocator(identifiers(func))
     hoisted = [n for n in graph.declared if n not in func.params]
     plan = StateMachinePlan(
         func=func.name,
-        states=sorted(set(graph.blocks) - leaves - set(joins.values())),
-        joins=joins,
+        states=sorted(set(graph.blocks) - (_inlined(graph) if opt else set())),
         hoisted=hoisted,
         params=list(func.params),
         resume_param=names.fresh("_r"),
@@ -291,21 +284,17 @@ def _dispatch(states: list[int], bodies: dict[int, list[Stmt]], inst: str) -> St
     return chain
 
 
-def _inlined(graph: Cfg) -> tuple[set[int], dict[int, int]]:
-    """The blocks emitted in place, in two kinds. A leaf runs in place of
-    the one edge that reaches it: it is neither the entry nor a resume
-    target and does not end in a branch, so it nests no further and a
-    long run of guards stays flat. A join runs right after its branch's
-    `if`, at the same level: its two predecessor edges end the two arms
-    of one branch, each directly or through a chain of leaves. Returns
-    the leaves and the joins keyed by their branch block."""
+def _inlined(graph: Cfg) -> set[int]:
+    """The leaves, emitted in place of the one edge that reaches them:
+    neither the entry nor a resume target nor ending in a branch, so a
+    leaf nests no further and a long run of guards stays flat."""
     preds = pred_counts(graph.blocks, graph.entry)
     resumes = {
         block.terminator.resume
         for block in graph.blocks.values()
         if isinstance(block.terminator, YieldTo)
     }
-    leaves = {
+    return {
         bid
         for bid, block in graph.blocks.items()
         if preds[bid] == 1
@@ -313,27 +302,6 @@ def _inlined(graph: Cfg) -> tuple[set[int], dict[int, int]]:
         and bid not in resumes
         and not isinstance(block.terminator, Branch)
     }
-
-    def reach(target: int) -> int | None:
-        """The block an arm reaches past its chain of leaves, if the
-        chain ends in a goto."""
-        while target in leaves:
-            term = graph.blocks[target].terminator
-            if not isinstance(term, Goto):
-                return None
-            target = term.target
-        return target
-
-    # Two predecessor edges that end the arms leave none for the entry's
-    # virtual edge or a resume edge, so a join is neither.
-    joins = {}
-    for bid, block in graph.blocks.items():
-        term = block.terminator
-        if isinstance(term, Branch):
-            join = reach(term.then)
-            if preds.get(join) == 2 and reach(term.orelse) == join:
-                joins[bid] = join
-    return leaves, joins
 
 
 def _receivers(graph: Cfg) -> dict[int, str]:
@@ -360,46 +328,29 @@ def _state_stmts(
 ) -> list[Stmt]:
     """One state's statements. `select(k)` is the value of the instruction
     variable that selects state k. A transfer to an `inlined` leaf runs
-    it in place, and a branch's join runs after its `if`. A state that
-    can fall through returns the sentinel when there is one, and
-    otherwise falls back into the dispatch."""
+    it in place. A state that can fall through returns the sentinel when
+    there is one, and otherwise falls back into the dispatch."""
 
-    def run(block: BasicBlock, stop: int | None = None) -> list[Stmt]:
-        # A loop, not a recursion: a run of diamonds is a flat run of
-        # `if`s, each join continuing after its branch. `stop` is the join
-        # that ends the arm being run.
-        out: list[Stmt] = []
-        while True:
-            out += [
-                Assign(stmt.name, stmt.value) if isinstance(stmt, Let) else stmt
-                for stmt in block.stmts  # a declaration was hoisted
-            ]
-            term = block.terminator
-            if isinstance(term, Branch):
-                join = plan.joins.get(block.id)
-                then, orelse = goto(term.then, join), goto(term.orelse, join)
-                out.append(If(term.cond, Block(then), Block(orelse) if orelse else None))
-                if join is None:
-                    return out
-                block = inlined[join]
-                continue
-            if isinstance(term, Goto):
-                out += goto(term.target, stop)
-            elif isinstance(term, YieldTo):
-                out.append(Assign(plan.inst_var, select(term.resume)))
-                out.append(Return(term.value))
-            elif isinstance(term, Finish):
-                out.append(Assign(plan.inst_var, select(END)))
-                out.append(Return(term.value if term.value is not None else NullLit()))
-            else:
-                raise AssertionError(f"unhandled terminator {term!r}")
-            return out
+    def run(block: BasicBlock) -> list[Stmt]:
+        out = [_hoisted(stmt) for stmt in block.stmts]
+        term = block.terminator
+        if isinstance(term, Branch):
+            out.append(If(term.cond, Block(goto(term.then)), Block(goto(term.orelse))))
+        elif isinstance(term, Goto):
+            out += goto(term.target)
+        elif isinstance(term, YieldTo):
+            out.append(Assign(plan.inst_var, select(term.resume)))
+            out.append(Return(term.value))
+        elif isinstance(term, Finish):
+            out.append(Assign(plan.inst_var, select(END)))
+            out.append(Return(term.value if term.value is not None else NullLit()))
+        else:
+            raise AssertionError(f"unhandled terminator {term!r}")
+        return out
 
-    def goto(target: int, stop: int | None) -> list[Stmt]:
-        if target == stop:
-            return []
+    def goto(target: int) -> list[Stmt]:
         if target in inlined:
-            return run(inlined[target], stop)
+            return run(inlined[target])
         return [Assign(plan.inst_var, select(target))]
 
     out = [Assign(receiver, Var(plan.resume_param))] if receiver is not None else []
@@ -407,6 +358,19 @@ def _state_stmts(
     if sentinel is not None and not _returns(out):
         out.append(Return(Var(sentinel)))
     return out
+
+
+def _hoisted(stmt: Stmt) -> Stmt:
+    """A block's statement with every `let` in it, closure bodies aside,
+    made an assignment: the factory declares the local."""
+    if isinstance(stmt, Let):
+        return Assign(stmt.name, stmt.value)
+    if isinstance(stmt, If):
+        orelse = stmt.orelse and Block([_hoisted(s) for s in stmt.orelse.stmts])
+        return If(stmt.cond, Block([_hoisted(s) for s in stmt.then.stmts]), orelse)
+    if isinstance(stmt, While):
+        return While(stmt.cond, Block([_hoisted(s) for s in stmt.body.stmts]))
+    return stmt
 
 
 def _returns(stmts: list[Stmt]) -> bool:

@@ -66,8 +66,8 @@ class _GenFuzz:
     def arm(self, depth, budget) -> Block:
         if self.arm_yields:
             return self.scoped(depth, budget)
-        # Assignments and prints only, so the arms of an if/else meet at a
-        # join unless a loop header follows it.
+        # Assignments and prints only, so the optimized CFG keeps the `if`
+        # whole, or only its taken arm when its test is a literal.
         rng = self.rng
         return Block([
             Assign(rng.choice(self.vars), self.int_expr())
@@ -93,7 +93,7 @@ class _GenFuzz:
                 out.append(Assign(rng.choice(self.vars), self.int_expr()))
             elif roll < 0.72 and depth > 0:
                 # Without arm yields, an if/else takes the share of the
-                # assignment above too, so more programs have joins.
+                # assignment above too, so more programs keep an `if` whole.
                 cond = self.cond()
                 then = self.arm(depth - 1, budget)
                 orelse = self.arm(depth - 1, budget) if rng.random() < 0.6 else None
@@ -125,8 +125,8 @@ def random_generator_program(
     """A program holding one random generator plus an empty main; returns
     (program, generator name, arity). Without `arm_yields`, the same seed
     draws a generator whose `if` arms hold only assignments and prints,
-    and whose body ends in a yield, so that most of its if/else
-    statements have a join that runs after them."""
+    and whose body ends in a yield, so that the optimized CFG keeps most
+    of its `if` statements whole."""
     rng = random.Random(seed)
     arity = rng.randrange(0, 3)
     params = [f"p{i}" for i in range(arity)]

@@ -17,17 +17,23 @@ from corolower.cfg import (
 )
 from corolower.errors import InterpError, TransformError
 from corolower.interp import resume_sequence
-from corolower.parser import parse_source
+from corolower.parser import MAX_NESTING, parse_source
 from corolower.syntax import (
     Assign,
+    Block,
     BoolLit,
+    If,
     IntLit,
     Let,
     LetYield,
+    Print,
+    Return,
     Var,
+    While,
     YieldStmt,
     walk,
 )
+from corolower.transform import LOWERED_DEPTH
 
 from conftest import CORPUS_FILES, FIB_SOURCE
 
@@ -167,6 +173,91 @@ def test_build_cfg_requires_generator():
     program = parse_source("fn main() { }")
     with pytest.raises(TransformError):
         build_cfg(program.decls[0])
+
+
+# -- the optimized graph -------------------------------------------------------
+
+
+def stmt_kinds(graph):
+    return {bid: [type(s) for s in b.stmts] for bid, b in graph.blocks.items()}
+
+
+def test_optimized_cfg_keeps_yield_free_statements_whole():
+    # The `if` and the inner `while` hold no yield and stay statements of
+    # block 3; the outer `while` holds the yield and is split.
+    decl = gen_decl(
+        "let i = 0 while (i < n) { if (i % 2 == 0) { let d = 1 } else { d = 2 } "
+        "let j = 0 while (j < i) { j = j + 1 } yield i + j i = i + 1 }",
+        "n",
+    )
+    graph = build_cfg(decl, True)
+    assert stmt_kinds(graph) == {1: [Let], 2: [], 3: [If, Let, While], 4: [Assign]}
+    assert isinstance(graph.blocks[2].terminator, Branch)
+    assert isinstance(graph.blocks[3].terminator, YieldTo)
+    # Unoptimized, every `if` and `while` is split, as before.
+    assert build_cfg(decl) == build_cfg(decl, False)
+    assert len(build_cfg(decl).blocks) == 10
+    assert not any(If in kinds or While in kinds for kinds in stmt_kinds(build_cfg(decl)).values())
+
+
+def test_optimized_cfg_splits_statements_that_leave_the_generator():
+    # A return or a let-yield inside splits the statement; a closure's own
+    # return does not.
+    for body in ("if (c) { return 1 } yield 2", "while (c) { let x = yield 1 c = x }"):
+        graph = build_cfg(gen_decl(body, "c"), True)
+        assert not any(If in k or While in k for k in stmt_kinds(graph).values()), body
+    graph = build_cfg(gen_decl("if (c) { let f = fn () { return 1 } } yield 2", "c"), True)
+    assert stmt_kinds(graph)[1] == [If]
+
+
+def test_optimized_cfg_keeps_only_what_a_literal_test_runs():
+    cases = {
+        "if (true) { a = 1 } else { a = 2 } yield a": [Assign("a", IntLit(1))],
+        "if (false) { a = 1 } else { a = 2 } yield a": [Assign("a", IntLit(2))],
+        "if (false) { a = 1 } yield a": [],
+        "while (false) { a = a + 1 } yield a": [],
+    }
+    for body, stmts in cases.items():
+        graph = build_cfg(gen_decl(body, "a"), True)
+        assert list(graph.blocks) == [1, 2], body
+        assert graph.blocks[1].stmts == stmts, body
+    # `while (true)` stays a loop of the graph even without a yield.
+    graph = build_cfg(gen_decl("while (true) { a = a + 1 }", "a"), True)
+    assert graph.blocks[1].terminator == Branch(BoolLit(True), 2, END)
+    assert not any(While in kinds for kinds in stmt_kinds(graph).values())
+
+
+def nested_ifs(depth):
+    """`depth` nested yield-free `if (x < k)` around `x = x + 1`, then a
+    yield; the statement nests depth + 4 levels by syntax.nesting."""
+    opens = "".join(f"if (x < {k}) {{ " for k in range(depth))
+    return gen_decl(f"{opens}x = x + 1 {'} ' * depth}yield x", "x")
+
+
+def test_optimized_cfg_keeps_room_for_the_lowering():
+    # The levels the lowering adds above a block's statement (13 with
+    # BISECT_MAX 64 and CHAIN_MAX 4) and the statement's own must fit in
+    # the parser's limit; a deeper statement is split at its top until the
+    # rest fits.
+    assert LOWERED_DEPTH == 13
+    room = MAX_NESTING - LOWERED_DEPTH
+    fits = build_cfg(nested_ifs(room - 4), True)
+    assert stmt_kinds(fits) == {1: [If], 2: []}
+    deeper = build_cfg(nested_ifs(room - 3), True)
+    assert stmt_kinds(deeper) == {1: [], 2: [If], 3: [], 4: []}
+    assert isinstance(deeper.blocks[1].terminator, Branch)
+
+
+def test_check_cfg_rejects_a_yield_or_return_inside_a_block_statement():
+    kept = If(Var("c"), Block([Print(IntLit(1))]), None)
+    check_cfg(Cfg({1: BasicBlock(1, [kept], Finish())}, 1))
+    for inner in (YieldStmt(IntLit(1)), LetYield("x", IntLit(1)), Return(None)):
+        for stmt in (If(Var("c"), Block([inner]), None), While(Var("c"), Block([inner]))):
+            graph = Cfg({1: BasicBlock(1, [stmt], Finish())}, 1)
+            with pytest.raises(AssertionError, match="yield or return inside block 1"):
+                check_cfg(graph)
+    with pytest.raises(AssertionError, match="yield or return inside block 1"):
+        check_cfg(Cfg({1: BasicBlock(1, [YieldStmt(IntLit(1))], Finish())}, 1))
 
 
 # -- merging -------------------------------------------------------------------

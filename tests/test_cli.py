@@ -7,9 +7,11 @@ import pytest
 
 from corolower import cli
 from corolower.cli import diff_forms, main, program_forms
+from corolower.defunc import defunctionalize
 from corolower.errors import BudgetExceeded
 from corolower.parser import parse_source
 from corolower.printer import print_source
+from corolower.transform import transform_program
 
 from conftest import CORPUS_DIR, FIB_SOURCE, GOLDEN_DIR, wide_source
 
@@ -208,6 +210,71 @@ def test_cfg_golden_files(capsys, tmp_path, fib_path):
     assert noopt == GOLDEN_DIR.joinpath("fib.cfg.noopt.dot").read_text()
     assert noopt.count("shape=box") + noopt.count("shape=circle") == 4
     assert '"yes"' in noopt and '"no"' in noopt
+
+
+def test_cfg_optimize_draws_the_graph_the_lowering_uses(capsys, tmp_path):
+    # tally's null test holds no yield, so one box holds it whole, and the
+    # unoptimized graph splits it into a branch and two arms.
+    path = CORPUS_DIR / "tally.mini"
+    assert run_cli(capsys, "cfg", path, "--out-dir", tmp_path)[0] == 0
+    dot = (tmp_path / "tally.dot").read_text()
+    assert (
+        '  bb3 [shape=box, xlabel="bb3", label="if (add == null) {\\l  total = total\\l'
+        '} else {\\l  total = total + add\\l}\\l"];\n'
+    ) in dot
+    assert dot.count("shape=box") == 3 and "shape=circle" not in dot
+    assert run_cli(capsys, "cfg", path, "--no-optimize", "--out-dir", tmp_path / "noopt")[0] == 0
+    noopt = (tmp_path / "noopt" / "tally.dot").read_text()
+    assert "if (" not in noopt and 'label="add == null"' in noopt
+
+
+def test_run_of_a_record_that_holds_itself_exit_2(capsys, tmp_path):
+    # Rendering the output recurses without end: an error line, no traceback.
+    path = tmp_path / "cycle.mini"
+    path.write_text("fn main() { let r = { a: 1 } r.a = r print(r) }\n")
+    for command in ("run", "diff"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2, command
+        assert out == ""
+        assert err == f"error: {path}: nesting or recursion too deep for the Python stack\n"
+
+
+def nested_ifs_source(depth, yields, arm=False):
+    """A generator of `yields` leading yields, then `depth` nested `if`s
+    without a yield, inside the parser's limit up to depth 147; with
+    `arm`, they and the yield after them are the else arm of an `if`
+    whose then arm yields, and the limit is 146."""
+    leading = "".join(f"  yield {k}\n" for k in range(yields))
+    opens = "".join(f"if (x < {k}) {{\n" for k in range(depth))
+    body = f"{opens}x = x + 1\n{'}' * depth}\n  yield x"
+    if arm:
+        body = f"if (x < 0) {{\n  yield 0\n}} else {{\n{body}\n}}"
+    return (
+        f"fn* g(x) {{\n{leading}{body}\n}}\n\n"
+        "fn main() {\n  let a = g(0)\n  print(next(a))\n}\n"
+    )
+
+
+@pytest.mark.parametrize("yields, arm", [(0, False), (3, False), (30, False), (80, False), (63, True)])
+def test_nested_statements_up_to_the_limit_compile(capsys, tmp_path, yields, arm):
+    # A yield-free statement stays whole only where the lowering's own
+    # levels leave room for it, so every depth the parser takes compiles
+    # and reads back in both forms, numbered (0, 3 and 30 yields) or
+    # threaded (80), as `compile` checks it. With 63 yields and the nest
+    # in a branch arm, the machine has BISECT_MAX states, and the nest
+    # sits as deep as the lowering puts any statement.
+    assert sys.getrecursionlimit() <= 1000
+    deepest = 146 if arm else 147
+    for depth in range(120, deepest + 1):
+        lowered = transform_program(parse_source(nested_ifs_source(depth, yields, arm)))
+        for form in (lowered, defunctionalize(lowered)):
+            text = print_source(form)
+            assert print_source(parse_source(text)) == text, depth
+    path = tmp_path / "nested.mini"
+    path.write_text(nested_ifs_source(deepest, yields, arm))
+    for emit in ("lowered", "first-order"):
+        assert run_cli(capsys, "compile", path, "--emit", emit)[::2] == (0, ""), emit
+    assert run_cli(capsys, "diff", path)[0] == 0
 
 
 def test_cfg_without_generators_warns(capsys, tmp_path):

@@ -120,6 +120,9 @@ def test_eval_cfg_agrees_before_and_after_merging(path):
         assert unmerged_trace == merged_trace, decl.name
         native = resume_sequence(program, decl.name, generator_args(decl), script)
         assert unmerged_trace == native, decl.name
+        # The optimized graph, which keeps yield-free statements whole.
+        optimized = merge_blocks(build_cfg(decl, True))
+        assert eval_cfg(optimized, bindings, script, program) == native, decl.name
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=corpus_ids())

@@ -1,8 +1,8 @@
 """Randomized differential check: seeded runnable generators traced
 through every form and through the CFG executor. A wider sweep (2000+
 seeds) runs clean; 200 keep the suite fast. A second sweep draws the
-same seeds without yields in `if` arms, so that the optimized lowering
-runs if/else joins after their `if`."""
+same seeds without yields in `if` arms, so that the optimized CFG keeps
+more `if` statements whole."""
 
 import pytest
 
@@ -12,6 +12,7 @@ from corolower.defunc import defunctionalize
 from corolower.interp import resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
+from corolower.syntax import If, While
 from corolower.transform import CHAIN_MAX, plan_generator, transform_program
 
 from genfuzz import random_generator_program
@@ -41,9 +42,9 @@ def check_forms_agree(seed, arm_yields=True):
 def check_eval_cfg_agrees(program, name, args, native):
     decl = program.decls[0]
     bindings = dict(zip(decl.params, args))
-    graph = build_cfg(decl)
-    assert eval_cfg(graph, bindings, SCRIPT, program) == native
-    assert eval_cfg(merge_blocks(graph), bindings, SCRIPT, program) == native
+    for graph in (build_cfg(decl), build_cfg(decl, True)):
+        assert eval_cfg(graph, bindings, SCRIPT, program) == native
+        assert eval_cfg(merge_blocks(graph), bindings, SCRIPT, program) == native
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -66,11 +67,18 @@ def test_random_generator_with_joins_agrees_across_forms(seed, monkeypatch):
     check_forms_agree(seed, arm_yields=False)
 
 
-def test_the_join_sweep_plans_joins():
-    # With yields in `if` arms, 3 of the 200 seeds plan a join.
-    planned = {True: 0, False: 0}
-    for arm_yields in planned:
+def test_the_sweeps_keep_statements_whole():
+    # Generators whose optimized CFG keeps an `if` or `while` whole as a
+    # statement of a block, and how many of each it keeps, per sweep.
+    kept = {}
+    for arm_yields in (True, False):
+        generators = ifs = whiles = 0
         for seed in SEEDS:
             program, _, _ = random_generator_program(seed, arm_yields)
-            planned[arm_yields] += bool(plan_generator(program.decls[0])[1].joins)
-    assert planned == {True: 3, False: 76}
+            graph, _ = plan_generator(program.decls[0])
+            whole = [s for b in graph.blocks.values() for s in b.stmts if isinstance(s, (If, While))]
+            generators += bool(whole)
+            ifs += sum(isinstance(s, If) for s in whole)
+            whiles += sum(isinstance(s, While) for s in whole)
+        kept[arm_yields] = (generators, ifs, whiles)
+    assert kept == {True: (16, 3, 13), False: (83, 98, 10)}

@@ -1,8 +1,9 @@
 import pytest
 
-from corolower import syntax
+from corolower import parser, syntax
 from corolower.defunc import defunctionalize
 from corolower.parser import parse_source
+from corolower.printer import print_source
 from corolower.syntax import (
     Binary,
     Block,
@@ -18,6 +19,7 @@ from corolower.syntax import (
     Var,
     declared_locals,
     map_tree,
+    nesting,
     program_identifiers,
     walk,
 )
@@ -123,3 +125,22 @@ def test_deeply_nested_ast_walks_without_recursion():
     assert program_identifiers(program) == (
         {"main", "p", "y"} | {f"x{k}" for k in range(depth)}
     )
+
+
+def test_nesting_counts_blocks_once_and_expressions_twice():
+    stmt = parse_source("fn main() { if (x < 1) { x = -(a + b) } }").decls[0].body.stmts[0]
+    # The block, the unary minus, the sum and `b`; the parser counts 5.
+    assert nesting(stmt) == 7
+
+
+@pytest.mark.parametrize("path", [*CORPUS_FILES, None], ids=lambda p: p.stem if p else "every-node")
+def test_nesting_bounds_what_the_parser_counts(monkeypatch, path):
+    # With its limit at the bound, the parser reads every form back.
+    if path is None:  # its closure in main has no first-order form
+        forms = [parse_source(EVERY_NODE_SOURCE)]
+    else:
+        forms = all_forms(parse_source(path.read_text()))
+    for program in forms:
+        bound = max(nesting(decl.body) for decl in program.decls)
+        monkeypatch.setattr(parser, "MAX_NESTING", bound)
+        assert parse_source(print_source(program)) == program

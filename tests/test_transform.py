@@ -254,11 +254,8 @@ def successors(block):
 def expected_states(graph, opt):
     """The blocks that are dispatch states. Unoptimized, every block.
     Optimized, the entry, the resume targets, the blocks with two or more
-    predecessor edges and the blocks ending in a branch, except the
-    joins; any other block runs in place of the one edge that reaches
-    it. A join has exactly two predecessor edges, both ending the arms of
-    one branch, each directly or through blocks that run in place and end
-    in a goto; it runs right after its branch's `if`."""
+    predecessor edges and the blocks ending in a branch; any other block
+    runs in place of the one edge that reaches it."""
     if not opt:
         return set(graph.blocks)
     preds = {bid: 0 for bid in graph.blocks}
@@ -270,41 +267,17 @@ def expected_states(graph, opt):
             preds[block.terminator.then] += 1  # both arms are edges
         if isinstance(block.terminator, YieldTo):
             resumes.add(block.terminator.resume)
-    states = (
+    return (
         {graph.entry}
         | resumes
         | {bid for bid, n in preds.items() if n >= 2}
         | {bid for bid, b in graph.blocks.items() if isinstance(b.terminator, Branch)}
     ) - {END}
 
-    def arm_end(target):
-        while target != END and target not in states:
-            term = graph.blocks[target].terminator
-            if not isinstance(term, Goto):
-                return None
-            target = term.target
-        return target
-
-    joins = set()
-    for block in graph.blocks.values():
-        term = block.terminator
-        if isinstance(term, Branch):
-            end = arm_end(term.then)
-            if (
-                end not in (None, END, graph.entry)
-                and end not in resumes
-                and preds[end] == 2
-                and arm_end(term.orelse) == end
-            ):
-                joins.add(end)
-    return states - joins
-
 
 def region_exits(graph, states, bid):
     """The states (and END) that control reaches from block `bid` before
-    it meets another state: the successors of its inlined region. Both
-    arms of a branch reach its join, so the walk skips blocks it has
-    seen, and it is a loop because a run of joins can be long."""
+    it meets another state: the successors of its inlined region."""
     out, seen = set(), set()
     stack = list(successors(graph.blocks[bid]))
     while stack:
@@ -325,15 +298,32 @@ def check_arms_follow_the_cfg(decl, opt):
     assert sorted(arms) == plan.states == sorted(states)
     for state in states:
         assert transfers(machine, arms[state]) == region_exits(graph, states, state), state
-    # Every branch is emitted once, a join's included, and an arm holds
-    # no branch, so no block is copied and nothing nests deeper.
+    # Every branch is emitted once, as an `if` whose arms transfer, and
+    # an arm holds no branch, so no block is copied and nothing nests
+    # deeper. The other `if`s are the ones the blocks keep whole.
+    inst = instruction_var(machine)
+
+    def transfers_control(node):
+        return any(
+            isinstance(n, Return) or isinstance(n, Assign) and n.name == inst
+            for n in walk(node, into_functions=False)
+        )
+
     ifs = [
         node for stmts in arms.values() for stmt in stmts for node in walk(stmt)
         if isinstance(node, If)
     ]
-    assert len(ifs) == sum(isinstance(b.terminator, Branch) for b in graph.blocks.values())
-    for node in ifs:
-        assert not any(isinstance(n, If) for n in walk(node) if n is not node)
+    branches = [node for node in ifs if transfers_control(node)]
+    assert len(branches) == sum(isinstance(b.terminator, Branch) for b in graph.blocks.values())
+    for node in branches:
+        assert not any(
+            isinstance(n, If) and transfers_control(n) for n in walk(node) if n is not node
+        )
+    kept = [
+        node for block in graph.blocks.values() for stmt in block.stmts
+        for node in walk(stmt) if isinstance(node, If)
+    ]
+    assert len(ifs) == len(branches) + len(kept)
     return machine
 
 
@@ -375,9 +365,9 @@ fn* tally(start) {
 fn main() { }
 """
 
-# many-short's receiver: the arms of the null test run in their `if`, and
-# its join, `round = round + 1`, right after it, so the states are 1, 2
-# and 4 of the 8 merged blocks.
+# many-short's receiver: the null test holds no yield, so state 4 keeps it
+# whole and runs `round = round + 1` after it; the states are 1, 2 and 4
+# of the 5 merged blocks.
 TALLY_MACHINE = """
 fn tally(start) {
   let _i = 1
@@ -423,15 +413,15 @@ fn tally(start) {
 def test_tally_join_runs_after_its_if():
     decl = parse_source(TALLY_SOURCE).decls[0]
     graph, plan = plan_generator(decl, True)
-    assert plan.states == [1, 2, 4] and len(graph.blocks) == 8
-    assert plan.joins == {4: 7}
+    assert plan.states == [1, 2, 4] and len(graph.blocks) == 5
+    assert [type(stmt) for stmt in graph.blocks[4].stmts] == [If, Assign]
     expected = parse_source(TALLY_MACHINE + "fn main() { }").decls[0]
     assert rewrite_generator(decl, True) == expected
 
 
 def test_an_if_without_else_keeps_no_else():
-    # joins.rounds' `if (total < 0)`: its else arm is the edge to its
-    # join, so the arm is empty and the `if` prints without `else`.
+    # joins.rounds' `if (total < 0)` holds no yield, so it stays whole and
+    # prints as in the source, without `else`.
     program = parse_source((CORPUS_DIR / "joins.mini").read_text())
     text = print_source(transform_program(program))
     assert "if (total < 0) {\n              total = 0 - total\n            }\n" in text
@@ -445,8 +435,8 @@ def test_fib_state_counts():
 
 
 def test_state_count_equals_merged_block_count():
-    # Optimized, the merged blocks that stay states; unoptimized, every
-    # block of the unmerged CFG.
+    # Optimized, the blocks of the merged optimized CFG that stay states;
+    # unoptimized, every block of the unmerged CFG.
     counts = {}
     for path in CORPUS_FILES:
         program = parse_source(path.read_text())
@@ -454,7 +444,7 @@ def test_state_count_equals_merged_block_count():
             if not decl.is_generator:
                 continue
             machine = rewrite_generator(decl, True)
-            merged = merge_blocks(build_cfg(decl))
+            merged = merge_blocks(build_cfg(decl, True))
             states = len(expected_states(merged, True))
             assert dispatch_states(machine) == states, decl.name
             machine_noopt = rewrite_generator(decl, False)
@@ -465,7 +455,7 @@ def test_state_count_equals_merged_block_count():
 
 # (dispatch states, merged blocks) of every corpus generator, optimized.
 EXPECTED_STATE_COUNTS = {
-    "const_false.filtered": (3, 5),
+    "const_false.filtered": (3, 4),
     "early_return.until_negative": (2, 4),
     "empty_gen.nothing": (1, 1),
     "exhaust.trio": (3, 3),
@@ -473,14 +463,14 @@ EXPECTED_STATE_COUNTS = {
     "helper_driver.squares": (3, 3),
     "if_in_loop.signed": (4, 6),
     "interleave.counter": (3, 3),
-    "joins.rounds": (3, 13),
-    "joins.kept": (3, 8),
+    "joins.rounds": (3, 5),
+    "joins.kept": (3, 6),
     "nested_next.inner": (3, 3),
     "nested_next.outer": (3, 4),
     "nested_while.grid": (4, 7),
     "print_inside.chatty": (2, 2),
     "receive.pair": (2, 2),
-    "tally.tally": (3, 5),
+    "tally.tally": (3, 3),
     "two_gens.ones": (1, 1),
     "two_gens.doubler": (3, 3),
     "yield_branches.pick": (2, 4),
@@ -821,7 +811,7 @@ def test_three_thousand_flat_guards_stay_flat(tmp_path, capsys):
 
 def diamonds_source(count):
     """A generator of `count` sequential if/else statements without a
-    yield in their arms, then a yield: each join is the next branch."""
+    yield in their arms, then a yield."""
     diamonds = "".join(
         f"  if (x % {k + 2} == 0) {{\n    x = x + {k}\n  }} else {{\n    x = x - 1\n  }}\n"
         for k in range(count)
@@ -834,14 +824,14 @@ def diamonds_source(count):
 
 
 def test_a_thousand_sequential_diamonds_stay_flat(tmp_path, capsys):
-    # Each join runs after its branch's `if` at the same level, and the
-    # emitter walks the run of joins in a loop, so 1,000 diamonds are one
-    # flat sequence of `if`s in the entry state.
+    # No `if` holds a yield, so the entry block keeps all 1,000 whole, and
+    # they are one flat sequence of `if`s in the entry state.
     assert sys.getrecursionlimit() <= 1000
     source = diamonds_source(1000)
     program = parse_source(source)
     graph, plan = plan_generator(program.decls[0], True)
-    assert plan.states == [1, len(graph.blocks)] and len(plan.joins) == 1000
+    assert plan.states == [1, 2] and len(graph.blocks) == 2
+    assert sum(isinstance(stmt, If) for stmt in graph.blocks[1].stmts) == 1000
     lowered = transform_program(program)
     entry_arm = dispatch_arms(lowered.decls[0])[1]
     assert sum(isinstance(stmt, If) for stmt in entry_arm) == 1000
