@@ -102,11 +102,12 @@ class BasicBlock:
 class Cfg:
     blocks: dict[int, BasicBlock]
     entry: int
-    # The body's declared locals, kept because merging can drop a dead `let`.
+    # The body's declared locals, kept because a `let` can be dropped as dead.
     declared: list[str] = field(default_factory=list)
 
 
 _STRAIGHT_LINE = (Let, Assign, ExprStmt, Print, FieldSet)
+_CUTS = (YieldStmt, LetYield, Return)  # they leave the generator
 
 
 def targets(term: Terminator) -> list[int]:
@@ -131,8 +132,9 @@ def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
 
 def _cuts(stmt: Stmt) -> bool:
     """Whether a statement holds a yield or a return, closure bodies aside."""
-    cuts = (YieldStmt, LetYield, Return)
-    return any(isinstance(node, cuts) for node in walk(stmt, into_functions=False))
+    if isinstance(stmt, _STRAIGHT_LINE):
+        return False
+    return any(isinstance(node, _CUTS) for node in walk(stmt, into_functions=False))
 
 
 def check_cfg(graph: Cfg) -> None:
