@@ -6,20 +6,21 @@ terminator (goto, two-way branch, yield, finish). Yields end their block
 because they are exactly the points where the lowering must cut states.
 
 The reserved id END (0) stands for "leave the function with a null
-result": branch arms may point at it directly, and after merging so may
-a yield's resume edge. An empty Finish block is materialized only where
-an edge needs a real block: as the entry of an empty body or as a
-yield's resume target. Block ids are dense, entry = 1, and follow
-reverse postorder, which makes the fib example number its blocks exactly
-like the published figure.
+result": branch arms and plain yields' resume edges may point at it
+directly. An empty Finish block is materialized only where an edge
+needs a real block: as the entry of an empty body or as the resume
+target of a let-yield, whose block binds the receiver. Block ids are
+dense, entry = 1, and follow reverse postorder, which makes the fib
+example number its blocks exactly like the published figure.
 
 build_cfg routes edges past empty blocks in one sweep over the
-terminators, and merge_blocks absorbs goto chains in one walk over the
-block ids per round. eval_cfg runs a graph directly on the interpreter's
-statement and expression tables, independently of the lowering: it walks
-the graph as a Python generator that follows the native executor's
-protocol and resumes it through resume_sequence's loop. It is the oracle
-showing that merging preserves what a caller observes.
+terminators, and merge_blocks folds literal branches in one walk and
+absorbs goto chains in another. eval_cfg runs a graph directly on the
+interpreter's statement and expression tables, independently of the
+lowering: it walks the graph as a Python generator that follows the
+native executor's protocol and resumes it through resume_sequence's
+loop. It is the oracle showing that merging preserves what a caller
+observes.
 """
 
 from __future__ import annotations
@@ -247,12 +248,13 @@ def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
 def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
     """Route every edge past empty blocks and return the new entry;
     _renumber drops the blocks this leaves unreachable. An empty goto block
-    forwards to its target, except the resume block of a receiver-carrying
-    yield: the receiver binding must run only on a fresh resumption, never
-    on a same-call jump into a shared successor. An edge into an empty
-    Finish(absent) block leaves the function instead (a branch arm points
-    at END, a goto becomes the finish), except into the entry or a resume
-    target, because a resume edge needs a real block to land on."""
+    forwards to its target. An edge into an empty Finish(absent) block
+    leaves the function instead: a branch arm or a yield's resume edge
+    points at END, and a goto becomes the finish. Two kinds of block stay:
+    the entry, and the resume block of a receiver-carrying yield, because
+    the receiver binding must run on a fresh resumption, even one that
+    only finishes (a closure may read the receiver later), and never on
+    a same-call jump into a shared successor."""
     receivers = {
         t.resume
         for t in b.terms.values()
@@ -277,7 +279,6 @@ def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
         b.terms[bid] = _retarget(term, through)
     entry = through(entry)
 
-    resumes = {t.resume for t in b.terms.values() if isinstance(t, YieldTo)}
     finishes = {
         bid
         for bid, t in b.terms.items()
@@ -285,7 +286,7 @@ def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
         and t.value is None
         and not b.stmts[bid]
         and bid != entry
-        and bid not in resumes
+        and bid not in receivers
     }
 
     def past(target: int) -> int:
@@ -344,66 +345,55 @@ def _renumber(
 
 
 def pred_counts(blocks: dict[int, BasicBlock], entry: int) -> dict[int, int]:
-    preds = {bid: 0 for bid in blocks}
-    preds[entry] += 1  # virtual edge: the entry is never absorbed
-    for block in blocks.values():
-        for target in targets(block.terminator):
+    """The predecessor count of every block reachable from the entry,
+    counting only edges from such blocks: a block that a folded branch
+    cut off holds no other block back from being absorbed."""
+    preds = {entry: 1}  # virtual edge: the entry is never absorbed
+    stack = [entry]
+    while stack:
+        for target in targets(blocks[stack.pop()].terminator):
             if target != END:
-                preds[target] += 1
+                if target not in preds:
+                    stack.append(target)
+                preds[target] = preds.get(target, 0) + 1
     return preds
 
 
 def merge_blocks(graph: Cfg) -> Cfg:
-    """Simplify to a fixpoint: (a) a block ending in goto t, where t has no
-    other predecessor, absorbs t; (b) a branch on a literal true/false
-    becomes a goto (or a finish when the surviving arm is the end
-    sentinel); (c) a yield resuming into an empty Finish(absent) block
-    resumes at END instead. Each round applies (b) and (c) to every block,
-    then walks the blocks once in id order, each absorbing for as long as
-    (a) holds; a round repeats only because (c) can enable absorptions.
-    Diamond squashing is out of scope. Ids are reassigned densely in
-    reverse postorder; the input is not modified."""
+    """Simplify in one pass: (a) a branch on a literal true/false becomes
+    a goto (or a finish when the surviving arm is the end sentinel); then
+    (b) a block ending in goto t, where t has no other reachable
+    predecessor, absorbs t, in one walk over the reachable blocks in id
+    order, each absorbing for as long as (b) holds. Absorbing makes no
+    literal branch, so merging the result changes nothing. Edges into
+    empty finishes are build_cfg's to route. Diamond squashing is out of
+    scope. Ids are reassigned densely in reverse postorder; the input is
+    not modified."""
     blocks = {
         bid: BasicBlock(bid, list(b.stmts), b.terminator)
         for bid, b in graph.blocks.items()
     }
     entry = graph.entry
-    changed = True
-    while changed:
-        changed = False
-        for block in blocks.values():
-            term = block.terminator
-            if isinstance(term, Branch) and isinstance(term.cond, BoolLit):
-                target = term.then if term.cond.value else term.orelse
-                block.terminator = Finish(None) if target == END else Goto(target)
-                changed = True
-        for block in blocks.values():
-            term = block.terminator
-            if isinstance(term, YieldTo) and term.resume != END:
-                resume = blocks[term.resume]
-                if (
-                    not resume.stmts
-                    and isinstance(resume.terminator, Finish)
-                    and resume.terminator.value is None
-                ):
-                    block.terminator = YieldTo(term.value, term.receiver, END)
-                    changed = True
-        preds = pred_counts(blocks, entry)
-        # Absorbing moves the victim's out-edges to the absorber, so no
-        # other block's predecessor count changes and one walk suffices.
-        for bid in sorted(blocks):
-            if bid not in blocks:  # absorbed earlier in this walk
-                continue
-            block = blocks[bid]
-            while (
-                isinstance(block.terminator, Goto)
-                and block.terminator.target != bid
-                and preds.get(block.terminator.target) == 1
-            ):
-                victim = blocks.pop(block.terminator.target)
-                block.stmts += victim.stmts
-                block.terminator = victim.terminator
-                changed = True
+    for block in blocks.values():
+        term = block.terminator
+        if isinstance(term, Branch) and isinstance(term.cond, BoolLit):
+            target = term.then if term.cond.value else term.orelse
+            block.terminator = Finish(None) if target == END else Goto(target)
+    preds = pred_counts(blocks, entry)
+    # Absorbing moves the victim's out-edges to the absorber, so no other
+    # block's predecessor count changes and one walk suffices.
+    for bid in sorted(preds):
+        if bid not in blocks:  # absorbed earlier in this walk
+            continue
+        block = blocks[bid]
+        while (
+            isinstance(block.terminator, Goto)
+            and block.terminator.target != bid
+            and preds[block.terminator.target] == 1
+        ):
+            victim = blocks.pop(block.terminator.target)
+            block.stmts += victim.stmts
+            block.terminator = victim.terminator
     stmts = {bid: b.stmts for bid, b in blocks.items()}
     terms = {bid: b.terminator for bid, b in blocks.items()}
     return _renumber(stmts, terms, entry, graph.declared)

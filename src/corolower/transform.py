@@ -309,7 +309,7 @@ def _receivers(graph: Cfg) -> dict[int, str]:
     out: dict[int, str] = {}
     for block in graph.blocks.values():
         term = block.terminator
-        if isinstance(term, YieldTo) and term.receiver is not None and term.resume != END:
+        if isinstance(term, YieldTo) and term.receiver is not None:
             existing = out.get(term.resume)
             assert existing is None or existing == term.receiver, (
                 "two receivers resume at one state"

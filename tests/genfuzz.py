@@ -5,7 +5,8 @@ counters bound every while, arithmetic avoids division, receivers are
 only ever bound from resumptions that feed integers, and conditions are
 comparisons. The shapes still cover the interesting space: nested
 loops/branches, yields in arms, receivers, early returns, constant
-branches."""
+branches. closure_generator_program adds a closure that reads every
+local after the generator has moved on."""
 
 import random
 
@@ -14,18 +15,23 @@ from corolower.syntax import (
     Binary,
     Block,
     BoolLit,
+    Call,
     FuncDecl,
+    FuncLit,
     If,
     IntLit,
     Let,
     LetYield,
+    NextCall,
     Print,
     Program,
+    RecordLit,
     Return,
     Unary,
     Var,
     While,
     YieldStmt,
+    declared_locals,
 )
 
 
@@ -140,6 +146,49 @@ def random_generator_program(
         FuncDecl("main", [], False, Block([])),
     ]
     return Program(decls), "gen", arity
+
+
+def closure_generator_program(seed: int) -> Program:
+    """A program whose generator first yields a closure that returns a
+    record of every local, then runs a random body with yields in arms
+    and loops and ends in a let-yield: on its own, as an `if` arm or in a
+    loop. Its main resumes the generator 30 times with 1, 2, ...,
+    printing each result and then what the closure reads, so a receiver
+    binding that a form drops shows in the output even after the
+    generator has finished. The first-order form rejects the closure."""
+    rng = random.Random(seed)
+    arity = rng.randrange(0, 3)
+    params = [f"p{i}" for i in range(arity)]
+    fuzz = _GenFuzz(rng, params, arm_yields=True)
+    body = [Let("v0", IntLit(rng.randrange(0, 10))), Let("v1", self_init(rng, params))]
+    body += fuzz.stmts(depth=2, budget=2)
+    last = LetYield("last", fuzz.int_expr())
+    shape = rng.randrange(3)
+    if shape == 0:
+        body.append(last)
+    elif shape == 1:  # in an arm, the join finishing
+        orelse = Block([YieldStmt(fuzz.int_expr())]) if rng.random() < 0.5 else None
+        body.append(If(fuzz.cond(), Block([last]), orelse))
+    else:  # in a loop, the body running on after it or returning
+        bump = Assign("wl", Binary("+", Var("wl"), IntLit(1)))
+        after = [Return(None)] if rng.random() < 0.5 else []
+        loop = While(Binary("<", Var("wl"), IntLit(rng.randrange(1, 4))), Block([bump, last] + after))
+        body += [Let("wl", IntLit(0)), loop]
+    fields = [(name, Var(name)) for name in params + declared_locals(Block(body))]
+    reads = Let("f", FuncLit([], Block([Return(RecordLit(fields))])))
+    gen = FuncDecl("gen", params, True, Block(body[:2] + [reads, YieldStmt(Var("f"))] + body[2:]))
+    step = Block([
+        Print(NextCall(Var("it"), Var("k"))),
+        Print(Call(Var("f"), [])),
+        Assign("k", Binary("+", Var("k"), IntLit(1))),
+    ])
+    main = FuncDecl("main", [], False, Block([
+        Let("it", Call(Var("gen"), [IntLit(k) for k in range(1, arity + 1)])),
+        Let("f", NextCall(Var("it"))),
+        Let("k", IntLit(1)),
+        While(Binary("<=", Var("k"), IntLit(30)), step),
+    ]))
+    return Program([gen, main])
 
 
 def self_init(rng, params):

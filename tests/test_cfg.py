@@ -35,7 +35,8 @@ from corolower.syntax import (
 )
 from corolower.transform import LOWERED_DEPTH
 
-from conftest import CORPUS_FILES, FIB_SOURCE
+from conftest import CORPUS_FILES, FIB_SOURCE, wide_source
+from genfuzz import closure_generator_program, random_generator_program
 
 
 def gen_decl(body_source, params=""):
@@ -78,22 +79,32 @@ def test_fib_merged_shape():
 
 
 def test_single_yield_two_blocks():
-    graph = build_cfg(gen_decl("yield 1"))
+    # A let-yield's resume block binds the receiver, so it stays even when
+    # it only finishes; a plain yield there resumes at END.
+    graph = build_cfg(gen_decl("let x = yield 1"))
     assert sorted(graph.blocks) == [1, 2]
-    assert graph.blocks[1].terminator == YieldTo(IntLit(1), None, 2)
+    assert graph.blocks[1].terminator == YieldTo(IntLit(1), "x", 2)
     assert graph.blocks[2].stmts == []
     assert graph.blocks[2].terminator == Finish(None)
+    plain = build_cfg(gen_decl("yield 1"))
+    assert sorted(plain.blocks) == [1]
+    assert plain.blocks[1].terminator == YieldTo(IntLit(1), None, END)
 
 
 def test_branchy_yields_five_blocks():
-    # Enumerated by hand: branch, then-yield, else-yield, join-yield, finish.
-    graph = build_cfg(gen_decl("if (x) { yield 1 } else { yield 2 } yield 3", "x"))
+    # Enumerated by hand: branch, then-yield, else-yield, join-yield and the
+    # receiver's finish; with a plain join yield, the finish is END.
+    body = "if (x) { yield 1 } else { yield 2 } let y = yield 3"
+    graph = build_cfg(gen_decl(body, "x"))
     assert sorted(graph.blocks) == [1, 2, 3, 4, 5]
     assert graph.blocks[1].terminator == Branch(Var("x"), 2, 3)
     assert graph.blocks[2].terminator == YieldTo(IntLit(1), None, 4)
     assert graph.blocks[3].terminator == YieldTo(IntLit(2), None, 4)
-    assert graph.blocks[4].terminator == YieldTo(IntLit(3), None, 5)
+    assert graph.blocks[4].terminator == YieldTo(IntLit(3), "y", 5)
     assert graph.blocks[5].terminator == Finish(None)
+    plain = build_cfg(gen_decl("if (x) { yield 1 } else { yield 2 } yield 3", "x"))
+    assert sorted(plain.blocks) == [1, 2, 3, 4]
+    assert plain.blocks[4].terminator == YieldTo(IntLit(3), None, END)
 
 
 def test_empty_body_single_finish_block():
@@ -132,20 +143,23 @@ def test_receivers_in_both_arms_get_distinct_resume_blocks():
     assert resumes["x"] != resumes["y"]
 
 
-def test_else_arm_keeps_a_finish_that_is_also_a_resume_target():
-    # Block 3 is both the else arm and the yield's resume target, so the
-    # arm is not routed to END; merging then resumes block 2 at END.
+def test_else_arm_and_plain_resume_into_an_empty_finish_go_to_end():
+    # The join is an empty finish that is both the else arm and the yield's
+    # resume target: both edges leave at END and the join is dropped. A
+    # let-yield keeps its own resume block; the else arm still leaves.
     graph = build_cfg(gen_decl("if (c) { yield 1 }", "c"))
+    expected = {1: Branch(Var("c"), 2, END), 2: YieldTo(IntLit(1), None, END)}
+    assert {bid: b.terminator for bid, b in graph.blocks.items()} == expected
+    assert merge_blocks(graph) == graph
+    graph = build_cfg(gen_decl("if (c) { let x = yield 1 }", "c"))
     expected = {
-        1: Branch(Var("c"), 2, 3),
-        2: YieldTo(IntLit(1), None, 3),
+        1: Branch(Var("c"), 2, END),
+        2: YieldTo(IntLit(1), "x", 3),
         3: Finish(None),
     }
     assert {bid: b.terminator for bid, b in graph.blocks.items()} == expected
-    merged = merge_blocks(graph)
-    expected[2] = YieldTo(IntLit(1), None, END)
-    assert {bid: b.terminator for bid, b in merged.blocks.items()} == expected
-    assert all(not b.stmts for b in merged.blocks.values())
+    assert merge_blocks(graph) == graph
+    assert all(not b.stmts for b in graph.blocks.values())
 
 
 def test_empty_receiver_block_survives_build_and_merge():
@@ -219,8 +233,9 @@ def test_optimized_cfg_keeps_only_what_a_literal_test_runs():
     }
     for body, stmts in cases.items():
         graph = build_cfg(gen_decl(body, "a"), True)
-        assert list(graph.blocks) == [1, 2], body
+        assert list(graph.blocks) == [1], body
         assert graph.blocks[1].stmts == stmts, body
+        assert graph.blocks[1].terminator == YieldTo(Var("a"), None, END), body
     # `while (true)` stays a loop of the graph even without a yield.
     graph = build_cfg(gen_decl("while (true) { a = a + 1 }", "a"), True)
     assert graph.blocks[1].terminator == Branch(BoolLit(True), 2, END)
@@ -242,9 +257,9 @@ def test_optimized_cfg_keeps_room_for_the_lowering():
     assert LOWERED_DEPTH == 13
     room = MAX_NESTING - LOWERED_DEPTH
     fits = build_cfg(nested_ifs(room - 4), True)
-    assert stmt_kinds(fits) == {1: [If], 2: []}
+    assert stmt_kinds(fits) == {1: [If]}
     deeper = build_cfg(nested_ifs(room - 3), True)
-    assert stmt_kinds(deeper) == {1: [], 2: [If], 3: [], 4: []}
+    assert stmt_kinds(deeper) == {1: [], 2: [If], 3: []}
     assert isinstance(deeper.blocks[1].terminator, Branch)
 
 
@@ -311,25 +326,61 @@ def test_merge_folds_constant_branches():
     assert merged.blocks[2].terminator == YieldTo(IntLit(2), None, 2)
 
 
-def test_merge_redirects_resume_into_empty_finish():
-    graph = build_cfg(gen_decl("let x = yield 1 yield n + x", "n"))
-    assert sorted(graph.blocks) == [1, 2, 3]
+def test_merge_ignores_edges_from_blocks_a_fold_cuts_off():
+    # Once `if (false)` folds, its then-arm is dead, so the join has one
+    # predecessor left and is absorbed in the same pass.
+    graph = build_cfg(gen_decl("if (false) { a = 1 } else { a = 2 } print(a) yield a", "a"))
+    assert len(graph.blocks) == 4
     merged = merge_blocks(graph)
-    assert sorted(merged.blocks) == [1, 2]
-    assert merged.blocks[2].terminator == YieldTo(
+    assert sorted(merged.blocks) == [1]
+    assert merged.blocks[1].stmts == [Assign("a", IntLit(2)), Print(Var("a"))]
+    assert merged.blocks[1].terminator == YieldTo(Var("a"), None, END)
+
+
+def test_build_routes_resume_into_empty_finish_to_end():
+    graph = build_cfg(gen_decl("let x = yield 1 yield n + x", "n"))
+    assert sorted(graph.blocks) == [1, 2]
+    assert graph.blocks[2].terminator == YieldTo(
         parse_source("fn main() { print(n + x) }").decls[0].body.stmts[0].value,
         None,
         END,
     )
+    assert merge_blocks(graph) == graph
+
+
+def swept_generators():
+    """The corpus's generators, the wide workload's at 100 and 800 arms,
+    and the generators of the fuzz sweeps' first 200 seeds."""
+    decls = [
+        decl
+        for path in CORPUS_FILES
+        for decl in parse_source(path.read_text()).decls
+        if decl.is_generator
+    ]
+    decls += [parse_source(wide_source(arms, 1)).decls[0] for arms in (100, 800)]
+    for seed in range(200):
+        decls += [random_generator_program(seed, arm_yields)[0].decls[0] for arm_yields in (True, False)]
+        decls.append(closure_generator_program(seed).decls[0])
+    return decls
 
 
 def test_merge_is_idempotent_on_corpus():
-    for path in CORPUS_FILES:
-        program = parse_source(path.read_text())
-        for decl in program.decls:
-            if decl.is_generator:
-                once = merge_blocks(build_cfg(decl))
-                assert merge_blocks(once) == once, decl.name
+    # Built graphs route a plain yield past an empty finish to END, but
+    # resume a let-yield at a real block, which binds its receiver.
+    for decl in swept_generators():
+        for opt in (False, True):
+            graph = build_cfg(decl, opt)
+            for block in graph.blocks.values():
+                term = block.terminator
+                if not isinstance(term, YieldTo):
+                    continue
+                if term.receiver is not None:
+                    assert term.resume != END, decl.name
+                elif term.resume != END:
+                    resume = graph.blocks[term.resume]
+                    assert resume.stmts or resume.terminator != Finish(None), decl.name
+            once = merge_blocks(graph)
+            assert merge_blocks(once) == once, decl.name
 
 
 def test_merge_validates_and_is_pure():

@@ -2,20 +2,22 @@
 through every form and through the CFG executor. A wider sweep (2000+
 seeds) runs clean; 200 keep the suite fast. A second sweep draws the
 same seeds without yields in `if` arms, so that the optimized CFG keeps
-more `if` statements whole."""
+more `if` statements whole. A third runs generators whose closure reads
+their locals after they move on, in every form but the first-order one,
+which rejects closures."""
 
 import pytest
 
 from corolower import transform
 from corolower.cfg import build_cfg, eval_cfg, merge_blocks
 from corolower.defunc import defunctionalize
-from corolower.interp import resume_sequence
+from corolower.interp import interp_native, render_output, resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.syntax import If, While
 from corolower.transform import CHAIN_MAX, plan_generator, transform_program
 
-from genfuzz import random_generator_program
+from genfuzz import closure_generator_program, random_generator_program
 
 SEEDS = range(200)
 SCRIPT = [None] + list(range(1, 30))
@@ -65,6 +67,17 @@ def test_random_generator_with_joins_agrees_across_forms(seed, monkeypatch):
     check_eval_cfg_agrees(*check_forms_agree(seed, arm_yields=False))
     monkeypatch.setattr(transform, "BISECT_MAX", CHAIN_MAX)
     check_forms_agree(seed, arm_yields=False)
+
+
+def test_closures_read_the_same_locals_in_every_lowered_form():
+    diverging = []
+    for seed in range(300):
+        program = closure_generator_program(seed)
+        native = render_output(interp_native(program))
+        for opt in (True, False):
+            if render_output(interp_native(transform_program(program, opt))) != native:
+                diverging.append((seed, opt))
+    assert diverging == []
 
 
 def test_the_sweeps_keep_statements_whole():
