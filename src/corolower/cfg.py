@@ -58,8 +58,8 @@ from .syntax import (
     Stmt,
     While,
     YieldStmt,
-    nesting,
-    walk,
+    blocks_under,
+    stmt_nesting,
 )
 
 END = 0
@@ -133,9 +133,7 @@ def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
 
 def _cuts(stmt: Stmt) -> bool:
     """Whether a statement holds a yield or a return, closure bodies aside."""
-    if isinstance(stmt, _STRAIGHT_LINE):
-        return False
-    return any(isinstance(node, _CUTS) for node in walk(stmt, into_functions=False))
+    return isinstance(stmt, _CUTS) or any(b.exits for b in blocks_under(stmt))
 
 
 def check_cfg(graph: Cfg) -> None:
@@ -195,7 +193,7 @@ class _Builder:
                     cur = self.lower(arm.stmts, cur)
             elif opt and stmt.cond == BoolLit(False):
                 pass  # a loop that never runs
-            elif opt and stmt.cond != BoolLit(True) and not _cuts(stmt) and nesting(stmt) <= self.room:
+            elif opt and stmt.cond != BoolLit(True) and not _cuts(stmt) and stmt_nesting(stmt) <= self.room:
                 self.stmts[cur].append(stmt)  # whole; `while (true)` stays a loop of the graph
             elif isinstance(stmt, If):
                 join = self.fresh()
@@ -217,7 +215,10 @@ class _Builder:
                 body_entry = self.fresh()
                 after = self.fresh()
                 self.terms[cur] = Goto(test)
-                self.terms[test] = Branch(stmt.cond, body_entry, after)
+                if opt and stmt.cond == BoolLit(True):  # no test to run
+                    self.terms[test] = Goto(body_entry)
+                else:
+                    self.terms[test] = Branch(stmt.cond, body_entry, after)
                 body_end = self.lower(stmt.body.stmts, body_entry)
                 if body_end is not None:
                     self.terms[body_end] = Goto(test)

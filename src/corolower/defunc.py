@@ -136,10 +136,12 @@ def defunctionalize(program: Program) -> Program:
     global_names = {d.name for d in program.decls}
 
     decls: list[FuncDecl] = []
+    plain: list[int] = []  # where decls holds a declaration not lifted
     lifted_any = False
     for decl in program.decls:
         shape = match_factory(decl)
         if shape is None:
+            plain.append(len(decls))
             decls.append(decl)
             continue
         lifted_any = True
@@ -149,7 +151,7 @@ def defunctionalize(program: Program) -> Program:
         if shape.sentinel is None:
             bound = global_names | {shape.resume_param}
             to_env = _to_env(decl.name, env_param, set(env_fields), bound)
-            machine = map_tree(shape.machine_body, to_env)
+            machine = map_tree(shape.machine_body, _then_apply(to_env, fo_name, apply_name))
             decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, machine))
             inst_init: Expr = IntLit(1)
             sentinel_init = []
@@ -163,7 +165,7 @@ def defunctionalize(program: Program) -> Program:
                 to_env = _to_env(
                     decl.name, env_param, set(env_fields), global_names | {resume}, refs
                 )
-                body = map_tree(closure.body, to_env)
+                body = map_tree(closure.body, _then_apply(to_env, refs[state], apply_name))
                 decls.append(FuncDecl(refs[state], [env_param, resume], False, body))
             inst_init = FuncRef(refs[shape.entry])
             sentinel_init = [(shape.sentinel, RecordLit([]))]
@@ -182,12 +184,17 @@ def defunctionalize(program: Program) -> Program:
         )
         decls.append(FuncDecl(decl.name, list(decl.params), False, ctor_body))
 
-    first_order = [map_tree(d, _to_apply(d.name, apply_name)) for d in decls]
-    # map_tree returns a declaration unchanged unless it rewrote a next.
-    rewrote_next = any(new is not old for new, old in zip(first_order, decls))
+    # A lifted body had its nexts rewritten with its environment; the rest
+    # are rewritten once every factory is lifted, so a lifting error wins.
+    rewrote_next = False
+    for i in plain:
+        new = map_tree(decls[i], _to_apply(decls[i].name, apply_name))
+        # map_tree returns a declaration unchanged unless it rewrote a next.
+        rewrote_next |= new is not decls[i]
+        decls[i] = new
     if lifted_any or rewrote_next:
-        first_order.insert(0, _apply_decl(apply_name))
-    return Program(first_order, program.entry)
+        decls.insert(0, _apply_decl(apply_name))
+    return Program(decls, program.entry)
 
 
 def _threaded_machine(shape: _FactoryShape, name: str, env: str) -> FuncDecl:
@@ -273,6 +280,13 @@ def _to_env(
         return node
 
     return rewrite
+
+
+def _then_apply(to_env, name: str, apply_name: str):
+    """One rewrite of a lifted body: to_env, whose errors come first, and
+    then _to_apply on what it returns."""
+    to_apply = _to_apply(name, apply_name)
+    return lambda node: to_apply(to_env(node))
 
 
 def _to_apply(name: str, apply_name: str):

@@ -3,7 +3,8 @@ carries a 1-based line/column."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -24,18 +25,30 @@ KEYWORDS = frozenset(
     ]
 )
 
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
-_ONE_CHAR_OPS = "*(){},.:=&+-/%<>!"
-
 INT_MAX = 2**63 - 1
 
 # Only ASCII digits are digits: `str.isdigit` also takes `²` and `٣`.
 _DIGITS = frozenset("0123456789")
 _WORD = _DIGITS | {"_"}
 
+# One match per token: the whitespace and comments before it, then an
+# ASCII word, an integer or an operator. No group can stop early, so the
+# only match at a position is the longest: a whitespace run or a comment
+# runs to its end, `/` is no operator before `/`, and a word does not
+# stand before a word or non-ASCII character (the regex must not take
+# `ab` of `abé`). What the regex does not take, lex passes to `_word`.
+_SCAN = re.compile(
+    r"([ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*)"
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_\x80-\U0010ffff])"
+    r"|([0-9]+)"
+    r"|(==|!=|<=|>=|&&|\|\||/(?!/)|[*(){},.:=&+\-%<>!]))"
+)
+_SKIP = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
+_KIND = dict.fromkeys(KEYWORDS, "kw")
+_new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "kw" | "ident" | "int" | "op" | "eof"
     text: str
     line: int
@@ -47,55 +60,50 @@ class Token:
 
 def lex(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     i = 0
     line = 1
     line_start = 0  # index of the current line's first character
     n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "/" and source.startswith("//", i):
-            i = source.find("\n", i)
-            if i < 0:
-                i = n
-            continue
-        col = i - line_start + 1
-        if c in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            text = source[i:j]
-            if int(text) > INT_MAX:
-                raise LexError(f"integer literal {text} out of range", line, col)
-            tokens.append(Token("int", text, line, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalpha() or source[j] in _WORD):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, line, col))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(Token("op", c, line, col))
-            i += 1
-            continue
-        raise LexError(f"unexpected character {c!r}", line, col)
+    while True:
+        for m in iter(_SCAN.scanner(source, i).match, None):
+            skip, word, number, op = m.groups()
+            if "\n" in skip:
+                line += skip.count("\n")
+                line_start = i + skip.rindex("\n") + 1
+            i = m.end()
+            if op is not None:
+                append(_new(Token, ("op", op, line, i - len(op) - line_start + 1)))
+            elif word is not None:
+                col = i - len(word) - line_start + 1
+                append(_new(Token, (_KIND.get(word, "ident"), word, line, col)))
+            else:
+                col = i - len(number) - line_start + 1
+                if int(number) > INT_MAX:
+                    raise LexError(f"integer literal {number} out of range", line, col)
+                append(_new(Token, ("int", number, line, col)))
+        skip = _SKIP.match(source, i).group()
+        if "\n" in skip:
+            line += skip.count("\n")
+            line_start = i + skip.rindex("\n") + 1
+        i += len(skip)
+        if i == n:
+            break
+        i = _word(source, i, line, i - line_start + 1, append)
 
-    tokens.append(Token("eof", "", line, n - line_start + 1))
+    append(Token("eof", "", line, n - line_start + 1))
     return tokens
+
+
+def _word(source: str, i: int, line: int, col: int, append) -> int:
+    """The identifier or keyword at i, whose letters need not be ASCII;
+    returns the index after it."""
+    c = source[i]
+    if not (c.isalpha() or c == "_"):
+        raise LexError(f"unexpected character {c!r}", line, col)
+    j = i + 1
+    while j < len(source) and (source[j].isalpha() or source[j] in _WORD):
+        j += 1
+    text = source[i:j]
+    append(Token(_KIND.get(text, "ident"), text, line, col))
+    return j

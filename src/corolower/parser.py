@@ -86,29 +86,32 @@ class _Tokens:
             f"nesting too deep (more than {MAX_NESTING} levels)", tok.line, tok.col
         )
 
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+    # The current token is tokens[i]. The stream ends in its eof token,
+    # which next and expect never step past, so i is always in range.
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "eof":
             self.i += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.tokens[self.i]
+        if tok.kind != kind or (text is not None and tok.text != text):
             wanted = text if text is not None else kind
             found = tok.text if tok.text else "end of input"
             raise ParseError(
                 f"expected {wanted!r}, found {found!r}", tok.line, tok.col
             )
-        return self.next()
+        self.i += 1  # never at eof: no rule expects one
+        return tok
 
 
 def _pos(tok: Token) -> Pos:
@@ -215,7 +218,8 @@ def _stmt(ts: _Tokens) -> Stmt:
             value = _expr(ts)
             ts.expect("op", ")")
             return Print(value, pos=_pos(tok))
-    if tok.kind == "ident" and ts.peek(1).kind == "op" and ts.peek(1).text == "=":
+    # An identifier is not the eof token, so one follows it.
+    if tok.kind == "ident" and ts.tokens[ts.i + 1].text == "=":
         ts.next()
         ts.next()
         return Assign(tok.text, _expr(ts), pos=_pos(tok))

@@ -12,13 +12,12 @@ Node equality is structural; source positions never participate in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 
@@ -127,8 +126,27 @@ class Block(Node):
     def declared(self) -> list[str]:
         """declared_locals of this block, computed on first use. Not a
         field, so equality, repr and the tree walks never see it, and a
-        node rebuilt by `replace` starts without it."""
+        block that map_tree rebuilds starts without it."""
         return declared_locals(self)
+
+    @cached_property
+    def exits(self) -> bool:
+        """Whether a statement here or in a block under one yields or
+        returns, closure bodies aside. Computed from the blocks under its
+        statements, which cache theirs, so measuring every block of a nest
+        visits each statement once."""
+        for stmt in self.stmts:
+            if type(stmt) in _EXITS:
+                return True
+            for block in blocks_under(stmt):
+                if block.exits:
+                    return True
+        return False
+
+    @cached_property
+    def depth(self) -> int:
+        """nesting(self), cached and computed like exits."""
+        return 1 + max(map(stmt_nesting, self.stmts), default=0)
 
 
 @dataclass
@@ -258,14 +276,35 @@ def nesting(root: Node) -> int:
     return deepest
 
 
+def stmt_nesting(stmt: Stmt) -> int:
+    """nesting(stmt), from the cached depth of each block under it."""
+    deepest = 0
+    for name in _child_fields(type(stmt)):
+        value = getattr(stmt, name)
+        if type(value) is Block:
+            deepest = max(deepest, value.depth)
+        elif isinstance(value, Expr):
+            deepest = max(deepest, nesting(value))
+    return deepest
+
+
+def blocks_under(stmt: Stmt) -> Iterator[Block]:
+    """The blocks directly under a statement: an if's arms, a loop's body."""
+    for name in _child_fields(type(stmt)):
+        value = getattr(stmt, name)
+        if type(value) is Block:
+            yield value
+
+
 NodeT = TypeVar("NodeT", bound=Node)
 
 
 def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
     """Rebuild a tree bottom-up: map every child node first (in lists and
     record literal fields too, and through FuncLit bodies), then apply fn
-    to the node. A rebuilt node keeps its source position, and a subtree
-    that nothing changes is returned as is."""
+    to the node. A changed node is rebuilt by calling its class with its
+    fields, so it keeps its source position and no cached property; a
+    subtree that nothing changes is returned as is."""
     changes = {}
     for name in _child_fields(type(node)):
         value = getattr(node, name)
@@ -290,7 +329,10 @@ def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
         if new is not value:
             changes[name] = new
     if changes:
-        node = replace(node, **changes)
+        node = type(node)(
+            *[changes.get(name, getattr(node, name)) for name in _child_fields(type(node))],
+            pos=node.pos,
+        )
     return fn(node)
 
 
@@ -324,6 +366,7 @@ def declared_locals(block: Block) -> list[str]:
     return list(names)
 
 
+_EXITS = frozenset([YieldStmt, LetYield, Return])  # they leave a generator
 _NAMED = frozenset([FuncDecl, Let, Assign, LetYield, Var, FuncRef])
 
 

@@ -18,6 +18,7 @@ from corolower.cfg import (
 from corolower.errors import InterpError, TransformError
 from corolower.interp import resume_sequence
 from corolower.parser import MAX_NESTING, parse_source
+from corolower import syntax
 from corolower.syntax import (
     Assign,
     Block,
@@ -28,15 +29,20 @@ from corolower.syntax import (
     LetYield,
     Print,
     Return,
+    Stmt,
     Var,
     While,
     YieldStmt,
+    blocks_under,
+    nesting,
+    stmt_nesting,
     walk,
 )
-from corolower.transform import LOWERED_DEPTH
+from corolower.transform import LOWERED_DEPTH, plan_generator
 
 from conftest import CORPUS_FILES, FIB_SOURCE, wide_source
 from genfuzz import closure_generator_program, random_generator_program
+from randgen import random_program
 
 
 def gen_decl(body_source, params=""):
@@ -236,10 +242,22 @@ def test_optimized_cfg_keeps_only_what_a_literal_test_runs():
         assert list(graph.blocks) == [1], body
         assert graph.blocks[1].stmts == stmts, body
         assert graph.blocks[1].terminator == YieldTo(Var("a"), None, END), body
-    # `while (true)` stays a loop of the graph even without a yield.
+    # `while (true)` stays a loop of the graph even without a yield: its
+    # test is a goto, so the body's one block jumps back to itself.
     graph = build_cfg(gen_decl("while (true) { a = a + 1 }", "a"), True)
-    assert graph.blocks[1].terminator == Branch(BoolLit(True), 2, END)
+    assert graph.blocks[1].terminator == Goto(1)
     assert not any(While in kinds for kinds in stmt_kinds(graph).values())
+
+
+def test_a_resume_into_an_endless_loop_that_returns_ends_the_machine():
+    # The optimized `while (true)` leaves no literal branch for merge_blocks
+    # to fold after build_cfg routed the resume edge, so the edge goes to
+    # END and the machine has one state, not a second that only finishes.
+    decl = gen_decl("yield 1 while (true) { return }")
+    graph = build_cfg(decl, True)
+    assert graph.blocks == {1: BasicBlock(1, [], YieldTo(IntLit(1), None, END))}
+    assert merge_blocks(graph) == graph
+    assert plan_generator(decl)[1].states == [1]
 
 
 def nested_ifs(depth):
@@ -261,6 +279,51 @@ def test_optimized_cfg_keeps_room_for_the_lowering():
     deeper = build_cfg(nested_ifs(room - 3), True)
     assert stmt_kinds(deeper) == {1: [], 2: [If], 3: []}
     assert isinstance(deeper.blocks[1].terminator, Branch)
+
+
+def node_visits(monkeypatch, build):
+    """How many nodes the tree walks of syntax visit while build() runs:
+    each asks for the child fields of every node it visits."""
+    visits = 0
+    child_fields = syntax._child_fields
+
+    def counting(cls):
+        nonlocal visits
+        visits += 1
+        return child_fields(cls)
+
+    monkeypatch.setattr(syntax, "_child_fields", counting)
+    build()
+    monkeypatch.undo()
+    return visits
+
+
+@pytest.mark.parametrize("inner", ["yield x", "x = x + 1"])
+def test_optimized_build_measures_a_deep_nest_once(monkeypatch, inner):
+    # At every level it splits, the build asks whether the rest holds a
+    # yield or a return and how deep it nests. Blocks cache both, so the
+    # build stays linear; recomputing them from each level visited 73 and
+    # 28 times the nest's nodes.
+    opens = "".join(f"if (x < {k}) {{ " for k in range(146))
+    decl = gen_decl(f"{opens}{inner} {'} ' * 146}", "x")
+    nodes = sum(1 for _ in walk(decl))
+    assert node_visits(monkeypatch, lambda: build_cfg(decl, True)) <= 2 * nodes
+
+
+def test_stmt_nesting_matches_nesting():
+    programs = [parse_source(path.read_text()) for path in CORPUS_FILES]
+    programs += [random_program(seed) for seed in range(100)]
+    programs += [random_generator_program(seed, True)[0] for seed in range(100)]
+    for program in programs:
+        for node in walk(program):
+            if isinstance(node, Stmt):
+                assert stmt_nesting(node) == nesting(node), node
+                for block in blocks_under(node):
+                    assert block.depth == nesting(block)
+                    assert block.exits == any(
+                        type(n) in (YieldStmt, LetYield, Return)
+                        for n in walk(block, into_functions=False)
+                    )
 
 
 def test_check_cfg_rejects_a_yield_or_return_inside_a_block_statement():

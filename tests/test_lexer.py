@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from corolower.errors import LexError
-from corolower.lexer import lex
+from corolower.lexer import KEYWORDS, lex
+
+from conftest import CORPUS_FILES
 
 
 def kinds_texts(source):
@@ -123,3 +127,103 @@ def test_ascii_digits_in_identifiers_and_literals():
         ("op", "="),
         ("int", "0123"),
     ]
+
+
+@pytest.mark.parametrize("source", ["abé", "café", "_é1", "é", "xé"])
+def test_non_ascii_identifier_is_one_token(source):
+    tokens = lex(f"x {source} = 1")
+    assert [(t.kind, t.text, t.line, t.col) for t in tokens[:3]] == [
+        ("ident", "x", 1, 1),
+        ("ident", source, 1, 3),
+        ("op", "=", 1, len(source) + 4),
+    ]
+
+
+def test_non_ascii_identifier_after_comment_and_newline():
+    tokens = lex("//c\n  abé //d\n\tfné(1)")
+    assert [(t.text, t.line, t.col) for t in tokens] == [
+        ("abé", 2, 3),
+        ("fné", 3, 2),
+        ("(", 3, 5),
+        ("1", 3, 6),
+        (")", 3, 7),
+        ("", 3, 8),
+    ]
+
+
+def test_slash_is_an_operator_only_outside_a_comment():
+    assert kinds_texts("a / b // c / d\ne//f") == [
+        ("ident", "a"),
+        ("op", "/"),
+        ("ident", "b"),
+        ("ident", "e"),
+    ]
+
+
+def test_token_repr():
+    assert repr(lex("ab")[0]) == "Token(ident, 'ab', 1:1)"
+
+
+def test_every_corpus_token_sits_at_its_position():
+    for path in CORPUS_FILES:
+        lines = path.read_text().split("\n")
+        for tok in lex(path.read_text())[:-1]:
+            text = lines[tok.line - 1]
+            assert text[tok.col - 1 : tok.col - 1 + len(tok.text)] == tok.text, (
+                path.name,
+                tok,
+            )
+
+
+def reference_lex(source):
+    """A character-at-a-time lexer with lex's rules, to compare against."""
+    tokens, i, line, line_start, n = [], 0, 1, 0, len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i, line, line_start = i + 1, line + 1, i + 1
+            continue
+        if c in " \t\r":
+            i += 1
+            continue
+        if source.startswith("//", i):
+            i = source.find("\n", i) % (n + 1)
+            continue
+        col = i - line_start + 1
+        j = i + 1
+        if c in "0123456789":
+            while j < n and source[j] in "0123456789":
+                j += 1
+            if int(source[i:j]) > 2**63 - 1:
+                raise LexError(f"integer literal {source[i:j]} out of range", line, col)
+            kind = "int"
+        elif c.isalpha() or c == "_":
+            while j < n and (source[j].isalpha() or source[j] in "0123456789_"):
+                j += 1
+            kind = "kw" if source[i:j] in KEYWORDS else "ident"
+        elif source[i : i + 2] in ("==", "!=", "<=", ">=", "&&", "||"):
+            j, kind = i + 2, "op"
+        elif c in "*(){},.:=&+-/%<>!":
+            kind = "op"
+        else:
+            raise LexError(f"unexpected character {c!r}", line, col)
+        tokens.append((kind, source[i:j], line, col))
+        i = j
+    return tokens + [("eof", "", line, n - line_start + 1)]
+
+
+def outcome(lexer, source):
+    try:
+        return [tuple(t) for t in lexer(source)]
+    except LexError as err:
+        return (str(err),)
+
+
+def test_lex_agrees_with_a_character_loop():
+    alphabet = [" ", "\t", "\r", "\n", "//", "/", "=", "==", "|", "||", "&",
+                "a", "Z", "_", "é", "ß", "²", "٣", "7", "0", "fn", "let",
+                "99999999999999999999", "@", "(", "}", "!", "<"]
+    rng = random.Random(14)
+    for _ in range(3000):
+        source = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert outcome(lex, source) == outcome(reference_lex, source), repr(source)
