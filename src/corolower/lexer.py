@@ -39,7 +39,7 @@ _WORD = _DIGITS | {"_"}
 # `ab` of `abé`). What the regex does not take, lex passes to `_word`.
 _SCAN = re.compile(
     r"([ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*)"
-    r"(?:([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_\x80-\U0010ffff])"
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_]|[^\x00-\x7f])"
     r"|([0-9]+)"
     r"|(==|!=|<=|>=|&&|\|\||/(?!/)|[*(){},.:=&+\-%<>!]))"
 )

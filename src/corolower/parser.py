@@ -115,7 +115,9 @@ class _Tokens:
 
 
 def _pos(tok: Token) -> Pos:
-    return Pos(tok.line, tok.col)
+    # A token ends in its line and column; tuple.__new__ skips the
+    # Python-level __new__ of a NamedTuple.
+    return tuple.__new__(Pos, tok[2:])
 
 
 def parse(tokens: list[Token]) -> Program:

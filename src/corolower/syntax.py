@@ -230,9 +230,10 @@ class Program(Node):
 
 # -- tree walks -------------------------------------------------------------
 #
-# One table of child fields (`_child_fields`) serves every traversal: `walk`
-# and `nesting` visit every node top-down, `map_tree` rebuilds a tree
-# bottom-up, and `declared_locals` follows only the blocks under statements.
+# One table (`_node_fields`) gives every traversal the fields of a node that
+# can hold nodes: `walk` and `nesting` visit every node top-down, `map_tree`
+# rebuilds a tree bottom-up, and `declared_locals`, `Block.exits` and
+# `Block.depth` follow only the blocks under statements.
 
 
 def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
@@ -246,16 +247,14 @@ def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
         yield node
         if not into_functions and type(node) is FuncLit:
             continue
-        for name in reversed(_child_fields(type(node))):
+        for name in reversed(_node_fields(type(node))):
             value = getattr(node, name)
-            if isinstance(value, Node):
-                stack.append(value)
-            elif type(value) is list:
+            if type(value) is list:
                 for item in reversed(value):
-                    if isinstance(item, Node):
-                        stack.append(item)
-                    elif type(item) is tuple:  # a record literal's (name, value)
-                        stack.append(item[1])
+                    # a record literal's field is a (name, value) pair
+                    stack.append(item[1] if type(item) is tuple else item)
+            elif value is not None:
+                stack.append(value)
 
 
 def nesting(root: Node) -> int:
@@ -267,30 +266,31 @@ def nesting(root: Node) -> int:
         node, depth = stack.pop()
         depth += 1 if type(node) is Block else 2 if isinstance(node, Expr) else 0
         deepest = max(deepest, depth)
-        for name in _child_fields(type(node)):
+        for name in _node_fields(type(node)):
             value = getattr(node, name)
-            for item in value if type(value) is list else [value]:
-                item = item[1] if type(item) is tuple else item  # a record field
-                if isinstance(item, Node):
-                    stack.append((item, depth))
+            if type(value) is list:
+                for item in value:
+                    stack.append((item[1] if type(item) is tuple else item, depth))
+            elif value is not None:
+                stack.append((value, depth))
     return deepest
 
 
 def stmt_nesting(stmt: Stmt) -> int:
     """nesting(stmt), from the cached depth of each block under it."""
     deepest = 0
-    for name in _child_fields(type(stmt)):
+    for name in _node_fields(type(stmt)):
         value = getattr(stmt, name)
         if type(value) is Block:
             deepest = max(deepest, value.depth)
-        elif isinstance(value, Expr):
+        elif value is not None:
             deepest = max(deepest, nesting(value))
     return deepest
 
 
 def blocks_under(stmt: Stmt) -> Iterator[Block]:
     """The blocks directly under a statement: an if's arms, a loop's body."""
-    for name in _child_fields(type(stmt)):
+    for name in _node_fields(type(stmt)):
         value = getattr(stmt, name)
         if type(value) is Block:
             yield value
@@ -306,38 +306,45 @@ def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
     fields, so it keeps its source position and no cached property; a
     subtree that nothing changes is returned as is."""
     changes = {}
-    for name in _child_fields(type(node)):
+    for name in _node_fields(type(node)):
         value = getattr(node, name)
-        if isinstance(value, Node):
-            new = map_tree(value, fn)
-        elif isinstance(value, list):
+        if type(value) is list:
             new = value
             for i, item in enumerate(value):
-                if isinstance(item, Node):
-                    mapped = map_tree(item, fn)
-                elif isinstance(item, tuple):  # a record literal's (name, value)
+                if type(item) is tuple:  # a record literal's (name, value)
                     inner = map_tree(item[1], fn)
                     mapped = item if inner is item[1] else (item[0], inner)
                 else:
-                    continue
+                    mapped = map_tree(item, fn)
                 if mapped is not item:
                     if new is value:
                         new = list(value)
                     new[i] = mapped
+        elif value is not None:
+            new = map_tree(value, fn)
         else:
             continue
         if new is not value:
             changes[name] = new
     if changes:
-        node = type(node)(
-            *[changes.get(name, getattr(node, name)) for name in _child_fields(type(node))],
-            pos=node.pos,
-        )
+        cls = type(node)
+        args = [changes.get(name, getattr(node, name)) for name in _init_fields(cls)]
+        node = cls(*args, pos=node.pos)
     return fn(node)
 
 
+# The annotations of the fields that never hold a node.
+_LEAF_TYPES = frozenset(["str", "int", "bool", "list[str]"])
+
+
 @cache
-def _child_fields(cls: type) -> tuple[str, ...]:
+def _node_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "pos" and f.type not in _LEAF_TYPES)
+
+
+@cache
+def _init_fields(cls: type) -> tuple[str, ...]:
+    """The fields that cls takes before its keyword-only pos, in order."""
     return tuple(f.name for f in fields(cls) if f.name != "pos")
 
 
@@ -359,10 +366,7 @@ def declared_locals(block: Block) -> list[str]:
         elif isinstance(node, (Let, LetYield)):
             names.setdefault(node.name)
         else:
-            for name in reversed(_child_fields(type(node))):
-                value = getattr(node, name)
-                if type(value) is Block:
-                    stack.append(value)
+            stack.extend(reversed(list(blocks_under(node))))
     return list(names)
 
 

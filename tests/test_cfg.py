@@ -283,16 +283,16 @@ def test_optimized_cfg_keeps_room_for_the_lowering():
 
 def node_visits(monkeypatch, build):
     """How many nodes the tree walks of syntax visit while build() runs:
-    each asks for the child fields of every node it visits."""
+    each looks up the node fields of every node it visits."""
     visits = 0
-    child_fields = syntax._child_fields
+    node_fields = syntax._node_fields
 
     def counting(cls):
         nonlocal visits
         visits += 1
-        return child_fields(cls)
+        return node_fields(cls)
 
-    monkeypatch.setattr(syntax, "_child_fields", counting)
+    monkeypatch.setattr(syntax, "_node_fields", counting)
     build()
     monkeypatch.undo()
     return visits

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from corolower import parser, syntax
@@ -25,7 +27,7 @@ from corolower.syntax import (
 )
 from corolower.transform import transform_program
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, FIB_SOURCE
 
 # One program that uses every construct of the grammar.
 EVERY_NODE_SOURCE = """
@@ -144,3 +146,37 @@ def test_nesting_bounds_what_the_parser_counts(monkeypatch, path):
         bound = max(nesting(decl.body) for decl in program.decls)
         monkeypatch.setattr(parser, "MAX_NESTING", bound)
         assert parse_source(print_source(program)) == program
+
+
+def holds_a_node(value):
+    if isinstance(value, syntax.Node):
+        return True
+    return isinstance(value, (list, tuple)) and any(map(holds_a_node, value))
+
+
+def test_node_fields_leave_out_only_fields_without_nodes():
+    program = parse_source(EVERY_NODE_SOURCE)
+    for node in [n for form in (program, *all_forms(parse_source(FIB_SOURCE))) for n in walk(form)]:
+        kept = syntax._node_fields(type(node))
+        for field in fields(node):
+            if field.name != "pos" and field.name not in kept:
+                assert not holds_a_node(getattr(node, field.name)), (node, field.name)
+
+
+def test_map_tree_rebuilds_a_block_without_its_cached_measures():
+    program = parse_source("fn* g() { let a = 1 if (a) { yield a } } fn main() { }")
+    body = program.decls[0].body
+    assert (body.declared, body.exits, body.depth) == (["a"], True, 4)
+
+    def rename_and_print(node):
+        if type(node) is syntax.YieldStmt:
+            return Print(node.value, pos=node.pos)
+        if type(node) is Let:
+            return Let("b", node.value, pos=node.pos)
+        return node
+
+    # map_tree itself rebuilds both blocks: rename_and_print returns them as is.
+    new = map_tree(body, rename_and_print)
+    assert new.stmts[0].pos == body.stmts[0].pos
+    assert (new.declared, new.exits, new.depth) == (["b"], False, 4)
+    assert new.stmts[1].then.exits is False
