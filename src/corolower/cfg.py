@@ -58,7 +58,7 @@ from .syntax import (
     Stmt,
     While,
     YieldStmt,
-    blocks_under,
+    stmt_exits,
     stmt_nesting,
 )
 
@@ -108,7 +108,6 @@ class Cfg:
 
 
 _STRAIGHT_LINE = (Let, Assign, ExprStmt, Print, FieldSet)
-_CUTS = (YieldStmt, LetYield, Return)  # they leave the generator
 
 
 def targets(term: Terminator) -> list[int]:
@@ -131,11 +130,6 @@ def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
     return term
 
 
-def _cuts(stmt: Stmt) -> bool:
-    """Whether a statement holds a yield or a return, closure bodies aside."""
-    return isinstance(stmt, _CUTS) or any(b.exits for b in blocks_under(stmt))
-
-
 def check_cfg(graph: Cfg) -> None:
     """Structural invariants: dense ids 1..n, entry = 1, no dangling edges,
     no yield or return inside a block's statements."""
@@ -145,7 +139,7 @@ def check_cfg(graph: Cfg) -> None:
     for bid, block in graph.blocks.items():
         assert block.id == bid
         for stmt in block.stmts:
-            assert not _cuts(stmt), f"yield or return inside block {bid}: {stmt!r}"
+            assert not stmt_exits(stmt), f"yield or return inside block {bid}: {stmt!r}"
         for target in targets(block.terminator):
             assert target == END or target in graph.blocks, (
                 f"dangling edge {bid} -> {target}"
@@ -193,7 +187,7 @@ class _Builder:
                     cur = self.lower(arm.stmts, cur)
             elif opt and stmt.cond == BoolLit(False):
                 pass  # a loop that never runs
-            elif opt and stmt.cond != BoolLit(True) and not _cuts(stmt) and stmt_nesting(stmt) <= self.room:
+            elif opt and stmt.cond != BoolLit(True) and not stmt_exits(stmt) and stmt_nesting(stmt) <= self.room:
                 self.stmts[cur].append(stmt)  # whole; `while (true)` stays a loop of the graph
             elif isinstance(stmt, If):
                 join = self.fresh()
@@ -231,9 +225,11 @@ class _Builder:
 def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
     """Build the control flow graph of a validated generator body, route
     edges past empty blocks, drop unreachable blocks and renumber. With
-    opt, keep only what a literal test runs, `while (true)` aside, and
-    keep an `if` or `while` without a yield or return whole where its
-    nesting leaves room for the lowering's own (transform.LOWERED_DEPTH)."""
+    opt, keep only what a literal test runs, make a `while (true)` test a
+    goto, and keep an `if` or `while` without a yield or return whole
+    where its nesting leaves room for the lowering's own
+    (transform.LOWERED_DEPTH); blocks cache both measures, so a deep nest
+    is measured once, not at every level split."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
     from .transform import LOWERED_DEPTH  # the lowering imports this module

@@ -31,19 +31,22 @@ INT_MAX = 2**63 - 1
 _DIGITS = frozenset("0123456789")
 _WORD = _DIGITS | {"_"}
 
-# One match per token: the whitespace and comments before it, then an
-# ASCII word, an integer or an operator. No group can stop early, so the
-# only match at a position is the longest: a whitespace run or a comment
-# runs to its end, `/` is no operator before `/`, and a word does not
-# stand before a word or non-ASCII character (the regex must not take
-# `ab` of `abé`). What the regex does not take, lex passes to `_word`.
+# Whitespace and comments. A match of it ends only where a token can
+# start: no token starts with whitespace, and a comment runs to its line end.
+_SPACE = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+
+# One match per token: the space before it, then an ASCII word, an integer
+# or an operator. A position has one match at most, the longest: `/` is no
+# operator before `/`, and a word does not stand before a word or
+# non-ASCII character (the regex must not take `ab` of `abé`). What the
+# regex does not take, lex passes to `_word`.
 _SCAN = re.compile(
-    r"([ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*)"
+    f"({_SPACE})"
     r"(?:([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_]|[^\x00-\x7f])"
     r"|([0-9]+)"
     r"|(==|!=|<=|>=|&&|\|\||/(?!/)|[*(){},.:=&+\-%<>!]))"
 )
-_SKIP = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
+_SKIP = re.compile(_SPACE)
 _KIND = dict.fromkeys(KEYWORDS, "kw")
 _new = tuple.__new__  # a Token without NamedTuple's Python-level __new__
 

@@ -136,11 +136,8 @@ class Block(Node):
         statements, which cache theirs, so measuring every block of a nest
         visits each statement once."""
         for stmt in self.stmts:
-            if type(stmt) in _EXITS:
+            if stmt_exits(stmt):
                 return True
-            for block in blocks_under(stmt):
-                if block.exits:
-                    return True
         return False
 
     @cached_property
@@ -286,6 +283,17 @@ def stmt_nesting(stmt: Stmt) -> int:
         elif value is not None:
             deepest = max(deepest, nesting(value))
     return deepest
+
+
+def stmt_exits(stmt: Stmt) -> bool:
+    """Whether a statement yields or returns, or holds one that does;
+    closure bodies aside. From the cached exits of each block under it."""
+    if type(stmt) in _EXITS:
+        return True
+    for block in blocks_under(stmt):
+        if block.exits:
+            return True
+    return False
 
 
 def blocks_under(stmt: Stmt) -> Iterator[Block]:
