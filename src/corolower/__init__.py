@@ -1,8 +1,9 @@
 """corolower: generator coroutines lowered to closure state machines.
 
-Pipeline: parse -> build_cfg/merge_blocks -> transform_program ->
-defunctionalize, with a reference interpreter proving every stage
-observationally equivalent to the original program.
+Pipeline: parse -> build_cfg (merged when optimized; merge_blocks for
+the split graph) -> transform_program -> defunctionalize, with a
+reference interpreter proving every stage observationally equivalent to
+the original program.
 """
 
 from .cfg import BasicBlock, Branch, Cfg, END, Finish, Goto, YieldTo, build_cfg, check_cfg, emit_dot, eval_cfg, merge_blocks

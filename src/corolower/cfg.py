@@ -14,13 +14,14 @@ dense, entry = 1, and follow reverse postorder, which makes the fib
 example number its blocks exactly like the published figure.
 
 build_cfg routes edges past empty blocks in one sweep over the
-terminators, and merge_blocks folds literal branches in one walk and
-absorbs goto chains in another. eval_cfg runs a graph directly on the
-interpreter's statement and expression tables, independently of the
-lowering: it walks the graph as a Python generator that follows the
-native executor's protocol and resumes it through resume_sequence's
-loop. It is the oracle showing that merging preserves what a caller
-observes.
+terminators and, for the optimized lowering, absorbs goto chains before
+numbering, so that graph comes out merged. merge_blocks merges a split
+graph: it folds literal branches, absorbs goto chains and renumbers.
+eval_cfg runs a graph directly on the interpreter's statement and
+expression tables, independently of the lowering: it walks the graph as
+a Python generator that follows the native executor's protocol and
+resumes it through resume_sequence's loop. It is the oracle showing that
+merging preserves what a caller observes.
 """
 
 from __future__ import annotations
@@ -225,11 +226,12 @@ class _Builder:
 def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
     """Build the control flow graph of a validated generator body, route
     edges past empty blocks, drop unreachable blocks and renumber. With
-    opt, keep only what a literal test runs, make a `while (true)` test a
-    goto, and keep an `if` or `while` without a yield or return whole
-    where its nesting leaves room for the lowering's own
-    (transform.LOWERED_DEPTH); blocks cache both measures, so a deep nest
-    is measured once, not at every level split."""
+    opt, build the graph the lowering uses: keep only what a literal test
+    runs, make a `while (true)` test a goto, keep an `if` or `while`
+    without a yield or return whole where its nesting leaves room for the
+    lowering's own (transform.LOWERED_DEPTH), and absorb goto chains as
+    merge_blocks does, so the graph comes out merged. Blocks cache both
+    measures, so a deep nest is measured once, not at every level split."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
     from .transform import LOWERED_DEPTH  # the lowering imports this module
@@ -239,19 +241,22 @@ def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
     if open_block is not None:
         b.terms[open_block] = Finish(None)
     entry = _bypass_empty_blocks(b, entry)
+    if opt:
+        _absorb(b.stmts, b.terms, entry)
     return _renumber(b.stmts, b.terms, entry, func.body.declared)
 
 
 def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
-    """Route every edge past empty blocks and return the new entry;
-    _renumber drops the blocks this leaves unreachable. An empty goto block
-    forwards to its target. An edge into an empty Finish(absent) block
-    leaves the function instead: a branch arm or a yield's resume edge
-    points at END, and a goto becomes the finish. Two kinds of block stay:
-    the entry, and the resume block of a receiver-carrying yield, because
-    the receiver binding must run on a fresh resumption, even one that
-    only finishes (a closure may read the receiver later), and never on
-    a same-call jump into a shared successor."""
+    """Route every edge past empty blocks in one sweep over the
+    terminators and return the new entry; _renumber drops the blocks this
+    leaves unreachable. An empty goto block forwards to its target. An
+    edge into an empty Finish(absent) block leaves the function instead:
+    a branch arm or a yield's resume edge points at END, and a goto
+    becomes the finish. Two kinds of block stay: the entry, and the
+    resume block of a receiver-carrying yield, because the receiver
+    binding must run on a fresh resumption, even one that only finishes
+    (a closure may read the receiver later), and never on a same-call
+    jump into a shared successor."""
     receivers = {
         t.resume
         for t in b.terms.values()
@@ -272,10 +277,8 @@ def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
             forward[bid] = target
         return target
 
-    for bid, term in b.terms.items():
-        b.terms[bid] = _retarget(term, through)
     entry = through(entry)
-
+    # Forwarding changes no finish, so the finishes to bypass are known now.
     finishes = {
         bid
         for bid, t in b.terms.items()
@@ -286,14 +289,13 @@ def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
         and bid not in receivers
     }
 
-    def past(target: int) -> int:
+    def route(target: int) -> int:
+        target = through(target)
         return END if target in finishes else target
 
     for bid, term in b.terms.items():
-        if isinstance(term, Goto) and term.target in finishes:
-            b.terms[bid] = Finish(None)
-        else:
-            b.terms[bid] = _retarget(term, past)
+        term = _retarget(term, route)
+        b.terms[bid] = Finish(None) if isinstance(term, Goto) and term.target == END else term
     return entry
 
 
@@ -332,7 +334,7 @@ def _renumber(
         term = terms[old]
         assert term is not None, f"block {old} has no terminator"
         term = _retarget(term, lambda t: mapping.get(t, t))
-        blocks[new] = BasicBlock(new, list(stmts[old]), term)
+        blocks[new] = BasicBlock(new, stmts[old], term)
     graph = Cfg(blocks, 1, list(declared))
     check_cfg(graph)
     return graph
@@ -341,14 +343,14 @@ def _renumber(
 # -- merging ------------------------------------------------------------------
 
 
-def pred_counts(blocks: dict[int, BasicBlock], entry: int) -> dict[int, int]:
+def pred_counts(terms: dict[int, Terminator], entry: int) -> dict[int, int]:
     """The predecessor count of every block reachable from the entry,
-    counting only edges from such blocks: a block that a folded branch
-    cut off holds no other block back from being absorbed."""
+    counting only edges from such blocks: a block that routing or a
+    folded branch cut off holds no other block back from being absorbed."""
     preds = {entry: 1}  # virtual edge: the entry is never absorbed
     stack = [entry]
     while stack:
-        for target in targets(blocks[stack.pop()].terminator):
+        for target in targets(terms[stack.pop()]):
             if target != END:
                 if target not in preds:
                     stack.append(target)
@@ -356,44 +358,45 @@ def pred_counts(blocks: dict[int, BasicBlock], entry: int) -> dict[int, int]:
     return preds
 
 
+def _absorb(stmts: dict[int, list[Stmt]], terms: dict[int, Terminator], entry: int) -> None:
+    """In one walk over the reachable blocks, let each block that ends in
+    goto t, where t has no other reachable predecessor, absorb t for as
+    long as that holds. Absorbing moves the victim's out-edges to the
+    absorber, so no other block's predecessor count changes and the order
+    of the walk does not matter. Every reachable block gets a new list of
+    statements, so the lists passed in are not modified."""
+    preds = pred_counts(terms, entry)
+    for bid in preds:
+        if bid not in terms:  # absorbed earlier in this walk
+            continue
+        run = [bid]
+        term = terms[bid]
+        while isinstance(term, Goto) and term.target != bid and preds[term.target] == 1:
+            run.append(term.target)
+            term = terms.pop(term.target)
+        terms[bid] = term
+        stmts[bid] = [stmt for victim in run for stmt in stmts[victim]]
+
+
 def merge_blocks(graph: Cfg) -> Cfg:
-    """Simplify in one pass: (a) a branch on a literal true/false becomes
-    a goto (or a finish when the surviving arm is the end sentinel); then
-    (b) a block ending in goto t, where t has no other reachable
-    predecessor, absorbs t, in one walk over the reachable blocks in id
-    order, each absorbing for as long as (b) holds. Absorbing makes no
-    literal branch, so merging the result changes nothing. Edges into
-    empty finishes are build_cfg's to route. Diamond squashing is out of
-    scope. Ids are reassigned densely in reverse postorder; the input is
-    not modified."""
-    blocks = {
-        bid: BasicBlock(bid, list(b.stmts), b.terminator)
-        for bid, b in graph.blocks.items()
-    }
-    entry = graph.entry
-    for block in blocks.values():
+    """Fold literal branches, absorb goto chains, renumber: (a) a branch
+    on a literal true/false becomes a goto (or a finish when the surviving
+    arm is the end sentinel); then (b) a block ending in goto t, where t
+    has no other reachable predecessor, absorbs t (_absorb). Absorbing
+    makes no literal branch, so merging the result, or the optimized
+    graph of build_cfg, changes nothing. Edges into empty finishes are
+    build_cfg's to route. Diamond squashing is out of scope. Ids are
+    reassigned densely in reverse postorder; the input is not modified."""
+    stmts = {bid: block.stmts for bid, block in graph.blocks.items()}
+    terms: dict[int, Terminator] = {}
+    for bid, block in graph.blocks.items():
         term = block.terminator
         if isinstance(term, Branch) and isinstance(term.cond, BoolLit):
             target = term.then if term.cond.value else term.orelse
-            block.terminator = Finish(None) if target == END else Goto(target)
-    preds = pred_counts(blocks, entry)
-    # Absorbing moves the victim's out-edges to the absorber, so no other
-    # block's predecessor count changes and one walk suffices.
-    for bid in sorted(preds):
-        if bid not in blocks:  # absorbed earlier in this walk
-            continue
-        block = blocks[bid]
-        while (
-            isinstance(block.terminator, Goto)
-            and block.terminator.target != bid
-            and preds[block.terminator.target] == 1
-        ):
-            victim = blocks.pop(block.terminator.target)
-            block.stmts += victim.stmts
-            block.terminator = victim.terminator
-    stmts = {bid: b.stmts for bid, b in blocks.items()}
-    terms = {bid: b.terminator for bid, b in blocks.items()}
-    return _renumber(stmts, terms, entry, graph.declared)
+            term = Finish(None) if target == END else Goto(target)
+        terms[bid] = term
+    _absorb(stmts, terms, graph.entry)
+    return _renumber(stmts, terms, graph.entry, graph.declared)
 
 
 def yield_count(graph: Cfg) -> int:

@@ -77,7 +77,6 @@ from .cfg import (
     Goto,
     YieldTo,
     build_cfg,
-    merge_blocks,
     pred_counts,
 )
 from .syntax import (
@@ -172,11 +171,11 @@ class NameAllocator:
 def plan_generator(
     func: FuncDecl, opt: bool = True, names: NameAllocator | None = None
 ) -> tuple[Cfg, StateMachinePlan]:
-    """Build (and optionally merge) the CFG and plan its machine. Block
+    """Build the CFG, merged when optimized, and plan its machine. Block
     ids are dense reverse-postorder integers and serve directly as
     instruction numbers; entry is state 1. Optimized, the blocks that are
     emitted in place (see `_inlined`) are no states."""
-    graph = merge_blocks(build_cfg(func, True)) if opt else build_cfg(func)
+    graph = build_cfg(func, opt)
     if names is None:
         names = NameAllocator(identifiers(func))
     hoisted = [n for n in graph.declared if n not in func.params]
@@ -288,19 +287,16 @@ def _inlined(graph: Cfg) -> set[int]:
     """The leaves, emitted in place of the one edge that reaches them:
     neither the entry nor a resume target nor ending in a branch, so a
     leaf nests no further and a long run of guards stays flat."""
-    preds = pred_counts(graph.blocks, graph.entry)
-    resumes = {
-        block.terminator.resume
-        for block in graph.blocks.values()
-        if isinstance(block.terminator, YieldTo)
-    }
+    terms = {bid: block.terminator for bid, block in graph.blocks.items()}
+    preds = pred_counts(terms, graph.entry)
+    resumes = {t.resume for t in terms.values() if isinstance(t, YieldTo)}
     return {
         bid
-        for bid, block in graph.blocks.items()
+        for bid, t in terms.items()
         if preds[bid] == 1
         and bid != graph.entry
         and bid not in resumes
-        and not isinstance(block.terminator, Branch)
+        and not isinstance(t, Branch)
     }
 
 

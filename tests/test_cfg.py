@@ -1,3 +1,5 @@
+import runpy
+
 import pytest
 
 from corolower.cfg import (
@@ -40,7 +42,7 @@ from corolower.syntax import (
 )
 from corolower.transform import LOWERED_DEPTH, plan_generator
 
-from conftest import CORPUS_FILES, FIB_SOURCE, wide_source
+from conftest import CORPUS_FILES, FIB_SOURCE, TESTS_DIR
 from genfuzz import closure_generator_program, random_generator_program
 from randgen import random_program
 
@@ -412,19 +414,28 @@ def test_build_routes_resume_into_empty_finish_to_end():
 
 
 def swept_generators():
-    """The corpus's generators, the wide workload's at 100 and 800 arms,
-    and the generators of the fuzz sweeps' first 200 seeds."""
+    """The corpus's generators, the benchmark workloads' (wide-states and
+    deep-states are the wide family at 100 and 800 arms), and the
+    generators of the fuzz sweeps' first 400 seeds."""
     decls = [
         decl
         for path in CORPUS_FILES
         for decl in parse_source(path.read_text()).decls
         if decl.is_generator
     ]
-    decls += [parse_source(wide_source(arms, 1)).decls[0] for arms in (100, 800)]
-    for seed in range(200):
+    workloads = runpy.run_path(str(TESTS_DIR.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
+    decls += [parse_source(make(1).source).decls[0] for make in workloads.values()]
+    for seed in range(400):
         decls += [random_generator_program(seed, arm_yields)[0].decls[0] for arm_yields in (True, False)]
         decls.append(closure_generator_program(seed).decls[0])
     return decls
+
+
+def test_optimized_build_is_already_merged():
+    # build_cfg absorbs the goto chains of the lowering's graph itself.
+    for decl in swept_generators():
+        graph = build_cfg(decl, True)
+        assert merge_blocks(graph) == graph, decl.name
 
 
 def test_merge_is_idempotent_on_corpus():
@@ -530,6 +541,12 @@ def test_dot_merged_fib():
     assert block_nodes(dot) == 3
     assert "bb3 -> bb2;" in dot  # the single back edge
     assert "start" in dot and "end" in dot
+
+
+def test_dot_finish_with_a_value():
+    dot = emit_dot(build_cfg(gen_decl("let v = yield 1 return v")))
+    assert 'bb1 -> bb2 [style=dashed, label="yield 1"];' in dot
+    assert 'bb2 -> end [label="v"];' in dot
 
 
 def test_dot_empty_generator():

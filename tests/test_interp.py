@@ -245,3 +245,34 @@ def test_dispatch_tables_cover_the_ast():
 
     assert set(_EXPR) == node_kinds(syntax.Expr)
     assert set(_STMT) == node_kinds(syntax.Stmt)
+
+
+def test_not_and_a_right_operand_that_decides():
+    program = parse_source(
+        "fn main() { print(!true) print(!false) print(true && false) print(true && true)"
+        " print(false || true) print(false || false) }"
+    )
+    assert interp_native(program) == [False, True, False, True, True, False]
+
+
+@pytest.mark.parametrize("operands", ["true && 7", "false || 7"])
+def test_right_operand_must_be_boolean(operands):
+    source = f"fn main() {{ print({operands}) }}"
+    with pytest.raises(InterpError) as err:
+        interp_native(parse_source(source))
+    col = source.index("7") + 1
+    assert str(err.value) == f"expected a boolean, got 7 (line 1, col {col})"
+
+
+def test_function_references_compare_by_name():
+    program = parse_source(
+        "fn f() { } fn g() { } fn main() { print(&f == &f) print(&f != &g) print(&f == &g) print(&f != &f) }"
+    )
+    assert interp_native(program) == [True, True, False, False]
+
+
+def test_print_shows_functions_and_generator_instances():
+    program = parse_source(
+        "fn f() { } fn* g() { yield 1 } fn main() { print(&f) print(f) print(fn () { }) print(g()) }"
+    )
+    assert render_output(interp_native(program)) == "&f\n<fn f>\n<fn>\n<generator g>\n"
