@@ -15,6 +15,13 @@ runs `while (true) { let _v = _e._i(_e, _r)  if (_v != _e._k) { return
 _v } }`. This is defunctionalization carried one level further (Danvy &
 Nielsen, PPDP 2001): a state is named by a function reference instead
 of a number.
+
+Each lifted body, a machine or a state closure, takes one map_tree
+rewrite (`_lift`) that moves captured variables into the environment,
+makes `next` `apply` and counts the transfers between states. A bad
+transfer is reported first, then a state used as a value, then the first
+name fault the rewrite met. The declarations not lifted are rewritten
+after every factory, so a lifting fault wins over a stray closure.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .syntax import (
     declared_locals,
     map_tree,
     program_identifiers,
-    walk,
 )
 from .transform import NameAllocator, threaded_loop
 
@@ -149,23 +155,23 @@ def defunctionalize(program: Program) -> Program:
         env_param = names.fresh("_e")
         env_fields = [shape.inst_var] + shape.params + shape.hoisted
         if shape.sentinel is None:
-            bound = global_names | {shape.resume_param}
-            to_env = _to_env(decl.name, env_param, set(env_fields), bound)
-            machine = map_tree(shape.machine_body, _then_apply(to_env, fo_name, apply_name))
+            captured, bound = set(env_fields), global_names | {shape.resume_param}
+            machine = _lift(decl.name, shape.machine_body, env_param, captured, bound, apply_name)
             decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, machine))
             inst_init: Expr = IntLit(1)
             sentinel_init = []
         else:
             env_fields.insert(1, shape.sentinel)
+            captured = set(env_fields)
             refs = {s: names.fresh(f"{decl.name}{s}") for s in shape.states}
+            threaded = (shape.inst_var, refs, set(refs.values()))
             decls.append(_threaded_machine(shape, fo_name, env_param))
             for state, closure in shape.states.items():
-                _check_transfers(decl.name, closure.body, shape.inst_var, refs)
                 (resume,) = closure.params
-                to_env = _to_env(
-                    decl.name, env_param, set(env_fields), global_names | {resume}, refs
+                bound = global_names | {resume}
+                body = _lift(
+                    decl.name, closure.body, env_param, captured, bound, apply_name, threaded
                 )
-                body = map_tree(closure.body, _then_apply(to_env, refs[state], apply_name))
                 decls.append(FuncDecl(refs[state], [env_param, resume], False, body))
             inst_init = FuncRef(refs[shape.entry])
             sentinel_init = [(shape.sentinel, RecordLit([]))]
@@ -173,15 +179,8 @@ def defunctionalize(program: Program) -> Program:
         env_init += sentinel_init
         env_init += [(p, Var(p)) for p in shape.params]
         env_init += [(h, NullLit()) for h in shape.hoisted]
-        ctor_body = Block(
-            [
-                Return(
-                    RecordLit(
-                        [("env", RecordLit(env_init)), ("fn", FuncRef(fo_name))]
-                    )
-                )
-            ]
-        )
+        ctor = RecordLit([("env", RecordLit(env_init)), ("fn", FuncRef(fo_name))])
+        ctor_body = Block([Return(ctor)])
         decls.append(FuncDecl(decl.name, list(decl.params), False, ctor_body))
 
     # A lifted body had its nexts rewritten with its environment; the rest
@@ -206,87 +205,81 @@ def _threaded_machine(shape: _FactoryShape, name: str, env: str) -> FuncDecl:
     return FuncDecl(name, [env, shape.resume_param], False, body)
 
 
-def _check_transfers(name: str, body: Block, inst: str, states: dict[str, str]) -> None:
-    """A state body may name a state or the instruction variable only in
-    `inst = <a state>`: a lifted state is a function reference, which is
-    no closure to call or compare."""
-    transfers = uses = 0
-    for node in walk(body):
-        if type(node) is Assign and node.name == inst:
-            if not (type(node.value) is Var and node.value.name in states):
-                raise DefuncError(f"{name!r}: the next state is not a state closure")
-            transfers += 1
-        elif type(node) is Var and (node.name == inst or node.name in states):
-            uses += 1
-    if uses != transfers:
-        raise DefuncError(f"{name!r}: a state closure is used as a value")
-
-
 def _apply_decl(name: str) -> FuncDecl:
     # fn apply(c, r) { return c.fn(c.env, r) }
-    body = Block(
-        [
-            Return(
-                Call(
-                    FieldGet(Var("c"), "fn"),
-                    [FieldGet(Var("c"), "env"), Var("r")],
-                )
-            )
-        ]
-    )
-    return FuncDecl(name, ["c", "r"], False, body)
+    call = Call(FieldGet(Var("c"), "fn"), [FieldGet(Var("c"), "env"), Var("r")])
+    return FuncDecl(name, ["c", "r"], False, Block([Return(call)]))
 
 
 # -- node rewrites for map_tree ---------------------------------------------
 
 
-def _to_env(
+def _lift(
     name: str,
+    body: Block,
     env: str,
     captured: set[str],
     bound: set[str],
-    refs: dict[str, str] | None = None,
-):
-    """Captured variables become fields of the environment record, and a
-    state closure in `refs` a reference to its lifted function; any other
-    variable must be bound without them. A `let` of a captured name would
-    shadow it in the machine but not in the lifted body, which reads the
-    field, so it is refused."""
-    refs = refs or {}
+    apply_name: str,
+    threaded: tuple[str, dict[str, str], set[str]] | None = None,
+) -> Block:
+    """A machine or state body lifted to the top level by one map_tree
+    rewrite: a captured variable becomes a field of the environment
+    record, a state closure in `threaded` a reference to its lifted
+    function, and `next(g, v)` `apply(g, v)`. Any other variable must be
+    bound without them, and a `let` of a captured name, which would shadow
+    it in the machine but not in the lifted body, is refused.
+
+    `threaded` holds a threaded factory's instruction variable, its state
+    closures' lifted names and the set of those. A state may name a state
+    or the instruction variable only in `inst = <a state>`: a lifted state
+    is a function reference, no closure to call or compare. Such a fault
+    wins over a name fault, which is held until the rewrite ends."""
+    inst, refs, targets = threaded or (None, {}, set())
+    fault: DefuncError | None = None
+    transfers = uses = 0
 
     def rewrite(node: Node) -> Node:
-        if isinstance(node, Let) and node.name in captured:
-            pos = node.pos
-            raise DefuncError(
-                f"{name!r}: machine body declares {node.name!r}, "
-                "which shadows a variable of the factory",
-                pos and pos.line,
-                pos and pos.col,
-            )
-        if isinstance(node, Var):
+        nonlocal fault, transfers, uses
+        cls = type(node)
+        if cls is Var:
             if node.name in refs:
+                uses += 1
                 return FuncRef(refs[node.name], pos=node.pos)
             if node.name in captured:
+                uses += node.name == inst
                 return FieldGet(Var(env), node.name, pos=node.pos)
-            if node.name not in bound:
-                raise DefuncError(
+            if node.name not in bound and fault is None:
+                fault = DefuncError(
                     f"{name!r}: machine body references {node.name!r}, "
                     "which is neither captured nor global"
                 )
-        if isinstance(node, Assign) and node.name in captured:
+        elif cls is Assign and node.name in captured:
+            if node.name == inst:
+                # The state has been rewritten to its function reference.
+                if not (type(node.value) is FuncRef and node.value.name in targets):
+                    raise DefuncError(f"{name!r}: the next state is not a state closure")
+                transfers += 1
             return FieldSet(Var(env), node.name, node.value, pos=node.pos)
-        if isinstance(node, FuncLit):
-            raise DefuncError("nested closure inside a machine body")
+        elif cls is NextCall:
+            arg = node.arg if node.arg is not None else NullLit()
+            return Call(Var(apply_name), [node.gen, arg], pos=node.pos)
+        elif cls is Let and node.name in captured and fault is None:
+            fault = DefuncError(
+                f"{name!r}: machine body declares {node.name!r}, "
+                "which shadows a variable of the factory",
+                *(node.pos or (None, None)),
+            )
+        elif cls is FuncLit and fault is None:
+            fault = DefuncError("nested closure inside a machine body")
         return node
 
-    return rewrite
-
-
-def _then_apply(to_env, name: str, apply_name: str):
-    """One rewrite of a lifted body: to_env, whose errors come first, and
-    then _to_apply on what it returns."""
-    to_apply = _to_apply(name, apply_name)
-    return lambda node: to_apply(to_env(node))
+    body = map_tree(body, rewrite)
+    if uses != transfers:
+        raise DefuncError(f"{name!r}: a state closure is used as a value")
+    if fault is not None:
+        raise fault
+    return body
 
 
 def _to_apply(name: str, apply_name: str):
@@ -294,10 +287,10 @@ def _to_apply(name: str, apply_name: str):
     may remain."""
 
     def rewrite(node: Node) -> Node:
-        if isinstance(node, NextCall):
+        if type(node) is NextCall:
             arg = node.arg if node.arg is not None else NullLit()
             return Call(Var(apply_name), [node.gen, arg], pos=node.pos)
-        if isinstance(node, FuncLit):
+        if type(node) is FuncLit:
             raise DefuncError(
                 f"{name!r} contains a closure that is not a state machine"
             )

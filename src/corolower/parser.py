@@ -28,6 +28,7 @@ from .syntax import (
     Let,
     LetYield,
     NextCall,
+    Node,
     NullLit,
     Pos,
     Print,
@@ -39,7 +40,7 @@ from .syntax import (
     Var,
     While,
     YieldStmt,
-    walk,
+    children,
 )
 
 BINARY_PRECEDENCE = {
@@ -368,11 +369,7 @@ def validate(program: Program) -> None:
     seen: set[str] = set()
     for decl in program.decls:
         if decl.name in seen:
-            raise ValidationError(
-                f"duplicate function name {decl.name!r}",
-                decl.pos.line if decl.pos else None,
-                decl.pos.col if decl.pos else None,
-            )
+            raise ValidationError(f"duplicate function name {decl.name!r}", *_at(decl))
         seen.add(decl.name)
     if program.entry not in seen:
         raise ValidationError(f"missing entry function {program.entry!r}")
@@ -382,27 +379,32 @@ def validate(program: Program) -> None:
     if entry.params:
         raise ValidationError(f"entry function {program.entry!r} takes parameters")
     for decl in program.decls:
-        _check_params(decl.params, decl.pos)
-        _check_yields(decl.body, decl.is_generator)
+        _check_function(decl, decl.is_generator)
 
 
-def _check_params(params: list[str], pos) -> None:
-    if len(set(params)) != len(params):
-        raise ValidationError(
-            "duplicate parameter name",
-            pos.line if pos else None,
-            pos.col if pos else None,
-        )
+def _check_function(func: FuncDecl | FuncLit, generator: bool) -> None:
+    """Distinct parameters, and no yield in the body unless a generator's.
+    Yields stand only in statement position, so this enters expressions
+    only to find fn literals, never generators, and meets nodes in walk's
+    order: the first fault in the source is reported."""
+    if len(set(func.params)) != len(func.params):
+        raise ValidationError("duplicate parameter name", *_at(func))
+    stack: list[Node] = [func.body]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Block:
+            stack.extend(reversed(node.stmts))
+        elif cls is FuncLit:
+            _check_function(node, False)
+        elif not generator and (cls is YieldStmt or cls is LetYield):
+            raise ValidationError("yield outside a generator", *_at(node))
+        elif cls not in _LEAVES:
+            stack.extend(reversed(children(node)))
 
 
-def _check_yields(block: Block, allowed: bool) -> None:
-    for node in walk(block, into_functions=False):
-        if isinstance(node, (YieldStmt, LetYield)) and not allowed:
-            raise ValidationError(
-                "yield outside a generator",
-                node.pos.line if node.pos else None,
-                node.pos.col if node.pos else None,
-            )
-        if isinstance(node, FuncLit):
-            _check_params(node.params, node.pos)
-            _check_yields(node.body, False)
+_LEAVES = frozenset([IntLit, BoolLit, NullLit, Var, FuncRef])  # no children
+
+
+def _at(node: Node) -> tuple[int | None, int | None]:
+    return node.pos or (None, None)

@@ -1,6 +1,11 @@
 """Canonical source rendering: 2-space indent, one statement per line,
 `fn*` for generators, parentheses only where precedence demands them.
 parse(lex(print_source(p))) reproduces p structurally.
+
+Each node's class is looked up in a table, as in the interpreter: `_EXPR`
+gives a handler of (node, the least precedence that needs no parentheses,
+indent level) returning text, `_STMT` one of (node, indent string, indent
+level) returning lines.
 """
 
 from __future__ import annotations
@@ -51,102 +56,104 @@ def expr_source(expr: Expr, indent: int = 0) -> str:
 
 def stmt_lines(stmt: Stmt, indent: int = 0) -> list[str]:
     """Render one statement as its source lines."""
-    return _stmt_lines(stmt, indent)
+    return _STMT[type(stmt)](stmt, "  " * indent, indent)
 
 
 def _decl(decl: FuncDecl) -> str:
     star = "*" if decl.is_generator else ""
     header = f"fn{star} {decl.name}({', '.join(decl.params)}) {{"
-    lines = [header]
-    lines.extend(_block_lines(decl.body, 1))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *_block_lines(decl.body, 1), "}"]) + "\n"
 
 
 def _block_lines(block: Block, indent: int) -> list[str]:
+    pad = "  " * indent
     lines: list[str] = []
     for stmt in block.stmts:
-        lines.extend(_stmt_lines(stmt, indent))
+        lines.extend(_STMT[type(stmt)](stmt, pad, indent))
     return lines
 
 
-def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(stmt, Let):
-        return [f"{pad}let {stmt.name} = {_expr(stmt.value, 1, indent)}"]
-    if isinstance(stmt, LetYield):
-        return [f"{pad}let {stmt.name} = yield {_expr(stmt.value, 1, indent)}"]
-    if isinstance(stmt, Assign):
-        return [f"{pad}{stmt.name} = {_expr(stmt.value, 1, indent)}"]
-    if isinstance(stmt, YieldStmt):
-        return [f"{pad}yield {_expr(stmt.value, 1, indent)}"]
-    if isinstance(stmt, FieldSet):
-        target = f"{_expr(stmt.record, _POSTFIX_PRECEDENCE, indent)}.{stmt.field}"
-        return [f"{pad}{target} = {_expr(stmt.value, 1, indent)}"]
-    if isinstance(stmt, If):
-        lines = [f"{pad}if ({_expr(stmt.cond, 1, indent)}) {{"]
-        lines.extend(_block_lines(stmt.then, indent + 1))
-        if stmt.orelse is not None:
-            lines.append(f"{pad}}} else {{")
-            lines.extend(_block_lines(stmt.orelse, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(stmt, While):
-        lines = [f"{pad}while ({_expr(stmt.cond, 1, indent)}) {{"]
-        lines.extend(_block_lines(stmt.body, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(stmt, Return):
-        if stmt.value is None:
-            return [f"{pad}return"]
-        return [f"{pad}return {_expr(stmt.value, 1, indent)}"]
-    if isinstance(stmt, Print):
-        return [f"{pad}print({_expr(stmt.value, 1, indent)})"]
-    if isinstance(stmt, ExprStmt):
-        return [f"{pad}{_expr(stmt.value, 1, indent)}"]
-    raise AssertionError(f"unhandled statement {stmt!r}")
-
-
 def _expr(expr: Expr, prec: int, indent: int) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, NullLit):
-        return "null"
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, FuncRef):
-        return f"&{expr.name}"
-    if isinstance(expr, Binary):
-        p = BINARY_PRECEDENCE[expr.op]
-        text = (
-            f"{_expr(expr.lhs, p, indent)} {expr.op} {_expr(expr.rhs, p + 1, indent)}"
-        )
-        return f"({text})" if p < prec else text
-    if isinstance(expr, Unary):
-        text = f"{expr.op}{_expr(expr.operand, _UNARY_PRECEDENCE, indent)}"
-        return f"({text})" if _UNARY_PRECEDENCE < prec else text
-    if isinstance(expr, Call):
-        callee = _expr(expr.callee, _POSTFIX_PRECEDENCE, indent)
-        args = ", ".join(_expr(a, 1, indent) for a in expr.args)
-        return f"{callee}({args})"
-    if isinstance(expr, NextCall):
-        gen = _expr(expr.gen, 1, indent)
-        if expr.arg is None:
-            return f"next({gen})"
-        return f"next({gen}, {_expr(expr.arg, 1, indent)})"
-    if isinstance(expr, FieldGet):
-        return f"{_expr(expr.record, _POSTFIX_PRECEDENCE, indent)}.{expr.field}"
-    if isinstance(expr, RecordLit):
-        if not expr.fields:
-            return "{}"
-        parts = ", ".join(f"{k}: {_expr(v, 1, indent)}" for k, v in expr.fields)
-        return f"{{ {parts} }}"
-    if isinstance(expr, FuncLit):
-        pad = "  " * indent
-        lines = [f"fn ({', '.join(expr.params)}) {{"]
-        lines.extend(_block_lines(expr.body, indent + 1))
-        lines.append(f"{pad}}}")
-        return "\n".join(lines)
-    raise AssertionError(f"unhandled expression {expr!r}")
+    return _EXPR[type(expr)](expr, prec, indent)
+
+
+def _if(stmt, pad, indent):
+    lines = [f"{pad}if ({_expr(stmt.cond, 1, indent)}) {{", *_block_lines(stmt.then, indent + 1)]
+    if stmt.orelse is not None:
+        lines += [f"{pad}}} else {{", *_block_lines(stmt.orelse, indent + 1)]
+    return lines + [f"{pad}}}"]
+
+
+def _while(stmt, pad, indent):
+    head = f"{pad}while ({_expr(stmt.cond, 1, indent)}) {{"
+    return [head, *_block_lines(stmt.body, indent + 1), f"{pad}}}"]
+
+
+def _field_set(stmt, pad, indent):
+    target = f"{_expr(stmt.record, _POSTFIX_PRECEDENCE, indent)}.{stmt.field}"
+    return [f"{pad}{target} = {_expr(stmt.value, 1, indent)}"]
+
+
+_STMT = {
+    Let: lambda s, pad, i: [f"{pad}let {s.name} = {_expr(s.value, 1, i)}"],
+    LetYield: lambda s, pad, i: [f"{pad}let {s.name} = yield {_expr(s.value, 1, i)}"],
+    Assign: lambda s, pad, i: [f"{pad}{s.name} = {_expr(s.value, 1, i)}"],
+    YieldStmt: lambda s, pad, i: [f"{pad}yield {_expr(s.value, 1, i)}"],
+    FieldSet: _field_set,
+    If: _if,
+    While: _while,
+    Return: lambda s, pad, i: [
+        f"{pad}return" if s.value is None else f"{pad}return {_expr(s.value, 1, i)}"
+    ],
+    Print: lambda s, pad, i: [f"{pad}print({_expr(s.value, 1, i)})"],
+    ExprStmt: lambda s, pad, i: [f"{pad}{_expr(s.value, 1, i)}"],
+}
+
+
+def _binary(expr, prec, indent):
+    p = BINARY_PRECEDENCE[expr.op]
+    text = f"{_expr(expr.lhs, p, indent)} {expr.op} {_expr(expr.rhs, p + 1, indent)}"
+    return f"({text})" if p < prec else text
+
+
+def _unary(expr, prec, indent):
+    text = f"{expr.op}{_expr(expr.operand, _UNARY_PRECEDENCE, indent)}"
+    return f"({text})" if _UNARY_PRECEDENCE < prec else text
+
+
+def _call(expr, prec, indent):
+    args = ", ".join(_expr(a, 1, indent) for a in expr.args)
+    return f"{_expr(expr.callee, _POSTFIX_PRECEDENCE, indent)}({args})"
+
+
+def _next_call(expr, prec, indent):
+    args = [expr.gen] if expr.arg is None else [expr.gen, expr.arg]
+    return f"next({', '.join(_expr(a, 1, indent) for a in args)})"
+
+
+def _record_lit(expr, prec, indent):
+    if not expr.fields:
+        return "{}"
+    parts = ", ".join(f"{k}: {_expr(v, 1, indent)}" for k, v in expr.fields)
+    return f"{{ {parts} }}"
+
+
+def _func_lit(expr, prec, indent):
+    lines = [f"fn ({', '.join(expr.params)}) {{", *_block_lines(expr.body, indent + 1)]
+    return "\n".join(lines + [f"{'  ' * indent}}}"])
+
+
+_EXPR = {
+    IntLit: lambda e, prec, i: str(e.value),
+    BoolLit: lambda e, prec, i: "true" if e.value else "false",
+    NullLit: lambda e, prec, i: "null",
+    Var: lambda e, prec, i: e.name,
+    FuncRef: lambda e, prec, i: f"&{e.name}",
+    Binary: _binary,
+    Unary: _unary,
+    Call: _call,
+    NextCall: _next_call,
+    FieldGet: lambda e, prec, i: f"{_expr(e.record, _POSTFIX_PRECEDENCE, i)}.{e.field}",
+    RecordLit: _record_lit,
+    FuncLit: _func_lit,
+}

@@ -135,10 +135,7 @@ class Block(Node):
         returns, closure bodies aside. Computed from the blocks under its
         statements, which cache theirs, so measuring every block of a nest
         visits each statement once."""
-        for stmt in self.stmts:
-            if stmt_exits(stmt):
-                return True
-        return False
+        return any(map(stmt_exits, self.stmts))
 
     @cached_property
     def depth(self) -> int:
@@ -224,13 +221,21 @@ class Program(Node):
     decls: list[FuncDecl]
     entry: str = "main"
 
+    @cached_property
+    def identifiers(self) -> frozenset[str]:
+        """program_identifiers, cached like Block.declared, so that both
+        lowerings of a program walk it once."""
+        return frozenset(_names(self))
+
 
 # -- tree walks -------------------------------------------------------------
 #
 # One table (`_node_fields`) gives every traversal the fields of a node that
-# can hold nodes: `walk` and `nesting` visit every node top-down, `map_tree`
-# rebuilds a tree bottom-up, and `declared_locals`, `Block.exits` and
-# `Block.depth` follow only the blocks under statements.
+# can hold nodes, and `children` lists them: `walk` and `nesting` visit every
+# node top-down, `map_tree` rebuilds a tree bottom-up, `declared_locals`,
+# `Block.exits` and `Block.depth` follow only the blocks under statements, and
+# parser.validate follows statements and fn literals. `Block.declared` and
+# `Program.identifiers` cache a body's locals and a program's names.
 
 
 def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
@@ -263,45 +268,38 @@ def nesting(root: Node) -> int:
         node, depth = stack.pop()
         depth += 1 if type(node) is Block else 2 if isinstance(node, Expr) else 0
         deepest = max(deepest, depth)
-        for name in _node_fields(type(node)):
-            value = getattr(node, name)
-            if type(value) is list:
-                for item in value:
-                    stack.append((item[1] if type(item) is tuple else item, depth))
-            elif value is not None:
-                stack.append((value, depth))
+        stack.extend((child, depth) for child in children(node))
     return deepest
 
 
 def stmt_nesting(stmt: Stmt) -> int:
     """nesting(stmt), from the cached depth of each block under it."""
-    deepest = 0
-    for name in _node_fields(type(stmt)):
-        value = getattr(stmt, name)
-        if type(value) is Block:
-            deepest = max(deepest, value.depth)
-        elif value is not None:
-            deepest = max(deepest, nesting(value))
-    return deepest
+    depths = (c.depth if type(c) is Block else nesting(c) for c in children(stmt))
+    return max(depths, default=0)
 
 
 def stmt_exits(stmt: Stmt) -> bool:
     """Whether a statement yields or returns, or holds one that does;
     closure bodies aside. From the cached exits of each block under it."""
-    if type(stmt) in _EXITS:
-        return True
-    for block in blocks_under(stmt):
-        if block.exits:
-            return True
-    return False
+    return type(stmt) in _EXITS or any(block.exits for block in blocks_under(stmt))
 
 
-def blocks_under(stmt: Stmt) -> Iterator[Block]:
+def children(node: Node) -> list[Node]:
+    """The nodes directly under a node, in source order; a record
+    literal's values stand for its fields."""
+    out = []
+    for name in _node_fields(type(node)):
+        value = getattr(node, name)
+        if type(value) is list:
+            out.extend([item[1] if type(item) is tuple else item for item in value])
+        elif value is not None:
+            out.append(value)
+    return out
+
+
+def blocks_under(stmt: Stmt) -> list[Block]:
     """The blocks directly under a statement: an if's arms, a loop's body."""
-    for name in _node_fields(type(stmt)):
-        value = getattr(stmt, name)
-        if type(value) is Block:
-            yield value
+    return [child for child in children(stmt) if type(child) is Block]
 
 
 NodeT = TypeVar("NodeT", bound=Node)
@@ -374,7 +372,7 @@ def declared_locals(block: Block) -> list[str]:
         elif isinstance(node, (Let, LetYield)):
             names.setdefault(node.name)
         else:
-            stack.extend(reversed(list(blocks_under(node))))
+            stack.extend(reversed(blocks_under(node)))
     return list(names)
 
 
@@ -401,5 +399,5 @@ def identifiers(decl: FuncDecl) -> set[str]:
 
 
 def program_identifiers(program: Program) -> set[str]:
-    """identifiers of every declaration, plus the declared function names."""
-    return _names(program)
+    """identifiers of every declaration and the declared function names."""
+    return set(program.identifiers)

@@ -283,6 +283,43 @@ def test_rejects_threaded_machines_it_cannot_lift(state, message):
         defunctionalize(program)
 
 
+# Within one state a fault of its transfers wins over a name fault, in
+# either order in the source, and a state used as a value wins too.
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("_i = 1\n    return zz", "'f': the next state is not a state closure"),
+        ("print(zz)\n    _i = 1\n    return 1", "'f': the next state is not a state closure"),
+        ("print(zz)\n    _i = _s0\n    return _s1", "'f': a state closure is used as a value"),
+        ("_i = _s0\n    print(_s1)\n    return zz", "'f': a state closure is used as a value"),
+    ],
+)
+def test_transfer_faults_win_over_name_faults(state, message):
+    program = parse_source(THREADED_FACTORY.format(state=state))
+    with pytest.raises(DefuncError, match=message):
+        defunctionalize(program)
+
+
+# A numbered machine reports the name fault its rewrite meets first:
+# children before their parent, statements in source order.
+@pytest.mark.parametrize(
+    "machine, message",
+    [
+        ("let a = zz\n    return a", "references 'zz'"),
+        ("let a = 5\n    return zz", "declares 'a', which shadows"),
+        ("print(zz)\n    let a = 5\n    return a", "references 'zz'"),
+        ("print(fn () { return 1 })\n    return zz", "nested closure inside a machine body"),
+        ("print(fn () { return zz })", "references 'zz'"),
+    ],
+)
+def test_the_first_name_fault_of_a_machine_wins(machine, message):
+    source = f"fn f() {{\n  let _i = 1\n  let a = null\n  return fn (_r) {{\n    {machine}\n  }}\n}}\nfn main() {{ }}"
+    program = parse_source(source)
+    assert match_factory(program.decls[0]) is not None
+    with pytest.raises(DefuncError, match=message):
+        defunctionalize(program)
+
+
 def test_threaded_factory_shape_is_exact():
     # The machine must be exactly the threaded loop; anything else stays a
     # closure, which defunctionalize rejects.

@@ -64,6 +64,34 @@ def test_yield_inside_funclit_rejected():
         parse_source("fn* g() { let f = fn () { yield 1 } } fn main() { }")
 
 
+# A fn literal deep in an expression of a generator body is still checked:
+# its body may not yield, and its parameters must be distinct.
+NESTED_LITERALS = {
+    "call-argument": "  print(h(fn ({params}) {{\n    {stmt}\n  }}))",
+    "record-field": "  let r = {{ f: fn ({params}) {{\n    {stmt}\n  }} }}",
+}
+
+
+@pytest.mark.parametrize("where", NESTED_LITERALS)
+def test_yield_in_a_nested_fn_literal_rejected_at_its_position(where):
+    literal = NESTED_LITERALS[where].format(params="a", stmt="yield a")
+    source = f"fn* g() {{\n  yield 0\n{literal}\n  yield 2\n}}\nfn main() {{ }}\n"
+    with pytest.raises(ValidationError, match="yield outside a generator") as err:
+        parse_source(source)
+    assert (err.value.line, err.value.col) == (4, 5)
+    parse_source(source.replace("yield a", "return a"))
+
+
+@pytest.mark.parametrize("where", NESTED_LITERALS)
+def test_duplicate_params_in_a_nested_fn_literal_rejected_at_its_position(where):
+    literal = NESTED_LITERALS[where].format(params="a, a", stmt="return a")
+    source = f"fn* g() {{\n  yield 0\n{literal}\n}}\nfn main() {{ }}\n"
+    with pytest.raises(ValidationError, match="duplicate parameter name") as err:
+        parse_source(source)
+    col = literal.index("fn (") + 1
+    assert (err.value.line, err.value.col) == (3, col)
+
+
 def test_duplicate_function_name():
     with pytest.raises(ValidationError):
         parse_source("fn main() { } fn main() { }")

@@ -2,7 +2,9 @@ from dataclasses import fields
 
 import pytest
 
-from corolower import parser, syntax
+from corolower import parser, printer, syntax
+from corolower.cli import program_forms
+from corolower.interp import _EXPR, _STMT
 from corolower.defunc import defunctionalize
 from corolower.parser import parse_source
 from corolower.printer import print_source
@@ -61,6 +63,43 @@ def concrete_node_classes():
         for cls in vars(syntax).values()
         if isinstance(cls, type) and issubclass(cls, syntax.Node) and cls not in abstract
     }
+
+
+def test_every_node_kind_has_an_evaluator_and_a_printer():
+    # The interpreter and the printer dispatch on a node's class through
+    # their tables; a kind missing from one would fail only when met.
+    exprs = {cls for cls in concrete_node_classes() if issubclass(cls, syntax.Expr)}
+    stmts = {cls for cls in concrete_node_classes() if issubclass(cls, syntax.Stmt)}
+    assert set(_EXPR) == exprs == set(printer._EXPR)
+    assert set(_STMT) == stmts == set(printer._STMT)
+
+
+def test_children_are_what_walk_visits_right_under_a_node():
+    for program in [parse_source(EVERY_NODE_SOURCE), *all_forms(parse_source(FIB_SOURCE))]:
+        for node in walk(program):
+            under = [n for child in syntax.children(node) for n in walk(child)]
+            assert list(map(id, walk(node))) == [id(node), *map(id, under)]
+
+
+def test_identifiers_are_collected_once_per_program(monkeypatch):
+    collected = []
+    names = syntax._names
+    monkeypatch.setattr(syntax, "_names", lambda root: collected.append(root) or names(root))
+    program = parse_source(FIB_SOURCE)
+    forms = program_forms(program)
+    # Both lowerings read the source's names, defunctionalize the lowered ones.
+    assert list(map(id, collected)) == [id(program), id(forms["lowered-opt"])]
+
+
+def test_lowering_leaves_its_input_as_it_was_and_prints_the_same_when_cached():
+    cold = {
+        opt: print_source(transform_program(parse_source(FIB_SOURCE), opt)) for opt in (True, False)
+    }
+    program, copy = parse_source(FIB_SOURCE), parse_source(FIB_SOURCE)
+    assert program.identifiers == program_identifiers(copy)
+    for opt in (True, False):
+        assert print_source(transform_program(program, opt)) == cold[opt]
+        assert program == copy
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
