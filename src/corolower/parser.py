@@ -11,6 +11,7 @@ from __future__ import annotations
 from .errors import ParseError, ValidationError
 from .lexer import Token, lex
 from .syntax import (
+    LEAVES,
     Assign,
     Binary,
     Block,
@@ -383,10 +384,9 @@ def validate(program: Program) -> None:
 
 
 def _check_function(func: FuncDecl | FuncLit, generator: bool) -> None:
-    """Distinct parameters, and no yield in the body unless a generator's.
-    Yields stand only in statement position, so this enters expressions
-    only to find fn literals, never generators, and meets nodes in walk's
-    order: the first fault in the source is reported."""
+    """Distinct parameters, and no yield unless in a generator's body. A
+    yield stands only as a statement, so expressions are entered only for
+    fn literals; nodes come in walk's order, so the first fault is raised."""
     if len(set(func.params)) != len(func.params):
         raise ValidationError("duplicate parameter name", *_at(func))
     stack: list[Node] = [func.body]
@@ -399,11 +399,8 @@ def _check_function(func: FuncDecl | FuncLit, generator: bool) -> None:
             _check_function(node, False)
         elif not generator and (cls is YieldStmt or cls is LetYield):
             raise ValidationError("yield outside a generator", *_at(node))
-        elif cls not in _LEAVES:
+        elif cls not in LEAVES:
             stack.extend(reversed(children(node)))
-
-
-_LEAVES = frozenset([IntLit, BoolLit, NullLit, Var, FuncRef])  # no children
 
 
 def _at(node: Node) -> tuple[int | None, int | None]:

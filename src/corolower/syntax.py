@@ -223,8 +223,7 @@ class Program(Node):
 
     @cached_property
     def identifiers(self) -> frozenset[str]:
-        """program_identifiers, cached like Block.declared, so that both
-        lowerings of a program walk it once."""
+        """program_identifiers, cached like Block.declared for both lowerings."""
         return frozenset(_names(self))
 
 
@@ -247,7 +246,7 @@ def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        if not into_functions and type(node) is FuncLit:
+        if type(node) in LEAVES or not into_functions and type(node) is FuncLit:
             continue
         for name in reversed(_node_fields(type(node))):
             value = getattr(node, name)
@@ -311,6 +310,8 @@ def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
     to the node. A changed node is rebuilt by calling its class with its
     fields, so it keeps its source position and no cached property; a
     subtree that nothing changes is returned as is."""
+    if type(node) in LEAVES:
+        return fn(node)
     changes = {}
     for name in _node_fields(type(node)):
         value = getattr(node, name)
@@ -338,6 +339,8 @@ def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
         node = cls(*args, pos=node.pos)
     return fn(node)
 
+
+LEAVES = frozenset([IntLit, BoolLit, NullLit, Var, FuncRef])  # hold no node
 
 # The annotations of the fields that never hold a node.
 _LEAF_TYPES = frozenset(["str", "int", "bool", "list[str]"])

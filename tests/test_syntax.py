@@ -200,6 +200,8 @@ def test_node_fields_leave_out_only_fields_without_nodes():
         for field in fields(node):
             if field.name != "pos" and field.name not in kept:
                 assert not holds_a_node(getattr(node, field.name)), (node, field.name)
+    # The walks skip the fields of exactly the kinds that hold no node.
+    assert syntax.LEAVES == {cls for cls in concrete_node_classes() if not syntax._node_fields(cls)}
 
 
 def test_map_tree_rebuilds_a_block_without_its_cached_measures():
