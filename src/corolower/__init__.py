@@ -1,12 +1,11 @@
 """corolower: generator coroutines lowered to closure state machines.
 
-Pipeline: parse -> build_cfg (merged when optimized; merge_blocks for
-the split graph) -> transform_program -> defunctionalize, with a
-reference interpreter proving every stage observationally equivalent to
-the original program.
+Pipeline: parse -> build_cfg (merged when optimized) -> transform_program
+-> defunctionalize, with a reference interpreter proving every stage
+observationally equivalent to the original program.
 """
 
-from .cfg import BasicBlock, Branch, Cfg, END, Finish, Goto, YieldTo, build_cfg, check_cfg, emit_dot, eval_cfg, merge_blocks
+from .cfg import BasicBlock, Branch, Cfg, END, Finish, Goto, YieldTo, build_cfg, check_cfg, emit_dot, merge_blocks
 from .defunc import defunctionalize
 from .errors import (
     BudgetExceeded,
@@ -63,7 +62,6 @@ __all__ = [
     "check_cfg",
     "defunctionalize",
     "emit_dot",
-    "eval_cfg",
     "expr_source",
     "interp",
     "interp_native",

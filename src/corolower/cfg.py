@@ -16,12 +16,9 @@ example number its blocks exactly like the published figure.
 build_cfg routes edges past empty blocks in one sweep over the
 terminators and, for the optimized lowering, absorbs goto chains before
 numbering, so that graph comes out merged. merge_blocks merges a split
-graph: it folds literal branches, absorbs goto chains and renumbers.
-eval_cfg runs a graph directly on the interpreter's statement and
-expression tables, independently of the lowering: it walks the graph as
-a Python generator that follows the native executor's protocol and
-resumes it through resume_sequence's loop. It is the oracle showing that
-merging preserves what a caller observes.
+graph: it folds literal branches, absorbs goto chains and renumbers. No
+lowering runs it. Both producers of a merged graph check that it is
+merged before they return it (_check_merged).
 """
 
 from __future__ import annotations
@@ -30,17 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .errors import TransformError
-from .interp import (
-    _EXPR,
-    _STMT,
-    DEFAULT_STEP_BUDGET,
-    NULL,
-    Env,
-    GenInstance,
-    Interpreter,
-    _bool,
-    trace_instance,
-)
 from .parser import MAX_NESTING
 from .printer import expr_source, stmt_lines
 from .syntax import (
@@ -54,7 +40,6 @@ from .syntax import (
     Let,
     LetYield,
     Print,
-    Program,
     Return,
     Stmt,
     While,
@@ -230,8 +215,9 @@ def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
     runs, make a `while (true)` test a goto, keep an `if` or `while`
     without a yield or return whole where its nesting leaves room for the
     lowering's own (transform.LOWERED_DEPTH), and absorb goto chains as
-    merge_blocks does, so the graph comes out merged. Blocks cache both
-    measures, so a deep nest is measured once, not at every level split."""
+    merge_blocks does, so the graph comes out merged, which is checked.
+    Blocks cache both measures, so a deep nest is measured once, not at
+    every level split."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
     from .transform import LOWERED_DEPTH  # the lowering imports this module
@@ -243,7 +229,10 @@ def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
     entry = _bypass_empty_blocks(b, entry)
     if opt:
         _absorb(b.stmts, b.terms, entry)
-    return _renumber(b.stmts, b.terms, entry, func.body.declared)
+    graph = _renumber(b.stmts, b.terms, entry, func.body.declared)
+    if opt:
+        _check_merged(graph)
+    return graph
 
 
 def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
@@ -396,60 +385,25 @@ def merge_blocks(graph: Cfg) -> Cfg:
             term = Finish(None) if target == END else Goto(target)
         terms[bid] = term
     _absorb(stmts, terms, graph.entry)
-    return _renumber(stmts, terms, graph.entry, graph.declared)
+    merged = _renumber(stmts, terms, graph.entry, graph.declared)
+    _check_merged(merged)
+    return merged
 
 
-def yield_count(graph: Cfg) -> int:
-    return sum(
-        1 for b in graph.blocks.values() if isinstance(b.terminator, YieldTo)
-    )
-
-
-# -- direct execution ---------------------------------------------------------
-
-
-def eval_cfg(
-    graph: Cfg,
-    bindings: dict,
-    resume_values,
-    program: Program | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> list:
-    """Run a graph as a generator resumed once per resume value and return
-    what each resumption produces, in resume_sequence's shape and through
-    its loop. bindings supplies the parameters, and the graph's declared
-    locals start as null, as in a native call."""
-    it = Interpreter(program if program is not None else Program([], entry=""), step_budget)
-    env = Env(it.globals, dict.fromkeys(graph.declared, NULL) | bindings)
-    return trace_instance(it, GenInstance(None, _walk(it, graph, env)), resume_values)
-
-
-def _walk(it: Interpreter, graph: Cfg, env: Env):
-    """The graph's body as a Python generator with `_exec_gen`'s protocol:
-    it yields at a YieldTo, binding its receiver to the value sent back,
-    and returns `(value,)` at a Finish with a value."""
-    ip = graph.entry
-    while ip != END:
-        block = graph.blocks[ip]
-        for stmt in block.stmts:
-            _STMT[type(stmt)](it, stmt, env)
-        term = block.terminator
-        if isinstance(term, Goto):
-            ip = term.target
-        elif isinstance(term, Branch):
-            cond = term.cond
-            ip = term.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else term.orelse
-        elif isinstance(term, YieldTo):
-            received = yield _EXPR[type(term.value)](it, term.value, env)
-            if term.receiver is not None:
-                env.vars[term.receiver] = received
-            ip = term.resume
-        elif isinstance(term, Finish):
-            if term.value is None:
-                return None
-            return (_EXPR[type(term.value)](it, term.value, env),)
-        else:
-            raise AssertionError(f"unhandled terminator {term!r}")
+def _check_merged(graph: Cfg) -> None:
+    """What merging leaves: no branch on a literal, and no goto, a
+    self-loop aside, into a block with no other reachable predecessor
+    (_absorb would have absorbed that block)."""
+    terms = {bid: block.terminator for bid, block in graph.blocks.items()}
+    preds = pred_counts(terms, graph.entry)
+    for bid, term in terms.items():
+        assert not (isinstance(term, Branch) and isinstance(term.cond, BoolLit)), (
+            f"block {bid} branches on a literal"
+        )
+        if isinstance(term, Goto) and term.target != bid:
+            assert preds[term.target] != 1, (
+                f"goto {bid} -> {term.target} into a block with no other predecessor"
+            )
 
 
 # -- rendering ----------------------------------------------------------------

@@ -50,7 +50,6 @@ from .syntax import (
     Var,
     declared_locals,
     map_tree,
-    program_identifiers,
 )
 from .transform import NameAllocator, threaded_loop
 
@@ -137,7 +136,7 @@ def defunctionalize(program: Program) -> Program:
     for decl in program.decls:
         if decl.is_generator:
             raise DefuncError(f"program still contains generator {decl.name!r}")
-    names = NameAllocator(program_identifiers(program))
+    names = NameAllocator(program.identifiers)
     apply_name = names.fresh("apply")
     global_names = {d.name for d in program.decls}
 
@@ -262,8 +261,7 @@ def _lift(
                 transfers += 1
             return FieldSet(Var(env), node.name, node.value, pos=node.pos)
         elif cls is NextCall:
-            arg = node.arg if node.arg is not None else NullLit()
-            return Call(Var(apply_name), [node.gen, arg], pos=node.pos)
+            return _apply_call(node, apply_name)
         elif cls is Let and node.name in captured and fault is None:
             fault = DefuncError(
                 f"{name!r}: machine body declares {node.name!r}, "
@@ -282,14 +280,19 @@ def _lift(
     return body
 
 
+def _apply_call(node: NextCall, apply_name: str) -> Call:
+    """`next(g, v)` as `apply(g, v)`, a missing v null."""
+    arg = node.arg if node.arg is not None else NullLit()
+    return Call(Var(apply_name), [node.gen, arg], pos=node.pos)
+
+
 def _to_apply(name: str, apply_name: str):
-    """`next(g, v)` becomes `apply(g, v)`, a missing v null; no closure
-    may remain."""
+    """`next(g, v)` becomes `apply(g, v)` (_apply_call); no closure may
+    remain."""
 
     def rewrite(node: Node) -> Node:
         if type(node) is NextCall:
-            arg = node.arg if node.arg is not None else NullLit()
-            return Call(Var(apply_name), [node.gen, arg], pos=node.pos)
+            return _apply_call(node, apply_name)
         if type(node) is FuncLit:
             raise DefuncError(
                 f"{name!r} contains a closure that is not a state machine"

@@ -28,7 +28,7 @@ iteration. Binary operators on two integers are looked up in
   off its end and `(value,)` on `return`.
 
 `trace_instance` is the one loop that traces a generator, one result per
-resumption; `resume_sequence` and `cfg.eval_cfg` both use it.
+resumption; `resume_sequence` uses it.
 """
 
 from __future__ import annotations
@@ -657,7 +657,7 @@ def resume_sequence(
 def trace_instance(interp_: Interpreter, instance, resume_values) -> list:
     """Resume `instance` once per resume value and return the results. A
     runtime error is re-raised with the index of the resumption that
-    raised it. resume_sequence and cfg.eval_cfg both trace through here."""
+    raised it. resume_sequence traces through here."""
     results = []
     for index, value in enumerate(resume_values):
         try:

@@ -223,7 +223,8 @@ class Program(Node):
 
     @cached_property
     def identifiers(self) -> frozenset[str]:
-        """program_identifiers, cached like Block.declared for both lowerings."""
+        """identifiers of every declaration and the declared function names,
+        cached like Block.declared for both lowerings."""
         return frozenset(_names(self))
 
 
@@ -400,7 +401,3 @@ def identifiers(decl: FuncDecl) -> set[str]:
     their own namespace and are excluded."""
     return _names(decl.body) | set(decl.params)
 
-
-def program_identifiers(program: Program) -> set[str]:
-    """identifiers of every declaration and the declared function names."""
-    return set(program.identifiers)

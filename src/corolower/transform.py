@@ -99,7 +99,6 @@ from .syntax import (
     Var,
     While,
     identifiers,
-    program_identifiers,
 )
 
 
@@ -142,10 +141,8 @@ class StateMachinePlan:
     many-short's tally has 1, 2 and 4), the hoisted locals, and the two
     fresh names woven into the machine."""
 
-    func: str
     states: list[int]
     hoisted: list[str]
-    params: list[str]
     resume_param: str
     inst_var: str
 
@@ -180,10 +177,8 @@ def plan_generator(
         names = NameAllocator(identifiers(func))
     hoisted = [n for n in graph.declared if n not in func.params]
     plan = StateMachinePlan(
-        func=func.name,
         states=sorted(set(graph.blocks) - (_inlined(graph) if opt else set())),
         hoisted=hoisted,
-        params=list(func.params),
         resume_param=names.fresh("_r"),
         inst_var=names.fresh("_i"),
     )
@@ -383,7 +378,7 @@ def transform_program(program: Program, opt: bool = True) -> Program:
     is plain application, so drivers are transformation-invariant. Fresh
     names are allocated program-wide, so two generators never share
     them."""
-    names = NameAllocator(program_identifiers(program))
+    names = NameAllocator(program.identifiers)
     decls = [
         rewrite_generator(d, opt, names) if d.is_generator else d
         for d in program.decls

@@ -7,7 +7,7 @@ and no timing claims beyond the suite budgets asserted here.
 
 import time
 
-from corolower.cfg import build_cfg, eval_cfg, merge_blocks
+from corolower.cfg import build_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.interp import (
     NULL,
@@ -22,6 +22,7 @@ from corolower.printer import print_source
 from corolower.syntax import FuncLit, walk
 from corolower.transform import transform_program
 
+from cfg_oracle import eval_cfg
 from conftest import CORPUS_FILES, FIB_SOURCE
 from randgen import random_program
 from test_transform import dispatch_states

@@ -1,6 +1,8 @@
 """The names the benchmark in `perfbench/` imports from corolower, checked
 here because the benchmark's own tests are slow and run apart from this
-suite: an API change that would break the benchmark fails here first."""
+suite: an API change that would break the benchmark fails here first.
+Also the layering of the package: the CFG stage does not reach into the
+interpreter, whose tables only the tests' CFG oracle runs a graph on."""
 
 import ast
 import importlib
@@ -8,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
+import corolower
 from corolower.cli import program_forms
 from corolower.interp import Closure, GenInstance, Interpreter, Record, resume_any, resume_sequence
 from corolower.parser import parse_source
 
 from conftest import FIB_SOURCE
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def corolower_imports():
@@ -25,6 +29,28 @@ def corolower_imports():
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("corolower"):
                 found.update((node.module, alias.name) for alias in node.names)
     return found
+
+
+def module_imports(path):
+    """Every module a source file of the corolower package imports,
+    relative imports resolved against the package; `from m import n`
+    counts m and m.n, so `from . import interp` counts too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = ("corolower." * (node.level > 0) + (node.module or "")).rstrip(".")
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_the_cfg_stage_imports_nothing_from_the_interpreter():
+    imports = module_imports(ROOT / "src" / "corolower" / "cfg.py")
+    assert "corolower.syntax" in imports
+    assert "corolower.interp" not in imports
+    assert "eval_cfg" not in corolower.__all__
 
 
 def test_every_name_the_benchmark_imports_resolves():

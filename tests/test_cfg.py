@@ -12,10 +12,9 @@ from corolower.cfg import (
     YieldTo,
     build_cfg,
     check_cfg,
+    _check_merged,
     emit_dot,
-    eval_cfg,
     merge_blocks,
-    yield_count,
 )
 from corolower.errors import InterpError, TransformError
 from corolower.interp import resume_sequence
@@ -42,6 +41,7 @@ from corolower.syntax import (
 )
 from corolower.transform import LOWERED_DEPTH, plan_generator
 
+from cfg_oracle import eval_cfg, yield_count
 from conftest import CORPUS_FILES, FIB_SOURCE, TESTS_DIR
 from genfuzz import closure_generator_program, random_generator_program
 from randgen import random_program
@@ -436,6 +436,33 @@ def test_optimized_build_is_already_merged():
     for decl in swept_generators():
         graph = build_cfg(decl, True)
         assert merge_blocks(graph) == graph, decl.name
+
+
+def test_the_merged_check_rejects_a_literal_branch_and_a_lone_goto():
+    # build_cfg(func, True) and merge_blocks run it on every graph they
+    # return; both graphs here are well formed otherwise.
+    literal = Cfg(
+        {
+            1: BasicBlock(1, [], Branch(BoolLit(True), 2, END)),
+            2: BasicBlock(2, [], YieldTo(IntLit(1), None, 1)),
+        },
+        1,
+    )
+    check_cfg(literal)
+    with pytest.raises(AssertionError, match="block 1 branches on a literal"):
+        _check_merged(literal)
+    check_cfg(chain_cfg())
+    with pytest.raises(AssertionError, match="goto 1 -> 2 into a block with no other predecessor"):
+        _check_merged(chain_cfg())
+    # The split graph keeps fib's literal `while (true)` test, so it is
+    # well formed but not merged.
+    split = build_cfg(fib_decl())
+    check_cfg(split)
+    with pytest.raises(AssertionError, match="block 2 branches on a literal"):
+        _check_merged(split)
+    # A goto into a join, and a self-loop, are merged.
+    _check_merged(merge_blocks(split))
+    _check_merged(build_cfg(gen_decl("while (true) { a = a + 1 }", "a"), True))
 
 
 def test_merge_is_idempotent_on_corpus():

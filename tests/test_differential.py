@@ -7,7 +7,7 @@ after merging."""
 import pytest
 
 from corolower import transform
-from corolower.cfg import build_cfg, eval_cfg, merge_blocks
+from corolower.cfg import build_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.interp import (
     NULL,
@@ -18,6 +18,7 @@ from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.transform import CHAIN_MAX, transform_program
 
+from cfg_oracle import eval_cfg
 from conftest import CORPUS_FILES, corpus_ids
 
 RESUMPTIONS = 100

@@ -9,7 +9,7 @@ which rejects closures."""
 import pytest
 
 from corolower import transform
-from corolower.cfg import build_cfg, eval_cfg, merge_blocks
+from corolower.cfg import build_cfg, merge_blocks
 from corolower.defunc import defunctionalize
 from corolower.interp import interp_native, render_output, resume_sequence
 from corolower.parser import parse_source
@@ -17,6 +17,7 @@ from corolower.printer import print_source
 from corolower.syntax import If, While
 from corolower.transform import CHAIN_MAX, plan_generator, transform_program
 
+from cfg_oracle import eval_cfg
 from genfuzz import closure_generator_program, random_generator_program
 
 SEEDS = range(200)

@@ -24,7 +24,6 @@ from corolower.syntax import (
     declared_locals,
     map_tree,
     nesting,
-    program_identifiers,
     walk,
 )
 from corolower.transform import transform_program
@@ -96,7 +95,7 @@ def test_lowering_leaves_its_input_as_it_was_and_prints_the_same_when_cached():
         opt: print_source(transform_program(parse_source(FIB_SOURCE), opt)) for opt in (True, False)
     }
     program, copy = parse_source(FIB_SOURCE), parse_source(FIB_SOURCE)
-    assert program.identifiers == program_identifiers(copy)
+    assert program.identifiers == copy.identifiers
     for opt in (True, False):
         assert print_source(transform_program(program, opt)) == cold[opt]
         assert program == copy
@@ -163,7 +162,7 @@ def test_deeply_nested_ast_walks_without_recursion():
     body.stmts.append(Return(Binary("+", closure, Var("y"))))
     program = Program([FuncDecl("main", [], False, body)])
     assert declared_locals(body) == [f"x{k}" for k in reversed(range(depth))]
-    assert program_identifiers(program) == (
+    assert program.identifiers == (
         {"main", "p", "y"} | {f"x{k}" for k in range(depth)}
     )
 

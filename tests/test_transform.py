@@ -598,10 +598,8 @@ def test_a_closure_reads_the_last_receiver_in_every_lowered_form():
 def test_plan_shape():
     program = parse_source(FIB_SOURCE)
     graph, plan = plan_generator(program.decls[0], True)
-    assert plan.func == "fib"
     assert plan.states == [1, 2, 3]
     assert plan.hoisted == ["a", "b", "c"]
-    assert plan.params == []
     assert plan.states == sorted(graph.blocks) == list(range(1, len(graph.blocks) + 1))
     assert plan.inst_var != plan.resume_param
 
