@@ -117,8 +117,8 @@ def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
 
 
 def check_cfg(graph: Cfg) -> None:
-    """Structural invariants: dense ids 1..n, entry = 1, no dangling edges,
-    no yield or return inside a block's statements."""
+    """Structural invariants: dense ids 1..n, entry = 1, no dangling edges
+    or gotos to END, no yield or return inside a block's statements."""
     ids = sorted(graph.blocks)
     assert ids == list(range(1, len(ids) + 1)), f"non-dense block ids {ids}"
     assert graph.entry == 1, f"entry is {graph.entry}, expected 1"
@@ -126,6 +126,7 @@ def check_cfg(graph: Cfg) -> None:
         assert block.id == bid
         for stmt in block.stmts:
             assert not stmt_exits(stmt), f"yield or return inside block {bid}: {stmt!r}"
+        assert block.terminator != Goto(END), f"goto {bid} -> END instead of a finish"
         for target in targets(block.terminator):
             assert target == END or target in graph.blocks, (
                 f"dangling edge {bid} -> {target}"
@@ -376,6 +377,7 @@ def merge_blocks(graph: Cfg) -> Cfg:
     graph of build_cfg, changes nothing. Edges into empty finishes are
     build_cfg's to route. Diamond squashing is out of scope. Ids are
     reassigned densely in reverse postorder; the input is not modified."""
+    check_cfg(graph)
     stmts = {bid: block.stmts for bid, block in graph.blocks.items()}
     terms: dict[int, Terminator] = {}
     for bid, block in graph.blocks.items():

@@ -12,7 +12,8 @@ Input nested or recursing too deeply for Python's stack fails the same
 way: code 1 while compiling, 2 while running. Diagnostics go to stderr,
 program output to stdout; `run` writes the output printed before a
 runtime error too. COROLOWER_BUDGET overrides the evaluation step budget
-(default 10^7 steps); it and `diff --budget` must be at least 1.
+(default 10^7 steps); it and `diff --budget` must be at least 1, and
+`--budget` at most it. `diff` takes input files or `--all DIR`, not both.
 
 `diff` compares values by what `print` shows for them. It runs the
 forms in up to one process per usable CPU, each pinned to its own CPU,
@@ -402,8 +403,13 @@ def _line(lines: list[str], index: int) -> str:
 
 
 def cmd_diff(args) -> int:
-    if args.budget < 1:
-        raise _Failure(EXIT_COMPILE, f"--budget must be at least 1, got {args.budget}")
+    step_budget = _step_budget()
+    if not 1 <= args.budget <= step_budget:  # each lowered resumption costs a step
+        raise _Failure(
+            EXIT_COMPILE, f"--budget must be 1 to the step budget {step_budget}, got {args.budget}"
+        )
+    if args.all_dir and args.inputs:
+        raise _Failure(EXIT_COMPILE, "diff takes input files or --all DIR, not both")
     if args.all_dir:
         paths = sorted(str(p) for p in Path(args.all_dir).glob("*.mini"))
         if not paths:
@@ -412,7 +418,6 @@ def cmd_diff(args) -> int:
         paths = args.inputs
         if not paths:
             raise _Failure(EXIT_COMPILE, "diff needs input files or --all DIR")
-    step_budget = _step_budget()
     code = EXIT_OK
     if not args.all_dir and len(paths) > 1:
         # Compare the outputs of later files against the first one.

@@ -152,30 +152,25 @@ def defunctionalize(program: Program) -> Program:
         lifted_any = True
         fo_name = names.fresh(f"{decl.name}_fo")
         env_param = names.fresh("_e")
-        env_fields = [shape.inst_var] + shape.params + shape.hoisted
-        if shape.sentinel is None:
-            captured, bound = set(env_fields), global_names | {shape.resume_param}
-            machine = _lift(decl.name, shape.machine_body, env_param, captured, bound, apply_name)
-            decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, machine))
-            inst_init: Expr = IntLit(1)
-            sentinel_init = []
-        else:
-            env_fields.insert(1, shape.sentinel)
-            captured = set(env_fields)
-            refs = {s: names.fresh(f"{decl.name}{s}") for s in shape.states}
+        # A numbered factory has no state closures; its machine is F_fo.
+        refs = {s: names.fresh(f"{decl.name}{s}") for s in shape.states}
+        sentinel = [shape.sentinel] if refs else []
+        captured = {shape.inst_var, *sentinel, *shape.params, *shape.hoisted}
+        if refs:
             threaded = (shape.inst_var, refs, set(refs.values()))
             decls.append(_threaded_machine(shape, fo_name, env_param))
-            for state, closure in shape.states.items():
-                (resume,) = closure.params
-                bound = global_names | {resume}
-                body = _lift(
-                    decl.name, closure.body, env_param, captured, bound, apply_name, threaded
-                )
-                decls.append(FuncDecl(refs[state], [env_param, resume], False, body))
-            inst_init = FuncRef(refs[shape.entry])
-            sentinel_init = [(shape.sentinel, RecordLit([]))]
+            bodies = {refs[s]: closure for s, closure in shape.states.items()}
+        else:
+            threaded = None
+            bodies = {fo_name: FuncLit([shape.resume_param], shape.machine_body)}
+        for lifted, closure in bodies.items():
+            (resume,) = closure.params
+            bound = global_names | {resume}
+            body = _lift(decl.name, closure.body, env_param, captured, bound, apply_name, threaded)
+            decls.append(FuncDecl(lifted, [env_param, resume], False, body))
+        inst_init = FuncRef(refs[shape.entry]) if refs else IntLit(1)
         env_init: list[tuple[str, Expr]] = [(shape.inst_var, inst_init)]
-        env_init += sentinel_init
+        env_init += [(k, RecordLit([])) for k in sentinel]
         env_init += [(p, Var(p)) for p in shape.params]
         env_init += [(h, NullLit()) for h in shape.hoisted]
         ctor = RecordLit([("env", RecordLit(env_init)), ("fn", FuncRef(fo_name))])

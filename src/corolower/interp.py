@@ -119,9 +119,6 @@ class Env:
         self.vars: dict[str, object] = {} if bindings is None else bindings
         self.parent = parent
 
-    def declare(self, name, value):
-        self.vars[name] = value
-
     def lookup(self, name, node=None):
         env = self
         while env is not None:
@@ -198,9 +195,8 @@ class Interpreter:
         self.output: list[object] = []
         self.globals = Env()
         for decl in program.decls:
-            self.globals.declare(
-                decl.name,
-                Closure(decl.params, decl.body, self.globals, decl.is_generator, decl.name),
+            self.globals.vars[decl.name] = Closure(
+                decl.params, decl.body, self.globals, decl.is_generator, decl.name
             )
 
     # -- driving ------------------------------------------------------------
@@ -317,14 +313,6 @@ _GEN_KINDS = frozenset({If, While, YieldStmt, LetYield})
 # -- statements -----------------------------------------------------------------
 
 
-def _let(it, stmt, env):
-    it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
-    value = stmt.value
-    env.vars[stmt.name] = _EXPR[type(value)](it, value, env)
-
-
 def _assign(it, stmt, env):
     it.steps += 1
     if it.steps > it.step_budget:
@@ -332,12 +320,11 @@ def _assign(it, stmt, env):
     value = stmt.value
     value = _EXPR[type(value)](it, value, env)
     name = stmt.name
-    while env is not None:
-        if name in env.vars:
-            env.vars[name] = value
-            return None
+    while name not in env.vars:
         env = env.parent
-    raise _err(f"assignment to undeclared name {name!r}", stmt)
+        if env is None:
+            raise _err(f"assignment to undeclared name {name!r}", stmt)
+    env.vars[name] = value
 
 
 def _yield_outside_generator(it, stmt, env):
@@ -427,7 +414,7 @@ def _field_error(record, node, action):
 
 
 _STMT = {
-    Let: _let,
+    Let: _assign,  # every frame pre-binds its locals
     Assign: _assign,
     LetYield: _yield_outside_generator,
     YieldStmt: _yield_outside_generator,

@@ -198,55 +198,35 @@ def rewrite_generator(
     inlined = {bid: block for bid, block in graph.blocks.items() if bid not in states}
     if opt:  # a transfer to the end selects the sink and returns null in place
         inlined[END] = BasicBlock(END, [], Finish())
+    # The dispatch schemes differ in how a state is selected, by its number
+    # or by its closure, and so in the factory's prefix and its machine.
+    body: list[Stmt] = []
+    select: Callable[[int], Expr] = IntLit
+    sentinel = None
     if len(plan.states) > BISECT_MAX:
-        body = _threaded_factory(graph, plan, receivers, inlined, names)
-    else:
-        bodies = {
-            state: _state_stmts(
-                graph.blocks[state], receivers.get(state), plan, IntLit, inlined
-            )
-            for state in plan.states
-        }
-        dispatch = _dispatch(plan.states, bodies, plan.inst_var)
-        machine = Block([While(BoolLit(True), Block([dispatch]))])
-        body = [Let(plan.inst_var, IntLit(1))]
-        body.extend(Let(name, NullLit()) for name in plan.hoisted)
-        body.append(Return(FuncLit([plan.resume_param], machine)))
-    return FuncDecl(func.name, list(func.params), False, Block(body))
-
-
-def _threaded_factory(
-    graph: Cfg,
-    plan: StateMachinePlan,
-    receivers: dict[int, str],
-    inlined: dict[int, BasicBlock],
-    names: NameAllocator,
-) -> list[Stmt]:
-    """The factory body of a threaded machine: the sentinel, the sink's
-    closure and one per state, the instruction variable holding the entry
-    state's closure, the hoisted locals, and the machine."""
-    sentinel = names.fresh("_k")
-    closures = {state: names.fresh(f"_s{state}") for state in [END] + plan.states}
-    value = names.fresh("_v")
-
-    def select(state: int) -> Expr:
-        return Var(closures[state])
-
-    body: list[Stmt] = [
-        Let(sentinel, RecordLit([])),
-        Let(closures[END], FuncLit([plan.resume_param], Block([Return(NullLit())]))),
-    ]
-    for state in plan.states:
-        stmts = _state_stmts(
+        sentinel = names.fresh("_k")
+        closures = {state: names.fresh(f"_s{state}") for state in [END] + plan.states}
+        select = lambda state: Var(closures[state])
+        body.append(Let(sentinel, RecordLit([])))
+    bodies = {
+        state: _state_stmts(
             graph.blocks[state], receivers.get(state), plan, select, inlined, sentinel
         )
-        body.append(Let(closures[state], FuncLit([plan.resume_param], Block(stmts))))
+        for state in plan.states
+    }
+    if sentinel is None:
+        dispatch = _dispatch(plan.states, bodies, plan.inst_var)
+        machine = Block([While(BoolLit(True), Block([dispatch]))])
+    else:
+        bodies[END] = [Return(NullLit())]
+        for state in [END] + plan.states:
+            body.append(Let(closures[state], FuncLit([plan.resume_param], Block(bodies[state]))))
+        call = Call(Var(plan.inst_var), [Var(plan.resume_param)])
+        machine = threaded_loop(call, names.fresh("_v"), Var(sentinel))
     body.append(Let(plan.inst_var, select(graph.entry)))
     body.extend(Let(name, NullLit()) for name in plan.hoisted)
-    call = Call(Var(plan.inst_var), [Var(plan.resume_param)])
-    machine = threaded_loop(call, value, Var(sentinel))
     body.append(Return(FuncLit([plan.resume_param], machine)))
-    return body
+    return FuncDecl(func.name, list(func.params), False, Block(body))
 
 
 def threaded_loop(call: Expr, value: str, sentinel: Expr) -> Block:
@@ -301,8 +281,7 @@ def _receivers(graph: Cfg) -> dict[int, str]:
     for block in graph.blocks.values():
         term = block.terminator
         if isinstance(term, YieldTo) and term.receiver is not None:
-            existing = out.get(term.resume)
-            assert existing is None or existing == term.receiver, (
+            assert out.get(term.resume, term.receiver) == term.receiver, (
                 "two receivers resume at one state"
             )
             out[term.resume] = term.receiver

@@ -340,6 +340,18 @@ def test_check_cfg_rejects_a_yield_or_return_inside_a_block_statement():
         check_cfg(Cfg({1: BasicBlock(1, [YieldStmt(IntLit(1))], Finish())}, 1))
 
 
+def test_check_cfg_and_merge_blocks_refuse_a_goto_to_end():
+    # build_cfg makes such a goto a finish; merging it would look END up
+    # among the blocks.
+    graph = Cfg({1: BasicBlock(1, [Assign("a", IntLit(1))], Goto(END))}, 1)
+    for check in (check_cfg, merge_blocks):
+        with pytest.raises(AssertionError, match="goto 1 -> END instead of a finish"):
+            check(graph)
+    finished = Cfg({1: BasicBlock(1, [Assign("a", IntLit(1))], Finish())}, 1)
+    check_cfg(finished)
+    assert merge_blocks(finished) == finished
+
+
 # -- merging -------------------------------------------------------------------
 
 

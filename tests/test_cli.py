@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,12 @@ from corolower import cli
 from corolower.cli import diff_forms, main, program_forms
 from corolower.defunc import defunctionalize
 from corolower.errors import BudgetExceeded
+from corolower.lexer import lex
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.transform import transform_program
 
-from conftest import CORPUS_DIR, FIB_SOURCE, GOLDEN_DIR, wide_source
+from conftest import CORPUS_DIR, CORPUS_FILES, FIB_SOURCE, GOLDEN_DIR, wide_source
 
 FIB_RUN = GOLDEN_DIR.joinpath("fib.run.txt").read_text()
 
@@ -173,6 +175,29 @@ def test_diff_budget_below_one_exit_1(capsys, fib_path, resumptions):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "--budget" in err and "OK" not in err
+
+
+def test_diff_budget_above_the_step_budget_exit_1(capsys, monkeypatch):
+    # Each lowered resumption costs a step, so a trace longer than the step
+    # budget cannot finish; such a --budget is refused before anything runs.
+    monkeypatch.setenv("COROLOWER_BUDGET", "1000")
+    fib = CORPUS_DIR / "fib.mini"
+    code, out, err = run_cli(capsys, "diff", "--budget", 10**12, fib)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --budget must be 1 to the step budget 1000, got 1000000000000\n"
+    # A --budget equal to the step budget runs, here into that budget.
+    monkeypatch.setenv("COROLOWER_BUDGET", "20")
+    code, _, err = run_cli(capsys, "diff", "--budget", 20, fib)
+    assert code == 2 and err.rstrip().endswith("step budget exceeded")
+
+
+def test_diff_all_with_input_files_exit_1(capsys, fib_path):
+    code, out, err = run_cli(capsys, "diff", "--all", CORPUS_DIR, fib_path, "/nonexistent.mini")
+    assert code == 1
+    assert out == ""
+    assert err == "error: diff takes input files or --all DIR, not both\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -607,3 +632,40 @@ def test_python_dash_m(fib_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == FIB_RUN
+
+
+def mutants(seed, count):
+    """`count` corpus programs, each with one to three tokens deleted or
+    inserted (a token of the same program) at random places."""
+    rng = random.Random(seed)
+    programs = [[t.text for t in lex(p.read_text()) if t.kind != "eof"] for p in CORPUS_FILES]
+    for _ in range(count):
+        tokens = list(rng.choice(programs))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(tokens))
+            if rng.random() < 0.5:
+                del tokens[at]
+            else:
+                tokens.insert(at, rng.choice(tokens))
+        yield " ".join(tokens)
+
+
+def test_mutated_programs_end_in_an_exit_code(capsys, tmp_path, monkeypatch):
+    # No input surfaces a Python traceback: each command on each mutant
+    # returns a documented exit code or exits through argparse.
+    monkeypatch.setenv("COROLOWER_BUDGET", "20000")
+    path = tmp_path / "mutant.mini"
+    commands = (["run"], ["diff", "--budget", "20"], ["compile", "--emit", "first-order"])
+    codes = set()
+    for source in mutants(2026, 300):
+        path.write_text(source)
+        for command in commands:
+            try:
+                codes.add(main(command + [str(path)]))
+            except SystemExit as exit_info:
+                codes.add(exit_info.code)
+            except Exception as err:
+                pytest.fail(f"{command} on {source!r} raised {err!r}")
+    capsys.readouterr()
+    assert codes <= {0, 1, 2, 3}
+    assert {0, 1} <= codes  # the sweep reaches both the parser and the interpreter
