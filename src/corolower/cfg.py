@@ -118,19 +118,24 @@ def _retarget(term: Terminator, m: Callable[[int], int]) -> Terminator:
 
 def check_cfg(graph: Cfg) -> None:
     """Structural invariants: dense ids 1..n, entry = 1, no dangling edges
-    or gotos to END, no yield or return inside a block's statements."""
+    or gotos to END, no yield or return inside a block's statements.
+    Raises AssertionError, under `python -O` too."""
     ids = sorted(graph.blocks)
-    assert ids == list(range(1, len(ids) + 1)), f"non-dense block ids {ids}"
-    assert graph.entry == 1, f"entry is {graph.entry}, expected 1"
+    if ids != list(range(1, len(ids) + 1)):
+        raise AssertionError(f"non-dense block ids {ids}")
+    if graph.entry != 1:
+        raise AssertionError(f"entry is {graph.entry}, expected 1")
     for bid, block in graph.blocks.items():
-        assert block.id == bid
+        if block.id != bid:
+            raise AssertionError(f"block {bid} has id {block.id}")
         for stmt in block.stmts:
-            assert not stmt_exits(stmt), f"yield or return inside block {bid}: {stmt!r}"
-        assert block.terminator != Goto(END), f"goto {bid} -> END instead of a finish"
+            if stmt_exits(stmt):
+                raise AssertionError(f"yield or return inside block {bid}: {stmt!r}")
+        if block.terminator == Goto(END):
+            raise AssertionError(f"goto {bid} -> END instead of a finish")
         for target in targets(block.terminator):
-            assert target == END or target in graph.blocks, (
-                f"dangling edge {bid} -> {target}"
-            )
+            if target != END and target not in graph.blocks:
+                raise AssertionError(f"dangling edge {bid} -> {target}")
 
 
 # -- construction -------------------------------------------------------------
@@ -395,15 +400,15 @@ def merge_blocks(graph: Cfg) -> Cfg:
 def _check_merged(graph: Cfg) -> None:
     """What merging leaves: no branch on a literal, and no goto, a
     self-loop aside, into a block with no other reachable predecessor
-    (_absorb would have absorbed that block)."""
+    (_absorb would have absorbed that block). Raises AssertionError, like
+    check_cfg."""
     terms = {bid: block.terminator for bid, block in graph.blocks.items()}
     preds = pred_counts(terms, graph.entry)
     for bid, term in terms.items():
-        assert not (isinstance(term, Branch) and isinstance(term.cond, BoolLit)), (
-            f"block {bid} branches on a literal"
-        )
-        if isinstance(term, Goto) and term.target != bid:
-            assert preds[term.target] != 1, (
+        if isinstance(term, Branch) and isinstance(term.cond, BoolLit):
+            raise AssertionError(f"block {bid} branches on a literal")
+        if isinstance(term, Goto) and term.target != bid and preds[term.target] == 1:
+            raise AssertionError(
                 f"goto {bid} -> {term.target} into a block with no other predecessor"
             )
 

@@ -27,6 +27,21 @@ iteration. Binary operators on two integers are looked up in
   every other statement to `_STMT`. It returns None when the body falls
   off its end and `(value,)` on `return`.
 
+`_if` picks a state machine's arm with one lookup. An `if` whose
+condition is `==` or `<` between a selector, a variable or a field of
+one, and an integer literal heads a dispatch tree: the `_i == k` chains
+and `_i < m` bisections of the lowered machines and of `F_fo`
+(`syntax.dispatch_arms`). Its arms, cached on the `if` on first use,
+give for each literal of the tree the block its tests reach and the
+steps they charge. The head reads the selector without charging a step;
+only when that is an integer among the literals and the budget covers
+the tests' steps are they charged at once and the block run. Such tests
+could neither raise nor exhaust the budget, so outputs, steps and errors
+are exact; any other value (null, a boolean, a record, an unbound name,
+a missing field, the sink 0), or a budget that would run out inside the
+tree, runs the tests one by one, where the error or the exhaustion is
+raised at the step it always was.
+
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
 """
@@ -62,6 +77,7 @@ from .syntax import (
     Var,
     While,
     YieldStmt,
+    dispatch_arms,
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -333,25 +349,54 @@ def _yield_outside_generator(it, stmt, env):
 
 
 def _if(it, stmt, env):
-    it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
-    cond = stmt.cond
-    truth = _EXPR[type(cond)](it, cond, env)
-    if truth is True:
-        block = stmt.then
-    elif truth is False:
-        block = stmt.orelse
+    if stmt.dispatch is not None and (arm := _arm(it, stmt, env)) is not None:
+        it.steps += arm[1]
+        block = arm[0]
         if block is None:
             return None
     else:
-        raise _not_bool(truth, cond)
+        it.steps += 1
+        if it.steps > it.step_budget:
+            raise BudgetExceeded(_OVER)
+        cond = stmt.cond
+        truth = _EXPR[type(cond)](it, cond, env)
+        if truth is True:
+            block = stmt.then
+        elif truth is False:
+            block = stmt.orelse
+            if block is None:
+                return None
+        else:
+            raise _not_bool(truth, cond)
     # The branch runs here, not through a helper: one Python frame per level.
     for inner in block.stmts:
         result = _STMT[type(inner)](it, inner, env)
         if result is not None:
             return result
     return None
+
+
+def _arm(it, stmt, env):
+    """The arm of the dispatch tree under stmt that the selector's value
+    picks, read without charging a step: None unless the value is an
+    integer, one of the tree's literals, and the budget covers the tests'
+    steps, so that the tests could raise nothing."""
+    name, field, arms = stmt.dispatch
+    while name not in env.vars:
+        env = env.parent
+        if env is None:
+            return None
+    value = env.vars[name]
+    if field is not None:
+        if type(value) is not Record:
+            return None
+        value = value.fields.get(field)
+    if type(value) is not int:  # a bool would find the arm of 0 or 1
+        return None
+    arm = (arms or dispatch_arms(stmt)).get(value)
+    if arm is None or it.steps + arm[1] > it.step_budget:
+        return None
+    return arm
 
 
 def _while(it, stmt, env):

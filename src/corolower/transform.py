@@ -109,19 +109,25 @@ from .syntax import (
 CHAIN_MAX = 4
 
 # A machine of more than this many states dispatches through threaded
-# state closures instead. Threaded time over bisection time, lowered-opt,
-# for a loop of plain sequential yields (CPython 3.11, 2-core VM, best of
-# 15 alternating runs; first-order was 0.88-1.19 throughout):
+# state closures instead. Threaded time over bisection time, for a loop of
+# plain sequential yields (CPython 3.11, 2-core VM, best of 15 alternating
+# runs):
 #
 #   states                          8     32    49    64    70    100   128
-#   one instance, 3,000 nexts       1.18  1.00  0.90  0.91  0.94  0.86  0.86
-#   200 instances of 5 nexts each   1.41  1.55  1.75  2.20  2.01  2.12  2.51
+#   one instance, 3,000 nexts
+#     lowered-opt                   1.65  1.88  1.76  1.70  1.75  1.65  1.67
+#     first-order                   1.55  1.55  1.49  1.46  1.47  1.55  1.44
+#   200 instances of 5 nexts each
+#     lowered-opt                   2.13  2.85  3.53  4.14  4.78  5.55  6.55
+#     first-order                   1.52  1.46  1.49  1.52  1.52  1.51  1.52
 #
-# Long-lived instances gain from about 49 states on; short-lived lowered
-# instances lose at every size, because each makes one closure per state.
-# 64 keeps wide-states' generator, 101 states once its arms run in place,
-# threaded: bisected, it takes 55.66 steps per next instead of 37.85 and
-# prints 34,645 bytes instead of 15,252.
+# The interpreter takes a bisection's tests in one lookup (interp._if), so
+# in time bisection wins at every size in both forms; when it ran them one
+# by one, long-lived instances gained from threading from about 49 states
+# on. Threading still saves steps: 64 keeps wide-states' generator, 101
+# states once its arms run in place, threaded: bisected, it takes 55.66
+# steps per next instead of 37.85 and prints 34,645 bytes instead of
+# 15,252.
 BISECT_MAX = 64
 
 

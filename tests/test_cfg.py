@@ -1,4 +1,7 @@
+import os
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -350,6 +353,24 @@ def test_check_cfg_and_merge_blocks_refuse_a_goto_to_end():
     finished = Cfg({1: BasicBlock(1, [Assign("a", IntLit(1))], Finish())}, 1)
     check_cfg(finished)
     assert merge_blocks(finished) == finished
+
+
+def test_the_graph_checks_hold_under_python_dash_o():
+    # The checks raise AssertionError themselves, so `python -O`, which
+    # drops assert statements, keeps them.
+    script = (
+        "from corolower.cfg import END, BasicBlock, Cfg, Goto, merge_blocks\n"
+        "try:\n"
+        "    merge_blocks(Cfg({1: BasicBlock(1, [], Goto(END))}, 1))\n"
+        "except AssertionError as err:\n"
+        "    print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "goto 1 -> END instead of a finish\n"
 
 
 # -- merging -------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import importlib
+
 import pytest
 
+from corolower import transform
+from corolower.cli import program_forms
 from corolower.errors import BudgetExceeded, InterpError, ValidationError
 from corolower.interp import (
+    Interpreter,
     interp,
     interp_native,
     render_output,
@@ -9,9 +14,13 @@ from corolower.interp import (
     resume_sequence,
 )
 from corolower.parser import parse_source
+from corolower.syntax import If, NullLit, Return, dispatch_arms, walk
 from corolower.transform import transform_program
 
-from conftest import FIB_SOURCE, RECEIVE_SOURCE
+from conftest import CORPUS_DIR, FIB_SOURCE, RECEIVE_SOURCE, wide_source
+
+# The package exports the function `interp` under the module's name.
+interp_module = importlib.import_module("corolower.interp")
 
 # Expected fib prefix, frozen from a hand trace of a=0, b=1;
 # yield a; c=a; a=b; b=c+a.
@@ -276,3 +285,158 @@ def test_print_shows_functions_and_generator_instances():
         "fn f() { } fn* g() { yield 1 } fn main() { print(&f) print(f) print(fn () { }) print(g()) }"
     )
     assert render_output(interp_native(program)) == "&f\n<fn f>\n<fn>\n<generator g>\n"
+
+
+# -- dispatch trees -------------------------------------------------------------
+#
+# `_if` runs the head of a dispatch tree by one lookup in the tree's arms
+# (syntax.dispatch_arms) when it can. Every outcome must be the one of
+# the step-by-step tests: the printed prefix, the error's kind, message
+# and position, and the steps charged.
+
+
+def outcome(program, budget):
+    it = Interpreter(program, budget)
+    error = None
+    try:
+        it.run()
+    except InterpError as err:
+        error = (type(err), err.message, err.line, err.col)
+    return it.output, error, it.steps
+
+
+def outcomes_with_and_without_arms(monkeypatch, program, budgets):
+    """The outcome at each budget with the arms, how many `if`s took one,
+    and the outcomes with `_arm` turned off."""
+    taken = []
+    arm = interp_module._arm
+
+    def counted(it, stmt, env):
+        found = arm(it, stmt, env)
+        taken.append(found is not None)
+        return found
+
+    monkeypatch.setattr(interp_module, "_arm", counted)
+    with_arms = [outcome(program, budget) for budget in budgets]
+    monkeypatch.setattr(interp_module, "_arm", lambda it, stmt, env: None)
+    without = [outcome(program, budget) for budget in budgets]
+    monkeypatch.undo()
+    return with_arms, sum(taken), without
+
+
+def full_steps(program):
+    it = Interpreter(program)
+    it.run()
+    return it.steps
+
+
+@pytest.mark.parametrize("form", ["lowered-opt", "lowered-noopt", "first-order"])
+@pytest.mark.parametrize("name", ["fib", "receive", "tally"])
+def test_dispatch_arms_keep_every_budget_exact(monkeypatch, name, form):
+    program = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))[form]
+    steps = full_steps(program)
+    budgets = range(1, steps + 1)
+    with_arms, taken, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+    assert taken > 0
+    assert with_arms == without
+    assert with_arms[-1][1:] == (None, steps)
+    assert all(error[0] is BudgetExceeded for _, error, _ in with_arms[:-1])
+
+
+def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
+    # 21 states optimized and 62 unoptimized: `_i < m` tests down to
+    # chains of `_i == k`, all one tree. Budgets every 11 steps land at
+    # every depth of it.
+    for name, program in program_forms(parse_source(wide_source(20, 60))).items():
+        if name == "native":
+            continue
+        steps = full_steps(program)
+        budgets = [*range(1, steps, 11), steps]
+        with_arms, taken, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+        assert taken > 60, name
+        assert with_arms == without, name
+        heads = [n for n in walk(program) if type(n) is If and n.dispatch is not None]
+        assert len(heads) == 1, name
+        states = transform.plan_generator(
+            parse_source(wide_source(20, 60)).decls[0], name != "lowered-noopt"
+        )[1].states
+        assert sorted(dispatch_arms(heads[0])) == states, name
+
+
+@pytest.mark.parametrize(
+    "init, selector",
+    [
+        ("null", "s"),
+        ("true", "s"),
+        ("{ i: 1 }", "s"),
+        ("0", "s"),
+        ("2", "nope"),
+        ("{ j: 2 }", "s.i"),
+        ("2", "s.i"),
+        ("{ i: null }", "s.i"),
+        ("{ i: false }", "s.i"),
+        ("{ i: 0 }", "s.i"),
+        ("{ i: 3 }", "s.i"),
+        ("3", "s"),
+        ("1", "s"),
+        ("{ i: 4 }", "s.i"),
+    ],
+)
+@pytest.mark.parametrize("op", ["==", "<"])
+def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, selector, op):
+    # Null, a boolean, a record, an unbound name, a missing field, a field
+    # of a non-record, the sink 0 and a value between two literals: the
+    # tests run one by one, so errors and steps stay those of each test.
+    # A literal of the tree takes its arm whenever the budget covers it.
+    source = f"""fn main() {{
+  let s = {init}
+  print(7)
+  if ({selector} {op} 1) {{
+    print(1)
+  }} else {{
+    if ({selector} {op} 4) {{
+      print(4)
+    }} else {{
+      print(5)
+    }}
+  }}
+  print(8)
+}}"""
+    program = parse_source(source)
+    budgets = range(1, 30)
+    with_arms, taken, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+    assert with_arms == without
+    assert (taken > 0) == (init in ("1", "{ i: 4 }"))
+
+
+def test_fib_dispatch_arms():
+    # Each `_i == k` test is 4 steps (if, ==, _i, k) lowered and 5
+    # first-order (`_e._i` reads a field too).
+    forms = program_forms(parse_source(FIB_SOURCE))
+    for form, cost in (("lowered-opt", 4), ("first-order", 5)):
+        head = next(n for n in walk(forms[form]) if type(n) is If and n.dispatch is not None)
+        chain, arms = [head], dispatch_arms(head)
+        while len(chain) < 3:
+            chain.append(chain[-1].orelse.stmts[0])
+        assert arms == {
+            k: (test.then, cost * k) for k, test in zip((1, 2, 3), chain)
+        }, form
+        assert [test.dispatch for test in chain[1:]] == [None, None]
+        assert chain[-1].orelse.stmts == [Return(NullLit())]
+
+
+def test_a_dispatch_tree_stops_at_any_other_statement():
+    # Only an arm that is one `if` on the same selector continues the tree.
+    program = parse_source(
+        """fn main() {
+  let s = 2
+  let t = 2
+  if (s < 2) { if (t == 1) { print(1) } } else { if (s == 2) { print(2) } print(3) }
+  if (s == 3) { if (s.i == 3) { print(4) } } else { if (s == 2) { print(5) } }
+}"""
+    )
+    first, second = program.decls[0].body.stmts[2:]
+    assert dispatch_arms(first) == {2: (first.orelse, 4)}
+    third = second.orelse.stmts[0]
+    assert dispatch_arms(second) == {3: (second.then, 4), 2: (third.then, 8)}
+    assert interp_native(program) == [2, 3, 5]
