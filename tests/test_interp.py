@@ -347,7 +347,8 @@ def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
     # 21 states optimized and 62 unoptimized: `_i < m` tests down to
     # chains of `_i == k`, all one tree. Budgets every 11 steps land at
     # every depth of it.
-    for name, program in program_forms(parse_source(wide_source(20, 60))).items():
+    source = parse_source(wide_source(20, 60))
+    for name, program in program_forms(source).items():
         if name == "native":
             continue
         steps = full_steps(program)
@@ -357,9 +358,7 @@ def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
         assert with_arms == without, name
         heads = [n for n in walk(program) if type(n) is If and n.dispatch is not None]
         assert len(heads) == 1, name
-        states = transform.plan_generator(
-            parse_source(wide_source(20, 60)).decls[0], name != "lowered-noopt"
-        )[1].states
+        states = transform.plan_generator(source.decls[0], name != "lowered-noopt")[1].states
         assert sorted(dispatch_arms(heads[0])) == states, name
 
 
