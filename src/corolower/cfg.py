@@ -327,7 +327,8 @@ def _renumber(
     blocks: dict[int, BasicBlock] = {}
     for old, new in mapping.items():
         term = terms[old]
-        assert term is not None, f"block {old} has no terminator"
+        if term is None:
+            raise AssertionError(f"block {old} has no terminator")
         term = _retarget(term, lambda t: mapping.get(t, t))
         blocks[new] = BasicBlock(new, stmts[old], term)
     graph = Cfg(blocks, 1, list(declared))

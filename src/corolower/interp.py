@@ -30,17 +30,18 @@ iteration. Binary operators on two integers are looked up in
 `_if` picks a state machine's arm with one lookup. An `if` whose
 condition is `==` or `<` between a selector, a variable or a field of
 one, and an integer literal heads a dispatch tree: the `_i == k` chains
-and `_i < m` bisections of the lowered machines and of `F_fo`
-(`syntax.dispatch_arms`). Its arms, cached on the `if` on first use,
-give for each literal of the tree the block its tests reach and the
-steps they charge. The head reads the selector without charging a step;
-only when that is an integer among the literals and the budget covers
-the tests' steps are they charged at once and the block run. Such tests
-could neither raise nor exhaust the budget, so outputs, steps and errors
-are exact; any other value (null, a boolean, a record, an unbound name,
-a missing field, the sink 0), or a budget that would run out inside the
-tree, runs the tests one by one, where the error or the exhaustion is
-raised at the step it always was.
+and `_i < m` bisections of the lowered machines and of `F_fo`. The head
+reads the selector without charging a step, and `_arm` looks its value
+up in the arms cached on the `if`; on a miss it walks the tree's tests
+in Python, keeping the arm it finds when that is a literal's. When the
+value is an integer and the budget covers the tests' steps, they are
+charged at once and the block run. Such tests could neither raise nor
+exhaust the budget, so outputs, steps and errors are exact. The sink 0
+and a value between two literals cost one walk each time. Any value
+that is not an integer (null, a boolean, a record, an unbound name, a
+missing field), or a budget that would run out inside the tree, runs the
+tests one by one, where the error or the exhaustion is raised at the
+step it always was.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -77,7 +78,6 @@ from .syntax import (
     Var,
     While,
     YieldStmt,
-    dispatch_arms,
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -378,9 +378,17 @@ def _if(it, stmt, env):
 
 def _arm(it, stmt, env):
     """The arm of the dispatch tree under stmt that the selector's value
-    picks, read without charging a step: None unless the value is an
-    integer, one of the tree's literals, and the budget covers the tests'
-    steps, so that the tests could raise nothing."""
+    picks: the block its tests reach (None when an `if` without else is
+    false) and the steps they charge, read without charging a step. None
+    unless the value is an integer and the budget covers those steps, so
+    that the tests could raise nothing.
+
+    The tree is stmt and, below any `if` of it, the `if` that is the one
+    statement of its then or else block when that tests the same selector.
+    A test charges 4 steps (the if, the comparison, the selector and the
+    literal), 5 with a field. On a miss in stmt's arms the tests are walked
+    here, and the arm is kept when the last test was an `==` that held, so
+    the arms hold at most one entry per literal of the tree."""
     name, field, arms = stmt.dispatch
     while name not in env.vars:
         env = env.parent
@@ -393,8 +401,23 @@ def _arm(it, stmt, env):
         value = value.fields.get(field)
     if type(value) is not int:  # a bool would find the arm of 0 or 1
         return None
-    arm = (arms or dispatch_arms(stmt)).get(value)
-    if arm is None or it.steps + arm[1] > it.step_budget:
+    arm = arms.get(value)
+    if arm is None:
+        cost, steps, test = 4 if field is None else 5, 0, stmt
+        while True:
+            steps += cost
+            cond = test.cond
+            held = value == cond.rhs.value if cond.op == "==" else value < cond.rhs.value
+            block = test.then if held else test.orelse
+            if block is None or len(block.stmts) != 1:
+                break
+            test = block.stmts[0]
+            if type(test) is not If or test.dispatch is None or test.dispatch[:2] != (name, field):
+                break
+        arm = (block, steps)
+        if held and cond.op == "==":
+            arms[value] = arm
+    if it.steps + arm[1] > it.step_budget:
         return None
     return arm
 

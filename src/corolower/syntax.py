@@ -185,9 +185,10 @@ class If(Stmt):
 
     def __post_init__(self):
         # `(name, field, arms)` when the condition is a dispatch test (see
-        # dispatch_arms), arms filled on first use, and None otherwise. A
-        # plain attribute, not a field: the interpreter reads it with one
-        # load, and equality, repr and the tree walks never see it.
+        # _selector), and None otherwise; interp._arm fills the arms as it
+        # walks the tests. A plain attribute, not a field: the interpreter
+        # reads it with one load, and equality, repr and the tree walks
+        # never see it.
         selector = _selector(self.cond)
         self.dispatch = None if selector is None else (*selector, {})
 
@@ -246,16 +247,15 @@ class Program(Node):
 # `Program.identifiers` cache a body's locals and a program's names.
 
 
-def walk(root: Node, into_functions: bool = True) -> Iterator[Node]:
+def walk(root: Node) -> Iterator[Node]:
     """Every node under root, root included, each once, in pre-order and
     source order: blocks, statements, expressions, record literal values
-    and FuncLit bodies. With into_functions false, a FuncLit is yielded but
-    its body is not entered. Iterative, so nesting depth costs no frames."""
+    and FuncLit bodies. Iterative, so nesting depth costs no frames."""
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
-        if type(node) in LEAVES or not into_functions and type(node) is FuncLit:
+        if type(node) in LEAVES:
             continue
         for name in reversed(_node_fields(type(node))):
             value = getattr(node, name)
@@ -410,47 +410,14 @@ def identifiers(decl: FuncDecl) -> set[str]:
     return _names(decl.body) | set(decl.params)
 
 
-# -- dispatch trees -----------------------------------------------------------
-
-
-def dispatch_arms(head: If) -> dict[int, tuple[Optional[Block], int]]:
-    """Fill and return the arms of the dispatch tree under head.
-
-    A dispatch test is `s == k` or `s < k`, k an IntLit and the selector s
-    a Var or a field of a Var. The tree is head and, below any `if` of it,
-    the `if` that is the one statement of its then or else block when that
-    tests the same selector: the `_i == k` chains and `_i < m` bisections
-    of a state machine's dispatch. For each literal k of the tree, the arms
-    give the block that the tests reach when the selector holds k (None
-    when an `if` without else is false) and the steps they charge, 4 per
-    test (the if, the comparison, the selector and the literal) or 5 for a
-    field selector. The `if`s under head run only through it, so they keep
-    no arms of their own."""
-    name, field, arms = head.dispatch
-    selector = (name, field)
-    cost = 4 if field is None else 5
-    tree, stack = [], [head]
-    while stack:
-        node = stack.pop()
-        tree.append(node)
-        stack += filter(None, (_test_in(node.then, selector), _test_in(node.orelse, selector)))
-    for node in tree[1:]:
-        node.dispatch = None
-    for k in {node.cond.rhs.value for node in tree}:
-        node, steps = head, 0
-        while node is not None:
-            steps += cost
-            limit = node.cond.rhs.value
-            taken = k == limit if node.cond.op == "==" else k < limit
-            block = node.then if taken else node.orelse
-            node = _test_in(block, selector)
-        arms[k] = (block, steps)
-    return arms
+# -- dispatch tests -----------------------------------------------------------
 
 
 def _selector(cond: Expr) -> Optional[tuple[str, Optional[str]]]:
     """The (name, field) that a dispatch test reads, field None for a Var;
-    None for any other condition."""
+    None for any other condition. A dispatch test is `s == k` or `s < k`,
+    k an IntLit and the selector s a Var or a field of a Var: the tests of
+    a state machine's `_i == k` chains and `_i < m` bisections."""
     if type(cond) is not Binary or cond.op not in ("==", "<") or type(cond.rhs) is not IntLit:
         return None
     lhs = cond.lhs
@@ -458,13 +425,4 @@ def _selector(cond: Expr) -> Optional[tuple[str, Optional[str]]]:
         return lhs.name, None
     if type(lhs) is FieldGet and type(lhs.record) is Var:
         return lhs.record.name, lhs.field
-    return None
-
-
-def _test_in(block: Optional[Block], selector) -> Optional[If]:
-    """The `if` that is block's one statement, when it tests selector."""
-    if block is not None and len(block.stmts) == 1:
-        stmt = block.stmts[0]
-        if type(stmt) is If and _selector(stmt.cond) == selector:
-            return stmt
     return None

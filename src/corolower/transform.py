@@ -121,7 +121,7 @@ CHAIN_MAX = 4
 #     lowered-opt                   2.13  2.85  3.53  4.14  4.78  5.55  6.55
 #     first-order                   1.52  1.46  1.49  1.52  1.52  1.51  1.52
 #
-# The interpreter takes a bisection's tests in one lookup (interp._if), so
+# The interpreter takes a bisection's tests in one lookup (interp._arm), so
 # in time bisection wins at every size in both forms; when it ran them one
 # by one, long-lived instances gained from threading from about 49 states
 # on. Threading still saves steps: 64 keeps wide-states' generator, 101
@@ -287,9 +287,8 @@ def _receivers(graph: Cfg) -> dict[int, str]:
     for block in graph.blocks.values():
         term = block.terminator
         if isinstance(term, YieldTo) and term.receiver is not None:
-            assert out.get(term.resume, term.receiver) == term.receiver, (
-                "two receivers resume at one state"
-            )
+            if out.get(term.resume, term.receiver) != term.receiver:
+                raise AssertionError("two receivers resume at one state")
             out[term.resume] = term.receiver
     return out
 

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from corolower.syntax import FuncLit, children
+
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
 GOLDEN_DIR = TESTS_DIR / "golden"
@@ -10,6 +12,17 @@ CORPUS_FILES = sorted(CORPUS_DIR.glob("*.mini"))
 
 FIB_SOURCE = (CORPUS_DIR / "fib.mini").read_text()
 RECEIVE_SOURCE = (CORPUS_DIR / "receive.mini").read_text()
+
+
+def outside_closures(root):
+    """The nodes under root, root included, that no fn literal's body
+    holds: a fn literal is listed, its body is not entered."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is not FuncLit:
+            stack.extend(children(node))
 
 
 def wide_source(arms: int, nexts: int) -> str:

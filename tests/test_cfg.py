@@ -42,10 +42,11 @@ from corolower.syntax import (
     stmt_nesting,
     walk,
 )
+from corolower import transform
 from corolower.transform import LOWERED_DEPTH, plan_generator
 
 from cfg_oracle import eval_cfg, yield_count
-from conftest import CORPUS_FILES, FIB_SOURCE, TESTS_DIR
+from conftest import CORPUS_FILES, FIB_SOURCE, TESTS_DIR, outside_closures
 from genfuzz import closure_generator_program, random_generator_program
 from randgen import random_program
 
@@ -189,7 +190,7 @@ def test_yield_counts_match_source():
                 continue
             source_yields = sum(
                 isinstance(node, (YieldStmt, LetYield))
-                for node in walk(decl.body, into_functions=False)
+                for node in walk(decl.body)
             )
             assert yield_count(build_cfg(decl)) == source_yields, decl.name
 
@@ -327,7 +328,7 @@ def test_stmt_nesting_matches_nesting():
                     assert block.depth == nesting(block)
                     assert block.exits == any(
                         type(n) in (YieldStmt, LetYield, Return)
-                        for n in walk(block, into_functions=False)
+                        for n in outside_closures(block)
                     )
 
 
@@ -355,22 +356,50 @@ def test_check_cfg_and_merge_blocks_refuse_a_goto_to_end():
     assert merge_blocks(finished) == finished
 
 
+# Two let-yields resume at block 2; build_cfg gives each its own block.
+TWO_RECEIVERS = """Cfg(
+    {
+        1: BasicBlock(1, [], YieldTo(IntLit(1), "x", 2)),
+        2: BasicBlock(2, [], YieldTo(IntLit(2), "y", 2)),
+    },
+    1,
+)"""
+
+
+def test_the_lowering_refuses_two_receivers_at_one_state():
+    with pytest.raises(AssertionError, match="two receivers resume at one state"):
+        transform._receivers(eval(TWO_RECEIVERS))
+    one = Cfg({1: BasicBlock(1, [], YieldTo(IntLit(1), "x", 2)), 2: BasicBlock(2, [], Finish())}, 1)
+    assert transform._receivers(one) == {2: "x"}
+
+
 def test_the_graph_checks_hold_under_python_dash_o():
     # The checks raise AssertionError themselves, so `python -O`, which
     # drops assert statements, keeps them.
-    script = (
-        "from corolower.cfg import END, BasicBlock, Cfg, Goto, merge_blocks\n"
-        "try:\n"
-        "    merge_blocks(Cfg({1: BasicBlock(1, [], Goto(END))}, 1))\n"
-        "except AssertionError as err:\n"
-        "    print(err)\n"
-    )
+    script = f"""
+from corolower.cfg import END, BasicBlock, Cfg, Goto, YieldTo, _renumber, merge_blocks
+from corolower.syntax import IntLit
+from corolower.transform import _receivers
+for check in (
+    lambda: merge_blocks(Cfg({{1: BasicBlock(1, [], Goto(END))}}, 1)),
+    lambda: _renumber({{1: []}}, {{1: None}}, 1, []),
+    lambda: _receivers({TWO_RECEIVERS}),
+):
+    try:
+        check()
+    except AssertionError as err:
+        print(err)
+"""
     env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "goto 1 -> END instead of a finish\n"
+    assert proc.stdout.splitlines() == [
+        "goto 1 -> END instead of a finish",
+        "block 1 has no terminator",
+        "two receivers resume at one state",
+    ]
 
 
 # -- merging -------------------------------------------------------------------

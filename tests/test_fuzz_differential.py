@@ -4,14 +4,24 @@ seeds) runs clean; 200 keep the suite fast. A second sweep draws the
 same seeds without yields in `if` arms, so that the optimized CFG keeps
 more `if` statements whole. A third runs generators whose closure reads
 their locals after they move on, in every form but the first-order one,
-which rejects closures."""
+which rejects closures. A fourth traces some of the lowered machines past
+their finish with the interpreter's dispatch lookup on and off."""
+
+import importlib
 
 import pytest
 
 from corolower import transform
 from corolower.cfg import build_cfg, merge_blocks
 from corolower.defunc import defunctionalize
-from corolower.interp import interp_native, render_output, resume_sequence
+from corolower.errors import InterpError
+from corolower.interp import (
+    Interpreter,
+    interp_native,
+    render_output,
+    resume_sequence,
+    trace_instance,
+)
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.syntax import If, While
@@ -22,6 +32,9 @@ from genfuzz import closure_generator_program, random_generator_program
 
 SEEDS = range(200)
 SCRIPT = [None] + list(range(1, 30))
+
+# The package exports the function `interp` under the module's name.
+interp_module = importlib.import_module("corolower.interp")
 
 
 def check_forms_agree(seed, arm_yields=True):
@@ -96,3 +109,41 @@ def test_the_sweeps_keep_statements_whole():
             whiles += sum(isinstance(s, While) for s in whole)
         kept[arm_yields] = (generators, ifs, whiles)
     assert kept == {True: (16, 3, 13), False: (83, 98, 10)}
+
+
+def traced(program, name, args, budget):
+    """The results of resume_sequence's trace over SCRIPT, its error and
+    the steps it spent."""
+    it = Interpreter(program, budget)
+    results, error = None, None
+    try:
+        results = trace_instance(it, it.call(it.globals.lookup(name), args), SCRIPT)
+    except InterpError as err:
+        error = (type(err), err.message, err.line, err.col)
+    return results, error, it.steps
+
+
+def test_the_dispatch_lookup_keeps_fuzz_traces_exact(monkeypatch):
+    # Each machine runs to its finish and then keeps selecting the sink 0.
+    # Budgets sampled across each trace land at every depth of the
+    # dispatch, and outcomes must not depend on whether `_arm` walks the
+    # tests or the handlers run them one by one.
+    bisected = 0
+    for seed in range(0, 200, 5):
+        for arm_yields in (True, False):
+            program, name, arity = random_generator_program(seed, arm_yields)
+            args = list(range(1, arity + 1))
+            for opt in (True, False):
+                bisected += len(plan_generator(program.decls[0], opt)[1].states) > CHAIN_MAX
+                lowered = transform_program(program, opt)
+                for form in (lowered, defunctionalize(lowered)):
+                    full = traced(form, name, args, 10**6)
+                    assert full[0][-1] is None and full[1] is None
+                    budgets = [*range(1, full[2], 1 + full[2] // 12), full[2]]
+                    with_arm = [traced(form, name, args, b) for b in budgets]
+                    monkeypatch.setattr(interp_module, "_arm", lambda it, stmt, env: None)
+                    without = [traced(form, name, args, b) for b in budgets]
+                    monkeypatch.undo()
+                    assert with_arm == without, (seed, arm_yields, opt)
+                    assert with_arm[-1] == full
+    assert bisected == 20  # machines of 5 to 15 states

@@ -6,7 +6,9 @@ from corolower import transform
 from corolower.cli import program_forms
 from corolower.errors import BudgetExceeded, InterpError, ValidationError
 from corolower.interp import (
+    Env,
     Interpreter,
+    Record,
     interp,
     interp_native,
     render_output,
@@ -14,7 +16,7 @@ from corolower.interp import (
     resume_sequence,
 )
 from corolower.parser import parse_source
-from corolower.syntax import If, NullLit, Return, dispatch_arms, walk
+from corolower.syntax import If, NullLit, Program, Return, walk
 from corolower.transform import transform_program
 
 from conftest import CORPUS_DIR, FIB_SOURCE, RECEIVE_SOURCE, wide_source
@@ -289,10 +291,11 @@ def test_print_shows_functions_and_generator_instances():
 
 # -- dispatch trees -------------------------------------------------------------
 #
-# `_if` runs the head of a dispatch tree by one lookup in the tree's arms
-# (syntax.dispatch_arms) when it can. Every outcome must be the one of
-# the step-by-step tests: the printed prefix, the error's kind, message
-# and position, and the steps charged.
+# `_if` runs the head of a dispatch tree through `_arm` when it can: a
+# lookup in the arms cached on the head, or one walk of the tree's tests
+# on a miss. Every outcome must be the one of the step-by-step tests: the
+# printed prefix, the error's kind, message and position, and the steps
+# charged.
 
 
 def outcome(program, budget):
@@ -306,22 +309,29 @@ def outcome(program, budget):
 
 
 def outcomes_with_and_without_arms(monkeypatch, program, budgets):
-    """The outcome at each budget with the arms, how many `if`s took one,
-    and the outcomes with `_arm` turned off."""
-    taken = []
+    """The outcome at each budget with `_arm` on, for each budget whether
+    each call of `_arm` took an arm, and the outcomes with `_arm` off."""
+    visits = []
     arm = interp_module._arm
 
     def counted(it, stmt, env):
         found = arm(it, stmt, env)
-        taken.append(found is not None)
+        visits[-1].append(found is not None)
         return found
 
     monkeypatch.setattr(interp_module, "_arm", counted)
-    with_arms = [outcome(program, budget) for budget in budgets]
+    with_arms = []
+    for budget in budgets:
+        visits.append([])
+        with_arms.append(outcome(program, budget))
     monkeypatch.setattr(interp_module, "_arm", lambda it, stmt, env: None)
     without = [outcome(program, budget) for budget in budgets]
     monkeypatch.undo()
-    return with_arms, sum(taken), without
+    return with_arms, visits, without
+
+
+def taken(visits):
+    return sum(map(sum, visits))
 
 
 def full_steps(program):
@@ -330,17 +340,27 @@ def full_steps(program):
     return it.steps
 
 
+def arm_of(stmt, **bindings):
+    """What `_arm` picks for stmt with only these names bound."""
+    return interp_module._arm(Interpreter(Program([])), stmt, Env(None, bindings))
+
+
 @pytest.mark.parametrize("form", ["lowered-opt", "lowered-noopt", "first-order"])
-@pytest.mark.parametrize("name", ["fib", "receive", "tally"])
+@pytest.mark.parametrize("name", ["fib", "receive", "tally", "exhaust"])
 def test_dispatch_arms_keep_every_budget_exact(monkeypatch, name, form):
     program = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))[form]
     steps = full_steps(program)
     budgets = range(1, steps + 1)
-    with_arms, taken, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-    assert taken > 0
+    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
     assert with_arms == without
     assert with_arms[-1][1:] == (None, steps)
     assert all(error[0] is BudgetExceeded for _, error, _ in with_arms[:-1])
+    # At the full budget every visit of a dispatch takes an arm, the
+    # visits that find the sink 0 included: exhaust's six `next`s resume
+    # the three states and then the sink three times.
+    assert visits[-1] and all(visits[-1])
+    if name == "exhaust":
+        assert len(visits[-1]) == 6
 
 
 def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
@@ -353,13 +373,12 @@ def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
             continue
         steps = full_steps(program)
         budgets = [*range(1, steps, 11), steps]
-        with_arms, taken, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-        assert taken > 60, name
+        with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+        assert taken(visits) > 60, name
         assert with_arms == without, name
-        heads = [n for n in walk(program) if type(n) is If and n.dispatch is not None]
-        assert len(heads) == 1, name
+        head = next(n for n in walk(program) if type(n) is If and n.dispatch is not None)
         states = transform.plan_generator(source.decls[0], name != "lowered-noopt")[1].states
-        assert sorted(dispatch_arms(heads[0])) == states, name
+        assert sorted(head.dispatch[2]) == states, name
 
 
 @pytest.mark.parametrize(
@@ -383,10 +402,11 @@ def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
 )
 @pytest.mark.parametrize("op", ["==", "<"])
 def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, selector, op):
-    # Null, a boolean, a record, an unbound name, a missing field, a field
-    # of a non-record, the sink 0 and a value between two literals: the
-    # tests run one by one, so errors and steps stay those of each test.
-    # A literal of the tree takes its arm whenever the budget covers it.
+    # Null, a boolean, a record, an unbound name, a missing field and a
+    # field of a non-record: the tests run one by one, so errors and steps
+    # stay those of each test. Any integer, a literal of the tree, the
+    # sink 0 or a value between two literals, takes its arm whenever the
+    # budget covers it.
     source = f"""fn main() {{
   let s = {init}
   print(7)
@@ -403,29 +423,37 @@ def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, select
 }}"""
     program = parse_source(source)
     budgets = range(1, 30)
-    with_arms, taken, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
     assert with_arms == without
-    assert (taken > 0) == (init in ("1", "{ i: 4 }"))
+    ints = {"s": ("0", "1", "3"), "s.i": ("{ i: 0 }", "{ i: 3 }", "{ i: 4 }")}
+    assert (taken(visits) > 0) == (init in ints.get(selector, ()))
 
 
 def test_fib_dispatch_arms():
     # Each `_i == k` test is 4 steps (if, ==, _i, k) lowered and 5
-    # first-order (`_e._i` reads a field too).
+    # first-order (`_e._i` reads a field too). The sink 0 walks all three
+    # tests to the `return null` and is not kept.
     forms = program_forms(parse_source(FIB_SOURCE))
     for form, cost in (("lowered-opt", 4), ("first-order", 5)):
         head = next(n for n in walk(forms[form]) if type(n) is If and n.dispatch is not None)
-        chain, arms = [head], dispatch_arms(head)
+        chain = [head]
         while len(chain) < 3:
             chain.append(chain[-1].orelse.stmts[0])
-        assert arms == {
-            k: (test.then, cost * k) for k, test in zip((1, 2, 3), chain)
-        }, form
-        assert [test.dispatch for test in chain[1:]] == [None, None]
+        name, field, arms = head.dispatch
+
+        def select(k):
+            return arm_of(head, **{name: k if field is None else Record({field: k})})
+
+        for k, test in zip((1, 2, 3), chain):
+            assert select(k) == (test.then, cost * k), form
+        assert select(0) == (chain[-1].orelse, cost * 3), form
+        assert arms == {k: (test.then, cost * k) for k, test in zip((1, 2, 3), chain)}, form
         assert chain[-1].orelse.stmts == [Return(NullLit())]
 
 
 def test_a_dispatch_tree_stops_at_any_other_statement():
-    # Only an arm that is one `if` on the same selector continues the tree.
+    # Only an arm that is one `if` on the same selector continues the tree,
+    # and only an `==` that held is kept.
     program = parse_source(
         """fn main() {
   let s = 2
@@ -435,7 +463,12 @@ def test_a_dispatch_tree_stops_at_any_other_statement():
 }"""
     )
     first, second = program.decls[0].body.stmts[2:]
-    assert dispatch_arms(first) == {2: (first.orelse, 4)}
+    assert arm_of(first, s=2) == (first.orelse, 4)
+    assert arm_of(first, s=1, t=1) == (first.then, 4)
+    assert first.dispatch[2] == {}
     third = second.orelse.stmts[0]
-    assert dispatch_arms(second) == {3: (second.then, 4), 2: (third.then, 8)}
+    assert arm_of(second, s=3) == (second.then, 4)
+    assert arm_of(second, s=2) == (third.then, 8)
+    assert arm_of(second, s=5) == (None, 8)
+    assert second.dispatch[2] == {3: (second.then, 4), 2: (third.then, 8)}
     assert interp_native(program) == [2, 3, 5]

@@ -132,23 +132,21 @@ def test_walk_is_pre_order_in_source_order():
         "Program", "FuncDecl", "Block", "If", "Var", "Block", "Print",
         "Binary", "IntLit 1", "IntLit 2", "Block", "Assign", "IntLit 3",
     ]  # fmt: skip
-
-
-def test_walk_without_functions_stops_at_a_closure():
-    program = parse_source("fn main() { let f = fn (a) { let b = a return b } }")
-    body = program.decls[0].body
-    kinds = [type(n).__name__ for n in walk(body, into_functions=False)]
-    assert kinds == ["Block", "Let", "FuncLit"]
-    assert len(list(walk(body))) == 8
-    assert declared_locals(body) == ["f"]
+    # A fn literal's body is walked too.
+    body = parse_source("fn main() { let f = fn (a) { let b = a return b } }").decls[0].body
+    assert [type(n).__name__ for n in walk(body)] == [
+        "Block", "Let", "FuncLit", "Block", "Let", "Var", "Return", "Var",
+    ]  # fmt: skip
 
 
 def test_declared_locals_keeps_first_occurrence_order():
     program = parse_source(
         "fn* g() { let b = 1 if (b) { let a = 2 let b = 3 } let a = yield 4 } "
-        "fn main() { }"
+        "fn main() { let f = fn (a) { let b = a return b } }"
     )
     assert declared_locals(program.decls[0].body) == ["b", "a"]
+    # A closure's locals are its own.
+    assert declared_locals(program.decls[1].body) == ["f"]
 
 
 def test_deeply_nested_ast_walks_without_recursion():

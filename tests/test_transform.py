@@ -36,7 +36,15 @@ from corolower.transform import (
     transform_program,
 )
 
-from conftest import CORPUS_DIR, CORPUS_FILES, FIB_SOURCE, GOLDEN_DIR, RECEIVE_SOURCE, wide_source
+from conftest import (
+    CORPUS_DIR,
+    CORPUS_FILES,
+    FIB_SOURCE,
+    GOLDEN_DIR,
+    RECEIVE_SOURCE,
+    outside_closures,
+    wide_source,
+)
 
 # The two-yield coroutine of the paper, and its expected machine: state 1
 # returns n and advances; state 2 binds the resume value, finishes, and
@@ -306,7 +314,7 @@ def check_arms_follow_the_cfg(decl, opt):
     def transfers_control(node):
         return any(
             isinstance(n, Return) or isinstance(n, Assign) and n.name == inst
-            for n in walk(node, into_functions=False)
+            for n in outside_closures(node)
         )
 
     ifs = [
