@@ -261,7 +261,9 @@ def diff_forms(forms: dict[str, Program], resumptions: int, step_budget: int) ->
     (see `_run_share`), yet the report and the error raised are those of
     a serial run: the first run that fails, taking every form's output in
     form order and then each generator's traces in form order, raises."""
-    script = [NULL] + list(range(1, resumptions))
+    # The language discards a first `next`'s value, so a form that binds
+    # it diverges from the native one.
+    script = [-1] + list(range(1, resumptions))
     traces = [
         (f"generator {decl.name}: resumption", decl.name, list(range(1, len(decl.params) + 1)))
         for decl in forms["native"].decls

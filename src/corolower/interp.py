@@ -20,28 +20,33 @@ evaluated expression, per executed statement and per further `while`
 iteration. Binary operators on two integers are looked up in
 `_INT_OPS`. Function bodies run in one of two ways:
 
-- `Interpreter.call` runs a plain body's statements itself, as `_if` and
-  `_while` run their blocks', so one call costs one Python frame.
+- `Interpreter.call` runs a plain body's statements itself, as `_if`,
+  `_switch` and `_while` run their blocks', so one call costs one Python
+  frame.
 - `_exec_gen` is the Python generator behind a generator instance. It
   handles `yield`, `let x = yield`, `if` and `while` itself, and hands
-  every other statement to `_STMT`. It returns None when the body falls
+  every other statement to `_STMT`; validation keeps `switch` out of a
+  generator's body. It returns None when the body falls
   off its end and `(value,)` on `return`.
 
-`_if` picks a state machine's arm with one lookup. An `if` whose
-condition is `==` or `<` between a selector, a variable or a field of
-one, and an integer literal heads a dispatch tree: the `_i == k` chains
-and `_i < m` bisections of the lowered machines and of `F_fo`. The head
-reads the selector without charging a step, and `_arm` looks its value
-up in the arms cached on the `if`; on a miss it walks the tree's tests
-in Python, keeping the arm it finds when that is a literal's. When the
-value is an integer and the budget covers the tests' steps, they are
-charged at once and the block run. Such tests could neither raise nor
-exhaust the budget, so outputs, steps and errors are exact. The sink 0
-and a value between two literals cost one walk each time. Any value
-that is not an integer (null, a boolean, a record, an unbound name, a
-missing field), or a budget that would run out inside the tree, runs the
-tests one by one, where the error or the exhaustion is raised at the
-step it always was.
+A state machine selects its state in one of two ways, each taken with
+one lookup. A machine of more than four states (transform.CHAIN_MAX)
+dispatches through a `switch`: `_switch` charges its step and its
+subject's, then takes the case for an integer value from the table on
+the node, or runs `else`. A smaller one dispatches through an `_i == k`
+chain, the lowered machine's or its `F_fo`'s. An `if` whose condition is
+`==` between a selector, a variable or a field of one, and an integer
+literal heads such a chain. The head reads the selector without charging
+a step, and `_arm` looks its value up in the arms cached on the `if`; on
+a miss it walks the chain's tests in Python, keeping the arm it finds
+when a test held. When the value is an integer and the budget covers the
+tests' steps, they are charged at once and the block run. Such tests
+could neither raise nor exhaust the budget, so outputs, steps and errors
+are exact. The sink 0 and any other value no test matches cost one walk
+each time. Any value that is not an integer (null, a boolean, a record,
+an unbound name, a missing field), or a budget that would run out inside
+the chain, runs the tests one by one, where the error or the exhaustion
+is raised at the step it always was.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -74,6 +79,7 @@ from .syntax import (
     Program,
     RecordLit,
     Return,
+    Switch,
     Unary,
     Var,
     While,
@@ -377,18 +383,18 @@ def _if(it, stmt, env):
 
 
 def _arm(it, stmt, env):
-    """The arm of the dispatch tree under stmt that the selector's value
+    """The arm of the dispatch chain under stmt that the selector's value
     picks: the block its tests reach (None when an `if` without else is
     false) and the steps they charge, read without charging a step. None
     unless the value is an integer and the budget covers those steps, so
     that the tests could raise nothing.
 
-    The tree is stmt and, below any `if` of it, the `if` that is the one
-    statement of its then or else block when that tests the same selector.
-    A test charges 4 steps (the if, the comparison, the selector and the
+    The chain is stmt and, below any `if` of it, the `if` that is the one
+    statement of its else block when that tests the same selector. A test
+    charges 4 steps (the if, the comparison, the selector and the
     literal), 5 with a field. On a miss in stmt's arms the tests are walked
-    here, and the arm is kept when the last test was an `==` that held, so
-    the arms hold at most one entry per literal of the tree."""
+    here, and the arm is kept when a test held, so the arms hold at most
+    one entry per literal of the chain."""
     name, field, arms = stmt.dispatch
     while name not in env.vars:
         env = env.parent
@@ -406,20 +412,37 @@ def _arm(it, stmt, env):
         cost, steps, test = 4 if field is None else 5, 0, stmt
         while True:
             steps += cost
-            cond = test.cond
-            held = value == cond.rhs.value if cond.op == "==" else value < cond.rhs.value
-            block = test.then if held else test.orelse
-            if block is None or len(block.stmts) != 1:
+            if value == test.cond.rhs.value:
+                arm = arms[value] = (test.then, steps)
                 break
-            test = block.stmts[0]
+            block = test.orelse
+            test = block.stmts[0] if block is not None and len(block.stmts) == 1 else None
             if type(test) is not If or test.dispatch is None or test.dispatch[:2] != (name, field):
+                arm = (block, steps)
                 break
-        arm = (block, steps)
-        if held and cond.op == "==":
-            arms[value] = arm
     if it.steps + arm[1] > it.step_budget:
         return None
     return arm
+
+
+def _switch(it, stmt, env):
+    it.steps += 1
+    if it.steps > it.step_budget:
+        raise BudgetExceeded(_OVER)
+    subject = stmt.subject
+    value = _EXPR[type(subject)](it, subject, env)
+    # Only an int selects a case: a bool would find the case of 0 or 1.
+    block = stmt.table.get(value) if type(value) is int else None
+    if block is None:
+        block = stmt.orelse
+        if block is None:
+            return None
+    # The case runs here, not through a helper, as in _if.
+    for inner in block.stmts:
+        result = _STMT[type(inner)](it, inner, env)
+        if result is not None:
+            return result
+    return None
 
 
 def _while(it, stmt, env):
@@ -487,6 +510,7 @@ _STMT = {
     LetYield: _yield_outside_generator,
     YieldStmt: _yield_outside_generator,
     If: _if,
+    Switch: _switch,
     While: _while,
     Return: _return,
     Print: _print,

@@ -22,6 +22,8 @@ KEYWORDS = frozenset(
         "false",
         "null",
         "next",
+        "switch",
+        "case",
     ]
 )
 

@@ -3,7 +3,8 @@
 The grammar has no statement separators; parsing is greedy, so the
 canonical style keeps one statement per line and the printer guarantees
 re-parseable output. Yield is legal only in statement position
-(`yield e` / `let x = yield e`) and only inside `fn*` bodies.
+(`yield e` / `let x = yield e`) and only inside `fn*` bodies; `switch`
+only outside them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .syntax import (
     RecordLit,
     Return,
     Stmt,
+    Switch,
     Unary,
     Var,
     While,
@@ -201,6 +203,8 @@ def _stmt(ts: _Tokens) -> Stmt:
                 ts.next()
                 orelse = _block(ts)
             return If(cond, then, orelse, pos=_pos(tok))
+        if tok.text == "switch":
+            return _switch(ts)
         if tok.text == "while":
             ts.next()
             ts.expect("op", "(")
@@ -234,6 +238,27 @@ def _stmt(ts: _Tokens) -> Stmt:
             raise ParseError("cannot assign to this expression", eq.line, eq.col)
         return FieldSet(expr.record, expr.field, _expr(ts), pos=_pos(tok))
     return ExprStmt(expr, pos=_pos(tok))
+
+
+def _switch(ts: _Tokens) -> Switch:
+    """`switch (e) case k { ... } ... else { ... }`: one case or more, each
+    label a distinct integer literal, and an optional else."""
+    tok = ts.next()
+    ts.expect("op", "(")
+    subject = _expr(ts)
+    ts.expect("op", ")")
+    cases: dict[int, Block] = {}
+    while not cases or ts.at("kw", "case"):
+        ts.expect("kw", "case")
+        label = ts.expect("int")
+        if int(label.text) in cases:
+            raise ParseError(f"duplicate case label {label.text}", label.line, label.col)
+        cases[int(label.text)] = _block(ts)
+    orelse = None
+    if ts.at("kw", "else"):
+        ts.next()
+        orelse = _block(ts)
+    return Switch(subject, list(cases.items()), orelse, pos=_pos(tok))
 
 
 def _expr(ts: _Tokens, min_prec: int = 1) -> Expr:
@@ -365,8 +390,9 @@ def _primary(ts: _Tokens) -> Expr:
 
 def validate(program: Program) -> None:
     """Enforce static rules: unique function names, a zero-parameter
-    non-generator entry, distinct parameters, and yields confined to
-    generator bodies (anonymous functions are never generators)."""
+    non-generator entry, distinct parameters, yields confined to
+    generator bodies (anonymous functions are never generators), and no
+    switch in a generator's own body."""
     seen: set[str] = set()
     for decl in program.decls:
         if decl.name in seen:
@@ -384,9 +410,10 @@ def validate(program: Program) -> None:
 
 
 def _check_function(func: FuncDecl | FuncLit, generator: bool) -> None:
-    """Distinct parameters, and no yield unless in a generator's body. A
-    yield stands only as a statement, so expressions are entered only for
-    fn literals; nodes come in walk's order, so the first fault is raised."""
+    """Distinct parameters, no yield unless in a generator's body, and no
+    switch in one. A yield or a switch stands only as a statement, so
+    expressions are entered only for fn literals; nodes come in walk's
+    order, so the first fault is raised."""
     if len(set(func.params)) != len(func.params):
         raise ValidationError("duplicate parameter name", *_at(func))
     stack: list[Node] = [func.body]
@@ -399,6 +426,9 @@ def _check_function(func: FuncDecl | FuncLit, generator: bool) -> None:
             _check_function(node, False)
         elif not generator and (cls is YieldStmt or cls is LetYield):
             raise ValidationError("yield outside a generator", *_at(node))
+        elif generator and cls is Switch:
+            # The lowerings split only `if` and `while` into blocks.
+            raise ValidationError("switch inside a generator", *_at(node))
         elif cls not in LEAVES:
             stack.extend(reversed(children(node)))
 

@@ -35,6 +35,7 @@ from .syntax import (
     RecordLit,
     Return,
     Stmt,
+    Switch,
     Unary,
     Var,
     While,
@@ -84,6 +85,17 @@ def _if(stmt, pad, indent):
     return lines + [f"{pad}}}"]
 
 
+def _switch(stmt, pad, indent):
+    head = f"{pad}switch ({_expr(stmt.subject, 1, indent)}) "
+    lines = []
+    for label, block in stmt.cases:
+        lines += [f"{head}case {label} {{", *_block_lines(block, indent + 1)]
+        head = f"{pad}}} "
+    if stmt.orelse is not None:
+        lines += [f"{pad}}} else {{", *_block_lines(stmt.orelse, indent + 1)]
+    return lines + [f"{pad}}}"]
+
+
 def _while(stmt, pad, indent):
     head = f"{pad}while ({_expr(stmt.cond, 1, indent)}) {{"
     return [head, *_block_lines(stmt.body, indent + 1), f"{pad}}}"]
@@ -101,6 +113,7 @@ _STMT = {
     YieldStmt: lambda s, pad, i: [f"{pad}yield {_expr(s.value, 1, i)}"],
     FieldSet: _field_set,
     If: _if,
+    Switch: _switch,
     While: _while,
     Return: lambda s, pad, i: [
         f"{pad}return" if s.value is None else f"{pad}return {_expr(s.value, 1, i)}"
@@ -112,7 +125,19 @@ _STMT = {
 
 def _binary(expr, prec, indent):
     p = BINARY_PRECEDENCE[expr.op]
-    text = f"{_expr(expr.lhs, p, indent)} {expr.op} {_expr(expr.rhs, p + 1, indent)}"
+    lhs = expr.lhs
+    if type(lhs) is Binary and BINARY_PRECEDENCE[lhs.op] == p:
+        # A left-leaning chain of one precedence, `a + b - c`, needs no
+        # parentheses inside and is printed in a loop, as the parser reads
+        # it, so a long one costs no Python frames.
+        tails = []
+        while type(lhs) is Binary and BINARY_PRECEDENCE[lhs.op] == p:
+            tails.append(f" {lhs.op} {_expr(lhs.rhs, p + 1, indent)}")
+            lhs = lhs.lhs
+        left = _expr(lhs, p, indent) + "".join(reversed(tails))
+    else:
+        left = _expr(lhs, p, indent)
+    text = f"{left} {expr.op} {_expr(expr.rhs, p + 1, indent)}"
     return f"({text})" if p < prec else text
 
 

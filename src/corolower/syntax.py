@@ -194,6 +194,23 @@ class If(Stmt):
 
 
 @dataclass
+class Switch(Stmt):
+    """`switch (e) case 1 { ... } case 2 { ... } else { ... }`: runs the
+    case whose label equals the value of e, an integer and not a boolean,
+    and `orelse` for any other value. Labels are distinct and
+    non-negative, and there is at least one case."""
+
+    subject: Expr
+    cases: list[tuple[int, Block]]  # (label, block), like a record's fields
+    orelse: Optional[Block] = None
+
+    def __post_init__(self):
+        # {label: block}, the jump table the interpreter takes a case from
+        # in one lookup; a plain attribute like If.dispatch.
+        self.table = dict(self.cases)
+
+
+@dataclass
 class While(Stmt):
     cond: Expr
     body: Block
@@ -261,7 +278,7 @@ def walk(root: Node) -> Iterator[Node]:
             value = getattr(node, name)
             if type(value) is list:
                 for item in reversed(value):
-                    # a record literal's field is a (name, value) pair
+                    # a record literal's field or a switch's case is a pair
                     stack.append(item[1] if type(item) is tuple else item)
             elif value is not None:
                 stack.append(value)
@@ -294,7 +311,8 @@ def stmt_exits(stmt: Stmt) -> bool:
 
 def children(node: Node) -> list[Node]:
     """The nodes directly under a node, in source order; a record
-    literal's values stand for its fields."""
+    literal's values stand for its fields, a switch's blocks for its
+    cases."""
     out = []
     for name in _node_fields(type(node)):
         value = getattr(node, name)
@@ -306,7 +324,8 @@ def children(node: Node) -> list[Node]:
 
 
 def blocks_under(stmt: Stmt) -> list[Block]:
-    """The blocks directly under a statement: an if's arms, a loop's body."""
+    """The blocks directly under a statement: an if's arms, a switch's
+    cases, a loop's body."""
     return [child for child in children(stmt) if type(child) is Block]
 
 
@@ -327,7 +346,7 @@ def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
         if type(value) is list:
             new = value
             for i, item in enumerate(value):
-                if type(item) is tuple:  # a record literal's (name, value)
+                if type(item) is tuple:  # a field's (name, value), a case's (label, block)
                     inner = map_tree(item[1], fn)
                     mapped = item if inner is item[1] else (item[0], inner)
                 else:
@@ -415,10 +434,10 @@ def identifiers(decl: FuncDecl) -> set[str]:
 
 def _selector(cond: Expr) -> Optional[tuple[str, Optional[str]]]:
     """The (name, field) that a dispatch test reads, field None for a Var;
-    None for any other condition. A dispatch test is `s == k` or `s < k`,
-    k an IntLit and the selector s a Var or a field of a Var: the tests of
-    a state machine's `_i == k` chains and `_i < m` bisections."""
-    if type(cond) is not Binary or cond.op not in ("==", "<") or type(cond.rhs) is not IntLit:
+    None for any other condition. A dispatch test is `s == k`, k an IntLit
+    and the selector s a Var or a field of a Var: the tests of a state
+    machine's `_i == k` chain."""
+    if type(cond) is not Binary or cond.op != "==" or type(cond.rhs) is not IntLit:
         return None
     lhs = cond.lhs
     if type(lhs) is Var:

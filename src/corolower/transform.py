@@ -26,16 +26,15 @@ of `if (x == k) { return k }` guards stays flat. Unoptimized, every
 
 The dispatch scheme depends only on the number of states:
 
-- Up to BISECT_MAX states the instruction variable holds the state's
-  number, initially 1, and the dispatch is a balanced binary search
-  over the sorted numbers, the case-statement lowering of Hennessy &
-  Mendelsohn (1982): `if (_i < m) { ... } else { ... }` halves the range
-  until at most CHAIN_MAX states are left, and such a range is an
-  if/else-if chain of `_i == k` tests ending in `return null`. A
-  transition costs O(log states) tests. A machine of CHAIN_MAX states
-  or fewer is a single chain, the figure of the paper. Unknown
-  instructions, the sink 0 included, fall through to `return null`.
-- Above BISECT_MAX states the dispatch is threaded (Bell, *Threaded
+- Up to SWITCH_MAX states the instruction variable holds the state's
+  number, initially 1. A machine of CHAIN_MAX states or fewer, the
+  figure of the paper, dispatches through an if/else-if chain of
+  `_i == k` tests ending in `return null`. A larger one dispatches
+  through one `switch (_i) case k { ... } ... else { return null }`, the
+  jump table of a case statement over dense integer labels (Hennessy &
+  Mendelsohn, 1982), whose transition costs the same at any size.
+  Unknown instructions, the sink 0 included, return null.
+- Above SWITCH_MAX states the dispatch is threaded (Bell, *Threaded
   code*, 1973): each state, the sink `_s0` included, is a closure
   `let _sK = fn (_r) { ... }` of the factory, and the instruction
   variable holds the closure of the next state, initially `_s1`. The
@@ -44,18 +43,14 @@ The dispatch scheme depends only on the number of states:
   finish in `_i = _s0; return v`, and the machine is
   `while (true) { let _v = _i(_r)  if (_v != _k) { return _v } }`.
   Records compare by identity, so no yielded value equals the sentinel,
-  and a loop without a yield stays a loop, never a recursion. A
-  transition costs one call, but a call costs several tests here, so
-  small machines keep bisection.
+  and a loop without a yield stays a loop, never a recursion.
 
-Threaded dispatch moves cost from each `next` to instance creation: a
-lowered instance spends 2 + 2 * (states + 1) more steps on being made,
-for the sentinel, the sink and one closure per state. What it gains
-therefore depends on how often each instance is resumed, which the
-consumer decides and the lowering cannot see. At 101 states
-(wide-states' generator) it saves about 18 steps per `next` and pays
-back after 12 `next`s in steps. A first-order instance only stores the
-entry state's reference and gains from the first `next`.
+A threaded lowered instance spends 2 + 2 * (states + 1) more steps on
+being made, for the sentinel, the sink and one closure per state, and
+each of its transitions costs a call; a first-order instance only
+stores the entry state's reference. Threading takes more steps and more
+time than a switch at every size (see SWITCH_MAX), but prints fewer
+bytes.
 
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
@@ -64,7 +59,6 @@ between a variable's definition and its use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,47 +90,43 @@ from .syntax import (
     RecordLit,
     Return,
     Stmt,
+    Switch,
     Var,
     While,
     identifiers,
 )
 
 
-# A range of at most this many states dispatches through a chain of `==`
-# tests. A chain of four costs 2.5 tests per transition on average, as
-# does one `<` test over two chains of two, and fib's three-state machine
-# keeps the paper's shape.
+# A machine of at most this many states dispatches through a chain of `==`
+# tests, the figure of the paper, which fib's three-state machine keeps.
 CHAIN_MAX = 4
 
 # A machine of more than this many states dispatches through threaded
-# state closures instead. Threaded time over bisection time, for a loop of
-# plain sequential yields (CPython 3.11, 2-core VM, best of 15 alternating
-# runs):
+# state closures instead of a switch. Threaded time over switch time, for
+# a loop of plain sequential yields (CPython 3.11, 2-core VM, best of 15
+# alternating runs):
 #
 #   states                          8     32    49    64    70    100   128
 #   one instance, 3,000 nexts
-#     lowered-opt                   1.65  1.88  1.76  1.70  1.75  1.65  1.67
-#     first-order                   1.55  1.55  1.49  1.46  1.47  1.55  1.44
+#     lowered-opt                   1.88  1.74  1.77  1.79  1.80  1.80  1.86
+#     first-order                   1.46  1.52  1.54  1.60  1.55  1.51  1.50
 #   200 instances of 5 nexts each
-#     lowered-opt                   2.13  2.85  3.53  4.14  4.78  5.55  6.55
-#     first-order                   1.52  1.46  1.49  1.52  1.52  1.51  1.52
+#     lowered-opt                   1.92  2.60  2.96  3.72  3.48  4.33  5.14
+#     first-order                   1.47  1.50  1.50  1.50  1.45  1.45  1.50
 #
-# The interpreter takes a bisection's tests in one lookup (interp._arm), so
-# in time bisection wins at every size in both forms; when it ran them one
-# by one, long-lived instances gained from threading from about 49 states
-# on. Threading still saves steps: 64 keeps wide-states' generator, 101
-# states once its arms run in place, threaded: bisected, it takes 55.66
-# steps per next instead of 37.85 and prints 34,645 bytes instead of
-# 15,252.
-BISECT_MAX = 64
+# The switch wins at every size, in steps too: wide-states' generator, 101
+# states once its arms run in place, takes 37.85 steps per next threaded
+# and 29.11 switched. Threading stays above 64 for its printed size: that
+# generator lowers to 15,252 bytes threaded and 16,660 switched, because a
+# case body sits two levels deeper than a state closure.
+SWITCH_MAX = 64
 
 
 # The levels of nesting the optimized lowering puts above a statement of a
-# block, as the parser counts them (13): the factory's body, `return fn
-# (_r)`, the machine's body and its loop, the bisection of BISECT_MAX states
-# down to CHAIN_MAX, a chain of CHAIN_MAX and a branch arm. Threaded states
-# and the first-order form nest less.
-LOWERED_DEPTH = 4 + math.ceil(math.log2(BISECT_MAX / CHAIN_MAX)) + CHAIN_MAX + 1
+# block, as the parser counts them (9): the factory's body, `return fn
+# (_r)`, the machine's body and its loop, a chain of CHAIN_MAX and a branch
+# arm. A switch's case, a threaded state and the first-order form nest less.
+LOWERED_DEPTH = 4 + CHAIN_MAX + 1
 
 
 @dataclass
@@ -209,7 +199,7 @@ def rewrite_generator(
     body: list[Stmt] = []
     select: Callable[[int], Expr] = IntLit
     sentinel = None
-    if len(plan.states) > BISECT_MAX:
+    if len(plan.states) > SWITCH_MAX:
         sentinel = names.fresh("_k")
         closures = {state: names.fresh(f"_s{state}") for state in [END] + plan.states}
         select = lambda state: Var(closures[state])
@@ -245,15 +235,12 @@ def threaded_loop(call: Expr, value: str, sentinel: Expr) -> Block:
 
 
 def _dispatch(states: list[int], bodies: dict[int, list[Stmt]], inst: str) -> Stmt:
-    """Select the body of state `inst` among the ascending `states`."""
+    """Select the body of state `inst` among the ascending `states`: a
+    chain of `==` tests up to CHAIN_MAX states, a switch above. An
+    unknown instruction, the sink 0 included, returns null."""
     if len(states) > CHAIN_MAX:
-        mid = len(states) // 2
-        return If(
-            Binary("<", Var(inst), IntLit(states[mid])),
-            Block([_dispatch(states[:mid], bodies, inst)]),
-            Block([_dispatch(states[mid:], bodies, inst)]),
-        )
-    # Unknown instruction (0 included): the machine is exhausted.
+        cases = [(state, Block(bodies[state])) for state in states]
+        return Switch(Var(inst), cases, Block([Return(NullLit())]))
     chain: Stmt = Return(NullLit())
     for state in reversed(states):
         chain = If(

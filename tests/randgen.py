@@ -1,7 +1,8 @@
 """Seeded random well-formed programs for the parse/print round-trip.
 
-Generated programs are valid (yields confined to generators, unique
-names, a zero-parameter main) but need not be runnable. Two grammar
+Generated programs are valid (yields confined to generators, switches
+kept out of them, unique names, a zero-parameter main) but need not be
+runnable. Two grammar
 hazards are avoided on purpose, matching the canonical style: no
 statement after a return in the same block, and no expression statement
 starting with `(` or `-` (the separator-free grammar would glue it onto
@@ -32,6 +33,7 @@ from corolower.syntax import (
     Program,
     RecordLit,
     Return,
+    Switch,
     Unary,
     Var,
     While,
@@ -91,6 +93,8 @@ class _Gen:
             choices += ["if", "while"]
         if in_generator:
             choices += ["yield", "letyield"]
+        elif depth > 0:
+            choices += ["switch"]
         kind = rng.choice(choices)
         if kind == "let":
             return Let(rng.choice(_NAMES), self.expr(depth))
@@ -118,6 +122,11 @@ class _Gen:
             return If(self.expr(depth - 1), self.block(depth - 1, in_generator), orelse)
         if kind == "while":
             return While(self.expr(depth - 1), self.block(depth - 1, in_generator))
+        if kind == "switch":
+            labels = rng.sample(range(10), rng.randrange(1, 4))
+            cases = [(k, self.block(depth - 1, False)) for k in labels]
+            orelse = self.block(depth - 1, False) if rng.random() < 0.5 else None
+            return Switch(self.expr(depth - 1), cases, orelse)
         if kind == "yield":
             return YieldStmt(self.expr(depth))
         return LetYield(rng.choice(_NAMES), self.expr(depth))

@@ -84,6 +84,19 @@ def test_compile_error_exit_1(capsys, tmp_path):
     assert "yield outside a generator" in err
 
 
+@pytest.mark.parametrize("command", ["run", "diff", "compile", "cfg"])
+def test_switch_in_a_generator_exit_1(capsys, tmp_path, command):
+    # The lowerings split only `if` and `while`, so validation refuses a
+    # switch in a generator's body before any of them runs.
+    path = tmp_path / "switch.mini"
+    path.write_text("fn* g(x) {\n  switch (x) case 1 {\n    yield 1\n  }\n}\nfn main() { }\n")
+    out_dir = ["--out-dir", tmp_path] if command == "cfg" else []
+    code, out, err = run_cli(capsys, command, path, *out_dir)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: switch inside a generator (line 2, col 3)\n"
+
+
 @pytest.mark.parametrize("command", ["run", "diff", "compile"])
 def test_non_ascii_digit_exit_1(capsys, tmp_path, command):
     path = tmp_path / "digit.mini"
@@ -280,14 +293,17 @@ def nested_ifs_source(depth, yields, arm=False):
     )
 
 
-@pytest.mark.parametrize("yields, arm", [(0, False), (3, False), (30, False), (80, False), (63, True)])
+@pytest.mark.parametrize(
+    "yields, arm", [(0, False), (3, False), (30, False), (80, False), (63, True), (3, True)]
+)
 def test_nested_statements_up_to_the_limit_compile(capsys, tmp_path, yields, arm):
     # A yield-free statement stays whole only where the lowering's own
     # levels leave room for it, so every depth the parser takes compiles
     # and reads back in both forms, numbered (0, 3 and 30 yields) or
     # threaded (80), as `compile` checks it. With 63 yields and the nest
-    # in a branch arm, the machine has BISECT_MAX states, and the nest
-    # sits as deep as the lowering puts any statement.
+    # in a branch arm, the machine has SWITCH_MAX states and a switch;
+    # with 3, it has CHAIN_MAX states, the nest is in the last state's
+    # arm, and it sits as deep as the lowering puts any statement.
     assert sys.getrecursionlimit() <= 1000
     deepest = 146 if arm else 147
     for depth in range(120, deepest + 1):
@@ -356,6 +372,20 @@ CORRUPTED_FIB_REPORT = [
 
 def test_diff_forms_reports_the_first_divergence_of_output_and_trace():
     assert diff_forms(corrupted_fib_forms(), 100, 10_000_000) == CORRUPTED_FIB_REPORT
+
+
+def test_diff_forms_passes_a_value_to_the_first_next():
+    # The language discards a first `next`'s value, so a form whose first
+    # resumption binds it diverges. This lowered-opt tally enters its
+    # receiver state 3 at once, where `_i = 2` was, and adds that value.
+    forms = program_forms(parse_source((CORPUS_DIR / "tally.mini").read_text()))
+    text = print_source(forms["lowered-opt"])
+    mutant = text.replace("total = start\n        _i = 2", "total = start\n        _i = 3")
+    assert mutant != text
+    forms["lowered-opt"] = parse_source(mutant)
+    assert diff_forms(forms, 100, 10_000_000) == [
+        "lowered-opt: generator tally: resumption 0: expected 1, got 0"
+    ]
 
 
 def test_diff_prints_each_divergence_indented_and_exits_3(capsys, monkeypatch, fib_path):
@@ -586,6 +616,20 @@ def test_compile_refuses_output_that_nests_too_deeply(capsys, tmp_path):
         "(line 7, col 161)\n"
     )
     assert not lowered.exists()
+
+
+def test_a_long_binary_chain_compiles_as_it_runs(capsys, tmp_path):
+    # The parser reads `x + x + ... + x` in a loop and the printer writes
+    # it in one, so `compile` accepts the 500 terms that `run` and `diff`
+    # take, and its output reads back as the same program.
+    path = tmp_path / "chain.mini"
+    path.write_text("fn main() { let x = 1 print(" + " + ".join(["x"] * 500) + ") }\n")
+    assert run_cli(capsys, "run", path)[:2] == (0, "500\n")
+    assert run_cli(capsys, "diff", path)[0] == 0
+    for emit in ("lowered", "first-order"):
+        out = tmp_path / f"chain.{emit}.mini"
+        assert run_cli(capsys, "compile", path, "--emit", emit, "-o", out)[::2] == (0, ""), emit
+        assert run_cli(capsys, "run", out)[:2] == (0, "500\n"), emit
 
 
 def test_diff_of_a_factory_whose_machine_shadows_a_local_exit_1(capsys, tmp_path):

@@ -226,7 +226,7 @@ fn main() {
 
 
 def test_threaded_first_order_shape(monkeypatch):
-    monkeypatch.setattr(transform, "BISECT_MAX", 0)
+    monkeypatch.setattr(transform, "SWITCH_MAX", 0)
     lowered = transform_program(
         parse_source("fn* f(n) { let x = yield n yield n + x } fn main() { }")
     )

@@ -130,7 +130,7 @@ def test_eval_cfg_agrees_before_and_after_merging(path):
 def test_threaded_forms_agree(path, monkeypatch):
     # The checks above with threaded dispatch for every machine above
     # CHAIN_MAX states, and the first-order forms through their text.
-    monkeypatch.setattr(transform, "BISECT_MAX", CHAIN_MAX)
+    monkeypatch.setattr(transform, "SWITCH_MAX", CHAIN_MAX)
     test_program_outputs_agree(path)
     test_generator_traces_agree(path)
     test_lowered_text_reparses_and_reruns(path)

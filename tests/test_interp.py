@@ -16,7 +16,7 @@ from corolower.interp import (
     resume_sequence,
 )
 from corolower.parser import parse_source
-from corolower.syntax import If, NullLit, Program, Return, walk
+from corolower.syntax import Block, If, NullLit, Program, Return, Switch, walk
 from corolower.transform import transform_program
 
 from conftest import CORPUS_DIR, FIB_SOURCE, RECEIVE_SOURCE, wide_source
@@ -289,10 +289,10 @@ def test_print_shows_functions_and_generator_instances():
     assert render_output(interp_native(program)) == "&f\n<fn f>\n<fn>\n<generator g>\n"
 
 
-# -- dispatch trees -------------------------------------------------------------
+# -- dispatch chains ------------------------------------------------------------
 #
-# `_if` runs the head of a dispatch tree through `_arm` when it can: a
-# lookup in the arms cached on the head, or one walk of the tree's tests
+# `_if` runs the head of a dispatch chain through `_arm` when it can: a
+# lookup in the arms cached on the head, or one walk of the chain's tests
 # on a miss. Every outcome must be the one of the step-by-step tests: the
 # printed prefix, the error's kind, message and position, and the steps
 # charged.
@@ -355,18 +355,20 @@ def test_dispatch_arms_keep_every_budget_exact(monkeypatch, name, form):
     assert with_arms == without
     assert with_arms[-1][1:] == (None, steps)
     assert all(error[0] is BudgetExceeded for _, error, _ in with_arms[:-1])
-    # At the full budget every visit of a dispatch takes an arm, the
+    # At the full budget every visit of a dispatch chain takes an arm, the
     # visits that find the sink 0 included: exhaust's six `next`s resume
-    # the three states and then the sink three times.
-    assert visits[-1] and all(visits[-1])
+    # the three states and then the sink three times. Tally's unoptimized
+    # machine has 8 states and dispatches through a switch instead.
+    assert all(visits[-1])
+    assert bool(visits[-1]) == ((name, form) != ("tally", "lowered-noopt"))
     if name == "exhaust":
         assert len(visits[-1]) == 6
 
 
-def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
-    # 21 states optimized and 62 unoptimized: `_i < m` tests down to
-    # chains of `_i == k`, all one tree. Budgets every 11 steps land at
-    # every depth of it.
+def test_dispatch_of_a_switched_machine(monkeypatch):
+    # 21 states optimized and 62 unoptimized: one switch whose labels are
+    # the states, and no `if` that heads a dispatch chain, so `_arm` takes
+    # nothing. Budgets every 11 steps land all over the run.
     source = parse_source(wide_source(20, 60))
     for name, program in program_forms(source).items():
         if name == "native":
@@ -374,11 +376,40 @@ def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
         steps = full_steps(program)
         budgets = [*range(1, steps, 11), steps]
         with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-        assert taken(visits) > 60, name
+        assert taken(visits) == 0, name
         assert with_arms == without, name
-        head = next(n for n in walk(program) if type(n) is If and n.dispatch is not None)
+        assert with_arms[-1][1:] == (None, steps), name
+        (switch,) = [n for n in walk(program) if type(n) is Switch]
         states = transform.plan_generator(source.decls[0], name != "lowered-noopt")[1].states
-        assert sorted(head.dispatch[2]) == states, name
+        assert list(switch.table) == states, name
+        assert switch.orelse == Block([Return(NullLit())]), name
+
+
+@pytest.mark.parametrize(
+    "subject, printed, steps",
+    [
+        ("1", [1], 4),
+        ("4", [4], 4),
+        ("0", [9], 4),
+        ("2", [9], 4),
+        ("true", [9], 4),
+        ("false", [9], 4),
+        ("null", [9], 4),
+        ("{ i: 1 }", [9], 5),
+        ("s + 3", [4], 6),
+    ],
+)
+def test_switch_runs_the_case_of_an_int_label(subject, printed, steps):
+    # `let s = 1` takes 2 steps, then 1 for the switch, its subject's and
+    # the case's, here a print of a literal, 2 steps. Only an integer
+    # selects a case, so `true` runs the else and not case 1.
+    cases = "case 1 { print(1) } case 4 { print(4) }"
+    program = parse_source(f"fn main() {{ let s = 1 switch ({subject}) {cases} else {{ print(9) }} }}")
+    it = Interpreter(program)
+    assert it.run() == printed
+    assert it.steps == 2 + steps
+    without_else = parse_source(f"fn main() {{ let s = 1 switch ({subject}) {cases} }}")
+    assert interp_native(without_else) == ([] if printed == [9] else printed)
 
 
 @pytest.mark.parametrize(
@@ -404,9 +435,9 @@ def test_dispatch_arms_of_a_bisected_machine(monkeypatch):
 def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, selector, op):
     # Null, a boolean, a record, an unbound name, a missing field and a
     # field of a non-record: the tests run one by one, so errors and steps
-    # stay those of each test. Any integer, a literal of the tree, the
-    # sink 0 or a value between two literals, takes its arm whenever the
-    # budget covers it.
+    # stay those of each test. Any integer, a literal of the chain or
+    # another value, takes its arm whenever the budget covers it. A `<`
+    # test heads no chain, so its tests always run one by one.
     source = f"""fn main() {{
   let s = {init}
   print(7)
@@ -426,7 +457,7 @@ def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, select
     with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
     assert with_arms == without
     ints = {"s": ("0", "1", "3"), "s.i": ("{ i: 0 }", "{ i: 3 }", "{ i: 4 }")}
-    assert (taken(visits) > 0) == (init in ints.get(selector, ()))
+    assert (taken(visits) > 0) == (op == "==" and init in ints.get(selector, ()))
 
 
 def test_fib_dispatch_arms():
@@ -452,23 +483,24 @@ def test_fib_dispatch_arms():
 
 
 def test_a_dispatch_tree_stops_at_any_other_statement():
-    # Only an arm that is one `if` on the same selector continues the tree,
-    # and only an `==` that held is kept.
+    # Only an arm that is one `==` test on the same selector continues the
+    # chain, and only a test that held is kept.
     program = parse_source(
         """fn main() {
   let s = 2
   let t = 2
-  if (s < 2) { if (t == 1) { print(1) } } else { if (s == 2) { print(2) } print(3) }
-  if (s == 3) { if (s.i == 3) { print(4) } } else { if (s == 2) { print(5) } }
+  if (s == 1) { if (t == 1) { print(1) } } else { if (s == 2) { print(2) } print(3) }
+  if (s == 3) { if (s.i == 3) { print(4) } } else { if (s == 2) { print(5) } else { if (s < 9) { print(6) } } }
 }"""
     )
     first, second = program.decls[0].body.stmts[2:]
     assert arm_of(first, s=2) == (first.orelse, 4)
     assert arm_of(first, s=1, t=1) == (first.then, 4)
-    assert first.dispatch[2] == {}
+    assert first.dispatch[2] == {1: (first.then, 4)}
     third = second.orelse.stmts[0]
     assert arm_of(second, s=3) == (second.then, 4)
     assert arm_of(second, s=2) == (third.then, 8)
-    assert arm_of(second, s=5) == (None, 8)
+    assert arm_of(second, s=5) == (third.orelse, 8)
+    assert third.orelse.stmts[0].dispatch is None
     assert second.dispatch[2] == {3: (second.then, 4), 2: (third.then, 8)}
     assert interp_native(program) == [2, 3, 5]

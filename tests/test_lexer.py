@@ -50,12 +50,15 @@ def test_comments_and_whitespace_discarded():
 
 
 def test_keywords_vs_identifiers():
-    toks = kinds_texts("next nexts fnord fn")
+    toks = kinds_texts("next nexts fnord fn switch case cases")
     assert toks == [
         ("kw", "next"),
         ("ident", "nexts"),
         ("ident", "fnord"),
         ("kw", "fn"),
+        ("kw", "switch"),
+        ("kw", "case"),
+        ("ident", "cases"),
     ]
 
 

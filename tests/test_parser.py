@@ -7,6 +7,7 @@ from corolower.parser import MAX_NESTING, parse_source
 from corolower.syntax import (
     Assign,
     Binary,
+    Block,
     BoolLit,
     Call,
     FieldGet,
@@ -18,7 +19,10 @@ from corolower.syntax import (
     LetYield,
     NextCall,
     NullLit,
+    Print,
     RecordLit,
+    Return,
+    Switch,
     Unary,
     Var,
     While,
@@ -168,6 +172,49 @@ def test_record_and_funcref_and_fieldset():
 def test_duplicate_record_field_rejected():
     with pytest.raises(ParseError):
         parse_source("fn main() { let r = { a: 1, a: 2 } }")
+
+
+def test_switch():
+    program = parse_source(
+        "fn main() { switch (x + 1) case 2 { print(2) } case 0 { } else { return } "
+        "switch (x) case 7 { } }"
+    )
+    first, second = program.decls[0].body.stmts
+    assert first == Switch(
+        Binary("+", Var("x"), IntLit(1)),
+        [(2, Block([Print(IntLit(2))])), (0, Block([]))],
+        Block([Return()]),
+    )
+    assert first.table == {2: Block([Print(IntLit(2))]), 0: Block([])}
+    assert second == Switch(Var("x"), [(7, Block([]))])
+
+
+@pytest.mark.parametrize(
+    "source, message, col",
+    [
+        ("switch (x) case 1 { } case 1 { }", "duplicate case label 1", 40),
+        ("switch (x) { }", "expected 'case', found '{'", 24),
+        ("switch (x) else { }", "expected 'case', found 'else'", 24),
+        ("switch (x) case -1 { }", "expected 'int', found '-'", 29),
+        ("switch (x) case y { }", "expected 'int', found 'y'", 29),
+        ("let case = 1", "expected 'ident', found 'case'", 17),
+        ("let switch = 1", "expected 'ident', found 'switch'", 17),
+    ],
+)
+def test_bad_switch_rejected_at_its_position(source, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_source(f"fn main() {{ {source} }}")
+    assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
+
+
+def test_switch_in_a_generator_rejected_at_its_position():
+    with pytest.raises(ValidationError) as err:
+        parse_source("fn* g() {\n  yield 1\n  switch (1) case 1 { yield 2 }\n} fn main() { }")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "switch inside a generator", 3, 3,
+    )
+    # A fn literal's body is not the generator's.
+    parse_source("fn* g() { let f = fn (x) { switch (x) case 1 { } } yield f } fn main() { }")
 
 
 def test_funclit():

@@ -53,6 +53,34 @@ def test_parenthesization_preserves_structure():
     assert roundtrip(program2) == program2
 
 
+SWITCH_SOURCE = """fn main() {
+  switch (x % 3) case 0 {
+    print(0)
+  } case 2 {
+  } else {
+    switch (x) case 1 {
+      return 1
+    }
+  }
+}
+"""
+
+
+def test_switch_prints_each_later_case_on_the_closing_line():
+    program = parse_source(SWITCH_SOURCE)
+    assert print_source(program) == SWITCH_SOURCE
+    assert roundtrip(program) == program
+
+
+def test_left_leaning_chains_of_one_precedence_print_flat():
+    # Printed in a loop; an operand of the same precedence on the right,
+    # or of a lower one anywhere, keeps its parentheses.
+    source = "fn main() {\n  let x = a - b + (c - d) * e - (f + g) - h\n}\n"
+    program = parse_source(source)
+    assert print_source(program) == source
+    assert roundtrip(program) == program
+
+
 def test_record_and_fieldset_rendering():
     source = "fn main() {\n  let r = { env: { i: 1 }, fn: &main }\n  r.env = null\n}\n"
     program = parse_source(source)

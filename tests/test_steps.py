@@ -9,9 +9,9 @@ import pytest
 from corolower import transform
 from corolower.cli import program_forms
 from corolower.errors import BudgetExceeded
-from corolower.interp import Interpreter
+from corolower.interp import Interpreter, resume_any
 from corolower.parser import parse_source
-from corolower.transform import BISECT_MAX
+from corolower.transform import SWITCH_MAX
 
 from conftest import CORPUS_DIR, FIB_SOURCE, wide_source
 
@@ -43,7 +43,7 @@ def test_fib_steps_per_next():
 
 def test_hundred_arm_family_steps_per_next():
     # 101 states optimized, each arm's two yields inlined into its branch,
-    # and 302 unoptimized: above BISECT_MAX, so each transition is one
+    # and 302 unoptimized: above SWITCH_MAX, so each transition is one
     # call of a state closure or lifted state function.
     nexts = 300
     steps = steps_per_form(wide_source(100, nexts))
@@ -78,27 +78,68 @@ def test_instance_steps_per_dispatch_scheme():
     "nexts, numbered, threaded",
     [
         (0, (14, 14, 16), (220, 622, 17)),
-        (1, (65, 151, 85), (257, 689, 69)),
-        (12, (674, 1_252, 904), (664, 1_250, 641)),
-        (13, (725, 1_347, 973), (701, 1_301, 693)),
-        (300, (16_698, 30_424, 22_448), (11_356, 16_006, 15_667)),
-        (11, (615, 1_153, 825), (627, 1_199, 589)),
+        (1, (43, 57, 58), (257, 689, 69)),
+        (12, (362, 442, 520), (664, 1_250, 641)),
+        (13, (391, 477, 562), (701, 1_301, 693)),
+        (300, (8_734, 10_558, 12_644), (11_356, 16_006, 15_667)),
+        (11, (333, 407, 478), (627, 1_199, 589)),
     ],
 )
 def test_threaded_instance_pays_back_by_nexts(monkeypatch, nexts, numbered, threaded):
     # Whole-run steps of one 100-arm instance resumed `nexts` times, in
-    # lowered-opt, lowered-noopt and first-order form, with bisection
-    # forced (BISECT_MAX above 302) and with threaded dispatch. An
-    # optimized lowered instance makes 102 closures up front and saves
-    # about 18 steps per next, so it is dearer up to 11 nexts and cheaper
-    # from 12 on; an unoptimized one makes 303 and pays back from 12 on
-    # too; a first-order instance is cheaper from the first next.
+    # lowered-opt, lowered-noopt and first-order form, with a switch
+    # forced (SWITCH_MAX above 302) and with threaded dispatch. A threaded
+    # instance never pays back its closures against a switch, in any form:
+    # at 300 nexts the switch takes 29.11 steps per next lowered-opt where
+    # threading takes 37.85.
     steps = {}
-    for bisect_max, scheme in ((302, "numbered"), (BISECT_MAX, "threaded")):
-        monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
+    for switch_max, scheme in ((302, "numbered"), (SWITCH_MAX, "threaded")):
+        monkeypatch.setattr(transform, "SWITCH_MAX", switch_max)
         counts = steps_per_form(wide_source(100, nexts))
         steps[scheme] = tuple(counts[form] for form in FORMS[1:])
     assert steps == {"numbered": numbered, "threaded": threaded}
+
+
+def test_a_switch_dispatch_costs_two_steps_lowered_and_three_first_order():
+    # Five yields in a row make five states, so the machine dispatches
+    # through a switch. A `next` spends 2 steps on `while (true)`, 2 on
+    # `switch (_i)` and 4 on `_i = k + 1` and `return k`; first-order 3 on
+    # `switch (_e._i)` and 5 on the state, whose `_e._i = k + 1` reads
+    # `_e`. Once finished, the sink 0 runs the switch's `return null`.
+    source = "fn* g() { yield 1 yield 2 yield 3 yield 4 yield 5 } fn main() { }"
+    forms = program_forms(parse_source(source))
+    for form, per_next, at_sink in (
+        ("lowered-opt", 8, 6),
+        ("lowered-noopt", 8, 6),
+        ("first-order", 10, 7),
+    ):
+        interp = Interpreter(forms[form])
+        instance = interp.call(interp.globals.lookup("g"), [])
+        spent = []
+        for _ in range(7):
+            before = interp.steps
+            resume_any(interp, instance, None)
+            spent.append(interp.steps - before)
+        assert spent == [per_next] * 5 + [at_sink] * 2, form
+
+
+def test_switched_machines_exhaust_the_budget_step_exactly():
+    # 21 states optimized and 62 unoptimized, each dispatched by a switch:
+    # at every budget short of the full run, the run stops one step past
+    # it, having printed a prefix of the full output.
+    forms = program_forms(parse_source(wide_source(20, 60)))
+    full_steps = {}
+    for form in FORMS[1:]:
+        interp = Interpreter(forms[form])
+        full = interp.run()
+        full_steps[form] = interp.steps
+        for budget in range(1, full_steps[form]):
+            interp = Interpreter(forms[form], budget)
+            with pytest.raises(BudgetExceeded):
+                interp.run()
+            assert full[: len(interp.output)] == interp.output, (form, budget)
+            assert interp.steps == budget + 1, (form, budget)
+    assert full_steps == {"lowered-opt": 1_774, "lowered-noopt": 2_158, "first-order": 2_564}
 
 
 TALLY_SOURCE = """fn* tally(start) {
@@ -137,17 +178,19 @@ def test_many_short_tally_steps_per_next():
     # `round = round + 1`, and the yield and the finish run in place of
     # their branch arm, so the machine has 3 states (1, 2 and 4) of its 5
     # blocks. Merging finds no goto chain here, and unoptimized the
-    # machine has all 8 blocks of the split graph.
+    # machine has all 8 blocks of the split graph, so it dispatches
+    # through a switch, 2 steps per transition.
     nexts = 5_000
     steps = steps_per_form(TALLY_SOURCE)
     assert steps == {
         "native": 102_006,
         "lowered-opt": 238_006,
-        "lowered-noopt": 478_006,
+        "lowered-noopt": 232_006,
         "first-order": 339_006,
     }
+    assert steps["lowered-noopt"] / nexts == 46.4012
     per_next = [round(steps[form] / nexts, 2) for form in FORMS]
-    assert per_next == [20.40, 47.60, 95.60, 67.80]
+    assert per_next == [20.40, 47.60, 46.40, 67.80]
 
 
 
@@ -157,12 +200,13 @@ def test_joins_corpus_steps():
     # `kept(0)` skips a pass of the dispatch, the `==` tests of states 1,
     # 4 and 5: 14 steps fewer lowered-opt and 17 first-order than an arm
     # that sets `_i = 0` and falls back into the dispatch, which is what
-    # the unoptimized machine still does.
+    # the unoptimized machine still does. Unoptimized, its machines have
+    # 13 and 8 states and dispatch through a switch.
     steps = steps_per_form((CORPUS_DIR / "joins.mini").read_text())
     assert steps == {
         "native": 383,
         "lowered-opt": 779,
-        "lowered-noopt": 1_761,
+        "lowered-noopt": 803,
         "first-order": 1_135,
     }
 
@@ -196,12 +240,13 @@ def test_inner_loop_steps():
     # the one state that yields, and no iteration passes the dispatch:
     # lowered-opt spends 1.6 % more steps than native (2.31 times as many
     # when the loop was split into states), first-order 201,832 instead of
-    # 405,832. Unoptimized, every iteration still passes the dispatch.
+    # 405,832. Unoptimized, every iteration still passes the dispatch, a
+    # switch over 6 states.
     steps = steps_per_form(INNER_LOOP_SOURCE)
     assert steps == {
         "native": 125_812,
         "lowered-opt": 127_830,
-        "lowered-noopt": 419_434,
+        "lowered-noopt": 250_628,
         "first-order": 201_832,
     }
     assert Interpreter(parse_source(INNER_LOOP_SOURCE)).run()[:3] == [1226, 1227, 1228]

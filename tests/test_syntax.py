@@ -46,6 +46,7 @@ fn main() {
   let n = next(g(1), 2)
   n = 1 + n
   r.h(n)
+  switch (n) case 0 { } case 3 { print(n) } else { }
 }
 """
 

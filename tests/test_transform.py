@@ -1,4 +1,3 @@
-import math
 import re
 import sys
 
@@ -14,6 +13,7 @@ from corolower.printer import print_source
 from corolower.syntax import (
     Assign,
     Binary,
+    Block,
     BoolLit,
     FuncLit,
     If,
@@ -23,13 +23,14 @@ from corolower.syntax import (
     NullLit,
     RecordLit,
     Return,
+    Switch,
     Var,
     While,
     YieldStmt,
     walk,
 )
 from corolower.transform import (
-    BISECT_MAX,
+    SWITCH_MAX,
     CHAIN_MAX,
     plan_generator,
     rewrite_generator,
@@ -151,44 +152,47 @@ def dispatch_root(decl):
 
 
 def dispatch_tests(decl):
-    """(test, depth) for every dispatch `If`, whose test is `_i < k` or
-    `_i == k`; depth counts the dispatch `If`s from the root down to and
-    including it. State bodies are not entered. A threaded machine has
-    none: it selects a state by calling it."""
-    if is_threaded(decl):
+    """(test, depth) for every `_i == k` test of a chain dispatch; depth
+    counts the tests from the root down to and including it. State
+    bodies are not entered. A switched or threaded machine has none: it
+    selects a state in one statement or one call."""
+    if is_threaded(decl) or isinstance(dispatch_root(decl), Switch):
         return []
     inst = decl.body.stmts[0].name
     out = []
-    stack = [(dispatch_root(decl), 1)]
-    while stack:
-        stmt, depth = stack.pop()
-        if isinstance(stmt, Return):
-            continue  # unknown instruction
+    stmt, depth = dispatch_root(decl), 1
+    while not isinstance(stmt, Return):  # unknown instruction
         assert isinstance(stmt, If)
         cond = stmt.cond
-        assert isinstance(cond, Binary) and cond.op in ("<", "==")
+        assert isinstance(cond, Binary) and cond.op == "=="
         assert cond.lhs == Var(inst) and isinstance(cond.rhs, IntLit)
         out.append((stmt, depth))
-        (rest,) = stmt.orelse.stmts
-        stack.append((rest, depth + 1))
-        if cond.op == "<":
-            (left,) = stmt.then.stmts
-            stack.append((left, depth + 1))
+        (stmt,) = stmt.orelse.stmts
+        depth += 1
     return out
 
 
+def dispatch_switch(decl):
+    """The machine's `switch (_i)`, whose else returns null, or None."""
+    if is_threaded(decl) or not isinstance(dispatch_root(decl), Switch):
+        return None
+    switch = dispatch_root(decl)
+    assert switch.subject == Var(decl.body.stmts[0].name)
+    assert switch.orelse == Block([Return(NullLit())])
+    return switch
+
+
 def dispatch_arms(decl):
-    """{state: statements run when the dispatch selects it}, in either
+    """{state: statements run when the dispatch selects it}, in any
     scheme; the sink 0 is no arm."""
     if is_threaded(decl):
         closures = state_closures(decl)
         assert closures[0].body.stmts == [Return(NullLit())]
         return {state: c.body.stmts for state, c in closures.items() if state}
-    arms = [
-        (stmt.cond.rhs.value, stmt.then.stmts)
-        for stmt, _ in dispatch_tests(decl)
-        if stmt.cond.op == "=="
-    ]
+    switch = dispatch_switch(decl)
+    if switch is not None:
+        return {label: block.stmts for label, block in switch.cases}
+    arms = [(stmt.cond.rhs.value, stmt.then.stmts) for stmt, _ in dispatch_tests(decl)]
     assert len(dict(arms)) == len(arms), "a state has two arms"
     return dict(arms)
 
@@ -199,11 +203,10 @@ def dispatch_states(decl):
 
 
 def dispatch_depth(decl):
-    """Deepest nesting of dispatch `If`s; 1 for a threaded machine, which
-    selects in one call."""
-    if is_threaded(decl):
-        return 1
-    return max(depth for _, depth in dispatch_tests(decl))
+    """Deepest nesting of dispatch statements; 1 for a switch, and for a
+    threaded machine, which selects in one call."""
+    tests = dispatch_tests(decl)
+    return max(depth for _, depth in tests) if tests else 1
 
 
 def select_state(decl, instruction):
@@ -216,14 +219,12 @@ def select_state(decl, instruction):
         if closure is None or closure.body.stmts == [Return(NullLit())]:
             return None
         return instruction
-    stmt = dispatch_root(decl)
-    while isinstance(stmt, If):
-        k = stmt.cond.rhs.value
-        if stmt.cond.op == "==" and instruction == k:
-            return k
-        taken = stmt.cond.op == "<" and instruction < k
-        (stmt,) = (stmt.then if taken else stmt.orelse).stmts
-    assert stmt == Return(NullLit())
+    switch = dispatch_switch(decl)
+    if switch is not None:
+        return instruction if instruction in switch.table else None
+    for stmt, _ in dispatch_tests(decl):
+        if instruction == stmt.cond.rhs.value:
+            return instruction
     return None
 
 
@@ -478,6 +479,7 @@ EXPECTED_STATE_COUNTS = {
     "nested_while.grid": (4, 7),
     "print_inside.chatty": (2, 2),
     "receive.pair": (2, 2),
+    "switch.counter": (3, 4),
     "tally.tally": (3, 3),
     "two_gens.ones": (1, 1),
     "two_gens.doubler": (3, 3),
@@ -613,19 +615,19 @@ def test_plan_shape():
 
 
 def test_small_machines_keep_the_chain():
-    # Up to CHAIN_MAX states the dispatch is the paper's if/else-if chain.
-    # Each arm's two yields run in place, so `arms` arms make arms + 1
-    # states.
+    # Up to CHAIN_MAX states the dispatch is the paper's if/else-if chain,
+    # one test per state; above it, a switch. Each arm's two yields run in
+    # place, so `arms` arms make arms + 1 states.
     for arms, states in ((3, 4), (4, 5)):
         machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
         assert dispatch_states(machine) == states
-        ops = {stmt.cond.op for stmt, _ in dispatch_tests(machine)}
-        assert ops == ({"=="} if states <= CHAIN_MAX else {"<", "=="})
+        assert len(dispatch_tests(machine)) == (states if states <= CHAIN_MAX else 0)
+        assert (dispatch_switch(machine) is None) == (states <= CHAIN_MAX)
     assert CHAIN_MAX == 4
 
 
 def test_dispatch_tree_selects_every_state():
-    # 21 and 62 states by bisection, 81 and 242 threaded; optimized, the
+    # 21 and 62 states by a switch, 81 and 242 threaded; optimized, the
     # ids of the blocks that run in place select nothing.
     for arms in (20, 80):
         decl = parse_source(wide_source(arms, 1)).decls[0]
@@ -642,31 +644,26 @@ def test_dispatch_tree_selects_every_state():
                 assert select_state(machine, unknown) is None
 
 
-def test_dispatch_depth_grows_logarithmically(monkeypatch):
-    # Bisection at every size, the two above BISECT_MAX included, so the
-    # bound is measured on nested tests and not on a threaded machine.
-    monkeypatch.setattr(transform, "BISECT_MAX", 480 + 1)
-    depths = {}
+def test_switch_dispatch_is_one_statement_at_any_size(monkeypatch):
+    # A switch at every size, the two above SWITCH_MAX included, so the
+    # dispatch is measured on the switch and not on a threaded machine:
+    # one statement whose labels are the states, however many there are.
+    monkeypatch.setattr(transform, "SWITCH_MAX", 480 + 1)
     for arms in (30, 60, 120, 240, 480):
-        machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
+        decl = parse_source(wide_source(arms, 1)).decls[0]
+        machine = rewrite_generator(decl)
         assert not is_threaded(machine)
-        states = dispatch_states(machine)
-        assert states == arms + 1
-        depths[states] = dispatch_depth(machine)
-        # Halving down to a chain of at most CHAIN_MAX, then the chain.
-        assert depths[states] <= math.ceil(math.log2(states / CHAIN_MAX)) + CHAIN_MAX
-    sizes = sorted(depths)
-    for small, large in zip(sizes, sizes[1:]):
-        assert depths[large] - depths[small] <= 1  # states roughly double
-    assert depths[481] < 12
+        assert dispatch_states(machine) == arms + 1
+        assert dispatch_depth(machine) == 1
+        assert list(dispatch_switch(machine).table) == plan_generator(decl)[1].states
 
 
-@pytest.mark.parametrize("bisect_max", [BISECT_MAX, CHAIN_MAX])
-def test_arms_follow_the_cfg(monkeypatch, bisect_max):
+@pytest.mark.parametrize("switch_max", [SWITCH_MAX, CHAIN_MAX])
+def test_arms_follow_the_cfg(monkeypatch, switch_max):
     # Each state's arm hands control to the states its inlined region
     # leads to and to no other, in every scheme; at CHAIN_MAX every
     # machine above it is threaded: 6 corpus generators and the wide one.
-    monkeypatch.setattr(transform, "BISECT_MAX", bisect_max)
+    monkeypatch.setattr(transform, "SWITCH_MAX", switch_max)
     decls = [parse_source(wide_source(50, 1)).decls[0]]
     for path in CORPUS_FILES:
         decls += [d for d in parse_source(path.read_text()).decls if d.is_generator]
@@ -676,7 +673,7 @@ def test_arms_follow_the_cfg(monkeypatch, bisect_max):
             machine = check_arms_follow_the_cfg(decl, opt)
             if is_threaded(machine):
                 threaded.add(decl.name)
-    assert len(threaded) == (1 if bisect_max == BISECT_MAX else 7)
+    assert len(threaded) == (1 if switch_max == SWITCH_MAX else 7)
 
 
 def yields_source(count):
@@ -685,17 +682,17 @@ def yields_source(count):
     return f"fn* g() {{\n{body}}}\n\nfn main() {{\n}}\n"
 
 
-@pytest.mark.parametrize("states", [BISECT_MAX, BISECT_MAX + 1])
-def test_threaded_dispatch_starts_above_bisect_max(states):
+@pytest.mark.parametrize("states", [SWITCH_MAX, SWITCH_MAX + 1])
+def test_threaded_dispatch_starts_above_switch_max(states):
     program = parse_source(yields_source(states))
     decl = program.decls[0]
     machine = rewrite_generator(decl)
     assert dispatch_states(machine) == states == len(merge_blocks(build_cfg(decl)).blocks)
-    assert is_threaded(machine) == (states > BISECT_MAX)
-    assert dispatch_depth(machine) == (1 if states > BISECT_MAX else 8)
+    assert is_threaded(machine) == (states > SWITCH_MAX)
+    assert (dispatch_switch(machine) is None) == (states > SWITCH_MAX)
     forms = cli.program_forms(program)
     lifted = {d.name for d in forms["first-order"].decls} - {"apply", "g_fo", "g", "main"}
-    assert len(lifted) == (states + 1 if states > BISECT_MAX else 0)  # the sink too
+    assert len(lifted) == (states + 1 if states > SWITCH_MAX else 0)  # the sink too
     script = [None] * (states + 2)
     expected = list(range(1, states + 1)) + [None, None]
     for name, form in forms.items():
@@ -732,7 +729,7 @@ fn f(n) {
 
 
 def test_simple_coroutine_threaded_machine(monkeypatch):
-    monkeypatch.setattr(transform, "BISECT_MAX", 0)
+    monkeypatch.setattr(transform, "SWITCH_MAX", 0)
     machine = rewrite_generator(parse_source(SIMPLE_COROUTINE).decls[0])
     expected = parse_source(SIMPLE_THREADED_MACHINE + "fn main() { }").decls[0]
     assert machine == expected
@@ -742,7 +739,7 @@ def test_threaded_loop_without_a_yield_stays_a_loop():
     # 100,000 iterations without a yield: the state closures return the
     # sentinel to the machine's loop, so the Python stack never grows.
     assert sys.getrecursionlimit() <= 1000
-    yields = "".join(f"  yield {k}\n" for k in range(BISECT_MAX))
+    yields = "".join(f"  yield {k}\n" for k in range(SWITCH_MAX))
     source = (
         "fn* g() {\n  let n = 0\n  while (n < 100000) {\n    n = n + 1\n  }\n"
         f"  yield n\n{yields}}}\n\nfn main() {{\n  let it = g()\n  print(next(it))\n}}\n"
@@ -755,15 +752,15 @@ def test_threaded_loop_without_a_yield_stays_a_loop():
 
 def test_threaded_machine_yields_records():
     # Records compare by identity, so no yielded `{}` is the sentinel.
-    yields = "".join("  yield {}\n" for _ in range(BISECT_MAX))
+    yields = "".join("  yield {}\n" for _ in range(SWITCH_MAX))
     program = parse_source(f"fn* g() {{\n  yield null\n{yields}}}\n\nfn main() {{\n}}\n")
     assert is_threaded(transform_program(program).decls[0])
-    script = [None] * (BISECT_MAX + 3)
+    script = [None] * (SWITCH_MAX + 3)
     for name, form in cli.program_forms(program).items():
         seq = resume_sequence(form, "g", [], script)
         assert seq[0] is None and seq[-2:] == [None, None], name
         records = seq[1:-2]
-        assert len(records) == BISECT_MAX
+        assert len(records) == SWITCH_MAX
         assert all(type(v) is Record and v.fields == {} for v in records), name
 
 
