@@ -377,7 +377,7 @@ def _absorb(stmts: dict[int, list[Stmt]], terms: dict[int, Terminator], entry: i
 def merge_blocks(graph: Cfg) -> Cfg:
     """Fold literal branches, absorb goto chains, renumber: (a) a branch
     on a literal true/false becomes a goto (or a finish when the surviving
-    arm is the end sentinel); then (b) a block ending in goto t, where t
+    arm is END); then (b) a block ending in goto t, where t
     has no other reachable predecessor, absorbs t (_absorb). Absorbing
     makes no literal branch, so merging the result, or the optimized
     graph of build_cfg, changes nothing. Edges into empty finishes are

@@ -8,25 +8,16 @@ and (b) a constructor returning `{ env: {...}, fn: &F_fo }`. A single
 site anywhere in the program becomes `apply(g, v)`. The result contains
 no anonymous functions at all.
 
-A threaded factory (see transform) holds one closure per state. Each is
-lifted too, to a top-level `F_sK(env, r)`, so the environment's `_i`
-field holds `&F_sK` and its `_k` field the sentinel record, and `F_fo`
-runs `while (true) { let _v = _e._i(_e, _r)  if (_v != _e._k) { return
-_v } }`. This is defunctionalization carried one level further (Danvy &
-Nielsen, PPDP 2001): a state is named by a function reference instead
-of a number.
-
-Each lifted body, a machine or a state closure, takes one map_tree
-rewrite (`_lift`) that moves captured variables into the environment,
-makes `next` `apply` and counts the transfers between states. A bad
-transfer is reported first, then a state used as a value, then the first
-name fault the rewrite met. The declarations not lifted are rewritten
-after every factory, so a lifting fault wins over a stray closure.
+The lifted machine takes one map_tree rewrite (`_lift`) that moves
+captured variables into the environment and makes `next` `apply`; it
+reports the first name fault it met. The declarations not lifted are
+rewritten after every factory, so a lifting fault wins over a stray
+closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DefuncError
 from .syntax import (
@@ -48,10 +39,9 @@ from .syntax import (
     RecordLit,
     Return,
     Var,
-    declared_locals,
     map_tree,
 )
-from .transform import NameAllocator, threaded_loop
+from .transform import NameAllocator
 
 
 @dataclass
@@ -61,18 +51,11 @@ class _FactoryShape:
     hoisted: list[str]
     resume_param: str
     machine_body: Block
-    # A threaded factory's sentinel, its state closures by name and the
-    # name of the one it starts in; None and empty for a numbered dispatch.
-    sentinel: str | None = None
-    states: dict[str, FuncLit] = field(default_factory=dict)
-    entry: str | None = None
 
 
 def match_factory(decl: FuncDecl) -> _FactoryShape | None:
-    """Recognize the exact shapes transform emits: `let inst = 1`, a null
-    `let` per hoisted local, then `return fn (r) { ... }`; or, threaded,
-    `let k = {}`, a one-parameter closure `let` per state, `let inst =
-    <a state>`, the null `let`s, then `return fn (r) { <threaded_loop> }`."""
+    """Recognize the exact shape transform emits: `let inst = 1`, a null
+    `let` per hoisted local, then `return fn (r) { ... }`."""
     stmts = decl.body.stmts
     if not stmts or not isinstance(stmts[-1], Return):
         return None
@@ -80,54 +63,26 @@ def match_factory(decl: FuncDecl) -> _FactoryShape | None:
     if not isinstance(ret.value, FuncLit) or len(ret.value.params) != 1:
         return None
     lets = stmts[:-1]
-    if not lets or not all(isinstance(s, Let) for s in lets):
+    if not (
+        lets
+        and all(isinstance(s, Let) for s in lets)
+        and lets[0].value == IntLit(1)
+        and all(isinstance(s.value, NullLit) for s in lets[1:])
+    ):
         return None
     shape = _FactoryShape(
-        inst_var="",
+        inst_var=lets[0].name,
         params=list(decl.params),
-        hoisted=[],
+        hoisted=[s.name for s in lets[1:]],
         resume_param=ret.value.params[0],
         machine_body=ret.value.body,
     )
-    rest = iter(lets)
-    first = next(rest)
-    if first.value == RecordLit([]):
-        shape.sentinel = first.name
-        first = next(rest, None)
-        while first is not None and isinstance(first.value, FuncLit):
-            if len(first.value.params) != 1:
-                return None
-            shape.states[first.name] = first.value
-            first = next(rest, None)
-        if first is None or not _is_threaded_machine(first, shape):
-            return None
-        shape.entry = first.value.name
-    elif first.value != IntLit(1):
-        return None
-    shape.inst_var = first.name
-    for s in rest:
-        if not isinstance(s.value, NullLit):
-            return None
-        shape.hoisted.append(s.name)
-    # Every name the environment record holds is bound once, and no
-    # function parameter shadows one.
+    # Every name the environment record holds is bound once, and the
+    # machine's parameter shadows none.
     bound = [s.name for s in lets] + shape.params
-    params = {shape.resume_param} | {c.params[0] for c in shape.states.values()}
-    if len(set(bound)) != len(bound) or params & set(bound):
+    if len(set(bound)) != len(bound) or shape.resume_param in bound:
         return None
     return shape
-
-
-def _is_threaded_machine(inst: Let, shape: _FactoryShape) -> bool:
-    """`let inst = <a state>` and a machine that is exactly the threaded
-    loop calling `inst(r)`."""
-    if not (isinstance(inst.value, Var) and inst.value.name in shape.states):
-        return False
-    values = declared_locals(shape.machine_body)
-    if len(values) != 1:
-        return False
-    call = Call(Var(inst.name), [Var(shape.resume_param)])
-    return shape.machine_body == threaded_loop(call, values[0], Var(shape.sentinel))
 
 
 def defunctionalize(program: Program) -> Program:
@@ -152,25 +107,11 @@ def defunctionalize(program: Program) -> Program:
         lifted_any = True
         fo_name = names.fresh(f"{decl.name}_fo")
         env_param = names.fresh("_e")
-        # A numbered factory has no state closures; its machine is F_fo.
-        refs = {s: names.fresh(f"{decl.name}{s}") for s in shape.states}
-        sentinel = [shape.sentinel] if refs else []
-        captured = {shape.inst_var, *sentinel, *shape.params, *shape.hoisted}
-        if refs:
-            threaded = (shape.inst_var, refs, set(refs.values()))
-            decls.append(_threaded_machine(shape, fo_name, env_param))
-            bodies = {refs[s]: closure for s, closure in shape.states.items()}
-        else:
-            threaded = None
-            bodies = {fo_name: FuncLit([shape.resume_param], shape.machine_body)}
-        for lifted, closure in bodies.items():
-            (resume,) = closure.params
-            bound = global_names | {resume}
-            body = _lift(decl.name, closure.body, env_param, captured, bound, apply_name, threaded)
-            decls.append(FuncDecl(lifted, [env_param, resume], False, body))
-        inst_init = FuncRef(refs[shape.entry]) if refs else IntLit(1)
-        env_init: list[tuple[str, Expr]] = [(shape.inst_var, inst_init)]
-        env_init += [(k, RecordLit([])) for k in sentinel]
+        captured = {shape.inst_var, *shape.params, *shape.hoisted}
+        bound = global_names | {shape.resume_param}
+        body = _lift(decl.name, shape.machine_body, env_param, captured, bound, apply_name)
+        decls.append(FuncDecl(fo_name, [env_param, shape.resume_param], False, body))
+        env_init: list[tuple[str, Expr]] = [(shape.inst_var, IntLit(1))]
         env_init += [(p, Var(p)) for p in shape.params]
         env_init += [(h, NullLit()) for h in shape.hoisted]
         ctor = RecordLit([("env", RecordLit(env_init)), ("fn", FuncRef(fo_name))])
@@ -190,15 +131,6 @@ def defunctionalize(program: Program) -> Program:
     return Program(decls, program.entry)
 
 
-def _threaded_machine(shape: _FactoryShape, name: str, env: str) -> FuncDecl:
-    # fn F_fo(_e, _r) { while (true) { let _v = _e._i(_e, _r) if (_v != _e._k) { return _v } } }
-    (value,) = declared_locals(shape.machine_body)
-    state = FieldGet(Var(env), shape.inst_var)
-    call = Call(state, [Var(env), Var(shape.resume_param)])
-    body = threaded_loop(call, value, FieldGet(Var(env), shape.sentinel))
-    return FuncDecl(name, [env, shape.resume_param], False, body)
-
-
 def _apply_decl(name: str) -> FuncDecl:
     # fn apply(c, r) { return c.fn(c.env, r) }
     call = Call(FieldGet(Var("c"), "fn"), [FieldGet(Var("c"), "env"), Var("r")])
@@ -215,33 +147,20 @@ def _lift(
     captured: set[str],
     bound: set[str],
     apply_name: str,
-    threaded: tuple[str, dict[str, str], set[str]] | None = None,
 ) -> Block:
-    """A machine or state body lifted to the top level by one map_tree
-    rewrite: a captured variable becomes a field of the environment
-    record, a state closure in `threaded` a reference to its lifted
-    function, and `next(g, v)` `apply(g, v)`. Any other variable must be
-    bound without them, and a `let` of a captured name, which would shadow
-    it in the machine but not in the lifted body, is refused.
-
-    `threaded` holds a threaded factory's instruction variable, its state
-    closures' lifted names and the set of those. A state may name a state
-    or the instruction variable only in `inst = <a state>`: a lifted state
-    is a function reference, no closure to call or compare. Such a fault
-    wins over a name fault, which is held until the rewrite ends."""
-    inst, refs, targets = threaded or (None, {}, set())
+    """A machine body lifted to the top level by one map_tree rewrite: a
+    captured variable becomes a field of the environment record, and
+    `next(g, v)` `apply(g, v)`. Any other variable must be bound without
+    them, and a `let` of a captured name, which would shadow it in the
+    machine but not in the lifted body, is refused. The first fault is
+    raised once the rewrite ends."""
     fault: DefuncError | None = None
-    transfers = uses = 0
 
     def rewrite(node: Node) -> Node:
-        nonlocal fault, transfers, uses
+        nonlocal fault
         cls = type(node)
         if cls is Var:
-            if node.name in refs:
-                uses += 1
-                return FuncRef(refs[node.name], pos=node.pos)
             if node.name in captured:
-                uses += node.name == inst
                 return FieldGet(Var(env), node.name, pos=node.pos)
             if node.name not in bound and fault is None:
                 fault = DefuncError(
@@ -249,11 +168,6 @@ def _lift(
                     "which is neither captured nor global"
                 )
         elif cls is Assign and node.name in captured:
-            if node.name == inst:
-                # The state has been rewritten to its function reference.
-                if not (type(node.value) is FuncRef and node.value.name in targets):
-                    raise DefuncError(f"{name!r}: the next state is not a state closure")
-                transfers += 1
             return FieldSet(Var(env), node.name, node.value, pos=node.pos)
         elif cls is NextCall:
             return _apply_call(node, apply_name)
@@ -268,8 +182,6 @@ def _lift(
         return node
 
     body = map_tree(body, rewrite)
-    if uses != transfers:
-        raise DefuncError(f"{name!r}: a state closure is used as a value")
     if fault is not None:
         raise fault
     return body

@@ -30,13 +30,13 @@ iteration. Binary operators on two integers are looked up in
   off its end and `(value,)` on `return`.
 
 A state machine selects its state in one of two ways, each taken with
-one lookup. A machine of more than four states (transform.CHAIN_MAX)
-dispatches through a `switch`: `_switch` charges its step and its
-subject's, then takes the case for an integer value from the table on
-the node, or runs `else`. A smaller one dispatches through an `_i == k`
-chain, the lowered machine's or its `F_fo`'s. An `if` whose condition is
-`==` between a selector, a variable or a field of one, and an integer
-literal heads such a chain. The head reads the selector without charging
+one lookup. A machine of more than four states, or an optimized one of
+four (transform.CHAIN_MAX), dispatches through a `switch`: `_switch`
+charges its step and its subject's, then takes the case for an integer
+value from the table on the node, or runs `else`. A smaller one
+dispatches through an `_i == k` chain, the lowered machine's or its
+`F_fo`'s. An `if` whose condition is `==` between a selector, a variable
+or a field of one, and an integer literal heads such a chain. The head reads the selector without charging
 a step, and `_arm` looks its value up in the arms cached on the `if`; on
 a miss it walks the chain's tests in Python, keeping the arm it finds
 when a test held. When the value is an integer and the budget covers the

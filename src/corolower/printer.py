@@ -86,13 +86,15 @@ def _if(stmt, pad, indent):
 
 
 def _switch(stmt, pad, indent):
+    # Each body sits at the switch's own indent: a machine's states are its
+    # cases, so the lowering prints a state's lines no deeper at any size.
     head = f"{pad}switch ({_expr(stmt.subject, 1, indent)}) "
     lines = []
     for label, block in stmt.cases:
-        lines += [f"{head}case {label} {{", *_block_lines(block, indent + 1)]
+        lines += [f"{head}case {label} {{", *_block_lines(block, indent)]
         head = f"{pad}}} "
     if stmt.orelse is not None:
-        lines += [f"{pad}}} else {{", *_block_lines(stmt.orelse, indent + 1)]
+        lines += [f"{pad}}} else {{", *_block_lines(stmt.orelse, indent)]
     return lines + [f"{pad}}}"]
 
 

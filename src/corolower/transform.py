@@ -24,33 +24,16 @@ once per resume point. Arms hold no branch, so a flat run of thousands
 of `if (x == k) { return k }` guards stays flat. Unoptimized, every
 `if` and `while` is split and every block is a state.
 
-The dispatch scheme depends only on the number of states:
-
-- Up to SWITCH_MAX states the instruction variable holds the state's
-  number, initially 1. A machine of CHAIN_MAX states or fewer, the
-  figure of the paper, dispatches through an if/else-if chain of
-  `_i == k` tests ending in `return null`. A larger one dispatches
-  through one `switch (_i) case k { ... } ... else { return null }`, the
-  jump table of a case statement over dense integer labels (Hennessy &
-  Mendelsohn, 1982), whose transition costs the same at any size.
-  Unknown instructions, the sink 0 included, return null.
-- Above SWITCH_MAX states the dispatch is threaded (Bell, *Threaded
-  code*, 1973): each state, the sink `_s0` included, is a closure
-  `let _sK = fn (_r) { ... }` of the factory, and the instruction
-  variable holds the closure of the next state, initially `_s1`. The
-  factory also makes a sentinel record `let _k = {}`. A goto or branch
-  ends in `_i = _sT; return _k`, a yield in `_i = _sT; return v` and a
-  finish in `_i = _s0; return v`, and the machine is
-  `while (true) { let _v = _i(_r)  if (_v != _k) { return _v } }`.
-  Records compare by identity, so no yielded value equals the sentinel,
-  and a loop without a yield stays a loop, never a recursion.
-
-A threaded lowered instance spends 2 + 2 * (states + 1) more steps on
-being made, for the sentinel, the sink and one closure per state, and
-each of its transitions costs a call; a first-order instance only
-stores the entry state's reference. Threading takes more steps and more
-time than a switch at every size (see SWITCH_MAX), but prints fewer
-bytes.
+The instruction variable holds the number of the next state, initially
+1. A small machine, the figure of the paper, dispatches through an
+if/else-if chain of `_i == k` tests ending in `return null`: up to
+CHAIN_MAX states unoptimized and CHAIN_MAX - 1 optimized. A larger one
+dispatches through one `switch (_i) case k { ... } ... else { return
+null }`, the jump table of a case statement over dense integer labels
+(Hennessy & Mendelsohn, 1982), whose transition costs the same at any
+size. Unknown instructions, the sink 0 included, return null. The
+printer writes a case body at the switch's own indent, so a state's
+statements cost no more bytes at any size of machine.
 
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
@@ -60,7 +43,6 @@ between a variable's definition and its use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .cfg import (
     END,
@@ -78,8 +60,6 @@ from .syntax import (
     Binary,
     Block,
     BoolLit,
-    Call,
-    Expr,
     FuncDecl,
     FuncLit,
     If,
@@ -87,7 +67,6 @@ from .syntax import (
     Let,
     NullLit,
     Program,
-    RecordLit,
     Return,
     Stmt,
     Switch,
@@ -97,35 +76,18 @@ from .syntax import (
 )
 
 
-# A machine of at most this many states dispatches through a chain of `==`
-# tests, the figure of the paper, which fib's three-state machine keeps.
+# An unoptimized machine of at most this many states dispatches through a
+# chain of `==` tests, the figure of the paper, which fib's four-state
+# unoptimized machine keeps. The optimized lowering keeps a chain only
+# below CHAIN_MAX states, fib's three: over four states a chain runs 2.5
+# tests, 10 steps, on average where a switch takes 2.
 CHAIN_MAX = 4
 
-# A machine of more than this many states dispatches through threaded
-# state closures instead of a switch. Threaded time over switch time, for
-# a loop of plain sequential yields (CPython 3.11, 2-core VM, best of 15
-# alternating runs):
-#
-#   states                          8     32    49    64    70    100   128
-#   one instance, 3,000 nexts
-#     lowered-opt                   1.88  1.74  1.77  1.79  1.80  1.80  1.86
-#     first-order                   1.46  1.52  1.54  1.60  1.55  1.51  1.50
-#   200 instances of 5 nexts each
-#     lowered-opt                   1.92  2.60  2.96  3.72  3.48  4.33  5.14
-#     first-order                   1.47  1.50  1.50  1.50  1.45  1.45  1.50
-#
-# The switch wins at every size, in steps too: wide-states' generator, 101
-# states once its arms run in place, takes 37.85 steps per next threaded
-# and 29.11 switched. Threading stays above 64 for its printed size: that
-# generator lowers to 15,252 bytes threaded and 16,660 switched, because a
-# case body sits two levels deeper than a state closure.
-SWITCH_MAX = 64
-
-
-# The levels of nesting the optimized lowering puts above a statement of a
-# block, as the parser counts them (9): the factory's body, `return fn
-# (_r)`, the machine's body and its loop, a chain of CHAIN_MAX and a branch
-# arm. A switch's case, a threaded state and the first-order form nest less.
+# A bound on the levels of nesting the optimized lowering puts above a
+# statement of a block, as the parser counts them (9): the factory's body,
+# `return fn (_r)`, the machine's body and its loop, a chain of CHAIN_MAX
+# and a branch arm. Its chain is one test shorter, and a switch's case and
+# the first-order form nest less, so a level is to spare.
 LOWERED_DEPTH = 4 + CHAIN_MAX + 1
 
 
@@ -133,7 +95,7 @@ LOWERED_DEPTH = 4 + CHAIN_MAX + 1
 class StateMachinePlan:
     """How a generator maps onto its dispatch: the states' instruction
     numbers in ascending order (block ids serve as instruction numbers, a
-    block run in place has none, and the end sentinel is the sink 0;
+    block run in place has none, and the end, END, is the sink 0;
     many-short's tally has 1, 2 and 4), the hoisted locals, and the two
     fresh names woven into the machine."""
 
@@ -194,51 +156,26 @@ def rewrite_generator(
     inlined = {bid: block for bid, block in graph.blocks.items() if bid not in states}
     if opt:  # a transfer to the end selects the sink and returns null in place
         inlined[END] = BasicBlock(END, [], Finish())
-    # The dispatch schemes differ in how a state is selected, by its number
-    # or by its closure, and so in the factory's prefix and its machine.
-    body: list[Stmt] = []
-    select: Callable[[int], Expr] = IntLit
-    sentinel = None
-    if len(plan.states) > SWITCH_MAX:
-        sentinel = names.fresh("_k")
-        closures = {state: names.fresh(f"_s{state}") for state in [END] + plan.states}
-        select = lambda state: Var(closures[state])
-        body.append(Let(sentinel, RecordLit([])))
     bodies = {
-        state: _state_stmts(
-            graph.blocks[state], receivers.get(state), plan, select, inlined, sentinel
-        )
+        state: _state_stmts(graph.blocks[state], receivers.get(state), plan, inlined)
         for state in plan.states
     }
-    if sentinel is None:
-        dispatch = _dispatch(plan.states, bodies, plan.inst_var)
-        machine = Block([While(BoolLit(True), Block([dispatch]))])
-    else:
-        bodies[END] = [Return(NullLit())]
-        for state in [END] + plan.states:
-            body.append(Let(closures[state], FuncLit([plan.resume_param], Block(bodies[state]))))
-        call = Call(Var(plan.inst_var), [Var(plan.resume_param)])
-        machine = threaded_loop(call, names.fresh("_v"), Var(sentinel))
-    body.append(Let(plan.inst_var, select(graph.entry)))
+    chain_max = CHAIN_MAX - 1 if opt else CHAIN_MAX
+    dispatch = _dispatch(plan.states, bodies, plan.inst_var, chain_max)
+    body: list[Stmt] = [Let(plan.inst_var, IntLit(graph.entry))]
     body.extend(Let(name, NullLit()) for name in plan.hoisted)
+    machine = Block([While(BoolLit(True), Block([dispatch]))])
     body.append(Return(FuncLit([plan.resume_param], machine)))
     return FuncDecl(func.name, list(func.params), False, Block(body))
 
 
-def threaded_loop(call: Expr, value: str, sentinel: Expr) -> Block:
-    """`while (true) { let value = call  if (value != sentinel) { return
-    value } }`: run states until one returns something other than the
-    sentinel. defunc builds the first-order machine from it too."""
-    keep_going = Binary("!=", Var(value), sentinel)
-    step = Block([Let(value, call), If(keep_going, Block([Return(Var(value))]))])
-    return Block([While(BoolLit(True), step)])
-
-
-def _dispatch(states: list[int], bodies: dict[int, list[Stmt]], inst: str) -> Stmt:
+def _dispatch(
+    states: list[int], bodies: dict[int, list[Stmt]], inst: str, chain_max: int
+) -> Stmt:
     """Select the body of state `inst` among the ascending `states`: a
-    chain of `==` tests up to CHAIN_MAX states, a switch above. An
+    chain of `==` tests up to `chain_max` states, a switch above. An
     unknown instruction, the sink 0 included, returns null."""
-    if len(states) > CHAIN_MAX:
+    if len(states) > chain_max:
         cases = [(state, Block(bodies[state])) for state in states]
         return Switch(Var(inst), cases, Block([Return(NullLit())]))
     chain: Stmt = Return(NullLit())
@@ -284,14 +221,11 @@ def _state_stmts(
     block: BasicBlock,
     receiver: str | None,
     plan: StateMachinePlan,
-    select: Callable[[int], Expr],
     inlined: dict[int, BasicBlock],
-    sentinel: str | None = None,
 ) -> list[Stmt]:
-    """One state's statements. `select(k)` is the value of the instruction
-    variable that selects state k. A transfer to an `inlined` leaf runs
-    it in place. A state that can fall through returns the sentinel when
-    there is one, and otherwise falls back into the dispatch."""
+    """One state's statements. A transfer to an `inlined` leaf runs it in
+    place; any other sets the instruction variable, and a state that does
+    not return falls back into the dispatch."""
 
     def run(block: BasicBlock) -> list[Stmt]:
         out = [_hoisted(stmt) for stmt in block.stmts]
@@ -301,10 +235,10 @@ def _state_stmts(
         elif isinstance(term, Goto):
             out += goto(term.target)
         elif isinstance(term, YieldTo):
-            out.append(Assign(plan.inst_var, select(term.resume)))
+            out.append(Assign(plan.inst_var, IntLit(term.resume)))
             out.append(Return(term.value))
         elif isinstance(term, Finish):
-            out.append(Assign(plan.inst_var, select(END)))
+            out.append(Assign(plan.inst_var, IntLit(END)))
             out.append(Return(term.value if term.value is not None else NullLit()))
         else:
             raise AssertionError(f"unhandled terminator {term!r}")
@@ -313,13 +247,10 @@ def _state_stmts(
     def goto(target: int) -> list[Stmt]:
         if target in inlined:
             return run(inlined[target])
-        return [Assign(plan.inst_var, select(target))]
+        return [Assign(plan.inst_var, IntLit(target))]
 
     out = [Assign(receiver, Var(plan.resume_param))] if receiver is not None else []
-    out += run(block)
-    if sentinel is not None and not _returns(out):
-        out.append(Return(Var(sentinel)))
-    return out
+    return out + run(block)
 
 
 def _hoisted(stmt: Stmt) -> Stmt:
@@ -333,14 +264,6 @@ def _hoisted(stmt: Stmt) -> Stmt:
     if isinstance(stmt, While):
         return While(stmt.cond, Block([_hoisted(s) for s in stmt.body.stmts]))
     return stmt
-
-
-def _returns(stmts: list[Stmt]) -> bool:
-    """Whether a state's statements, or an arm's, return on every path."""
-    last = stmts[-1]
-    if isinstance(last, If):
-        return _returns(last.then.stmts) and _returns(last.orelse.stmts)
-    return isinstance(last, Return)
 
 
 def transform_program(program: Program, opt: bool = True) -> Program:

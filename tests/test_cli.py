@@ -294,16 +294,18 @@ def nested_ifs_source(depth, yields, arm=False):
 
 
 @pytest.mark.parametrize(
-    "yields, arm", [(0, False), (3, False), (30, False), (80, False), (63, True), (3, True)]
+    "yields, arm",
+    [(0, False), (3, False), (30, False), (80, False), (63, True), (3, True), (2, True)],
 )
 def test_nested_statements_up_to_the_limit_compile(capsys, tmp_path, yields, arm):
     # A yield-free statement stays whole only where the lowering's own
     # levels leave room for it, so every depth the parser takes compiles
-    # and reads back in both forms, numbered (0, 3 and 30 yields) or
-    # threaded (80), as `compile` checks it. With 63 yields and the nest
-    # in a branch arm, the machine has SWITCH_MAX states and a switch;
-    # with 3, it has CHAIN_MAX states, the nest is in the last state's
-    # arm, and it sits as deep as the lowering puts any statement.
+    # and reads back in both forms, chained (0 yields) or switched (3, 30
+    # and 80), as `compile` checks it. With the nest in a branch arm and
+    # whole (depth 120), 63 yields make 64 optimized states and 3 make
+    # four, each switched; 2 make three, the longest chain the optimized
+    # lowering keeps, so the nest is in the last state's arm and sits as
+    # deep as the lowering puts any statement.
     assert sys.getrecursionlimit() <= 1000
     deepest = 146 if arm else 147
     for depth in range(120, deepest + 1):

@@ -188,36 +188,27 @@ def test_runtime_error_position_is_the_same_in_every_form(body, message):
     assert set(positions.values()) == {positions["native"]}, positions
 
 
-SIMPLE_THREADED_FIRST_ORDER = """fn apply(c, r) {
+SIMPLE_SWITCHED_FIRST_ORDER = """fn apply(c, r) {
   return c.fn(c.env, r)
 }
 
 fn f_fo(_e, _r) {
   while (true) {
-    let _v = _e._i(_e, _r)
-    if (_v != _e._k) {
-      return _v
+    switch (_e._i) case 1 {
+    _e._i = 2
+    return _e.n
+    } case 2 {
+    _e.x = _r
+    _e._i = 0
+    return _e.n + _e.x
+    } else {
+    return null
     }
   }
 }
 
-fn f_s0(_e, _r) {
-  return null
-}
-
-fn f_s1(_e, _r) {
-  _e._i = &f_s2
-  return _e.n
-}
-
-fn f_s2(_e, _r) {
-  _e.x = _r
-  _e._i = &f_s0
-  return _e.n + _e.x
-}
-
 fn f(n) {
-  return { env: { _i: &f_s1, _k: {}, n: n, x: null }, fn: &f_fo }
+  return { env: { _i: 1, n: n, x: null }, fn: &f_fo }
 }
 
 fn main() {
@@ -226,78 +217,32 @@ fn main() {
 
 
 def test_threaded_first_order_shape(monkeypatch):
-    monkeypatch.setattr(transform, "SWITCH_MAX", 0)
+    # Named for the threaded form it used to force: with CHAIN_MAX 0 the
+    # two-state coroutine switches on its environment's field.
+    monkeypatch.setattr(transform, "CHAIN_MAX", 0)
     lowered = transform_program(
         parse_source("fn* f(n) { let x = yield n yield n + x } fn main() { }")
     )
     program = defunctionalize(lowered)
-    assert print_source(program) == SIMPLE_THREADED_FIRST_ORDER
+    assert print_source(program) == SIMPLE_SWITCHED_FIRST_ORDER
     assert resume_sequence(program, "f", [5], [None, 3, None]) == [5, 8, None]
 
 
-def test_threaded_factory_matches_after_a_round_trip():
-    lowered = transform_program(parse_source(wide_source(80, 5)))
+@pytest.mark.parametrize("arms", [3, 80])
+def test_switched_factory_matches_after_a_round_trip(arms):
+    # Case bodies print at the switch's indent and still read back as the
+    # factory they were, so its text defunctionalizes as the tree does:
+    # 4 and 81 optimized states.
+    source = wide_source(arms, 5)
+    lowered = transform_program(parse_source(source))
     again = parse_source(print_source(lowered))
+    assert again == lowered
     shape = match_factory(again.decls[0])
-    assert shape is not None and shape.sentinel == "_k" and shape.entry == "_s1"
-    assert len(shape.states) == 82  # the sink and 81 states
+    assert shape is not None
+    assert len(shape.machine_body.stmts[0].body.stmts[0].cases) == arms + 1
     program = defunctionalize(again)
     assert program == defunctionalize(lowered)
-    assert interp(program) == interp_native(parse_source(wide_source(80, 5)))
-
-
-THREADED_FACTORY = """fn f() {{
-  let _k = {{}}
-  let _s0 = fn (_r) {{
-    return null
-  }}
-  let _s1 = fn (_r) {{
-    {state}
-  }}
-  let _i = _s1
-  return fn (_r) {{
-    while (true) {{
-      let _v = _i(_r)
-      if (_v != _k) {{
-        return _v
-      }}
-    }}
-  }}
-}}
-fn main() {{ }}
-"""
-
-
-@pytest.mark.parametrize(
-    "state, message",
-    [
-        ("_i = _s0\n    return _s1", "'f': a state closure is used as a value"),
-        ("_i = _s0\n    return _i", "'f': a state closure is used as a value"),
-        ("_i = 1\n    return 1", "'f': the next state is not a state closure"),
-        ("_i = _s0\n    return zz", "'f': machine body references 'zz'"),
-    ],
-)
-def test_rejects_threaded_machines_it_cannot_lift(state, message):
-    program = parse_source(THREADED_FACTORY.format(state=state))
-    with pytest.raises(DefuncError, match=message):
-        defunctionalize(program)
-
-
-# Within one state a fault of its transfers wins over a name fault, in
-# either order in the source, and a state used as a value wins too.
-@pytest.mark.parametrize(
-    "state, message",
-    [
-        ("_i = 1\n    return zz", "'f': the next state is not a state closure"),
-        ("print(zz)\n    _i = 1\n    return 1", "'f': the next state is not a state closure"),
-        ("print(zz)\n    _i = _s0\n    return _s1", "'f': a state closure is used as a value"),
-        ("_i = _s0\n    print(_s1)\n    return zz", "'f': a state closure is used as a value"),
-    ],
-)
-def test_transfer_faults_win_over_name_faults(state, message):
-    program = parse_source(THREADED_FACTORY.format(state=state))
-    with pytest.raises(DefuncError, match=message):
-        defunctionalize(program)
+    assert interp(program) == interp_native(parse_source(source))
 
 
 # A numbered machine reports the name fault its rewrite meets first:
@@ -320,12 +265,15 @@ def test_the_first_name_fault_of_a_machine_wins(machine, message):
         defunctionalize(program)
 
 
-def test_threaded_factory_shape_is_exact():
-    # The machine must be exactly the threaded loop; anything else stays a
-    # closure, which defunctionalize rejects.
-    source = THREADED_FACTORY.format(state="_i = _s0\n    return 1")
+def test_factory_shape_is_exact():
+    # A factory must start `let _i = 1` and hoist every other local as
+    # null; anything else stays a closure, which defunctionalize rejects.
+    source = (
+        "fn f() {\n  let _i = 1\n  let a = null\n"
+        "  return fn (_r) {\n    return a\n  }\n}\nfn main() { }"
+    )
     assert match_factory(parse_source(source).decls[0]) is not None
-    for old, new in (("_v != _k", "_v == _k"), ("let _i = _s1", "let _i = 1")):
+    for old, new in (("let _i = 1", "let _i = 2"), ("let a = null", "let a = 0")):
         program = parse_source(source.replace(old, new))
         assert match_factory(program.decls[0]) is None
         with pytest.raises(DefuncError, match="not a state machine"):
@@ -353,13 +301,6 @@ def test_rejects_factories_whose_names_clash(factory):
     [
         # The machine declares a local that shadows a hoisted local.
         ("let _i = 1\n  let a = null\n  return fn (_r) {\n    let a = 5\n    return a\n  }", "a"),
-        # A threaded state declares a local that shadows the sentinel.
-        (
-            "let _k = {}\n  let _s1 = fn (_r) {\n    let _k = 5\n    _i = _s1\n    return _k\n  }\n"
-            "  let _i = _s1\n  return fn (_r) {\n    while (true) {\n      let _v = _i(_r)\n"
-            "      if (_v != _k) {\n        return _v\n      }\n    }\n  }",
-            "_k",
-        ),
     ],
 )
 def test_rejects_machine_locals_that_shadow_the_factory(factory, shadowed):

@@ -16,7 +16,7 @@ from corolower.interp import (
 )
 from corolower.parser import parse_source
 from corolower.printer import print_source
-from corolower.transform import CHAIN_MAX, transform_program
+from corolower.transform import transform_program
 
 from cfg_oracle import eval_cfg
 from conftest import CORPUS_FILES, corpus_ids
@@ -128,9 +128,10 @@ def test_eval_cfg_agrees_before_and_after_merging(path):
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=corpus_ids())
 def test_threaded_forms_agree(path, monkeypatch):
-    # The checks above with threaded dispatch for every machine above
-    # CHAIN_MAX states, and the first-order forms through their text.
-    monkeypatch.setattr(transform, "SWITCH_MAX", CHAIN_MAX)
+    # Named for the threaded dispatch it used to force. The checks above
+    # with a switch for every machine, the chain's sizes included, and the
+    # first-order forms through their text.
+    monkeypatch.setattr(transform, "CHAIN_MAX", 0)
     test_program_outputs_agree(path)
     test_generator_traces_agree(path)
     test_lowered_text_reparses_and_reruns(path)

@@ -70,16 +70,16 @@ def test_random_generator_agrees_across_forms(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_generator_agrees_across_threaded_forms(seed, monkeypatch):
-    # Threaded dispatch for every machine above CHAIN_MAX states; otherwise
-    # no program here reaches it (the largest has 11 states).
-    monkeypatch.setattr(transform, "SWITCH_MAX", CHAIN_MAX)
+    # Named for the threaded dispatch it used to force: a switch for every
+    # machine, the chain's sizes included.
+    monkeypatch.setattr(transform, "CHAIN_MAX", 0)
     check_forms_agree(seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_generator_with_joins_agrees_across_forms(seed, monkeypatch):
     check_eval_cfg_agrees(*check_forms_agree(seed, arm_yields=False))
-    monkeypatch.setattr(transform, "SWITCH_MAX", CHAIN_MAX)
+    monkeypatch.setattr(transform, "CHAIN_MAX", 0)
     check_forms_agree(seed, arm_yields=False)
 
 
@@ -128,14 +128,16 @@ def test_the_dispatch_lookup_keeps_fuzz_traces_exact(monkeypatch):
     # Budgets sampled across each trace land at every depth of the
     # dispatch, and outcomes must not depend on whether `_arm` walks the
     # tests or the handlers run them one by one. A machine of more than
-    # CHAIN_MAX states dispatches through a switch, which `_arm` never sees.
+    # CHAIN_MAX states, or optimized of CHAIN_MAX, dispatches through a
+    # switch, which `_arm` never sees.
     switched = 0
     for seed in range(0, 200, 5):
         for arm_yields in (True, False):
             program, name, arity = random_generator_program(seed, arm_yields)
             args = list(range(1, arity + 1))
             for opt in (True, False):
-                switched += len(plan_generator(program.decls[0], opt)[1].states) > CHAIN_MAX
+                states = len(plan_generator(program.decls[0], opt)[1].states)
+                switched += states >= CHAIN_MAX if opt else states > CHAIN_MAX
                 lowered = transform_program(program, opt)
                 for form in (lowered, defunctionalize(lowered)):
                     full = traced(form, name, args, 10**6)
@@ -147,4 +149,4 @@ def test_the_dispatch_lookup_keeps_fuzz_traces_exact(monkeypatch):
                     monkeypatch.undo()
                     assert with_arm == without, (seed, arm_yields, opt)
                     assert with_arm[-1] == full
-    assert switched == 20  # machines of 5 to 15 states
+    assert switched == 27  # machines of 4 (optimized) to 15 states

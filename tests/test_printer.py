@@ -53,14 +53,16 @@ def test_parenthesization_preserves_structure():
     assert roundtrip(program2) == program2
 
 
+# A case body and the else body print at the switch's own indent, so a
+# machine's states cost no more bytes than the statements of a function.
 SWITCH_SOURCE = """fn main() {
   switch (x % 3) case 0 {
-    print(0)
+  print(0)
   } case 2 {
   } else {
-    switch (x) case 1 {
-      return 1
-    }
+  switch (x) case 1 {
+  return 1
+  }
   }
 }
 """
@@ -69,6 +71,26 @@ SWITCH_SOURCE = """fn main() {
 def test_switch_prints_each_later_case_on_the_closing_line():
     program = parse_source(SWITCH_SOURCE)
     assert print_source(program) == SWITCH_SOURCE
+    assert roundtrip(program) == program
+
+
+def test_a_closure_in_a_case_closes_at_the_case_indent():
+    # A `fn` literal in a case body indents its own body one level past
+    # the case's, and its closing brace stands at the switch's indent.
+    source = """fn main() {
+  switch (x) case 1 {
+  let f = fn (y) {
+    switch (y) case 2 {
+    return 2
+    }
+  }
+  } else {
+  return f
+  }
+}
+"""
+    program = parse_source(source)
+    assert print_source(program) == source
     assert roundtrip(program) == program
 
 

@@ -6,12 +6,10 @@ interpreter that moves them has to update these numbers on purpose.
 
 import pytest
 
-from corolower import transform
 from corolower.cli import program_forms
 from corolower.errors import BudgetExceeded
 from corolower.interp import Interpreter, resume_any
 from corolower.parser import parse_source
-from corolower.transform import SWITCH_MAX
 
 from conftest import CORPUS_DIR, FIB_SOURCE, wide_source
 
@@ -43,27 +41,27 @@ def test_fib_steps_per_next():
 
 def test_hundred_arm_family_steps_per_next():
     # 101 states optimized, each arm's two yields inlined into its branch,
-    # and 302 unoptimized: above SWITCH_MAX, so each transition is one
-    # call of a state closure or lifted state function.
+    # and 302 unoptimized, each machine dispatched by one switch: 29.11
+    # steps per next lowered-opt where the threaded dispatch that took
+    # machines of more than 64 states spent 37.85.
     nexts = 300
     steps = steps_per_form(wide_source(100, nexts))
     assert steps == {
         "native": 6_924,
-        "lowered-opt": 11_356,
-        "lowered-noopt": 16_006,
-        "first-order": 15_667,
+        "lowered-opt": 8_734,
+        "lowered-noopt": 10_558,
+        "first-order": 12_644,
     }
-    assert round(steps["lowered-opt"] / nexts, 2) == 37.85
+    assert round(steps["lowered-opt"] / nexts, 2) == 29.11
 
 
 def test_instance_steps_per_dispatch_scheme():
-    # A threaded lowered instance makes the sentinel and one closure per
-    # state, the sink included: 2 + 2 * 102 + 4 steps at 100 arms
-    # optimized, 2 + 2 * 303 + 4 unoptimized. A numbered one, at 20 arms
-    # (21 and 62 states), sets `_i` and makes the machine. First-order
-    # instances build a record either way.
+    # A lowered instance sets `_i` and makes the machine, at 100 arms
+    # (101 and 302 states) as at 20 (21 and 62); a first-order one builds
+    # its record. The threaded dispatch once spent 2 + 2 * 102 + 4 steps
+    # at 100 arms optimized, on a sentinel and a closure per state.
     for arms, expected in (
-        (100, {"native": 0, "lowered-opt": 210, "lowered-noopt": 612, "first-order": 7}),
+        (100, {"native": 0, "lowered-opt": 4, "lowered-noopt": 4, "first-order": 6}),
         (20, {"native": 0, "lowered-opt": 4, "lowered-noopt": 4, "first-order": 6}),
     ):
         steps = {}
@@ -85,19 +83,16 @@ def test_instance_steps_per_dispatch_scheme():
         (11, (333, 407, 478), (627, 1_199, 589)),
     ],
 )
-def test_threaded_instance_pays_back_by_nexts(monkeypatch, nexts, numbered, threaded):
+def test_threaded_instance_pays_back_by_nexts(nexts, numbered, threaded):
     # Whole-run steps of one 100-arm instance resumed `nexts` times, in
-    # lowered-opt, lowered-noopt and first-order form, with a switch
-    # forced (SWITCH_MAX above 302) and with threaded dispatch. A threaded
-    # instance never pays back its closures against a switch, in any form:
-    # at 300 nexts the switch takes 29.11 steps per next lowered-opt where
-    # threading takes 37.85.
-    steps = {}
-    for switch_max, scheme in ((302, "numbered"), (SWITCH_MAX, "threaded")):
-        monkeypatch.setattr(transform, "SWITCH_MAX", switch_max)
-        counts = steps_per_form(wide_source(100, nexts))
-        steps[scheme] = tuple(counts[form] for form in FORMS[1:])
-    assert steps == {"numbered": numbered, "threaded": threaded}
+    # lowered-opt, lowered-noopt and first-order form. `numbered` is the
+    # switch's, and `threaded` what the threaded dispatch spent before it
+    # was deleted: it never paid back its closures against the switch, in
+    # any form, and the switch must stay below it.
+    counts = steps_per_form(wide_source(100, nexts))
+    steps = tuple(counts[form] for form in FORMS[1:])
+    assert steps == numbered
+    assert all(s < t for s, t in zip(steps, threaded))
 
 
 def test_a_switch_dispatch_costs_two_steps_lowered_and_three_first_order():
@@ -123,23 +118,35 @@ def test_a_switch_dispatch_costs_two_steps_lowered_and_three_first_order():
         assert spent == [per_next] * 5 + [at_sink] * 2, form
 
 
+def exhaust_at(forms, form, budgets):
+    """Run `form` at each budget short of its full run: each run stops one
+    step past its budget, having printed a prefix of the full output.
+    Returns the full run's steps."""
+    interp = Interpreter(forms[form])
+    full = interp.run()
+    for budget in budgets(interp.steps):
+        partial = Interpreter(forms[form], budget)
+        with pytest.raises(BudgetExceeded):
+            partial.run()
+        assert full[: len(partial.output)] == partial.output, (form, budget)
+        assert partial.steps == budget + 1, (form, budget)
+    return interp.steps
+
+
 def test_switched_machines_exhaust_the_budget_step_exactly():
-    # 21 states optimized and 62 unoptimized, each dispatched by a switch:
-    # at every budget short of the full run, the run stops one step past
-    # it, having printed a prefix of the full output.
+    # 21 states optimized and 62 unoptimized at every budget; 101 and 302,
+    # switched where the threaded dispatch used to take over above 64, at
+    # about 150 budgets sampled across each run and the last one.
     forms = program_forms(parse_source(wide_source(20, 60)))
-    full_steps = {}
-    for form in FORMS[1:]:
-        interp = Interpreter(forms[form])
-        full = interp.run()
-        full_steps[form] = interp.steps
-        for budget in range(1, full_steps[form]):
-            interp = Interpreter(forms[form], budget)
-            with pytest.raises(BudgetExceeded):
-                interp.run()
-            assert full[: len(interp.output)] == interp.output, (form, budget)
-            assert interp.steps == budget + 1, (form, budget)
+    full_steps = {form: exhaust_at(forms, form, lambda n: range(1, n)) for form in FORMS[1:]}
     assert full_steps == {"lowered-opt": 1_774, "lowered-noopt": 2_158, "first-order": 2_564}
+
+    def sampled(n):
+        return [*range(1, n, 1 + n // 150), n - 1]
+
+    forms = program_forms(parse_source(wide_source(100, 30)))
+    full_steps = {form: exhaust_at(forms, form, sampled) for form in FORMS[1:]}
+    assert full_steps == {"lowered-opt": 884, "lowered-noopt": 1_072, "first-order": 1_276}
 
 
 TALLY_SOURCE = """fn* tally(start) {
@@ -209,6 +216,30 @@ def test_joins_corpus_steps():
         "lowered-noopt": 803,
         "first-order": 1_135,
     }
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [
+        ("if_in_loop", {"native": 195, "lowered-opt": 323, "lowered-noopt": 363, "first-order": 466}),
+        ("nested_while", {"native": 206, "lowered-opt": 324, "lowered-noopt": 388, "first-order": 477}),
+    ],
+)
+def test_four_state_optimized_machines_switch(name, steps):
+    # Optimized, `signed` and `grid` have four states and dispatch through
+    # a switch, 2 steps per transition, where a chain of four tests spent
+    # 511 and 508 steps lowered-opt and 691 and 698 first-order.
+    # Unoptimized, their 6 and 7 states switched already.
+    assert steps_per_form((CORPUS_DIR / f"{name}.mini").read_text()) == steps
+
+
+@pytest.mark.parametrize("name", ["if_in_loop", "nested_while"])
+def test_four_state_switches_exhaust_the_budget_step_exactly(name):
+    # The optimized four-state switch and its first-order form, at every
+    # budget short of the full run.
+    forms = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))
+    for form in ("lowered-opt", "first-order"):
+        exhaust_at(forms, form, lambda n: range(1, n))
+
 
 INNER_LOOP_SOURCE = """fn* sums(n) {
   let k = 0

@@ -1,4 +1,3 @@
-import re
 import sys
 
 import pytest
@@ -21,7 +20,6 @@ from corolower.syntax import (
     Let,
     LetYield,
     NullLit,
-    RecordLit,
     Return,
     Switch,
     Var,
@@ -30,7 +28,6 @@ from corolower.syntax import (
     walk,
 )
 from corolower.transform import (
-    SWITCH_MAX,
     CHAIN_MAX,
     plan_generator,
     rewrite_generator,
@@ -109,29 +106,6 @@ fn fib() {
 """
 
 
-def is_threaded(decl):
-    """A threaded factory starts with its sentinel, `let _k = {}`."""
-    first = decl.body.stmts[0]
-    return isinstance(first, Let) and first.value == RecordLit([])
-
-
-def state_lets(decl):
-    """A threaded factory's `let _sK = fn (_r) { ... }` by state number K:
-    the sink 0, then the states in ascending order. No program here uses
-    a name that would make the allocator bump `_sK`."""
-    lets = {}
-    for stmt in decl.body.stmts:
-        if isinstance(stmt, Let) and isinstance(stmt.value, FuncLit):
-            assert re.fullmatch(r"_s\d+", stmt.name), stmt.name
-            lets[int(stmt.name[2:])] = stmt
-    assert list(lets) == sorted(lets)
-    return lets
-
-
-def state_closures(decl):
-    return {state: let.value for state, let in state_lets(decl).items()}
-
-
 def machine_loop(decl):
     """The machine's `while (true)`."""
     ret = decl.body.stmts[-1]
@@ -143,9 +117,7 @@ def machine_loop(decl):
 
 
 def dispatch_root(decl):
-    """The dispatch statement inside the machine's `while (true)` of a
-    numbered dispatch."""
-    assert not is_threaded(decl)
+    """The dispatch statement inside the machine's `while (true)`."""
     loop = machine_loop(decl)
     assert len(loop.body.stmts) == 1
     return loop.body.stmts[0]
@@ -154,9 +126,9 @@ def dispatch_root(decl):
 def dispatch_tests(decl):
     """(test, depth) for every `_i == k` test of a chain dispatch; depth
     counts the tests from the root down to and including it. State
-    bodies are not entered. A switched or threaded machine has none: it
-    selects a state in one statement or one call."""
-    if is_threaded(decl) or isinstance(dispatch_root(decl), Switch):
+    bodies are not entered. A switched machine has none: it selects a
+    state in one statement."""
+    if isinstance(dispatch_root(decl), Switch):
         return []
     inst = decl.body.stmts[0].name
     out = []
@@ -174,7 +146,7 @@ def dispatch_tests(decl):
 
 def dispatch_switch(decl):
     """The machine's `switch (_i)`, whose else returns null, or None."""
-    if is_threaded(decl) or not isinstance(dispatch_root(decl), Switch):
+    if not isinstance(dispatch_root(decl), Switch):
         return None
     switch = dispatch_root(decl)
     assert switch.subject == Var(decl.body.stmts[0].name)
@@ -183,12 +155,8 @@ def dispatch_switch(decl):
 
 
 def dispatch_arms(decl):
-    """{state: statements run when the dispatch selects it}, in any
+    """{state: statements run when the dispatch selects it}, in either
     scheme; the sink 0 is no arm."""
-    if is_threaded(decl):
-        closures = state_closures(decl)
-        assert closures[0].body.stmts == [Return(NullLit())]
-        return {state: c.body.stmts for state, c in closures.items() if state}
     switch = dispatch_switch(decl)
     if switch is not None:
         return {label: block.stmts for label, block in switch.cases}
@@ -203,8 +171,7 @@ def dispatch_states(decl):
 
 
 def dispatch_depth(decl):
-    """Deepest nesting of dispatch statements; 1 for a switch, and for a
-    threaded machine, which selects in one call."""
+    """Deepest nesting of dispatch statements; 1 for a switch."""
     tests = dispatch_tests(decl)
     return max(depth for _, depth in tests) if tests else 1
 
@@ -212,13 +179,7 @@ def dispatch_depth(decl):
 def select_state(decl, instruction):
     """Run the dispatch as the interpreter would for one instruction
     number; returns the state whose statements run, or None for `return
-    null`. In a threaded machine the instruction variable holds state
-    k's closure, and an unknown number names no closure."""
-    if is_threaded(decl):
-        closure = state_closures(decl).get(instruction)
-        if closure is None or closure.body.stmts == [Return(NullLit())]:
-            return None
-        return instruction
+    null`."""
     switch = dispatch_switch(decl)
     if switch is not None:
         return instruction if instruction in switch.table else None
@@ -228,24 +189,14 @@ def select_state(decl, instruction):
     return None
 
 
-def instruction_var(decl):
-    """Bound first, or in a threaded factory, called by the machine."""
-    if is_threaded(decl):
-        return machine_loop(decl).body.stmts[0].value.callee.name
-    return decl.body.stmts[0].name
-
-
 def transfers(decl, stmts):
-    """The states that statements hand control to, by state number:
-    `_i = k`, or threaded, `_i = _sK`."""
-    inst = instruction_var(decl)
-    numbers = {let.name: state for state, let in state_lets(decl).items()}
+    """The states that statements hand control to: `_i = k`."""
+    inst = decl.body.stmts[0].name
     out = set()
     for stmt in stmts:
         for node in walk(stmt):
             if isinstance(node, Assign) and node.name == inst:
-                value = node.value
-                out.add(numbers[value.name] if isinstance(value, Var) else value.value)
+                out.add(node.value.value)
     return out
 
 
@@ -310,7 +261,7 @@ def check_arms_follow_the_cfg(decl, opt):
     # Every branch is emitted once, as an `if` whose arms transfer, and
     # an arm holds no branch, so no block is copied and nothing nests
     # deeper. The other `if`s are the ones the blocks keep whole.
-    inst = instruction_var(machine)
+    inst = machine.body.stmts[0].name
 
     def transfers_control(node):
         return any(
@@ -615,26 +566,66 @@ def test_plan_shape():
 
 
 def test_small_machines_keep_the_chain():
-    # Up to CHAIN_MAX states the dispatch is the paper's if/else-if chain,
-    # one test per state; above it, a switch. Each arm's two yields run in
-    # place, so `arms` arms make arms + 1 states.
-    for arms, states in ((3, 4), (4, 5)):
-        machine = rewrite_generator(parse_source(wide_source(arms, 1)).decls[0])
-        assert dispatch_states(machine) == states
-        assert len(dispatch_tests(machine)) == (states if states <= CHAIN_MAX else 0)
-        assert (dispatch_switch(machine) is None) == (states <= CHAIN_MAX)
+    # Up to CHAIN_MAX states unoptimized, and below it optimized, the
+    # dispatch is the paper's if/else-if chain, one test per state; above,
+    # a switch. Each arm's two yields run in place, so `arms` arms make
+    # arms + 1 states optimized and 3 * arms + 2 unoptimized; fib's
+    # unoptimized machine has four states.
     assert CHAIN_MAX == 4
+    cases = [(wide_source(arms, 1), True, arms + 1, arms < 3) for arms in (2, 3, 4)]
+    cases += [(FIB_SOURCE, False, 4, True), (wide_source(1, 1), False, 5, False)]
+    for source, opt, states, chained in cases:
+        machine = rewrite_generator(parse_source(source).decls[0], opt)
+        assert dispatch_states(machine) == states
+        assert len(dispatch_tests(machine)) == (states if chained else 0)
+        assert (dispatch_switch(machine) is None) == chained
+
+
+FIVE_YIELDS_MACHINE = """fn g() {
+  let _i = 1
+  return fn (_r) {
+    while (true) {
+      switch (_i) case 1 {
+      _i = 2
+      return 1
+      } case 2 {
+      _i = 3
+      return 2
+      } case 3 {
+      _i = 4
+      return 3
+      } case 4 {
+      _i = 5
+      return 4
+      } case 5 {
+      _i = 0
+      return 5
+      } else {
+      return null
+      }
+    }
+  }
+}
+"""
+
+
+def test_five_yields_print_as_one_switch():
+    # Each state's statements stand at the switch's own indent, as deep as
+    # a statement of the machine's loop.
+    for opt in (True, False):
+        lowered = transform_program(parse_source(yields_source(5)), opt)
+        assert print_source(lowered).startswith(FIVE_YIELDS_MACHINE), opt
 
 
 def test_dispatch_tree_selects_every_state():
-    # 21 and 62 states by a switch, 81 and 242 threaded; optimized, the
-    # ids of the blocks that run in place select nothing.
+    # 21 and 62 states, 81 and 242, each by a switch; optimized, the ids
+    # of the blocks that run in place select nothing.
     for arms in (20, 80):
         decl = parse_source(wide_source(arms, 1)).decls[0]
         for opt in (True, False):
             machine = rewrite_generator(decl, opt)
             graph, plan = plan_generator(decl, opt)
-            assert is_threaded(machine) == (arms == 80)
+            assert dispatch_switch(machine) is not None
             assert len(plan.states) == (arms + 1 if opt else 3 * arms + 2)
             for state in plan.states:
                 assert select_state(machine, state) == state
@@ -644,36 +635,33 @@ def test_dispatch_tree_selects_every_state():
                 assert select_state(machine, unknown) is None
 
 
-def test_switch_dispatch_is_one_statement_at_any_size(monkeypatch):
-    # A switch at every size, the two above SWITCH_MAX included, so the
-    # dispatch is measured on the switch and not on a threaded machine:
-    # one statement whose labels are the states, however many there are.
-    monkeypatch.setattr(transform, "SWITCH_MAX", 480 + 1)
+def test_switch_dispatch_is_one_statement_at_any_size():
+    # One statement whose labels are the states, however many there are.
     for arms in (30, 60, 120, 240, 480):
         decl = parse_source(wide_source(arms, 1)).decls[0]
         machine = rewrite_generator(decl)
-        assert not is_threaded(machine)
         assert dispatch_states(machine) == arms + 1
         assert dispatch_depth(machine) == 1
         assert list(dispatch_switch(machine).table) == plan_generator(decl)[1].states
 
 
-@pytest.mark.parametrize("switch_max", [SWITCH_MAX, CHAIN_MAX])
-def test_arms_follow_the_cfg(monkeypatch, switch_max):
+@pytest.mark.parametrize("chain_max", [CHAIN_MAX, 64])
+def test_arms_follow_the_cfg(monkeypatch, chain_max):
     # Each state's arm hands control to the states its inlined region
-    # leads to and to no other, in every scheme; at CHAIN_MAX every
-    # machine above it is threaded: 6 corpus generators and the wide one.
-    monkeypatch.setattr(transform, "SWITCH_MAX", switch_max)
+    # leads to and to no other, in either scheme: at CHAIN_MAX the wide
+    # generator and 6 corpus ones switch, at 64 every machine chains but
+    # the wide one's 152 unoptimized states, its 51 optimized ones too.
+    monkeypatch.setattr(transform, "CHAIN_MAX", chain_max)
     decls = [parse_source(wide_source(50, 1)).decls[0]]
     for path in CORPUS_FILES:
         decls += [d for d in parse_source(path.read_text()).decls if d.is_generator]
-    threaded = set()
+    switched = set()
     for decl in decls:
         for opt in (True, False):
             machine = check_arms_follow_the_cfg(decl, opt)
-            if is_threaded(machine):
-                threaded.add(decl.name)
-    assert len(threaded) == (1 if switch_max == SWITCH_MAX else 7)
+            if dispatch_switch(machine) is not None:
+                switched.add(decl.name)
+    assert len(switched) == (7 if chain_max == CHAIN_MAX else 1)
 
 
 def yields_source(count):
@@ -682,45 +670,39 @@ def yields_source(count):
     return f"fn* g() {{\n{body}}}\n\nfn main() {{\n}}\n"
 
 
-@pytest.mark.parametrize("states", [SWITCH_MAX, SWITCH_MAX + 1])
+@pytest.mark.parametrize("states", [64, 65])
 def test_threaded_dispatch_starts_above_switch_max(states):
+    # Named for the threaded dispatch that machines of more than 64 states
+    # used to take: on either side of 64 a machine switches, and its
+    # first-order form lifts nothing but its machine.
     program = parse_source(yields_source(states))
     decl = program.decls[0]
     machine = rewrite_generator(decl)
     assert dispatch_states(machine) == states == len(merge_blocks(build_cfg(decl)).blocks)
-    assert is_threaded(machine) == (states > SWITCH_MAX)
-    assert (dispatch_switch(machine) is None) == (states > SWITCH_MAX)
+    assert list(dispatch_switch(machine).table) == list(range(1, states + 1))
     forms = cli.program_forms(program)
-    lifted = {d.name for d in forms["first-order"].decls} - {"apply", "g_fo", "g", "main"}
-    assert len(lifted) == (states + 1 if states > SWITCH_MAX else 0)  # the sink too
+    assert [d.name for d in forms["first-order"].decls] == ["apply", "g_fo", "g", "main"]
     script = [None] * (states + 2)
     expected = list(range(1, states + 1)) + [None, None]
     for name, form in forms.items():
         assert resume_sequence(form, "g", [], script) == expected, name
 
 
-SIMPLE_THREADED_MACHINE = """
+SIMPLE_SWITCHED_MACHINE = """
 fn f(n) {
-  let _k = {}
-  let _s0 = fn (_r) {
-    return null
-  }
-  let _s1 = fn (_r) {
-    _i = _s2
-    return n
-  }
-  let _s2 = fn (_r) {
-    x = _r
-    _i = _s0
-    return n + x
-  }
-  let _i = _s1
+  let _i = 1
   let x = null
   return fn (_r) {
     while (true) {
-      let _v = _i(_r)
-      if (_v != _k) {
-        return _v
+      switch (_i) case 1 {
+      _i = 2
+      return n
+      } case 2 {
+      x = _r
+      _i = 0
+      return n + x
+      } else {
+      return null
       }
     }
   }
@@ -729,38 +711,46 @@ fn f(n) {
 
 
 def test_simple_coroutine_threaded_machine(monkeypatch):
-    monkeypatch.setattr(transform, "SWITCH_MAX", 0)
-    machine = rewrite_generator(parse_source(SIMPLE_COROUTINE).decls[0])
-    expected = parse_source(SIMPLE_THREADED_MACHINE + "fn main() { }").decls[0]
+    # Named for the threaded machine it used to force: with CHAIN_MAX 0
+    # the two-state coroutine switches, and each case body prints at the
+    # switch's own indent.
+    monkeypatch.setattr(transform, "CHAIN_MAX", 0)
+    lowered = transform_program(parse_source(SIMPLE_COROUTINE))
+    machine = lowered.decls[0]
+    expected = parse_source(SIMPLE_SWITCHED_MACHINE + "fn main() { }").decls[0]
     assert machine == expected
+    assert print_source(lowered).startswith(SIMPLE_SWITCHED_MACHINE.lstrip())
 
 
 def test_threaded_loop_without_a_yield_stays_a_loop():
-    # 100,000 iterations without a yield: the state closures return the
-    # sentinel to the machine's loop, so the Python stack never grows.
+    # Named for the threaded scheme, whose states returned a sentinel to
+    # the machine's loop: 100,000 iterations without a yield run in the
+    # switch's `while (true)`, or optimized in a case's own `while`, so
+    # the Python stack never grows.
     assert sys.getrecursionlimit() <= 1000
-    yields = "".join(f"  yield {k}\n" for k in range(SWITCH_MAX))
+    yields = "".join(f"  yield {k}\n" for k in range(64))
     source = (
         "fn* g() {\n  let n = 0\n  while (n < 100000) {\n    n = n + 1\n  }\n"
         f"  yield n\n{yields}}}\n\nfn main() {{\n  let it = g()\n  print(next(it))\n}}\n"
     )
     forms = cli.program_forms(parse_source(source))
-    assert is_threaded(forms["lowered-opt"].decls[0])
-    for name in ("native", "lowered-opt", "first-order"):
-        assert Interpreter(forms[name]).run() == [100_000], name
+    assert dispatch_switch(forms["lowered-noopt"].decls[0]) is not None
+    for name, form in forms.items():
+        assert Interpreter(form).run() == [100_000], name
 
 
 def test_threaded_machine_yields_records():
-    # Records compare by identity, so no yielded `{}` is the sentinel.
-    yields = "".join("  yield {}\n" for _ in range(SWITCH_MAX))
+    # A switched machine of 100 states, more than the 64 above which the
+    # threaded dispatch, now gone, took over, yields fresh records.
+    yields = "".join("  yield {}\n" for _ in range(99))
     program = parse_source(f"fn* g() {{\n  yield null\n{yields}}}\n\nfn main() {{\n}}\n")
-    assert is_threaded(transform_program(program).decls[0])
-    script = [None] * (SWITCH_MAX + 3)
+    assert len(dispatch_switch(transform_program(program).decls[0]).cases) == 100
+    script = [None] * 102
     for name, form in cli.program_forms(program).items():
         seq = resume_sequence(form, "g", [], script)
         assert seq[0] is None and seq[-2:] == [None, None], name
         records = seq[1:-2]
-        assert len(records) == SWITCH_MAX
+        assert len(records) == 99 and len({id(v) for v in records}) == 99, name
         assert all(type(v) is Record and v.fields == {} for v in records), name
 
 
@@ -816,7 +806,7 @@ def test_three_thousand_flat_guards_stay_flat(tmp_path, capsys):
     # run in their guard's arm.
     assert len(plan.states) == 3001 and len(graph.blocks) == 6002
     lowered = transform_program(program)
-    assert is_threaded(lowered.decls[0])
+    assert list(dispatch_switch(lowered.decls[0]).table) == plan.states
     text = print_source(lowered)
     assert print_source(parse_source(text)) == text
     assert Interpreter(program).run() == [2999, None, 5000, -5000, None]
