@@ -3,7 +3,7 @@
 A generator `fn* f(p)` becomes an ordinary `fn f(p)` that declares every
 hoisted local as null and returns a one-parameter anonymous function,
 the machine, whose body is an instruction dispatch wrapped in
-`while (true)`. A block ending in a yield updates the instruction
+`while (true)`, unless no jump falls back into it (below). A block ending in a yield updates the instruction
 variable and returns the yielded value; a plain jump updates it and
 goes back to the dispatch; finishing selects the sink state 0, in which
 every later call returns null. Block ids serve as instruction numbers,
@@ -35,6 +35,17 @@ size. Unknown instructions, the sink 0 included, return null. The
 printer writes a case body at the switch's own indent, so a state's
 statements cost no more bytes at any size of machine.
 
+An optimized switched machine runs a state in place of its only jump:
+when the goto ending state S is the only goto or branch arm into state
+T, S's case holds T's statements where `_i = T` would stand, and T keeps
+its case for the first `next` and its resumptions. The copy's own jumps
+set the instruction variable, so a state prints at most twice, at case
+level: a tail duplication (Zakai, 2011) bounded to one copy. A receiver's
+state is reached only by a resumption, so no binding is copied. A
+switched machine with no jump left that falls back into the dispatch
+drops the `while (true)`. Chains and unoptimized machines keep their
+loop, so fib prints as in the paper.
+
 All locals are hoisted into the factory frame and initialized to null,
 including loop-body ones: that is the only scheme that survives a yield
 between a variable's definition and its use.
@@ -54,6 +65,7 @@ from .cfg import (
     YieldTo,
     build_cfg,
     pred_counts,
+    targets,
 )
 from .syntax import (
     Assign,
@@ -86,8 +98,10 @@ CHAIN_MAX = 4
 # A bound on the levels of nesting the optimized lowering puts above a
 # statement of a block, as the parser counts them (9): the factory's body,
 # `return fn (_r)`, the machine's body and its loop, a chain of CHAIN_MAX
-# and a branch arm. Its chain is one test shorter, and a switch's case and
-# the first-order form nest less, so a level is to spare.
+# and a branch arm. Its chain is one test shorter, and that chain of three
+# nests deepest, so a level is to spare: a switch's case nests two levels
+# less, a switch with no loop around it three, and a state run in place of
+# a jump sits at case level. The first-order form nests less.
 LOWERED_DEPTH = 4 + CHAIN_MAX + 1
 
 
@@ -156,15 +170,20 @@ def rewrite_generator(
     inlined = {bid: block for bid, block in graph.blocks.items() if bid not in states}
     if opt:  # a transfer to the end selects the sink and returns null in place
         inlined[END] = BasicBlock(END, [], Finish())
+    chain_max = CHAIN_MAX - 1 if opt else CHAIN_MAX
+    switched = opt and len(plan.states) > chain_max
+    threads = _threads(graph, states) if switched else {}
     bodies = {
-        state: _state_stmts(graph.blocks[state], receivers.get(state), plan, inlined)
+        state: _state_stmts(graph.blocks[state], receivers, plan, inlined, threads)
         for state in plan.states
     }
-    chain_max = CHAIN_MAX - 1 if opt else CHAIN_MAX
     dispatch = _dispatch(plan.states, bodies, plan.inst_var, chain_max)
     body: list[Stmt] = [Let(plan.inst_var, IntLit(graph.entry))]
     body.extend(Let(name, NullLit()) for name in plan.hoisted)
-    machine = Block([While(BoolLit(True), Block([dispatch]))])
+    if switched and not any(_falls_through(b) for b in bodies.values()):
+        machine = Block([dispatch])
+    else:
+        machine = Block([While(BoolLit(True), Block([dispatch]))])
     body.append(Return(FuncLit([plan.resume_param], machine)))
     return FuncDecl(func.name, list(func.params), False, Block(body))
 
@@ -205,6 +224,35 @@ def _inlined(graph: Cfg) -> set[int]:
     }
 
 
+def _threads(graph: Cfg, states: set[int]) -> dict[int, BasicBlock]:
+    """The states whose only incoming jump, a goto or a branch arm, is the
+    goto that ends another state, keyed by that state. The entry's first
+    selection and a yield's resumption are no jumps: the target keeps its
+    own case for them."""
+    jumps: dict[int, list[int]] = {}
+    for bid, block in graph.blocks.items():
+        if isinstance(block.terminator, (Goto, Branch)):
+            for target in targets(block.terminator):
+                jumps.setdefault(target, []).append(bid)
+    out = {}
+    for target, sources in jumps.items():
+        if target in states and len(sources) == 1:
+            source = sources[0]
+            if source in states and isinstance(graph.blocks[source].terminator, Goto):
+                out[source] = graph.blocks[target]
+    return out
+
+
+def _falls_through(stmts: list[Stmt]) -> bool:
+    """Whether a state's statements can end without a return, falling
+    back into the dispatch. They end in their terminator: a return, a
+    jump, or a branch's `if`, whose two arms end the same way."""
+    last = stmts[-1]
+    if isinstance(last, If):
+        return _falls_through(last.then.stmts) or _falls_through(last.orelse.stmts)
+    return not isinstance(last, Return)
+
+
 def _receivers(graph: Cfg) -> dict[int, str]:
     """Resume targets that must bind the resume value before running."""
     out: dict[int, str] = {}
@@ -219,13 +267,16 @@ def _receivers(graph: Cfg) -> dict[int, str]:
 
 def _state_stmts(
     block: BasicBlock,
-    receiver: str | None,
+    receivers: dict[int, str],
     plan: StateMachinePlan,
     inlined: dict[int, BasicBlock],
+    threads: dict[int, BasicBlock],
 ) -> list[Stmt]:
     """One state's statements. A transfer to an `inlined` leaf runs it in
     place; any other sets the instruction variable, and a state that does
-    not return falls back into the dispatch."""
+    not return falls back into the dispatch. A goto ending a state in
+    `threads` runs the target state's statements in place, once: the
+    copy's own jumps set the instruction variable."""
 
     def run(block: BasicBlock) -> list[Stmt]:
         out = [_hoisted(stmt) for stmt in block.stmts]
@@ -249,8 +300,15 @@ def _state_stmts(
             return run(inlined[target])
         return [Assign(plan.inst_var, IntLit(target))]
 
+    receiver = receivers.get(block.id)
     out = [Assign(receiver, Var(plan.resume_param))] if receiver is not None else []
-    return out + run(block)
+    out += run(block)
+    target = threads.get(block.id)
+    if target is not None:
+        if target.id in receivers:
+            raise AssertionError("a jump runs a receiver's state in place")
+        out[-1:] = _state_stmts(target, receivers, plan, inlined, {})
+    return out
 
 
 def _hoisted(stmt: Stmt) -> Stmt:

@@ -193,17 +193,15 @@ SIMPLE_SWITCHED_FIRST_ORDER = """fn apply(c, r) {
 }
 
 fn f_fo(_e, _r) {
-  while (true) {
-    switch (_e._i) case 1 {
-    _e._i = 2
-    return _e.n
-    } case 2 {
-    _e.x = _r
-    _e._i = 0
-    return _e.n + _e.x
-    } else {
-    return null
-    }
+  switch (_e._i) case 1 {
+  _e._i = 2
+  return _e.n
+  } case 2 {
+  _e.x = _r
+  _e._i = 0
+  return _e.n + _e.x
+  } else {
+  return null
   }
 }
 
@@ -216,9 +214,10 @@ fn main() {
 """
 
 
-def test_threaded_first_order_shape(monkeypatch):
-    # Named for the threaded form it used to force: with CHAIN_MAX 0 the
-    # two-state coroutine switches on its environment's field.
+def test_switched_first_order_shape(monkeypatch):
+    # With CHAIN_MAX 0 the two-state coroutine switches on its
+    # environment's field; both cases return, so the lifted body is the
+    # switch alone.
     monkeypatch.setattr(transform, "CHAIN_MAX", 0)
     lowered = transform_program(
         parse_source("fn* f(n) { let x = yield n yield n + x } fn main() { }")
@@ -232,14 +231,15 @@ def test_threaded_first_order_shape(monkeypatch):
 def test_switched_factory_matches_after_a_round_trip(arms):
     # Case bodies print at the switch's indent and still read back as the
     # factory they were, so its text defunctionalizes as the tree does:
-    # 4 and 81 optimized states.
+    # 4 and 81 optimized states, a loop-free switch (the last case runs
+    # the entry's statements in place of its jump back).
     source = wide_source(arms, 5)
     lowered = transform_program(parse_source(source))
     again = parse_source(print_source(lowered))
     assert again == lowered
     shape = match_factory(again.decls[0])
     assert shape is not None
-    assert len(shape.machine_body.stmts[0].body.stmts[0].cases) == arms + 1
+    assert len(shape.machine_body.stmts[0].cases) == arms + 1
     program = defunctionalize(again)
     assert program == defunctionalize(lowered)
     assert interp(program) == interp_native(parse_source(source))

@@ -41,11 +41,12 @@ def test_printed_forms_match_snapshot(name):
 
 def test_hundred_arm_program_prints_its_bytes():
     # The 101-state optimized machine and its first-order form, switched,
-    # with each case body at the switch's own indent: 2 bytes more lowered
-    # than the threaded dispatch printed (15,247) and 1,004 fewer
-    # first-order (16,236); one level deeper they would take 16,655 and
-    # 16,638. wide-states starts its instance at a six-digit value, which
-    # prints 5 bytes more than 0.
+    # with each case body at the switch's own indent and no loop around
+    # the switch: the last case runs the entry's statements in place of
+    # its jump back, 100 bytes more, and the machine loses the loop's two
+    # lines and its indent. With the loop they took 15,249 and 15,232
+    # bytes, the threaded dispatch 15,247 and 16,236. wide-states starts
+    # its instance at a six-digit value, which prints 5 bytes more than 0.
     forms = program_forms(parse_source(wide_source(100, 300)))
     sizes = {form: len(print_source(forms[form]).encode()) for form in FORMS}
-    assert sizes == {"lowered-opt": 15_249, "lowered-noopt": 21_597, "first-order": 15_232}
+    assert sizes == {"lowered-opt": 13_712, "lowered-noopt": 21_597, "first-order": 13_699}

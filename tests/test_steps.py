@@ -6,10 +6,11 @@ interpreter that moves them has to update these numbers on purpose.
 
 import pytest
 
-from corolower.cli import program_forms
+from corolower.cli import diff_forms, program_forms
 from corolower.errors import BudgetExceeded
 from corolower.interp import Interpreter, resume_any
 from corolower.parser import parse_source
+from corolower.printer import print_source
 
 from conftest import CORPUS_DIR, FIB_SOURCE, wide_source
 
@@ -41,18 +42,20 @@ def test_fib_steps_per_next():
 
 def test_hundred_arm_family_steps_per_next():
     # 101 states optimized, each arm's two yields inlined into its branch,
-    # and 302 unoptimized, each machine dispatched by one switch: 29.11
-    # steps per next lowered-opt where the threaded dispatch that took
-    # machines of more than 64 states spent 37.85.
+    # and 302 unoptimized, each machine dispatched by one switch. The
+    # optimized loop's only jump back, `i = i + 1` into the entry, runs the
+    # entry's statements in place, so its machine has no `while (true)`:
+    # 27.07 steps per next lowered-opt where the loop spent 29.11 and the
+    # threaded dispatch that took machines of more than 64 states 37.85.
     nexts = 300
     steps = steps_per_form(wide_source(100, nexts))
     assert steps == {
         "native": 6_924,
-        "lowered-opt": 8_734,
+        "lowered-opt": 8_122,
         "lowered-noopt": 10_558,
-        "first-order": 12_644,
+        "first-order": 12_028,
     }
-    assert round(steps["lowered-opt"] / nexts, 2) == 29.11
+    assert round(steps["lowered-opt"] / nexts, 2) == 27.07
 
 
 def test_instance_steps_per_dispatch_scheme():
@@ -73,40 +76,45 @@ def test_instance_steps_per_dispatch_scheme():
 
 
 @pytest.mark.parametrize(
-    "nexts, numbered, threaded",
+    "nexts, switched, ceiling",
     [
         (0, (14, 14, 16), (220, 622, 17)),
-        (1, (43, 57, 58), (257, 689, 69)),
-        (12, (362, 442, 520), (664, 1_250, 641)),
-        (13, (391, 477, 562), (701, 1_301, 693)),
-        (300, (8_734, 10_558, 12_644), (11_356, 16_006, 15_667)),
-        (11, (333, 407, 478), (627, 1_199, 589)),
+        (1, (41, 57, 56), (257, 689, 69)),
+        (12, (338, 442, 496), (664, 1_250, 641)),
+        (13, (365, 477, 536), (701, 1_301, 693)),
+        (300, (8_122, 10_558, 12_028), (11_356, 16_006, 15_667)),
+        (11, (311, 407, 456), (627, 1_199, 589)),
     ],
 )
-def test_threaded_instance_pays_back_by_nexts(nexts, numbered, threaded):
+def test_switched_instance_steps_by_nexts(nexts, switched, ceiling):
     # Whole-run steps of one 100-arm instance resumed `nexts` times, in
-    # lowered-opt, lowered-noopt and first-order form. `numbered` is the
-    # switch's, and `threaded` what the threaded dispatch spent before it
+    # lowered-opt, lowered-noopt and first-order form. `switched` is the
+    # switch's, and `ceiling` what the threaded dispatch spent before it
     # was deleted: it never paid back its closures against the switch, in
-    # any form, and the switch must stay below it.
+    # any form, and the switch must stay below it. The optimized machine
+    # has no loop: lowered-opt and first-order, a `next` saves its 2 steps
+    # and each jump back after `i = i + 1` 6 more, for `_i = 1`, the loop
+    # and the switch.
     counts = steps_per_form(wide_source(100, nexts))
     steps = tuple(counts[form] for form in FORMS[1:])
-    assert steps == numbered
-    assert all(s < t for s, t in zip(steps, threaded))
+    assert steps == switched
+    assert all(s < t for s, t in zip(steps, ceiling))
 
 
 def test_a_switch_dispatch_costs_two_steps_lowered_and_three_first_order():
     # Five yields in a row make five states, so the machine dispatches
-    # through a switch. A `next` spends 2 steps on `while (true)`, 2 on
-    # `switch (_i)` and 4 on `_i = k + 1` and `return k`; first-order 3 on
-    # `switch (_e._i)` and 5 on the state, whose `_e._i = k + 1` reads
-    # `_e`. Once finished, the sink 0 runs the switch's `return null`.
+    # through a switch. A `next` spends 2 steps on `switch (_i)` and 4 on
+    # `_i = k + 1` and `return k`; first-order 3 on `switch (_e._i)` and 5
+    # on the state, whose `_e._i = k + 1` reads `_e`. Every case returns,
+    # so the optimized machine has no loop; unoptimized, `while (true)`
+    # costs 2 steps more. Once finished, the sink 0 runs the switch's
+    # `return null`.
     source = "fn* g() { yield 1 yield 2 yield 3 yield 4 yield 5 } fn main() { }"
     forms = program_forms(parse_source(source))
     for form, per_next, at_sink in (
-        ("lowered-opt", 8, 6),
+        ("lowered-opt", 6, 4),
         ("lowered-noopt", 8, 6),
-        ("first-order", 10, 7),
+        ("first-order", 8, 5),
     ):
         interp = Interpreter(forms[form])
         instance = interp.call(interp.globals.lookup("g"), [])
@@ -133,20 +141,78 @@ def exhaust_at(forms, form, budgets):
     return interp.steps
 
 
+# How a machine with no `while (true)` starts, as printed.
+LOOP_FREE = "return fn (_r) {\n    switch (_i)"
+
+
 def test_switched_machines_exhaust_the_budget_step_exactly():
     # 21 states optimized and 62 unoptimized at every budget; 101 and 302,
     # switched where the threaded dispatch used to take over above 64, at
-    # about 150 budgets sampled across each run and the last one.
+    # about 150 budgets sampled across each run and the last one. Both
+    # optimized machines are loop-free switches (the entry's statements
+    # run in place of the jump back), both unoptimized ones loop; at 60
+    # nexts of 20 arms the loop-free machine jumps back twice.
     forms = program_forms(parse_source(wide_source(20, 60)))
+    assert LOOP_FREE in print_source(forms["lowered-opt"])
+    assert LOOP_FREE not in print_source(forms["lowered-noopt"])
     full_steps = {form: exhaust_at(forms, form, lambda n: range(1, n)) for form in FORMS[1:]}
-    assert full_steps == {"lowered-opt": 1_774, "lowered-noopt": 2_158, "first-order": 2_564}
+    assert full_steps == {"lowered-opt": 1_642, "lowered-noopt": 2_158, "first-order": 2_428}
 
     def sampled(n):
         return [*range(1, n, 1 + n // 150), n - 1]
 
     forms = program_forms(parse_source(wide_source(100, 30)))
+    assert LOOP_FREE in print_source(forms["lowered-opt"])
     full_steps = {form: exhaust_at(forms, form, sampled) for form in FORMS[1:]}
-    assert full_steps == {"lowered-opt": 884, "lowered-noopt": 1_072, "first-order": 1_276}
+    assert full_steps == {"lowered-opt": 824, "lowered-noopt": 1_072, "first-order": 1_216}
+
+
+DRAIN_SOURCE = """fn* drain(n) {
+  while (n > 0) {
+    let x = yield n
+    if (x == null) {
+      x = 1
+    }
+    yield x
+    yield n + x
+    n = n - x
+  }
+  return n
+}
+
+fn main() {
+  let g = drain(20)
+  let i = 0
+  while (i < 30) {
+    print(next(g, i % 4))
+    i = i + 1
+  }
+}
+"""
+
+
+def test_a_receiver_binding_is_never_copied():
+    # Optimized, drain has 4 states: the loop header 1, the receiver 3
+    # that binds x, and the resumptions 4 and 5. State 5's `n = n - x` is
+    # the header's only jump, so case 5 runs the header's statements in
+    # place of `_i = 1`, and the machine has no loop. The copy resumes at
+    # state 3, which binds x in its own case only. At the loop's 886
+    # steps lowered-opt and 1,302 first-order, a `next` spent 2 steps
+    # more and each of the 9 jumps back 6 more.
+    forms = program_forms(parse_source(DRAIN_SOURCE))
+    text = print_source(forms["lowered-opt"])
+    assert LOOP_FREE in text
+    assert text.count("x = _r") == 1
+    assert text.count("if (n > 0) {") == 2
+    assert steps_per_form(DRAIN_SOURCE) == {
+        "native": 626,
+        "lowered-opt": 772,
+        "lowered-noopt": 1_006,
+        "first-order": 1_170,
+    }
+    assert diff_forms(forms, 100, 10_000_000) == []
+    full_steps = {form: exhaust_at(forms, form, lambda n: range(1, n, 7)) for form in FORMS}
+    assert full_steps == steps_per_form(DRAIN_SOURCE)
 
 
 TALLY_SOURCE = """fn* tally(start) {

@@ -43,6 +43,7 @@ from conftest import (
     outside_closures,
     wide_source,
 )
+from genfuzz import random_generator_program
 
 # The two-yield coroutine of the paper, and its expected machine: state 1
 # returns n and advances; state 2 binds the resume value, finishes, and
@@ -107,18 +108,24 @@ fn fib() {
 
 
 def machine_loop(decl):
-    """The machine's `while (true)`."""
+    """The machine's `while (true)`, or None for a switch that no case
+    falls through, which is the machine's only statement."""
     ret = decl.body.stmts[-1]
     machine = ret.value
     assert isinstance(machine, FuncLit)
     (loop,) = machine.body.stmts
+    if isinstance(loop, Switch):
+        return None
     assert isinstance(loop, While) and loop.cond == BoolLit(True)
     return loop
 
 
 def dispatch_root(decl):
-    """The dispatch statement inside the machine's `while (true)`."""
+    """The dispatch statement: the body of the machine's `while (true)`,
+    or the machine's body where it has no loop."""
     loop = machine_loop(decl)
+    if loop is None:
+        return decl.body.stmts[-1].value.body.stmts[0]
     assert len(loop.body.stmts) == 1
     return loop.body.stmts[0]
 
@@ -223,7 +230,7 @@ def expected_states(graph, opt):
     for block in graph.blocks.values():
         for target in successors(block) - {END}:
             preds[target] += 1
-        if isinstance(block.terminator, Branch) and block.terminator.then == block.terminator.orelse:
+        if isinstance(block.terminator, Branch) and block.terminator.then == block.terminator.orelse != END:
             preds[block.terminator.then] += 1  # both arms are edges
         if isinstance(block.terminator, YieldTo):
             resumes.add(block.terminator.resume)
@@ -250,17 +257,78 @@ def region_exits(graph, states, bid):
     return out
 
 
+def jumps(term):
+    """The targets of a terminator's goto or branch arms, not of a yield's
+    resumption."""
+    if isinstance(term, Goto):
+        return [term.target]
+    if isinstance(term, Branch):
+        return [term.then, term.orelse]
+    return []
+
+
+def region_jumps(graph, states, bid):
+    """The states that the inlined region of block `bid` jumps to: the
+    jumps that fall back into the dispatch."""
+    out, seen = set(), set()
+    stack = jumps(graph.blocks[bid].terminator)
+    while stack:
+        target = stack.pop()
+        if target in states:
+            out.add(target)
+        elif target != END and target not in seen:
+            seen.add(target)
+            stack.extend(jumps(graph.blocks[target].terminator))
+    return out
+
+
+def expected_threads(graph, states):
+    """{source: target} for every state whose only incoming jump, over
+    all blocks' gotos and branch arms, is the goto ending state `source`."""
+    sources = {}
+    for bid, block in graph.blocks.items():
+        for target in jumps(block.terminator):
+            sources.setdefault(target, []).append(bid)
+    return {
+        found[0]: target
+        for target, found in sources.items()
+        if target in states
+        and len(found) == 1
+        and found[0] in states
+        and isinstance(graph.blocks[found[0]].terminator, Goto)
+    }
+
+
 def check_arms_follow_the_cfg(decl, opt):
     machine = rewrite_generator(decl, opt)
     graph, plan = plan_generator(decl, opt)
     arms = dispatch_arms(machine)
     states = expected_states(graph, opt)
     assert sorted(arms) == plan.states == sorted(states)
+    # Optimized, a switched state whose goto is its target's only jump
+    # runs a copy of the target's case in place of `_i = target`; the
+    # copy threads no further. The machine keeps its loop only while a
+    # jump falls back into the dispatch.
+    switched = dispatch_switch(machine) is not None
+    threads = expected_threads(graph, states) if opt and switched else {}
+    own = dict(arms)
+    falls_through = set()
     for state in states:
-        assert transfers(machine, arms[state]) == region_exits(graph, states, state), state
-    # Every branch is emitted once, as an `if` whose arms transfer, and
-    # an arm holds no branch, so no block is copied and nothing nests
+        exits = region_exits(graph, states, state)
+        falls = region_jumps(graph, states, state)
+        target = threads.get(state)
+        if target is not None:
+            own[state] = arms[state][: -len(arms[target])]
+            assert own[state] + arms[target] == arms[state], state
+            exits = exits - {target} | region_exits(graph, states, target)
+            falls = falls - {target} | region_jumps(graph, states, target)
+        assert transfers(machine, arms[state]) == exits, state
+        falls_through |= falls
+    assert (machine_loop(machine) is None) == (opt and switched and not falls_through)
+    # Every branch is emitted once outside the copies, as an `if` whose
+    # arms transfer, and an arm holds no branch, so nothing nests
     # deeper. The other `if`s are the ones the blocks keep whole.
+    arms = own
     inst = machine.body.stmts[0].name
 
     def transfers_control(node):
@@ -609,12 +677,40 @@ FIVE_YIELDS_MACHINE = """fn g() {
 """
 
 
+FIVE_YIELDS_LOOP_FREE = """fn g() {
+  let _i = 1
+  return fn (_r) {
+    switch (_i) case 1 {
+    _i = 2
+    return 1
+    } case 2 {
+    _i = 3
+    return 2
+    } case 3 {
+    _i = 4
+    return 3
+    } case 4 {
+    _i = 5
+    return 4
+    } case 5 {
+    _i = 0
+    return 5
+    } else {
+    return null
+    }
+  }
+}
+"""
+
+
 def test_five_yields_print_as_one_switch():
-    # Each state's statements stand at the switch's own indent, as deep as
-    # a statement of the machine's loop.
+    # Each state's statements stand at the switch's own indent. Every case
+    # returns, so the optimized machine is the switch alone; unoptimized
+    # it keeps its loop.
     for opt in (True, False):
         lowered = transform_program(parse_source(yields_source(5)), opt)
-        assert print_source(lowered).startswith(FIVE_YIELDS_MACHINE), opt
+        expected = FIVE_YIELDS_LOOP_FREE if opt else FIVE_YIELDS_MACHINE
+        assert print_source(lowered).startswith(expected), opt
 
 
 def test_dispatch_tree_selects_every_state():
@@ -664,6 +760,70 @@ def test_arms_follow_the_cfg(monkeypatch, chain_max):
     assert len(switched) == (7 if chain_max == CHAIN_MAX else 1)
 
 
+def test_the_fuzz_sweeps_thread_and_drop_loops():
+    # Of the optimized machines of both fuzz sweeps over seeds 0-299, 69
+    # switch; 3 of those run a state in place of its only jump, and 17 have
+    # no jump left that falls back into the dispatch, so they drop the
+    # loop. check_arms_follow_the_cfg holds each copy to its one jump.
+    switched = threaded = loop_free = 0
+    for arm_yields in (True, False):
+        for seed in range(300):
+            decl = random_generator_program(seed, arm_yields)[0].decls[0]
+            machine = check_arms_follow_the_cfg(decl, True)
+            if dispatch_switch(machine) is not None:
+                graph, plan = plan_generator(decl)
+                switched += 1
+                threaded += bool(expected_threads(graph, set(plan.states)))
+                loop_free += machine_loop(machine) is None
+    assert (switched, threaded, loop_free) == (69, 3, 17)
+
+
+DRAIN = """fn* drain(n) {
+  n = n + 1
+  while (n > 0) {
+    let x = yield n
+    yield x
+    yield n + x
+    n = n - x
+  }
+  return n
+}
+fn main() { }
+"""
+
+
+def test_a_header_with_two_jumps_keeps_its_loop():
+    # The entry's `n = n + 1` and the loop's last state both jump to the
+    # loop header, so no state runs in place of a jump, and the entry's
+    # jump falls back into the loop of the switch.
+    program = parse_source(DRAIN)
+    machine = check_arms_follow_the_cfg(program.decls[0], True)
+    graph, plan = plan_generator(program.decls[0])
+    assert len(plan.states) == 5 and expected_threads(graph, set(plan.states)) == {}
+    assert dispatch_switch(machine) is not None and machine_loop(machine) is not None
+    assert print_source(transform_program(program)).count("if (n > 0) {") == 1
+    # Without its first line, the header is the entry and one state's
+    # goto is its only jump: that state runs a copy, and the loop goes.
+    program = parse_source(DRAIN.replace("  n = n + 1\n", ""))
+    machine = check_arms_follow_the_cfg(program.decls[0], True)
+    graph, plan = plan_generator(program.decls[0])
+    assert expected_threads(graph, set(plan.states)) == {5: 1}
+    assert machine_loop(machine) is None
+    assert print_source(transform_program(program)).count("if (n > 0) {") == 2
+
+
+def test_a_jump_never_runs_a_receiver_in_place():
+    # A receiver's state is reached only by its yield's resumption, so no
+    # jump runs it in place; `_state_stmts` refuses a threading that would
+    # copy its binding into the jumping state.
+    decl = parse_source(DRAIN.replace("  n = n + 1\n", "")).decls[0]
+    graph, plan = plan_generator(decl)
+    receivers = transform._receivers(graph)
+    assert receivers == {3: "x"}
+    with pytest.raises(AssertionError, match="receiver"):
+        transform._state_stmts(graph.blocks[5], receivers, plan, {}, {5: graph.blocks[3]})
+
+
 def yields_source(count):
     """A generator of `count` yields in a row: `count` states optimized."""
     body = "".join(f"  yield {k}\n" for k in range(1, count + 1))
@@ -671,15 +831,16 @@ def yields_source(count):
 
 
 @pytest.mark.parametrize("states", [64, 65])
-def test_threaded_dispatch_starts_above_switch_max(states):
-    # Named for the threaded dispatch that machines of more than 64 states
-    # used to take: on either side of 64 a machine switches, and its
+def test_machines_switch_on_either_side_of_64_states(states):
+    # On either side of 64, where a threaded dispatch once took over, a
+    # machine switches with no loop, as every case returns, and its
     # first-order form lifts nothing but its machine.
     program = parse_source(yields_source(states))
     decl = program.decls[0]
     machine = rewrite_generator(decl)
     assert dispatch_states(machine) == states == len(merge_blocks(build_cfg(decl)).blocks)
     assert list(dispatch_switch(machine).table) == list(range(1, states + 1))
+    assert machine_loop(machine) is None
     forms = cli.program_forms(program)
     assert [d.name for d in forms["first-order"].decls] == ["apply", "g_fo", "g", "main"]
     script = [None] * (states + 2)
@@ -693,27 +854,25 @@ fn f(n) {
   let _i = 1
   let x = null
   return fn (_r) {
-    while (true) {
-      switch (_i) case 1 {
-      _i = 2
-      return n
-      } case 2 {
-      x = _r
-      _i = 0
-      return n + x
-      } else {
-      return null
-      }
+    switch (_i) case 1 {
+    _i = 2
+    return n
+    } case 2 {
+    x = _r
+    _i = 0
+    return n + x
+    } else {
+    return null
     }
   }
 }
 """
 
 
-def test_simple_coroutine_threaded_machine(monkeypatch):
-    # Named for the threaded machine it used to force: with CHAIN_MAX 0
-    # the two-state coroutine switches, and each case body prints at the
-    # switch's own indent.
+def test_simple_coroutine_switched_machine(monkeypatch):
+    # With CHAIN_MAX 0 the two-state coroutine switches, each case body
+    # prints at the switch's own indent, and since both cases return the
+    # machine is the switch alone, with no `while (true)`.
     monkeypatch.setattr(transform, "CHAIN_MAX", 0)
     lowered = transform_program(parse_source(SIMPLE_COROUTINE))
     machine = lowered.decls[0]
@@ -739,12 +898,13 @@ def test_threaded_loop_without_a_yield_stays_a_loop():
         assert Interpreter(form).run() == [100_000], name
 
 
-def test_threaded_machine_yields_records():
-    # A switched machine of 100 states, more than the 64 above which the
-    # threaded dispatch, now gone, took over, yields fresh records.
+def test_switched_machine_yields_records():
+    # A loop-free switched machine of 100 states yields fresh records.
     yields = "".join("  yield {}\n" for _ in range(99))
     program = parse_source(f"fn* g() {{\n  yield null\n{yields}}}\n\nfn main() {{\n}}\n")
-    assert len(dispatch_switch(transform_program(program).decls[0]).cases) == 100
+    machine = transform_program(program).decls[0]
+    assert len(dispatch_switch(machine).cases) == 100
+    assert machine_loop(machine) is None
     script = [None] * 102
     for name, form in cli.program_forms(program).items():
         seq = resume_sequence(form, "g", [], script)
