@@ -311,15 +311,22 @@ def check_arms_follow_the_cfg(decl, opt):
     # jump falls back into the dispatch.
     switched = dispatch_switch(machine) is not None
     threads = expected_threads(graph, states) if opt and switched else {}
-    own = dict(arms)
+    inst = machine.body.stmts[0].name
+
+    def unthreaded(state):
+        """The state's statements with `_i = target` in place of a copy."""
+        target = threads.get(state)
+        if target is None:
+            return arms[state]
+        return arms[state][: -len(unthreaded(target))] + [Assign(inst, IntLit(target))]
+
     falls_through = set()
     for state in states:
         exits = region_exits(graph, states, state)
         falls = region_jumps(graph, states, state)
         target = threads.get(state)
         if target is not None:
-            own[state] = arms[state][: -len(arms[target])]
-            assert own[state] + arms[target] == arms[state], state
+            assert unthreaded(state)[:-1] + unthreaded(target) == arms[state], state
             exits = exits - {target} | region_exits(graph, states, target)
             falls = falls - {target} | region_jumps(graph, states, target)
         assert transfers(machine, arms[state]) == exits, state
@@ -328,8 +335,7 @@ def check_arms_follow_the_cfg(decl, opt):
     # Every branch is emitted once outside the copies, as an `if` whose
     # arms transfer, and an arm holds no branch, so nothing nests
     # deeper. The other `if`s are the ones the blocks keep whole.
-    arms = own
-    inst = machine.body.stmts[0].name
+    arms = {state: unthreaded(state) for state in states}
 
     def transfers_control(node):
         return any(
@@ -822,6 +828,20 @@ def test_a_jump_never_runs_a_receiver_in_place():
     assert receivers == {3: "x"}
     with pytest.raises(AssertionError, match="receiver"):
         transform._state_stmts(graph.blocks[5], receivers, plan, {}, {5: graph.blocks[3]})
+
+
+def test_a_copy_threads_no_further():
+    # A copy is the target's own statements, its jumps setting `_i`, even
+    # where the target's own case runs a further state in place. The
+    # graph builder makes no such chain of single jumps (none among the
+    # switched machines of 40,000 fuzz generators), so it is given here.
+    decl = parse_source(DRAIN.replace("  n = n + 1\n", "")).decls[0]
+    graph, plan = plan_generator(decl)
+    receivers = transform._receivers(graph)
+    blocks = graph.blocks
+    one = transform._state_stmts(blocks[5], receivers, plan, {}, {5: blocks[1]})
+    chain = transform._state_stmts(blocks[5], receivers, plan, {}, {5: blocks[1], 1: blocks[4]})
+    assert chain == one
 
 
 def yields_source(count):
