@@ -253,14 +253,23 @@ def diff_program(program: Program, resumptions: int, step_budget: int) -> list[s
     return diff_forms(program_forms(program), resumptions, step_budget)
 
 
+# What a form's run costs, roughly in proportion to its interpreter steps
+# per `next`: fib-long reads 23 / 49 / 71 / 73, many-short 20 / 48 / 46 / 68.
+FORM_COST = {"native": 1, "lowered-opt": 2, "lowered-noopt": 2, "first-order": 3}
+
+
 def diff_forms(forms: dict[str, Program], resumptions: int, step_budget: int) -> list[str]:
     """The agreement check on the forms program_forms produced. Every
     form runs `main` and traces every generator, and the forms agree when
     `print` would show the same text for every value. The forms are dealt
-    round-robin to up to one process per usable CPU, this one included
-    (see `_run_share`), yet the report and the error raised are those of
-    a serial run: the first run that fails, taking every form's output in
-    form order and then each generator's traces in form order, raises."""
+    to up to one process per usable CPU, this one included (see
+    `_run_share`), by FORM_COST: costliest first, each to the share with
+    the least cost so far. So on 2 CPUs this process runs native and
+    first-order, and a child lowered-opt and lowered-noopt. The report and
+    the error raised are those of a serial run: the first run that fails,
+    taking every form's output in form order and then each generator's
+    traces in form order, raises. Each share keeps form order, so a run
+    that a share skips after its first failure comes later in that order."""
     # The language discards a first `next`'s value, so a form that binds
     # it diverges from the native one.
     script = [-1] + list(range(1, resumptions))
@@ -272,7 +281,10 @@ def diff_forms(forms: dict[str, Program], resumptions: int, step_budget: int) ->
     names = list(forms)
     cpus = _usable_cpus()
     workers = max(1, min(len(names), len(cpus)))
-    shares = [names[k::workers] for k in range(workers)]
+    shares = [[] for _ in range(workers)]
+    for name in sorted(names, key=FORM_COST.get, reverse=True):
+        min(shares, key=lambda share: sum(FORM_COST[form] for form in share)).append(name)
+    shares = [sorted(share, key=names.index) for share in shares]
     children = []  # (share, pid, pipe) of every child not reaped yet
     if workers > 1:
         _pin({cpus[0]})

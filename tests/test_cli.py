@@ -467,8 +467,11 @@ FAILING_FORMS = {
         (("output", "output too", "fine"), "division by zero (line 1, col 41)"),
         # Every output before any trace.
         (("trace", "output too", "output"), "modulo by zero (line 1, col 41)"),
+        # On 2 CPUs a child runs lowered-opt and lowered-noopt, and its
+        # error comes before that of first-order, which this process runs.
+        (("fine", "output", "output too"), "division by zero (line 1, col 41)"),
     ],
-    ids=["form-order", "outputs-first"],
+    ids=["form-order", "outputs-first", "child-first"],
 )
 def test_diff_raises_the_error_a_serial_run_reaches_first(
     capsys, monkeypatch, tmp_path, count, failing, message
@@ -498,6 +501,33 @@ def test_diff_forms_leaves_no_child(monkeypatch, count):
         diff_forms(corrupted_fib_forms(), 100, 50)
     assert_no_child_left()
     assert pins == ([{0}, set(range(count))] * 3 if count > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "count, split",
+    [
+        (2, {None: ["native", "first-order"], 1: ["lowered-opt", "lowered-noopt"]}),
+        (4, {None: ["first-order"], 1: ["lowered-opt"], 2: ["lowered-noopt"], 3: ["native"]}),
+    ],
+    ids=["2-cpus", "4-cpus"],
+)
+def test_diff_forms_splits_the_forms_by_cost_in_form_order(monkeypatch, count, split):
+    # {CPU a child is pinned to, or None for this process: its share}
+    calls = {}
+    run_share = cli._run_share
+
+    def record(forms, share, traces, script, step_budget, cpu=None):
+        calls[cpu] = list(share)
+        return run_share(forms, share, traces, script, step_budget, cpu)
+
+    cpus(monkeypatch, count)
+    monkeypatch.setattr(cli, "_run_share", record)
+    forms = program_forms(parse_source(FIB_SOURCE))
+    assert diff_forms(forms, 100, 10_000_000) == []
+    assert calls == split
+    for share in calls.values():
+        assert share == [form for form in forms if form in share]
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
