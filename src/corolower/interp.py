@@ -29,6 +29,17 @@ iteration. Binary operators on two integers are looked up in
   generator's body. It returns None when the body falls
   off its end and `(value,)` on `return`.
 
+The step budget is checked only where a run can go on without end or be
+seen, as a runtime checks at yieldpoints: each `while` iteration, entry
+to and return from `call`, return from `resume`, and `print` between
+evaluating its value and appending it. `steps` only grows, so a run
+found past the budget at such a point passed it at a step since the
+last one, with nothing seen in between: `_exhausted` sets `steps` to
+budget + 1, where a check at every node would have stopped. A runtime
+error raised past the budget is that exhaustion (`call` and `resume`
+turn it into one), and so is running out of Python's stack (`run` and
+`trace_instance`).
+
 A state machine selects its state in one of two ways, each taken with
 one lookup. A machine of more than four states, or an optimized one of
 four (transform.CHAIN_MAX), dispatches through a `switch`: `_switch`
@@ -36,17 +47,15 @@ charges its step and its subject's, then takes the case for an integer
 value from the table on the node, or runs `else`. A smaller one
 dispatches through an `_i == k` chain, the lowered machine's or its
 `F_fo`'s. An `if` whose condition is `==` between a selector, a variable
-or a field of one, and an integer literal heads such a chain. The head reads the selector without charging
-a step, and `_arm` looks its value up in the arms cached on the `if`; on
-a miss it walks the chain's tests in Python, keeping the arm it finds
-when a test held. When the value is an integer and the budget covers the
-tests' steps, they are charged at once and the block run. Such tests
-could neither raise nor exhaust the budget, so outputs, steps and errors
-are exact. The sink 0 and any other value no test matches cost one walk
-each time. Any value that is not an integer (null, a boolean, a record,
-an unbound name, a missing field), or a budget that would run out inside
-the chain, runs the tests one by one, where the error or the exhaustion
-is raised at the step it always was.
+or a field of one, and an integer literal heads such a chain. The head
+reads the selector without charging a step, and `_arm` looks its value
+up in the arms cached on the `if`; on a miss it walks the chain's tests
+in Python, keeping the arm it finds when a test held. When the value is
+an integer, the tests' steps are charged at once and the block run; such
+tests cannot raise, so outputs, steps and errors are exact. The sink 0 and any other value no
+test matches cost one walk each time. Any value that is not an integer
+(null, a boolean, a record, an unbound name, a missing field) runs the
+tests one by one, where the error is raised at the step it always was.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -225,12 +234,24 @@ class Interpreter:
 
     def run(self) -> list[object]:
         entry = self.globals.lookup(self.program.entry)
-        self.call(entry, [])
+        try:
+            self.call(entry, [])
+        except RecursionError:
+            if self.steps > self.step_budget:
+                raise self._exhausted() from None
+            raise
         return self.output
+
+    def _exhausted(self) -> BudgetExceeded:
+        """The error of a run found past its budget, stopped one step past it."""
+        self.steps = self.step_budget + 1
+        return BudgetExceeded(_OVER)
 
     # -- calls and resumption -------------------------------------------------
 
     def call(self, fn, args, node=None):
+        if self.steps > self.step_budget:
+            raise self._exhausted()
         if type(fn) is FuncRefV:
             fn = self._resolve_ref(fn, node)
         if type(fn) is not Closure:
@@ -247,11 +268,20 @@ class Interpreter:
         if fn.is_generator:
             return GenInstance(fn.name, _exec_gen(self, fn.body.stmts, env))
         # The body runs here, not through a helper: one Python frame per call.
-        for stmt in fn.body.stmts:
-            result = _STMT[type(stmt)](self, stmt, env)
-            if result is not None:
-                return result[0]
-        return NULL
+        try:
+            for stmt in fn.body.stmts:
+                result = _STMT[type(stmt)](self, stmt, env)
+                if result is not None:
+                    break
+            else:
+                result = (NULL,)
+        except InterpError:
+            if self.steps > self.step_budget:
+                raise self._exhausted() from None
+            raise
+        if self.steps > self.step_budget:
+            raise self._exhausted()
+        return result[0]
 
     def _resolve_ref(self, ref: FuncRefV, node=None) -> Closure:
         # A function reference names a global; globals hold only closures.
@@ -279,11 +309,18 @@ class Interpreter:
             inst.started = True
             value = None  # not-started: the argument is discarded
         try:
-            return inst.runner.send(value)
+            value = inst.runner.send(value)
         except StopIteration as stop:
-            return NULL if stop.value is None else stop.value[0]
-        except ValueError:
-            raise _err("generator is already running")
+            value = NULL if stop.value is None else stop.value[0]
+        except (InterpError, ValueError) as err:
+            if self.steps > self.step_budget:
+                raise self._exhausted() from None
+            if type(err) is ValueError:
+                raise _err("generator is already running")
+            raise
+        if self.steps > self.step_budget:
+            raise self._exhausted()
+        return value
 
 
 # -- executors ----------------------------------------------------------------
@@ -302,8 +339,6 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
                 return result
             continue
         it.steps += 1
-        if it.steps > it.step_budget:
-            raise BudgetExceeded(_OVER)
         if kind is If:
             cond = stmt.cond
             block = stmt.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else stmt.orelse
@@ -319,7 +354,7 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
                     return result
                 it.steps += 1
                 if it.steps > it.step_budget:
-                    raise BudgetExceeded(_OVER)
+                    raise it._exhausted()
         else:
             value = stmt.value
             received = yield _EXPR[type(value)](it, value, env)
@@ -337,8 +372,6 @@ _GEN_KINDS = frozenset({If, While, YieldStmt, LetYield})
 
 def _assign(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     value = stmt.value
     value = _EXPR[type(value)](it, value, env)
     name = stmt.name
@@ -362,8 +395,6 @@ def _if(it, stmt, env):
             return None
     else:
         it.steps += 1
-        if it.steps > it.step_budget:
-            raise BudgetExceeded(_OVER)
         cond = stmt.cond
         truth = _EXPR[type(cond)](it, cond, env)
         if truth is True:
@@ -386,8 +417,8 @@ def _arm(it, stmt, env):
     """The arm of the dispatch chain under stmt that the selector's value
     picks: the block its tests reach (None when an `if` without else is
     false) and the steps they charge, read without charging a step. None
-    unless the value is an integer and the budget covers those steps, so
-    that the tests could raise nothing.
+    unless the value is an integer, so that the tests could raise nothing.
+    The budget is checked after them, as after any node (module docstring).
 
     The chain is stmt and, below any `if` of it, the `if` that is the one
     statement of its else block when that tests the same selector. A test
@@ -420,15 +451,11 @@ def _arm(it, stmt, env):
             if type(test) is not If or test.dispatch is None or test.dispatch[:2] != (name, field):
                 arm = (block, steps)
                 break
-    if it.steps + arm[1] > it.step_budget:
-        return None
     return arm
 
 
 def _switch(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     subject = stmt.subject
     value = _EXPR[type(subject)](it, subject, env)
     # Only an int selects a case: a bool would find the case of 0 or 1.
@@ -447,8 +474,6 @@ def _switch(it, stmt, env):
 
 def _while(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     cond, body = stmt.cond, stmt.body.stmts
     while _bool(_EXPR[type(cond)](it, cond, env), cond):
         for inner in body:
@@ -457,14 +482,12 @@ def _while(it, stmt, env):
                 return result
         it.steps += 1
         if it.steps > it.step_budget:
-            raise BudgetExceeded(_OVER)
+            raise it._exhausted()
     return None
 
 
 def _return(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     value = stmt.value
     if value is None:
         return (NULL,)
@@ -473,24 +496,21 @@ def _return(it, stmt, env):
 
 def _print(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     value = stmt.value
-    it.output.append(_EXPR[type(value)](it, value, env))
+    value = _EXPR[type(value)](it, value, env)
+    if it.steps > it.step_budget:  # what is printed is seen
+        raise it._exhausted()
+    it.output.append(value)
 
 
 def _expr_stmt(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     value = stmt.value
     _EXPR[type(value)](it, value, env)
 
 
 def _field_set(it, stmt, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     record, value = stmt.record, stmt.value
     record = _EXPR[type(record)](it, record, env)
     if type(record) is not Record or stmt.field not in record.fields:
@@ -524,22 +544,16 @@ _STMT = {
 
 def _literal(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     return expr.value
 
 
 def _null(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     return NULL
 
 
 def _var(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     name = expr.name
     while env is not None:
         if name in env.vars:
@@ -550,8 +564,6 @@ def _var(it, expr, env):
 
 def _binary(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     op, lhs, rhs = expr.op, expr.lhs, expr.rhs
     a = _EXPR[type(lhs)](it, lhs, env)
     if op in _SHORT_CIRCUIT:
@@ -604,8 +616,6 @@ _INT_OPS = {
 
 def _unary(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     operand = expr.operand
     operand = _EXPR[type(operand)](it, operand, env)
     if expr.op == "-":
@@ -617,8 +627,6 @@ def _unary(it, expr, env):
 
 def _call(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     callee = expr.callee
     fn = _EXPR[type(callee)](it, callee, env)
     return it.call(fn, [_EXPR[type(a)](it, a, env) for a in expr.args], expr)
@@ -626,8 +634,6 @@ def _call(it, expr, env):
 
 def _next_call(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     gen, arg = expr.gen, expr.arg
     target = _EXPR[type(gen)](it, gen, env)
     value = NULL if arg is None else _EXPR[type(arg)](it, arg, env)
@@ -636,8 +642,6 @@ def _next_call(it, expr, env):
 
 def _field_get(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     record = expr.record
     record = _EXPR[type(record)](it, record, env)
     if type(record) is not Record or expr.field not in record.fields:
@@ -647,15 +651,11 @@ def _field_get(it, expr, env):
 
 def _record_lit(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     return Record({k: _EXPR[type(v)](it, v, env) for k, v in expr.fields})
 
 
 def _func_ref(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     ref = FuncRefV(expr.name)
     it._resolve_ref(ref, expr)
     return ref
@@ -663,8 +663,6 @@ def _func_ref(it, expr, env):
 
 def _func_lit(it, expr, env):
     it.steps += 1
-    if it.steps > it.step_budget:
-        raise BudgetExceeded(_OVER)
     return Closure(expr.params, expr.body, env)
 
 
@@ -741,8 +739,9 @@ def trace_instance(interp_: Interpreter, instance, resume_values) -> list:
     for index, value in enumerate(resume_values):
         try:
             results.append(resume_any(interp_, instance, value))
-        except InterpError as err:
-            raise type(err)(
-                f"resumption {index}: {err.message}", err.line, err.col
-            ) from err
+        except (InterpError, RecursionError) as caught:
+            err = interp_._exhausted() if interp_.steps > interp_.step_budget else caught
+            if type(err) is RecursionError:
+                raise
+            raise type(err)(f"resumption {index}: {err.message}", err.line, err.col) from err
     return results

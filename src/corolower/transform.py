@@ -96,13 +96,13 @@ from .syntax import (
 CHAIN_MAX = 4
 
 # A bound on the levels of nesting the optimized lowering puts above a
-# statement of a block, as the parser counts them (9): the factory's body,
-# `return fn (_r)`, the machine's body and its loop, a chain of CHAIN_MAX
-# and a branch arm. Its chain is one test shorter, and that chain of three
-# nests deepest, so a level is to spare: a switch's case nests two levels
-# less, a switch with no loop around it three, and a state run in place of
-# a jump sits at case level. The first-order form nests less.
-LOWERED_DEPTH = 4 + CHAIN_MAX + 1
+# statement of a block, as the parser counts them (8): the factory's body,
+# `return fn (_r)`, the machine's body and its loop, the optimized chain
+# of CHAIN_MAX - 1 tests and a branch arm. That chain nests deepest: a
+# switch's case nests a level less, a switch with no loop around it two,
+# and a state run in place of a jump sits at case level. The first-order
+# form nests less.
+LOWERED_DEPTH = 4 + CHAIN_MAX
 
 
 @dataclass

@@ -54,6 +54,8 @@ def _walk(it: Interpreter, graph: Cfg, env: Env):
     and returns `(value,)` at a Finish with a value."""
     ip = graph.entry
     while ip != END:
+        if it.steps > it.step_budget:  # a graph loops through its blocks
+            raise it._exhausted()
         block = graph.blocks[ip]
         for stmt in block.stmts:
             _STMT[type(stmt)](it, stmt, env)

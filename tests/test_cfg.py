@@ -274,11 +274,13 @@ def nested_ifs(depth):
 
 
 def test_optimized_cfg_keeps_room_for_the_lowering():
-    # The levels the lowering adds above a block's statement (9 with
-    # CHAIN_MAX 4: a switch's case nests less than a chain of four) and
-    # the statement's own must fit in the parser's limit; a deeper
-    # statement is split at its top until the rest fits.
-    assert LOWERED_DEPTH == 9
+    # The levels the lowering adds above a block's statement (8 with
+    # CHAIN_MAX 4: the optimized chain of three nests deepest) and the
+    # statement's own must fit in the parser's limit; a deeper statement
+    # is split at its top until the rest fits. nested_ifs(d) nests d + 4
+    # levels, so room - 4 is the deepest whole nest. A bound of 9, a level
+    # more than any machine nests, split this one: it was room - 3 there.
+    assert LOWERED_DEPTH == 8
     room = MAX_NESTING - LOWERED_DEPTH
     fits = build_cfg(nested_ifs(room - 4), True)
     assert stmt_kinds(fits) == {1: [If]}
