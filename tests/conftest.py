@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from corolower.errors import InterpError
+from corolower.interp import Interpreter
 from corolower.syntax import FuncLit, children
 
 TESTS_DIR = Path(__file__).parent
@@ -23,6 +25,18 @@ def outside_closures(root):
         yield node
         if type(node) is not FuncLit:
             stack.extend(children(node))
+
+
+def outcome(program, budget):
+    """A run's printed values, its error as (kind, message, line, col) or
+    None, and its steps."""
+    it = Interpreter(program, budget)
+    error = None
+    try:
+        it.run()
+    except InterpError as err:
+        error = (type(err), err.message, err.line, err.col)
+    return it.output, error, it.steps
 
 
 def wide_source(arms: int, nexts: int) -> str:

@@ -152,6 +152,18 @@ def test_budget_env_exit_2(capsys, tmp_path, monkeypatch):
 
 
 
+def test_a_long_binary_chain_ends_by_budget_or_by_the_stack(capsys, tmp_path, monkeypatch):
+    # The interpreter recurses once per term of the chain. Past a budget
+    # of 100 that overflow is the budget's; within the default budget it
+    # is the stack's.
+    path = tmp_path / "chain.mini"
+    path.write_text("fn main() { let x = 1 print(" + " + ".join(["x"] * 1000) + ") }\n")
+    code, out, err = run_cli(capsys, "run", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: nesting or recursion too deep for the Python stack\n"
+    monkeypatch.setenv("COROLOWER_BUDGET", "100")
+    assert run_cli(capsys, "run", path) == (2, "", f"error: {path}: step budget exceeded\n")
+
 @pytest.mark.parametrize(
     "last, budget, error",
     [

@@ -19,7 +19,7 @@ from corolower.parser import parse_source
 from corolower.syntax import Block, If, NullLit, Program, Return, Switch, walk
 from corolower.transform import transform_program
 
-from conftest import CORPUS_DIR, FIB_SOURCE, RECEIVE_SOURCE, wide_source
+from conftest import CORPUS_DIR, FIB_SOURCE, RECEIVE_SOURCE, outcome, wide_source
 
 # The package exports the function `interp` under the module's name.
 interp_module = importlib.import_module("corolower.interp")
@@ -298,16 +298,6 @@ def test_print_shows_functions_and_generator_instances():
 # charged.
 
 
-def outcome(program, budget):
-    it = Interpreter(program, budget)
-    error = None
-    try:
-        it.run()
-    except InterpError as err:
-        error = (type(err), err.message, err.line, err.col)
-    return it.output, error, it.steps
-
-
 def outcomes_with_and_without_arms(monkeypatch, program, budgets):
     """The outcome at each budget with `_arm` on, for each budget whether
     each call of `_arm` took an arm, and the outcomes with `_arm` off."""
@@ -436,8 +426,9 @@ def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, select
     # Null, a boolean, a record, an unbound name, a missing field and a
     # field of a non-record: the tests run one by one, so errors and steps
     # stay those of each test. Any integer, a literal of the chain or
-    # another value, takes its arm whenever the budget covers it. A `<`
-    # test heads no chain, so its tests always run one by one.
+    # another value, takes its arm at any budget: the budget is checked at
+    # the prints after it. A `<` test heads no chain, so its tests always
+    # run one by one.
     source = f"""fn main() {{
   let s = {init}
   print(7)

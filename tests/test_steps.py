@@ -7,12 +7,13 @@ interpreter that moves them has to update these numbers on purpose.
 import pytest
 
 from corolower.cli import diff_forms, program_forms
-from corolower.errors import BudgetExceeded
-from corolower.interp import Interpreter, resume_any
+from corolower.errors import BudgetExceeded, InterpError
+from corolower.interp import _STMT, Interpreter, resume_any, resume_sequence
 from corolower.parser import parse_source
 from corolower.printer import print_source
+from corolower.syntax import Print
 
-from conftest import CORPUS_DIR, FIB_SOURCE, wide_source
+from conftest import CORPUS_DIR, CORPUS_FILES, FIB_SOURCE, outcome, wide_source
 
 FORMS = ("native", "lowered-opt", "lowered-noopt", "first-order")
 
@@ -372,3 +373,155 @@ def test_budget_exhaustion_is_step_exact(form, steps, at_100, at_50):
             interp.run()
         assert interp.output == printed, budget
         assert interp.steps == budget + 1
+
+
+# -- the budget oracle ----------------------------------------------------------
+#
+# A check at every node stops a run at the step after its budget. So at
+# budget b a run must end by exhaustion with steps == b + 1, having
+# printed what its full run had printed by step b; at or past the step E
+# where the full run ends, it must end as that run did: the same output,
+# error (kind, message and position) and steps. The steps of each print
+# come from one full run, through a print handler that logs them, so the
+# oracle does not depend on where the interpreter checks its budget.
+
+DIVIDE_SOURCE = """fn* g(n) {
+  while (true) {
+    yield 10 / n
+    n = n - 1
+  }
+}
+
+fn main() {
+  let a = g(3)
+  let i = 0
+  while (i < 5) {
+    print(next(a))
+    i = i + 1
+  }
+}
+"""
+
+# A bare unbound name in a generator's body does not defunctionalize; a
+# reference to a missing function fails at run time in every form.
+UNBOUND_SOURCE = (
+    "fn* h(n) { yield n yield &missing } fn main() { let a = h(1) print(next(a)) print(next(a)) }"
+)
+
+
+def assert_every_budget_exact(monkeypatch, program):
+    """Check program's outcome at every budget against its full run, and
+    return the error that run ended in."""
+    printed_at = []
+    print_stmt = _STMT[Print]
+
+    def logged(it, stmt, env):
+        print_stmt(it, stmt, env)
+        printed_at.append(it.steps)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(_STMT, Print, logged)
+        output, error, steps = outcome(program, 10_000_000)
+    assert len(printed_at) == len(output)
+    for budget in range(1, steps + 3):
+        seen = [value for at, value in zip(printed_at, output) if at <= budget]
+        if budget < steps:
+            ending = ((BudgetExceeded, "step budget exceeded", None, None), budget + 1)
+        else:
+            ending = (error, steps)
+        assert outcome(program, budget) == (seen, *ending), budget
+    return error
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_every_budget_ends_as_a_check_at_every_node_would(monkeypatch, path, form):
+    program = program_forms(parse_source(path.read_text()))[form]
+    assert assert_every_budget_exact(monkeypatch, program) is None
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        (DIVIDE_SOURCE, ("division by zero", 3, 14)),
+        (UNBOUND_SOURCE, ("unbound name 'missing'", 1, 26)),
+    ],
+    ids=["divide", "unbound"],
+)
+def test_every_budget_ends_before_or_in_the_error(monkeypatch, source, error, form):
+    program = program_forms(parse_source(source))[form]
+    assert assert_every_budget_exact(monkeypatch, program) == (InterpError, *error)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "fn main() { while (true) { } }",
+        "fn* g() { while (true) { } } fn main() { print(next(g())) }",
+        "fn f(n) { return f(n + 1) } fn main() { print(f(0)) }",
+    ],
+    ids=["loop", "loop-in-generator", "recursion"],
+)
+def test_an_endless_run_ends_by_budget(source):
+    # The recursion spends 6 steps and 3 Python frames a level, so 300
+    # steps stay far below Python's stack limit. main is called directly,
+    # so run's handling of a stack overflow past the budget plays no part.
+    for form, program in program_forms(parse_source(source)).items():
+        it = Interpreter(program, 300)
+        with pytest.raises(BudgetExceeded):
+            it.call(it.globals.lookup("main"), [])
+        assert (it.output, it.steps) == ([], 301), form
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_direct_resumption_ends_by_budget(form):
+    source = "fn* g() { yield 1 while (true) { } } fn main() { }"
+    program = program_forms(parse_source(source))[form]
+    it = Interpreter(program, 200)
+    instance = it.call(it.globals.lookup("g"), [])
+    assert resume_any(it, instance, None) == 1
+    with pytest.raises(BudgetExceeded):
+        resume_any(it, instance, None)
+    assert it.steps == 201
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_direct_resumption_returns_nothing_past_the_budget(form):
+    # Resumed directly, with no call or print around it, an instance
+    # returns a value only within the budget, and its error past the
+    # budget is exhaustion: g(0) yields 0, then divides by zero.
+    source = "fn* g(n) { yield n yield 10 / n } fn main() { }"
+    program = program_forms(parse_source(source))[form]
+
+    def resumed(budget):
+        it = Interpreter(program, budget)
+        results = []
+        try:
+            instance = it.call(it.globals.lookup("g"), [0])
+            while True:
+                results.append((resume_any(it, instance, None), it.steps))
+        except InterpError as err:
+            return results, type(err), str(err), it.steps
+
+    results, kind, error, steps = resumed(10_000_000)
+    assert ([r[0] for r in results], kind) == ([0], InterpError)
+    assert error == "division by zero (line 1, col 29)"
+    for budget in range(1, steps + 2):
+        seen = [r for r in results if r[1] <= budget]
+        if budget < steps:
+            ending = (BudgetExceeded, "step budget exceeded", budget + 1)
+        else:
+            ending = (InterpError, error, steps)
+        assert resumed(budget) == (seen, *ending), budget
+
+
+def test_a_trace_that_overflows_the_stack_past_the_budget_ends_by_it():
+    # Evaluating a 1,000-term chain recurses once per term: past a budget
+    # of 100 the overflow is the budget's, within the default budget the
+    # stack's.
+    program = parse_source("fn* g(x) { yield " + " + ".join(["x"] * 1000) + " } fn main() { }")
+    with pytest.raises(BudgetExceeded, match="^resumption 0: step budget exceeded$"):
+        resume_sequence(program, "g", [1], [None], 100)
+    with pytest.raises(RecursionError):
+        resume_sequence(program, "g", [1], [None])
