@@ -17,8 +17,15 @@ Evaluation looks each node's class up in one of two module-level
 tables, `_EXPR` and `_STMT`, and calls the handler found there. A
 handler charges its node's step before anything else: one step per
 evaluated expression, per executed statement and per further `while`
-iteration. Binary operators on two integers are looked up in
-`_INT_OPS`. Function bodies run in one of two ways:
+iteration. A node costs at most one Python frame, its handler's, and
+`v.f` and `v.f = e` cost one for both nodes: when the record is a
+variable, the field handler charges both steps first and reads the
+variable in place, raising `_var`'s error for an unbound one. Binary
+operators on two integers are looked up in `_INT_OPS`, whose `+`, `-`
+and `*` are Python's; a result outside 64 bits is wrapped there. Tests
+of `if` and `while` compare with `True` and `False` in place, and
+argument lists and record fields are built by loops, not
+comprehensions. Function bodies run in one of two ways:
 
 - `Interpreter.call` runs a plain body's statements itself, as `_if`,
   `_switch` and `_while` run their blocks', so one call costs one Python
@@ -326,7 +333,7 @@ class Interpreter:
 # -- executors ----------------------------------------------------------------
 #
 # Every handler takes (interpreter, node, env) and starts by charging the
-# node's step. Statement handlers return None, or the `(value,)` of a
+# node's step (a field handler on a variable charges the variable's too). Statement handlers return None, or the `(value,)` of a
 # `return` for the executor to pass up.
 
 
@@ -341,20 +348,28 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
         it.steps += 1
         if kind is If:
             cond = stmt.cond
-            block = stmt.then if _bool(_EXPR[type(cond)](it, cond, env), cond) else stmt.orelse
+            truth = _EXPR[type(cond)](it, cond, env)
+            if truth is True:
+                block = stmt.then
+            elif truth is False:
+                block = stmt.orelse
+            else:
+                raise _not_bool(truth, cond)
             if block is not None:
                 result = yield from _exec_gen(it, block.stmts, env)
                 if result is not None:
                     return result
         elif kind is While:
             cond, body = stmt.cond, stmt.body.stmts
-            while _bool(_EXPR[type(cond)](it, cond, env), cond):
+            while (truth := _EXPR[type(cond)](it, cond, env)) is True:
                 result = yield from _exec_gen(it, body, env)
                 if result is not None:
                     return result
                 it.steps += 1
                 if it.steps > it.step_budget:
                     raise it._exhausted()
+            if truth is not False:
+                raise _not_bool(truth, cond)
         else:
             value = stmt.value
             received = yield _EXPR[type(value)](it, value, env)
@@ -475,7 +490,7 @@ def _switch(it, stmt, env):
 def _while(it, stmt, env):
     it.steps += 1
     cond, body = stmt.cond, stmt.body.stmts
-    while _bool(_EXPR[type(cond)](it, cond, env), cond):
+    while (truth := _EXPR[type(cond)](it, cond, env)) is True:
         for inner in body:
             result = _STMT[type(inner)](it, inner, env)
             if result is not None:
@@ -483,6 +498,8 @@ def _while(it, stmt, env):
         it.steps += 1
         if it.steps > it.step_budget:
             raise it._exhausted()
+    if truth is not False:
+        raise _not_bool(truth, cond)
     return None
 
 
@@ -510,9 +527,22 @@ def _expr_stmt(it, stmt, env):
 
 
 def _field_set(it, stmt, env):
-    it.steps += 1
     record, value = stmt.record, stmt.value
-    record = _EXPR[type(record)](it, record, env)
+    if type(record) is Var:
+        # v.f = e reads v in place, as _field_get does; e is still
+        # evaluated in env, so the walk keeps its own variable.
+        it.steps += 2
+        name, scope = record.name, env
+        while scope is not None:
+            if name in scope.vars:
+                record = scope.vars[name]
+                break
+            scope = scope.parent
+        else:
+            raise _err(f"unbound name {name!r}", record)
+    else:
+        it.steps += 1
+        record = _EXPR[type(record)](it, record, env)
     if type(record) is not Record or stmt.field not in record.fields:
         raise _field_error(record, stmt, "assignment")
     record.fields[stmt.field] = _EXPR[type(value)](it, value, env)
@@ -574,9 +604,13 @@ def _binary(it, expr, env):
     b = _EXPR[type(rhs)](it, rhs, env)
     if type(a) is int and type(b) is int:
         try:
-            return _INT_OPS[op](a, b)
+            value = _INT_OPS[op](a, b)
         except ZeroDivisionError:
             raise _err(_BY_ZERO[op], expr) from None
+        # A comparison's bool is always in range; only + - * can leave it.
+        if _INT_MIN <= value <= _INT_MAX:
+            return value
+        return wrap64(value)
     if op == "==":
         return values_equal(a, b)
     if op == "!=":
@@ -598,11 +632,12 @@ def _mod(a, b):
 
 _SHORT_CIRCUIT = {"&&": False, "||": True}
 _BY_ZERO = {"/": "division by zero", "%": "modulo by zero"}
-# On two integers `==` and `!=` agree with values_equal.
+# On two integers `==` and `!=` agree with values_equal. `_binary` wraps
+# a result outside 64 bits; `_div` and `_mod` wrap their own.
 _INT_OPS = {
-    "+": lambda a, b: wrap64(a + b),
-    "-": lambda a, b: wrap64(a - b),
-    "*": lambda a, b: wrap64(a * b),
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": _div,
     "%": _mod,
     "<": operator.lt,
@@ -629,7 +664,11 @@ def _call(it, expr, env):
     it.steps += 1
     callee = expr.callee
     fn = _EXPR[type(callee)](it, callee, env)
-    return it.call(fn, [_EXPR[type(a)](it, a, env) for a in expr.args], expr)
+    # A loop, not a comprehension, which would cost a Python frame.
+    args = []
+    for arg in expr.args:
+        args.append(_EXPR[type(arg)](it, arg, env))
+    return it.call(fn, args, expr)
 
 
 def _next_call(it, expr, env):
@@ -641,9 +680,23 @@ def _next_call(it, expr, env):
 
 
 def _field_get(it, expr, env):
-    it.steps += 1
     record = expr.record
-    record = _EXPR[type(record)](it, record, env)
+    if type(record) is Var:
+        # v.f reads v in place: the access's step and v's are charged
+        # together before the lookup, where _var would charge v's, and an
+        # unbound v raises _var's error at v.
+        it.steps += 2
+        name = record.name
+        while env is not None:
+            if name in env.vars:
+                record = env.vars[name]
+                break
+            env = env.parent
+        else:
+            raise _err(f"unbound name {name!r}", record)
+    else:
+        it.steps += 1
+        record = _EXPR[type(record)](it, record, env)
     if type(record) is not Record or expr.field not in record.fields:
         raise _field_error(record, expr, "access")
     return record.fields[expr.field]
@@ -651,7 +704,10 @@ def _field_get(it, expr, env):
 
 def _record_lit(it, expr, env):
     it.steps += 1
-    return Record({k: _EXPR[type(v)](it, v, env) for k, v in expr.fields})
+    fields = {}
+    for name, value in expr.fields:
+        fields[name] = _EXPR[type(value)](it, value, env)
+    return Record(fields)
 
 
 def _func_ref(it, expr, env):

@@ -1,4 +1,6 @@
 import importlib
+import sys
+from collections import Counter
 
 import pytest
 
@@ -92,17 +94,40 @@ def test_exhausted_generator_returns_null():
     assert resume_sequence(program, "g", [], [None] * 4) == [1, None, None, None]
 
 
+INT_MAX, INT_MIN = 2**63 - 1, -(2**63)
+# The language has no negative literal: INT_MIN is written as a difference.
+MIN_TEXT = f"(0 - {INT_MAX} - 1)"
+
+
+def printed_in_every_form(body):
+    """What `fn main() { body }` prints, one list per form."""
+    forms = program_forms(parse_source(f"fn main() {{ {body} }}"))
+    return {name: interp(program) for name, program in forms.items()}
+
+
 def test_wrapping_addition():
     # (2^63 - 1) + 1 wraps to -2^63; -(2^63 - 1) - 2 wraps back to 2^63 - 1.
-    program = parse_source(
-        f"fn main() {{ print({2**63 - 1} + 1) print(0 - {2**63 - 1} - 2) }}"
+    # Results exactly at either end do not wrap.
+    printed = printed_in_every_form(
+        f"print({INT_MAX} + 1) print(0 - {INT_MAX} - 2) "
+        f"print({INT_MAX - 1} + 1) print((0 - {INT_MAX}) + (0 - 1)) "
+        f"print({MIN_TEXT} - 1) print({INT_MAX} - (0 - 1)) print({MIN_TEXT} + {INT_MAX})"
     )
-    assert interp_native(program) == [-(2**63), 2**63 - 1]
+    expected = [INT_MIN, INT_MAX, INT_MAX, INT_MIN, INT_MAX, INT_MIN, -1]
+    assert printed == dict.fromkeys(printed, expected)
+    assert len(printed) == 4
 
 
 def test_wrapping_multiplication_and_negation():
-    program = parse_source(f"fn main() {{ print({2**62} * 2) print(-(0 - {2**63 - 1} - 1)) }}")
-    assert interp_native(program) == [-(2**63), -(2**63)]
+    printed = printed_in_every_form(
+        f"print({2**62} * 2) print(-{MIN_TEXT}) "
+        f"print({MIN_TEXT} * (0 - 1)) print({INT_MAX} * {INT_MAX}) "
+        f"print((0 - {2**62}) * 2) print({INT_MAX} * 1) print({MIN_TEXT} * 2) "
+        f"print({MIN_TEXT} / (0 - 1)) print({MIN_TEXT} % (0 - 1)) print({MIN_TEXT} % 3)"
+    )
+    expected = [INT_MIN, INT_MIN, INT_MIN, 1, INT_MIN, INT_MAX, 0, INT_MIN, 0, -2]
+    assert printed == dict.fromkeys(printed, expected)
+    assert len(printed) == 4
 
 
 def test_division_truncates_toward_zero():
@@ -229,6 +254,38 @@ def test_missing_record_field():
 def test_funcref_to_unknown_name():
     with pytest.raises(InterpError, match="unbound"):
         interp_native(parse_source("fn main() { let r = &nope }"))
+
+
+def entered_frames(program):
+    """How many times a full run of program enters each function of the
+    interpreter module, by name, counted with sys.setprofile."""
+    code_file = interp_module.__file__
+    entered = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == code_file:
+            entered[frame.f_code.co_name] += 1
+
+    it = Interpreter(program)
+    sys.setprofile(count)
+    try:
+        it.run()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_the_hot_path_enters_no_helper_frame():
+    # At most one Python frame per evaluated node: no arithmetic wrapper,
+    # boolean test or comprehension of its own, and `v.f` and `v.f = e`
+    # read v in place instead of entering _var.
+    forms = program_forms(parse_source((CORPUS_DIR / "fib.mini").read_text()))
+    entered = {name: entered_frames(program) for name, program in forms.items()}
+    helpers = {"wrap64", "_bool", "<lambda>", "<listcomp>", "<dictcomp>"}
+    assert {name: helpers & set(calls) for name, calls in entered.items()} == dict.fromkeys(
+        forms, set()
+    )
+    assert entered["first-order"]["_var"] == 52
 
 
 def test_render_output_one_value_per_line():

@@ -442,16 +442,37 @@ def test_every_budget_ends_as_a_check_at_every_node_would(monkeypatch, path, for
 
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize(
-    "source, error",
+    "source, error, steps",
     [
-        (DIVIDE_SOURCE, ("division by zero", 3, 14)),
-        (UNBOUND_SOURCE, ("unbound name 'missing'", 1, 26)),
+        (DIVIDE_SOURCE, ("division by zero", 3, 14), (82, 146, 214, 211)),
+        (UNBOUND_SOURCE, ("unbound name 'missing'", 1, 26), (14, 38, 38, 64)),
+        # A field fault is raised at the step its access or assignment
+        # always was, whether the record is read in place from a variable
+        # (every `r.a` below) or not.
+        (
+            "fn* g(r) { yield r.a yield r.b } "
+            "fn main() { let s = g({ a: 1 }) print(next(s)) print(next(s)) }",
+            ("record has no field 'b'", 1, 29),
+            (17, 41, 41, 68),
+        ),
+        (
+            "fn* g(x) { yield x x.f = 2 yield x } "
+            "fn main() { let s = g(1) print(next(s)) print(next(s)) }",
+            ("field assignment on a non-record value", 1, 20),
+            (14, 36, 36, 62),
+        ),
+        (
+            "fn main() { print(1) print(q.f) }",
+            ("unbound name 'q'", 1, 28),
+            (5, 5, 5, 5),
+        ),
     ],
-    ids=["divide", "unbound"],
+    ids=["divide", "unbound", "missing-field", "field-set-on-int", "unbound-record"],
 )
-def test_every_budget_ends_before_or_in_the_error(monkeypatch, source, error, form):
+def test_every_budget_ends_before_or_in_the_error(monkeypatch, source, error, steps, form):
     program = program_forms(parse_source(source))[form]
     assert assert_every_budget_exact(monkeypatch, program) == (InterpError, *error)
+    assert outcome(program, 10_000_000)[2] == steps[FORMS.index(form)]
 
 
 @pytest.mark.parametrize(
