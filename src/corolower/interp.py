@@ -54,15 +54,15 @@ charges its step and its subject's, then takes the case for an integer
 value from the table on the node, or runs `else`. A smaller one
 dispatches through an `_i == k` chain, the lowered machine's or its
 `F_fo`'s. An `if` whose condition is `==` between a selector, a variable
-or a field of one, and an integer literal heads such a chain. The head
-reads the selector without charging a step, and `_arm` looks its value
-up in the arms cached on the `if`; on a miss it walks the chain's tests
-in Python, keeping the arm it finds when a test held. When the value is
-an integer, the tests' steps are charged at once and the block run; such
-tests cannot raise, so outputs, steps and errors are exact. The sink 0 and any other value no
-test matches cost one walk each time. Any value that is not an integer
-(null, a boolean, a record, an unbound name, a missing field) runs the
-tests one by one, where the error is raised at the step it always was.
+or a field of one, and an integer literal heads such a chain, and carries
+its jump table, built with the node like a switch's. The head reads the
+selector without charging a step, and `_arm` looks its value up in that
+table, the sink 0 and any other value no test matches included. When the
+value is an integer, the tests' steps are charged at once and the block
+run; such tests cannot raise, so outputs, steps and errors are exact. Any
+value that is not an integer (null, a boolean, a record, an unbound name,
+a missing field) runs the tests one by one, where the error is raised at
+the step it always was.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -431,17 +431,11 @@ def _if(it, stmt, env):
 def _arm(it, stmt, env):
     """The arm of the dispatch chain under stmt that the selector's value
     picks: the block its tests reach (None when an `if` without else is
-    false) and the steps they charge, read without charging a step. None
-    unless the value is an integer, so that the tests could raise nothing.
-    The budget is checked after them, as after any node (module docstring).
-
-    The chain is stmt and, below any `if` of it, the `if` that is the one
-    statement of its else block when that tests the same selector. A test
-    charges 4 steps (the if, the comparison, the selector and the
-    literal), 5 with a field. On a miss in stmt's arms the tests are walked
-    here, and the arm is kept when a test held, so the arms hold at most
-    one entry per literal of the chain."""
-    name, field, arms = stmt.dispatch
+    false) and the steps they charge, read without charging a step from
+    the table built with the chain (syntax.If). None unless the value is
+    an integer, so that the tests could raise nothing. The budget is
+    checked after them, as after any node (module docstring)."""
+    name, field, table, other = stmt.dispatch
     while name not in env.vars:
         env = env.parent
         if env is None:
@@ -453,20 +447,7 @@ def _arm(it, stmt, env):
         value = value.fields.get(field)
     if type(value) is not int:  # a bool would find the arm of 0 or 1
         return None
-    arm = arms.get(value)
-    if arm is None:
-        cost, steps, test = 4 if field is None else 5, 0, stmt
-        while True:
-            steps += cost
-            if value == test.cond.rhs.value:
-                arm = arms[value] = (test.then, steps)
-                break
-            block = test.orelse
-            test = block.stmts[0] if block is not None and len(block.stmts) == 1 else None
-            if type(test) is not If or test.dispatch is None or test.dispatch[:2] != (name, field):
-                arm = (block, steps)
-                break
-    return arm
+    return table.get(value, other)
 
 
 def _switch(it, stmt, env):

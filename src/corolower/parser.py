@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import ParseError, ValidationError
 from .lexer import Token, lex
 from .syntax import (
-    LEAVES,
+    CLOSURES,
     Assign,
     Binary,
     Block,
@@ -43,7 +43,7 @@ from .syntax import (
     Var,
     While,
     YieldStmt,
-    children,
+    walk,
 )
 
 BINARY_PRECEDENCE = {
@@ -411,26 +411,20 @@ def validate(program: Program) -> None:
 
 def _check_function(func: FuncDecl | FuncLit, generator: bool) -> None:
     """Distinct parameters, no yield unless in a generator's body, and no
-    switch in one. A yield or a switch stands only as a statement, so
-    expressions are entered only for fn literals; nodes come in walk's
-    order, so the first fault is raised."""
+    switch in one. The walk stops at fn literals, each checked as its
+    own function when met; nodes come in walk's order, so the first fault
+    is raised."""
     if len(set(func.params)) != len(func.params):
         raise ValidationError("duplicate parameter name", *_at(func))
-    stack: list[Node] = [func.body]
-    while stack:
-        node = stack.pop()
+    for node in walk(func.body, CLOSURES):
         cls = type(node)
-        if cls is Block:
-            stack.extend(reversed(node.stmts))
-        elif cls is FuncLit:
+        if cls is FuncLit:
             _check_function(node, False)
         elif not generator and (cls is YieldStmt or cls is LetYield):
             raise ValidationError("yield outside a generator", *_at(node))
         elif generator and cls is Switch:
             # The lowerings split only `if` and `while` into blocks.
             raise ValidationError("switch inside a generator", *_at(node))
-        elif cls not in LEAVES:
-            stack.extend(reversed(children(node)))
 
 
 def _at(node: Node) -> tuple[int | None, int | None]:

@@ -184,13 +184,29 @@ class If(Stmt):
     orelse: Optional[Block] = None
 
     def __post_init__(self):
-        # `(name, field, arms)` when the condition is a dispatch test (see
-        # _selector), and None otherwise; interp._arm fills the arms as it
-        # walks the tests. A plain attribute, not a field: the interpreter
-        # reads it with one load, and equality, repr and the tree walks
-        # never see it.
+        # `(name, field, table, other)` when the condition is a dispatch
+        # test (see _selector), and None otherwise: the jump table of the
+        # chain this `if` heads, like Switch.table. table maps each literal
+        # to the block its test reaches and the nodes evaluated to reach it,
+        # the first test of a literal winning, and other is the same for any
+        # other value. The chain goes on into an else that is one `if` on
+        # the same selector, built before this one, so its table extends.
+        # A plain attribute, not a field: the interpreter reads it with one
+        # load, and equality, repr and the tree walks never see it.
         selector = _selector(self.cond)
-        self.dispatch = None if selector is None else (*selector, {})
+        if selector is None:
+            self.dispatch = None
+            return
+        cost = 4 if selector[1] is None else 5  # the if, ==, selector, literal
+        table = {self.cond.rhs.value: (self.then, cost)}
+        other = (self.orelse, cost)
+        rest = self.orelse.stmts if self.orelse is not None else ()
+        inner = rest[0].dispatch if len(rest) == 1 and type(rest[0]) is If else None
+        if inner is not None and inner[:2] == selector:
+            for value, (block, steps) in inner[2].items():
+                table.setdefault(value, (block, steps + cost))
+            other = (inner[3][0], inner[3][1] + cost)
+        self.dispatch = (*selector, table, other)
 
 
 @dataclass
@@ -257,22 +273,26 @@ class Program(Node):
 # -- tree walks -------------------------------------------------------------
 #
 # One table (`_node_fields`) gives every traversal the fields of a node that
-# can hold nodes, and `children` lists them: `walk` and `nesting` visit every
-# node top-down, `map_tree` rebuilds a tree bottom-up, `declared_locals`,
-# `Block.exits` and `Block.depth` follow only the blocks under statements, and
-# parser.validate follows statements and fn literals. `Block.declared` and
-# `Program.identifiers` cache a body's locals and a program's names.
+# can hold nodes, and `children` lists them. Every search of the tree is a
+# `walk`: `_names` over every node, parser.validate stopping at fn literals
+# (CLOSURES) and `declared_locals` at expressions (EXPRESSIONS). `nesting`
+# carries a depth down the tree and `map_tree` rebuilds it bottom-up, which a
+# walk does neither; `Block.exits` and `Block.depth` follow only the blocks
+# under statements. `Block.declared` and `Program.identifiers` cache a body's
+# locals and a program's names.
 
 
-def walk(root: Node) -> Iterator[Node]:
+def walk(root: Node, stop: frozenset = frozenset()) -> Iterator[Node]:
     """Every node under root, root included, each once, in pre-order and
     source order: blocks, statements, expressions, record literal values
-    and FuncLit bodies. Iterative, so nesting depth costs no frames."""
+    and FuncLit bodies. A node whose class is in stop is visited but not
+    entered. Iterative, so nesting depth costs no frames."""
+    skip = LEAVES | stop
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
-        if type(node) in LEAVES:
+        if type(node) in skip:
             continue
         for name in reversed(_node_fields(type(node))):
             value = getattr(node, name)
@@ -369,6 +389,8 @@ def map_tree(node: NodeT, fn: Callable[[Node], Node]) -> NodeT:
 
 
 LEAVES = frozenset([IntLit, BoolLit, NullLit, Var, FuncRef])  # hold no node
+CLOSURES = frozenset([FuncLit])
+EXPRESSIONS = frozenset(Expr.__subclasses__())
 
 # The annotations of the fields that never hold a node.
 _LEAF_TYPES = frozenset(["str", "int", "bool", "list[str]"])
@@ -389,21 +411,15 @@ def declared_locals(block: Block) -> list[str]:
     """Names bound by let/let-yield in this function body (first occurrence
     order), not descending into nested FuncLit bodies.
 
-    Only statements bind names, so this follows the blocks under each
-    statement and skips the expressions, which are most of a body's nodes
-    and which `walk` would visit too: through `walk` it made a short run
-    of a large body up to 1.5 times slower. `Block.declared` caches it for
-    the interpreter, which pre-binds these names on every call."""
+    Only statements bind names, so the walk does not enter expressions,
+    which are most of a body's nodes: entering them made a short run of a
+    large body up to 1.5 times slower. Not entering them keeps it out of
+    fn literals too. `Block.declared` caches it for the interpreter, which
+    pre-binds these names on every call."""
     names: dict[str, None] = {}
-    stack = [block]
-    while stack:
-        node = stack.pop()
-        if type(node) is Block:
-            stack.extend(reversed(node.stmts))
-        elif isinstance(node, (Let, LetYield)):
+    for node in walk(block, EXPRESSIONS):
+        if type(node) is Let or type(node) is LetYield:
             names.setdefault(node.name)
-        else:
-            stack.extend(reversed(blocks_under(node)))
     return list(names)
 
 

@@ -126,10 +126,10 @@ def traced(program, name, args, budget):
 def test_the_dispatch_lookup_keeps_fuzz_traces_exact(monkeypatch):
     # Each machine runs to its finish and then keeps selecting the sink 0.
     # Budgets sampled across each trace land at every depth of the
-    # dispatch, and outcomes must not depend on whether `_arm` walks the
-    # tests or the handlers run them one by one. A machine of more than
-    # CHAIN_MAX states, or optimized of CHAIN_MAX, dispatches through a
-    # switch, which `_arm` never sees.
+    # dispatch, and outcomes must not depend on whether `_arm` takes the
+    # chain's arm from its table or the handlers run the tests one by one.
+    # A machine of more than CHAIN_MAX states, or optimized of CHAIN_MAX,
+    # dispatches through a switch, which `_arm` never sees.
     switched = 0
     for seed in range(0, 200, 5):
         for arm_yields in (True, False):

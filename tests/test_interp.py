@@ -21,7 +21,7 @@ from corolower.parser import parse_source
 from corolower.syntax import Block, If, NullLit, Program, Return, Switch, walk
 from corolower.transform import transform_program
 
-from conftest import CORPUS_DIR, FIB_SOURCE, RECEIVE_SOURCE, outcome, wide_source
+from conftest import CORPUS_DIR, CORPUS_FILES, FIB_SOURCE, RECEIVE_SOURCE, outcome, wide_source
 
 # The package exports the function `interp` under the module's name.
 interp_module = importlib.import_module("corolower.interp")
@@ -311,7 +311,7 @@ def test_dispatch_tables_cover_the_ast():
             if isinstance(cls, type) and issubclass(cls, base) and cls is not base
         }
 
-    assert set(_EXPR) == node_kinds(syntax.Expr)
+    assert set(_EXPR) == node_kinds(syntax.Expr) == syntax.EXPRESSIONS
     assert set(_STMT) == node_kinds(syntax.Stmt)
 
 
@@ -348,9 +348,9 @@ def test_print_shows_functions_and_generator_instances():
 
 # -- dispatch chains ------------------------------------------------------------
 #
-# `_if` runs the head of a dispatch chain through `_arm` when it can: a
-# lookup in the arms cached on the head, or one walk of the chain's tests
-# on a miss. Every outcome must be the one of the step-by-step tests: the
+# `_if` runs the head of a dispatch chain through `_arm` when it can: one
+# lookup in the jump table built with the head (syntax.If). Every outcome
+# must be the one of the step-by-step tests: the
 # printed prefix, the error's kind, message and position, and the steps
 # charged.
 
@@ -510,29 +510,85 @@ def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, select
 
 def test_fib_dispatch_arms():
     # Each `_i == k` test is 4 steps (if, ==, _i, k) lowered and 5
-    # first-order (`_e._i` reads a field too). The sink 0 walks all three
-    # tests to the `return null` and is not kept.
+    # first-order (`_e._i` reads a field too). The table is built with the
+    # chain; the sink 0 passes all three tests to the `return null`.
     forms = program_forms(parse_source(FIB_SOURCE))
     for form, cost in (("lowered-opt", 4), ("first-order", 5)):
         head = next(n for n in walk(forms[form]) if type(n) is If and n.dispatch is not None)
         chain = [head]
         while len(chain) < 3:
             chain.append(chain[-1].orelse.stmts[0])
-        name, field, arms = head.dispatch
+        name, field, table, other = head.dispatch
+        assert (name, field) == (("_i", None) if cost == 4 else ("_e", "_i")), form
+        assert table == {k: (test.then, cost * k) for k, test in zip((1, 2, 3), chain)}, form
+        assert other == (chain[-1].orelse, cost * 3), form
+        assert chain[-1].orelse.stmts == [Return(NullLit())]
 
         def select(k):
             return arm_of(head, **{name: k if field is None else Record({field: k})})
 
         for k, test in zip((1, 2, 3), chain):
             assert select(k) == (test.then, cost * k), form
-        assert select(0) == (chain[-1].orelse, cost * 3), form
-        assert arms == {k: (test.then, cost * k) for k, test in zip((1, 2, 3), chain)}, form
-        assert chain[-1].orelse.stmts == [Return(NullLit())]
+        assert select(0) == other, form
+
+
+@pytest.mark.parametrize("init, printed", [("1", [1]), ("2", [2]), ("5", [])])
+def test_a_dispatch_chain_takes_the_first_test_of_a_literal(monkeypatch, init, printed):
+    program = parse_source(
+        f"""fn main() {{
+  let s = {init}
+  if (s == 1) {{ print(1) }} else {{ if (s == 2) {{ print(2) }} else {{ if (s == 1) {{ print(3) }} }} }}
+  print(9)
+}}"""
+    )
+    first = program.decls[0].body.stmts[1]
+    second = first.orelse.stmts[0]
+    third = second.orelse.stmts[0]
+    assert first.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 12))
+    assert second.dispatch[2:] == ({2: (second.then, 4), 1: (third.then, 8)}, (None, 8))
+    budgets = range(1, full_steps(program) + 1)
+    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+    assert with_arms == without
+    assert with_arms[-1][0] == printed + [9]
+    assert all(visits[-1]) and len(visits[-1]) == 1
+
+
+@pytest.mark.parametrize("init, printed", [("1", [1]), ("2", [2]), ("0", []), ("true", [])])
+def test_a_dispatch_chain_whose_last_if_has_no_else(monkeypatch, init, printed):
+    # Any other integer passes both tests and runs nothing: 8 steps. A
+    # boolean runs the tests one by one, so each `if` asks `_arm` in vain.
+    program = parse_source(
+        f"""fn main() {{
+  let s = {init}
+  if (s == 1) {{ print(1) }} else {{ if (s == 2) {{ print(2) }} }}
+  print(9)
+}}"""
+    )
+    first = program.decls[0].body.stmts[1]
+    second = first.orelse.stmts[0]
+    assert first.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 8))
+    assert second.dispatch == ("s", None, {2: (second.then, 4)}, (None, 4))
+    assert arm_of(first, s=0) == (None, 8)
+    budgets = range(1, full_steps(program) + 1)
+    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
+    assert with_arms == without
+    assert with_arms[-1][0] == printed + [9]
+    assert visits[-1] == ([False, False] if init == "true" else [True])
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_running_leaves_every_dispatch_table_as_built(path):
+    for form, program in program_forms(parse_source(path.read_text())).items():
+        heads = [n for n in walk(program) if type(n) is If and n.dispatch is not None]
+        built = [(n.dispatch, dict(n.dispatch[2])) for n in heads]
+        Interpreter(program).run()
+        for head, (dispatch, table) in zip(heads, built):
+            assert head.dispatch is dispatch and dispatch[2] == table, form
 
 
 def test_a_dispatch_tree_stops_at_any_other_statement():
     # Only an arm that is one `==` test on the same selector continues the
-    # chain, and only a test that held is kept.
+    # chain, and the table holds every test of the chain from the start.
     program = parse_source(
         """fn main() {
   let s = 2

@@ -217,6 +217,22 @@ def test_switch_in_a_generator_rejected_at_its_position():
     parse_source("fn* g() { let f = fn (x) { switch (x) case 1 { } } yield f } fn main() { }")
 
 
+@pytest.mark.parametrize(
+    "first, second, message, col",
+    [
+        ("let f = fn () { yield 1 }", "switch (1) case 1 { }", "yield outside a generator", 19),
+        ("switch (1) case 1 { }", "let f = fn () { yield 1 }", "switch inside a generator", 3),
+    ],
+)
+def test_validation_reports_the_first_fault_in_walk_order(first, second, message, col):
+    # A generator whose closure yields and whose own body holds a switch:
+    # the fault met first is the one raised, a closure's checked in place.
+    source = f"fn* g() {{\n  {first}\n  {second}\n  yield 0\n}}\nfn main() {{ }}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_source(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, 2, col)
+
+
 def test_funclit():
     program = parse_source("fn main() { return fn (x) { return x } }")
     value = program.decls[0].body.stmts[0].value

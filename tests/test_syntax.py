@@ -9,6 +9,8 @@ from corolower.defunc import defunctionalize
 from corolower.parser import parse_source
 from corolower.printer import print_source
 from corolower.syntax import (
+    CLOSURES,
+    EXPRESSIONS,
     Binary,
     Block,
     BoolLit,
@@ -28,7 +30,8 @@ from corolower.syntax import (
 )
 from corolower.transform import transform_program
 
-from conftest import CORPUS_FILES, FIB_SOURCE
+from conftest import CORPUS_FILES, FIB_SOURCE, outside_closures
+from genfuzz import closure_generator_program
 
 # One program that uses every construct of the grammar.
 EVERY_NODE_SOURCE = """
@@ -138,6 +141,47 @@ def test_walk_is_pre_order_in_source_order():
     assert [type(n).__name__ for n in walk(body)] == [
         "Block", "Let", "FuncLit", "Block", "Let", "Var", "Return", "Var",
     ]  # fmt: skip
+
+
+def stop_set_programs():
+    """Every form of each corpus program, EVERY_NODE_SOURCE, fib's forms
+    and 50 generators holding a closure."""
+    for path in CORPUS_FILES:
+        yield from program_forms(parse_source(path.read_text())).values()
+    yield parse_source(EVERY_NODE_SOURCE)
+    yield from all_forms(parse_source(FIB_SOURCE))
+    for seed in range(50):
+        yield closure_generator_program(seed)
+
+
+def test_walk_stopping_at_closures_visits_what_the_reference_does():
+    # outside_closures is the tests' own walk: a fn literal is listed and
+    # its body not entered. Checked from each program and each literal.
+    for program in stop_set_programs():
+        literals = [n for n in walk(program) if type(n) is FuncLit]
+        for root in [program, *(literal.body for literal in literals)]:
+            walked = list(walk(root, CLOSURES))
+            assert len({id(n) for n in walked}) == len(walked)
+            assert {id(n) for n in walked} == {id(n) for n in outside_closures(root)}
+
+
+def test_walk_stopping_at_expressions_enters_none():
+    # Every node with no expression above it in the block, each once, in
+    # walk's order: the statements, the blocks under them and their
+    # top-level expressions, and nothing inside an expression.
+    for program in stop_set_programs():
+        for block in (n for n in walk(program) if type(n) is Block):
+            walked = list(walk(block, EXPRESSIONS))
+            entered = {
+                id(n)
+                for expr in walked
+                if isinstance(expr, syntax.Expr)
+                for child in syntax.children(expr)
+                for n in walk(child)
+            }
+            assert not entered & {id(n) for n in walked}
+            outside = [n for n in walk(block) if id(n) not in entered]
+            assert list(map(id, walked)) == list(map(id, outside))
 
 
 def test_declared_locals_keeps_first_occurrence_order():
