@@ -7,14 +7,15 @@ because they are exactly the points where the lowering must cut states.
 
 The reserved id END (0) stands for "leave the function with a null
 result": branch arms and plain yields' resume edges may point at it
-directly. An empty Finish block is materialized only where an edge
-needs a real block: as the entry of an empty body or as the resume
-target of a let-yield, whose block binds the receiver. Block ids are
-dense, entry = 1, and follow reverse postorder, which makes the fib
-example number its blocks exactly like the published figure.
+directly. build_cfg lowers each statement list last first, in front of
+the block it continues at, so every edge's target is known when the edge
+is made, and an empty block is made only where an edge needs one: as the
+entry of an empty body, as the resume target of a let-yield, whose block
+binds the receiver, or as an empty endless loop. Block ids are dense,
+entry = 1, and follow reverse postorder, which makes the fib example
+number its blocks exactly like the published figure.
 
-build_cfg routes edges past empty blocks in one sweep over the
-terminators and, for the optimized lowering, absorbs goto chains before
+For the optimized lowering, build_cfg absorbs goto chains before
 numbering, so that graph comes out merged. merge_blocks merges a split
 graph: it folds literal branches, absorbs goto chains and renumbers. No
 lowering runs it. Both producers of a merged graph check that it is
@@ -144,154 +145,107 @@ def check_cfg(graph: Cfg) -> None:
 class _Builder:
     def __init__(self, room: int | None):
         self.stmts: dict[int, list[Stmt]] = {}
-        self.terms: dict[int, Terminator | None] = {}
+        self.terms: dict[int, Terminator] = {}
         self._next = 1
         self.room = room  # the most nesting a whole if or while may have
 
-    def fresh(self) -> int:
+    def close(self, tail: list[Stmt], term: Terminator, keep: bool = False) -> int:
+        """The id of the open block (tail, term), tail last first. A block
+        is made only when it has statements or keep is set; an empty goto
+        is its target and an empty finish without a value is END."""
+        if not tail and not keep:
+            if type(term) is Goto:
+                return term.target
+            if type(term) is Finish and term.value is None:
+                return END
+        if type(term) is Goto and term.target == END:
+            term = Finish(None)
         bid = self._next
         self._next += 1
-        self.stmts[bid] = []
-        self.terms[bid] = None
+        tail.reverse()
+        self.stmts[bid] = tail
+        self.terms[bid] = term
         return bid
 
-    def lower(self, stmts: list[Stmt], cur: int) -> int | None:
-        """Lower a statement list into blocks starting at cur; returns the
-        open continuation block, or None when every path returned.
-        Statements after a return are unreachable and dropped."""
+    def lower(
+        self, stmts: list[Stmt], tail: list[Stmt], term: Terminator
+    ) -> tuple[list[Stmt], Terminator]:
+        """Lower a statement list, last statement first, in front of the
+        open block (tail, term) it continues at; returns the open block
+        the list starts in. A return discards what follows it."""
         opt = self.room is not None
-        for stmt in stmts:
-            if cur is None:
-                break
+        for stmt in reversed(stmts):
             if isinstance(stmt, _STRAIGHT_LINE):
-                self.stmts[cur].append(stmt)
+                tail.append(stmt)
             elif isinstance(stmt, (YieldStmt, LetYield)):
+                # A let-yield's resume block binds the receiver on every
+                # resumption, even one that only finishes.
                 receiver = stmt.name if isinstance(stmt, LetYield) else None
-                resume = self.fresh()
-                self.terms[cur] = YieldTo(stmt.value, receiver, resume)
-                cur = resume
+                resume = self.close(tail, term, receiver is not None)
+                tail, term = [], YieldTo(stmt.value, receiver, resume)
             elif isinstance(stmt, Return):
-                self.terms[cur] = Finish(stmt.value)
-                cur = None
+                tail, term = [], Finish(stmt.value)
             elif opt and isinstance(stmt, If) and isinstance(stmt.cond, BoolLit):
                 arm = stmt.then if stmt.cond.value else stmt.orelse
                 if arm is not None:  # only the arm that runs
-                    cur = self.lower(arm.stmts, cur)
+                    tail, term = self.lower(arm.stmts, tail, term)
             elif opt and stmt.cond == BoolLit(False):
                 pass  # a loop that never runs
             elif opt and stmt.cond != BoolLit(True) and not stmt_exits(stmt) and stmt_nesting(stmt) <= self.room:
-                self.stmts[cur].append(stmt)  # whole; `while (true)` stays a loop of the graph
+                tail.append(stmt)  # whole; `while (true)` stays a loop of the graph
             elif isinstance(stmt, If):
-                join = self.fresh()
-                then_entry = self.fresh()
+                join = self.close(tail, term)
+                then = self.close(*self.lower(stmt.then.stmts, [], Goto(join)))
+                orelse = join
                 if stmt.orelse is not None:
-                    else_entry = self.fresh()
-                    self.terms[cur] = Branch(stmt.cond, then_entry, else_entry)
-                    else_end = self.lower(stmt.orelse.stmts, else_entry)
-                    if else_end is not None:
-                        self.terms[else_end] = Goto(join)
-                else:
-                    self.terms[cur] = Branch(stmt.cond, then_entry, join)
-                then_end = self.lower(stmt.then.stmts, then_entry)
-                if then_end is not None:
-                    self.terms[then_end] = Goto(join)
-                cur = join
+                    orelse = self.close(*self.lower(stmt.orelse.stmts, [], Goto(join)))
+                tail, term = [], Branch(stmt.cond, then, orelse)
             elif isinstance(stmt, While):
-                test = self.fresh()
-                body_entry = self.fresh()
-                after = self.fresh()
-                self.terms[cur] = Goto(test)
-                if opt and stmt.cond == BoolLit(True):  # no test to run
-                    self.terms[test] = Goto(body_entry)
-                else:
-                    self.terms[test] = Branch(stmt.cond, body_entry, after)
-                body_end = self.lower(stmt.body.stmts, body_entry)
-                if body_end is not None:
-                    self.terms[body_end] = Goto(test)
-                cur = after
+                test = self._next  # ids above it are the body's blocks
+                self._next += 1
+                body = self.close(*self.lower(stmt.body.stmts, [], Goto(test)))
+                if not (opt and stmt.cond == BoolLit(True)):
+                    self.stmts[test] = []
+                    self.terms[test] = Branch(stmt.cond, body, self.close(tail, term))
+                elif body == test:  # an empty endless body loops on itself
+                    self.stmts[test] = []
+                    self.terms[test] = Goto(test)
+                else:  # no test to run: the body's first block takes its place
+                    m = lambda t: body if t == test else t
+                    for bid in range(test + 1, self._next):
+                        if bid in self.terms:
+                            self.terms[bid] = _retarget(self.terms[bid], m)
+                    test = body
+                tail, term = [], Goto(test)
             else:
                 raise AssertionError(f"unhandled statement {stmt!r}")
-        return cur
+        return tail, term
 
 
 def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
-    """Build the control flow graph of a validated generator body, route
-    edges past empty blocks, drop unreachable blocks and renumber. With
-    opt, build the graph the lowering uses: keep only what a literal test
-    runs, make a `while (true)` test a goto, keep an `if` or `while`
-    without a yield or return whole where its nesting leaves room for the
-    lowering's own (transform.LOWERED_DEPTH), and absorb goto chains as
-    merge_blocks does, so the graph comes out merged, which is checked.
-    Blocks cache both measures, so a deep nest is measured once, not at
-    every level split."""
+    """Build the control flow graph of a validated generator body, each
+    statement list last first in front of its successor, so that no empty
+    block is made; drop unreachable blocks and renumber. With opt, build
+    the graph the lowering uses: keep only what a literal test runs, let
+    a `while (true)` body's first block stand for its test, keep an `if`
+    or `while` without a yield or return whole where its nesting leaves
+    room for the lowering's own (transform.LOWERED_DEPTH), and absorb goto
+    chains as merge_blocks does, so the graph comes out merged, which is
+    checked. Blocks cache both measures, so a deep nest is measured once,
+    not at every level split."""
     if not func.is_generator:
         raise TransformError(f"{func.name!r} is not a generator")
     from .transform import LOWERED_DEPTH  # the lowering imports this module
     b = _Builder(MAX_NESTING - LOWERED_DEPTH if opt else None)
-    entry = b.fresh()
-    open_block = b.lower(func.body.stmts, entry)
-    if open_block is not None:
-        b.terms[open_block] = Finish(None)
-    entry = _bypass_empty_blocks(b, entry)
+    entry = b.close(*b.lower(func.body.stmts, [], Finish(None)))
+    if entry == END:  # a body that does nothing
+        entry = b.close([], Finish(None), True)
     if opt:
         _absorb(b.stmts, b.terms, entry)
     graph = _renumber(b.stmts, b.terms, entry, func.body.declared)
     if opt:
         _check_merged(graph)
     return graph
-
-
-def _bypass_empty_blocks(b: _Builder, entry: int) -> int:
-    """Route every edge past empty blocks in one sweep over the
-    terminators and return the new entry; _renumber drops the blocks this
-    leaves unreachable. An empty goto block forwards to its target. An
-    edge into an empty Finish(absent) block leaves the function instead:
-    a branch arm or a yield's resume edge points at END, and a goto
-    becomes the finish. Two kinds of block stay: the entry, and the
-    resume block of a receiver-carrying yield, because the receiver
-    binding must run on a fresh resumption, even one that only finishes
-    (a closure may read the receiver later), and never on a same-call
-    jump into a shared successor."""
-    receivers = {
-        t.resume
-        for t in b.terms.values()
-        if isinstance(t, YieldTo) and t.receiver is not None
-    }
-    forward = {
-        bid: t.target
-        for bid, t in b.terms.items()
-        if isinstance(t, Goto) and not b.stmts[bid] and bid not in receivers
-    }
-
-    def through(target: int) -> int:
-        chain = []
-        while target in forward and target not in chain:  # stop on a cycle
-            chain.append(target)
-            target = forward[target]
-        for bid in chain:
-            forward[bid] = target
-        return target
-
-    entry = through(entry)
-    # Forwarding changes no finish, so the finishes to bypass are known now.
-    finishes = {
-        bid
-        for bid, t in b.terms.items()
-        if isinstance(t, Finish)
-        and t.value is None
-        and not b.stmts[bid]
-        and bid != entry
-        and bid not in receivers
-    }
-
-    def route(target: int) -> int:
-        target = through(target)
-        return END if target in finishes else target
-
-    for bid, term in b.terms.items():
-        term = _retarget(term, route)
-        b.terms[bid] = Finish(None) if isinstance(term, Goto) and term.target == END else term
-    return entry
 
 
 def _renumber(
@@ -341,7 +295,7 @@ def _renumber(
 
 def pred_counts(terms: dict[int, Terminator], entry: int) -> dict[int, int]:
     """The predecessor count of every block reachable from the entry,
-    counting only edges from such blocks: a block that routing or a
+    counting only edges from such blocks: a block that a return or a
     folded branch cut off holds no other block back from being absorbed."""
     preds = {entry: 1}  # virtual edge: the entry is never absorbed
     stack = [entry]
@@ -380,9 +334,10 @@ def merge_blocks(graph: Cfg) -> Cfg:
     arm is END); then (b) a block ending in goto t, where t
     has no other reachable predecessor, absorbs t (_absorb). Absorbing
     makes no literal branch, so merging the result, or the optimized
-    graph of build_cfg, changes nothing. Edges into empty finishes are
-    build_cfg's to route. Diamond squashing is out of scope. Ids are
-    reassigned densely in reverse postorder; the input is not modified."""
+    graph of build_cfg, changes nothing. An edge into an empty finish
+    stays: build_cfg sends such edges to END. Diamond squashing is out of
+    scope. Ids are reassigned densely in reverse postorder; the input is
+    not modified."""
     check_cfg(graph)
     stmts = {bid: block.stmts for bid, block in graph.blocks.items()}
     terms: dict[int, Terminator] = {}

@@ -42,7 +42,7 @@ from .interp import (
 from .parser import parse_source
 from .printer import print_source
 from .syntax import Program
-from .transform import plan_generator, transform_program
+from .transform import transform_program
 from . import cfg as cfg_mod
 
 EXIT_OK = 0
@@ -225,7 +225,7 @@ def cmd_cfg(args) -> int:
         ) from None
     for decl in generators:
         with _stage(EXIT_COMPILE, args.input):
-            graph, _ = plan_generator(decl, args.optimize)  # what the lowering uses
+            graph = cfg_mod.build_cfg(decl, args.optimize)  # what the lowering uses
             dot = cfg_mod.emit_dot(graph, decl.name)
         path = out_dir / f"{decl.name}.dot"
         _write(path, dot)

@@ -18,6 +18,7 @@ from corolower.cfg import (
     _check_merged,
     emit_dot,
     merge_blocks,
+    targets,
 )
 from corolower.errors import InterpError, TransformError
 from corolower.interp import resume_sequence
@@ -46,7 +47,7 @@ from corolower import transform
 from corolower.transform import LOWERED_DEPTH, plan_generator
 
 from cfg_oracle import eval_cfg, yield_count
-from conftest import CORPUS_FILES, FIB_SOURCE, TESTS_DIR, outside_closures
+from conftest import CORPUS_FILES, FIB_SOURCE, TESTS_DIR, outside_closures, wide_source
 from genfuzz import closure_generator_program, random_generator_program
 from randgen import random_program
 
@@ -199,6 +200,55 @@ def test_build_cfg_requires_generator():
     program = parse_source("fn main() { }")
     with pytest.raises(TransformError):
         build_cfg(program.decls[0])
+
+
+def shape(graph):
+    """Each block's statement count, terminator kind and targets."""
+    return {
+        bid: (len(b.stmts), type(b.terminator).__name__, targets(b.terminator))
+        for bid, b in graph.blocks.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "body, split, opt",
+    [
+        ("", {1: (0, "Finish", [])}, {1: (0, "Finish", [])}),
+        ("while (true) { }", {1: (0, "Branch", [1, END])}, {1: (0, "Goto", [1])}),
+        (
+            "while (true) { return }",
+            {1: (0, "Branch", [END, END])},
+            {1: (0, "Finish", [])},
+        ),
+        (
+            "while (true) { while (true) { } }",
+            {1: (0, "Branch", [2, END]), 2: (0, "Branch", [2, 1])},
+            {1: (0, "Goto", [1])},
+        ),
+        (
+            "while (true) { while (x < 3) { x = x + 1 yield x } }",
+            {1: (0, "Branch", [2, END]), 2: (0, "Branch", [3, 1]), 3: (1, "YieldTo", [2])},
+            {1: (0, "Branch", [2, 1]), 2: (1, "YieldTo", [1])},
+        ),
+        (
+            "while (true) { let y = yield 1 }",
+            {1: (0, "Branch", [2, END]), 2: (0, "YieldTo", [3]), 3: (0, "Goto", [1])},
+            {1: (0, "YieldTo", [2]), 2: (0, "Goto", [1])},
+        ),
+        (
+            "if (true) { return } yield 1",
+            {1: (0, "Branch", [END, 2]), 2: (0, "YieldTo", [END])},
+            {1: (0, "Finish", [])},
+        ),
+    ],
+)
+def test_edge_shapes(body, split, opt):
+    # Empty bodies, endless loops that are empty, return or nest, a
+    # receiver that loops back, and a literal `if` that returns: each
+    # graph block by block, split and optimized.
+    decl = gen_decl(body, "x")
+    assert shape(build_cfg(decl)) == split
+    assert shape(build_cfg(decl, True)) == opt
 
 
 # -- the optimized graph -------------------------------------------------------
@@ -546,6 +596,31 @@ def test_merge_is_idempotent_on_corpus():
                     assert resume.stmts or resume.terminator != Finish(None), decl.name
             once = merge_blocks(graph)
             assert merge_blocks(once) == once, decl.name
+
+
+def test_build_makes_an_empty_goto_or_finish_only_where_an_edge_needs_one():
+    # An empty block that only goes on or finishes is the resume block of
+    # a let-yield, which binds the receiver, an entry that finishes, or
+    # an endless loop on itself; any other edge goes to its target or END.
+    decls = swept_generators()
+    decls += [parse_source(wide_source(arms, 1)).decls[0] for arms in (1, 2, 5, 40)]
+    for decl in decls:
+        for opt in (False, True):
+            graph = build_cfg(decl, opt)
+            receivers = {
+                b.terminator.resume
+                for b in graph.blocks.values()
+                if isinstance(b.terminator, YieldTo) and b.terminator.receiver
+            }
+            for bid, block in graph.blocks.items():
+                term = block.terminator
+                if block.stmts or not (isinstance(term, Goto) or term == Finish(None)):
+                    continue
+                assert (
+                    bid in receivers
+                    or (bid == graph.entry and term == Finish(None))
+                    or term == Goto(bid)
+                ), (decl.name, opt, bid)
 
 
 def test_merge_validates_and_is_pure():
