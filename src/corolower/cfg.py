@@ -179,7 +179,8 @@ class _Builder:
                 tail.append(stmt)
             elif isinstance(stmt, (YieldStmt, LetYield)):
                 # A let-yield's resume block binds the receiver on every
-                # resumption, even one that only finishes.
+                # resumption, even one that only finishes (a closure may
+                # read it later), and never on a jump into a successor.
                 receiver = stmt.name if isinstance(stmt, LetYield) else None
                 resume = self.close(tail, term, receiver is not None)
                 tail, term = [], YieldTo(stmt.value, receiver, resume)
