@@ -251,7 +251,7 @@ def build_cfg(func: FuncDecl, opt: bool = False) -> Cfg:
 
 def _renumber(
     stmts: dict[int, list[Stmt]],
-    terms: dict[int, Terminator | None],
+    terms: dict[int, Terminator],
     entry: int,
     declared: list[str],
 ) -> Cfg:
@@ -271,7 +271,7 @@ def _renumber(
         seen.add(bid)
         stack.append((bid, True))
         term = terms[bid]
-        succs = targets(term) if term is not None else []
+        succs = targets(term)
         if isinstance(term, Branch):
             succs = [term.orelse, term.then]
         for s in reversed(succs):
@@ -281,10 +281,7 @@ def _renumber(
     mapping = {old: new for new, old in enumerate(order, start=1)}
     blocks: dict[int, BasicBlock] = {}
     for old, new in mapping.items():
-        term = terms[old]
-        if term is None:
-            raise AssertionError(f"block {old} has no terminator")
-        term = _retarget(term, lambda t: mapping.get(t, t))
+        term = _retarget(terms[old], lambda t: mapping.get(t, t))
         blocks[new] = BasicBlock(new, stmts[old], term)
     graph = Cfg(blocks, 1, list(declared))
     check_cfg(graph)

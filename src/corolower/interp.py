@@ -13,28 +13,28 @@ and pre-bound to null when a frame is created, mirroring the uniform
 variable hoisting performed by the lowering (a `let` executes as plain
 assignment into the frame).
 
-Evaluation looks each node's class up in one of two module-level
-tables, `_EXPR` and `_STMT`, and calls the handler found there. A
-handler charges its node's step before anything else: one step per
-evaluated expression, per executed statement and per further `while`
-iteration. A node costs at most one Python frame, its handler's, and
-`v.f` and `v.f = e` cost one for both nodes: when the record is a
-variable, the field handler charges both steps first and reads the
-variable in place, raising `_var`'s error for an unbound one. Binary
-operators on two integers are looked up in `_INT_OPS`, whose `+`, `-`
-and `*` are Python's; a result outside 64 bits is wrapped there. Tests
-of `if` and `while` compare with `True` and `False` in place, and
-argument lists and record fields are built by loops, not
-comprehensions. Function bodies run in one of two ways:
+Evaluation looks each node's class up in `_EXPR` or `_STMT` and calls
+the handler found there, which charges the node's step before anything
+else: one step per evaluated expression, per executed statement and per
+further `while` iteration. A node costs at most one Python frame, its
+handler's, and a leaf none where its parent reads it in place: a `Var`
+or `IntLit` operand of a binary operator, argument of a call or value of
+`let`, assignment, `return` or `yield`, and a `Var` callee, generator of
+`next` or record of `v.f` and `v.f = e`, where an integer could only
+raise. The parent charges the leaf's step where its handler would and
+raises `_var`'s error at an unbound `Var`. `+`, `-` and `*` on two
+integers are Python's (`_INT_OPS`), wrapped only outside 64 bits. `if`
+and `while` compare their tests with `True` and `False` in place, and
+argument lists and records are built by loops, not comprehensions.
+Function bodies run in one of two ways:
 
 - `Interpreter.call` runs a plain body's statements itself, as `_if`,
-  `_switch` and `_while` run their blocks', so one call costs one Python
-  frame.
+  `_switch` and `_while` run their blocks', so one call costs one frame.
 - `_exec_gen` is the Python generator behind a generator instance. It
   handles `yield`, `let x = yield`, `if` and `while` itself, and hands
   every other statement to `_STMT`; validation keeps `switch` out of a
-  generator's body. It returns None when the body falls
-  off its end and `(value,)` on `return`.
+  generator's body. It returns None when the body falls off its end and
+  `(value,)` on `return`.
 
 The step budget is checked only where a run can go on without end or be
 seen, as a runtime checks at yieldpoints: each `while` iteration, entry
@@ -47,22 +47,22 @@ error raised past the budget is that exhaustion (`call` and `resume`
 turn it into one), and so is running out of Python's stack (`run` and
 `trace_instance`).
 
-A state machine selects its state in one of two ways, each taken with
-one lookup. A machine of more than four states, or an optimized one of
-four (transform.CHAIN_MAX), dispatches through a `switch`: `_switch`
-charges its step and its subject's, then takes the case for an integer
-value from the table on the node, or runs `else`. A smaller one
-dispatches through an `_i == k` chain, the lowered machine's or its
-`F_fo`'s. An `if` whose condition is `==` between a selector, a variable
-or a field of one, and an integer literal heads such a chain, and carries
-its jump table, built with the node like a switch's. The head reads the
-selector without charging a step, and `_arm` looks its value up in that
-table, the sink 0 and any other value no test matches included. When the
-value is an integer, the tests' steps are charged at once and the block
-run; such tests cannot raise, so outputs, steps and errors are exact. Any
-value that is not an integer (null, a boolean, a record, an unbound name,
-a missing field) runs the tests one by one, where the error is raised at
-the step it always was.
+A state machine selects its state with one lookup. A machine of more
+than four states, or an optimized one of four (transform.CHAIN_MAX),
+dispatches through a `switch`, whose table on the node holds the case
+of each integer label; any other value runs `else`. A smaller one
+dispatches through an `_i == k` chain, whose head `if` (`==` between a
+selector, a variable or a field of one, and an integer literal) carries
+the chain's jump table. `_arm` reads the selector without charging a
+step and looks it up there, the sink 0 and values no test matches
+included; for an integer the tests' steps are charged at once and the
+block run. Such tests cannot raise, so outputs, steps and errors are
+exact. Any other value (null, a boolean, a record, an unbound name, a
+missing field) runs the tests one by one. The dispatch loop, a
+`while (true)` whose body is the chain or switch, selects in its own
+frame with `true` charged in place: the arm through `_arm`, or the case
+from the table of a switch on a variable or a field of one. Any other
+selector runs `_if` or `_switch`.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -173,6 +173,11 @@ def _err(message, node=None):
     return InterpError(message)
 
 
+def _unbound(var):
+    """Raise _var's error, ending a walk: `scope = scope.parent or _unbound(var)`."""
+    raise _err(f"unbound name {var.name!r}", var)
+
+
 def _not_int(v, node):
     return _err(f"expected an integer, got {render_value(v)}", node)
 
@@ -203,6 +208,7 @@ def values_equal(a, b) -> bool:
 
 
 def render_value(v) -> str:
+    # Ints, booleans and null first: diff renders every printed value.
     if v is NULL:
         return "null"
     if isinstance(v, bool):
@@ -210,8 +216,28 @@ def render_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Record):
-        inner = ", ".join(f"{k}: {render_value(x)}" for k, x in v.fields.items())
-        return "{ " + inner + " }" if inner else "{}"
+        # From a stack, not by recursion, so depth costs no Python frames.
+        # A str there is text and a tuple ends the record in it, which is
+        # open till then: one met open again contains itself.
+        out, todo, opened = [], [v], set()
+        while todo:
+            v = todo.pop()
+            if type(v) is tuple:
+                opened.remove(id(v[0]))
+                out.append(" }")
+            elif type(v) is not Record:
+                out.append(v if type(v) is str else render_value(v))
+            elif id(v) in opened:
+                raise RecursionError("a record that contains itself has no end")
+            elif not v.fields:
+                out.append("{}")
+            else:
+                opened.add(id(v))
+                todo.append((v,))
+                for k, x in reversed(v.fields.items()):
+                    todo += (x, f", {k}: ")
+                todo[-1] = "{ " + todo[-1][2:]
+        return "".join(out)
     if isinstance(v, FuncRefV):
         return f"&{v.name}"
     if isinstance(v, GenInstance):
@@ -274,7 +300,6 @@ class Interpreter:
         env = Env(fn.env, bindings)
         if fn.is_generator:
             return GenInstance(fn.name, _exec_gen(self, fn.body.stmts, env))
-        # The body runs here, not through a helper: one Python frame per call.
         try:
             for stmt in fn.body.stmts:
                 result = _STMT[type(stmt)](self, stmt, env)
@@ -333,8 +358,8 @@ class Interpreter:
 # -- executors ----------------------------------------------------------------
 #
 # Every handler takes (interpreter, node, env) and starts by charging the
-# node's step (a field handler on a variable charges the variable's too). Statement handlers return None, or the `(value,)` of a
-# `return` for the executor to pass up.
+# node's step, or a leaf's that it reads in place. Statement handlers
+# return None, or the `(value,)` of a `return` for the executor to pass up.
 
 
 def _exec_gen(it: Interpreter, stmts, env: Env):
@@ -361,7 +386,10 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
                     return result
         elif kind is While:
             cond, body = stmt.cond, stmt.body.stmts
-            while (truth := _EXPR[type(cond)](it, cond, env)) is True:
+            forever = type(cond) is BoolLit and cond.value is True  # as in _while
+            while forever or (truth := _EXPR[type(cond)](it, cond, env)) is True:
+                if forever:
+                    it.steps += 1
                 result = yield from _exec_gen(it, body, env)
                 if result is not None:
                     return result
@@ -372,7 +400,18 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
                 raise _not_bool(truth, cond)
         else:
             value = stmt.value
-            received = yield _EXPR[type(value)](it, value, env)
+            if type(value) is Var:
+                it.steps += 1
+                scope = env
+                while value.name not in scope.vars:
+                    scope = scope.parent or _unbound(value)
+                value = scope.vars[value.name]
+            elif type(value) is IntLit:
+                it.steps += 1
+                value = value.value
+            else:
+                value = _EXPR[type(value)](it, value, env)
+            received = yield value
             if kind is LetYield:
                 env.vars[stmt.name] = received
     return None
@@ -388,7 +427,17 @@ _GEN_KINDS = frozenset({If, While, YieldStmt, LetYield})
 def _assign(it, stmt, env):
     it.steps += 1
     value = stmt.value
-    value = _EXPR[type(value)](it, value, env)
+    if type(value) is Var:
+        it.steps += 1
+        scope = env
+        while value.name not in scope.vars:
+            scope = scope.parent or _unbound(value)
+        value = scope.vars[value.name]
+    elif type(value) is IntLit:
+        it.steps += 1
+        value = value.value
+    else:
+        value = _EXPR[type(value)](it, value, env)
     name = stmt.name
     while name not in env.vars:
         env = env.parent
@@ -420,7 +469,6 @@ def _if(it, stmt, env):
                 return None
         else:
             raise _not_bool(truth, cond)
-    # The branch runs here, not through a helper: one Python frame per level.
     for inner in block.stmts:
         result = _STMT[type(inner)](it, inner, env)
         if result is not None:
@@ -433,18 +481,13 @@ def _arm(it, stmt, env):
     picks: the block its tests reach (None when an `if` without else is
     false) and the steps they charge, read without charging a step from
     the table built with the chain (syntax.If). None unless the value is
-    an integer, so that the tests could raise nothing. The budget is
-    checked after them, as after any node (module docstring)."""
+    an integer, so that the tests could raise nothing."""
     name, field, table, other = stmt.dispatch
-    while name not in env.vars:
+    while env.parent is not None and name not in env.vars:
         env = env.parent
-        if env is None:
-            return None
-    value = env.vars[name]
+    value = env.vars.get(name)  # None when the name is unbound
     if field is not None:
-        if type(value) is not Record:
-            return None
-        value = value.fields.get(field)
+        value = value.fields.get(field) if type(value) is Record else None
     if type(value) is not int:  # a bool would find the arm of 0 or 1
         return None
     return table.get(value, other)
@@ -460,7 +503,6 @@ def _switch(it, stmt, env):
         block = stmt.orelse
         if block is None:
             return None
-    # The case runs here, not through a helper, as in _if.
     for inner in block.stmts:
         result = _STMT[type(inner)](it, inner, env)
         if result is not None:
@@ -471,8 +513,30 @@ def _switch(it, stmt, env):
 def _while(it, stmt, env):
     it.steps += 1
     cond, body = stmt.cond, stmt.body.stmts
-    while (truth := _EXPR[type(cond)](it, cond, env)) is True:
-        for inner in body:
+    forever = type(cond) is BoolLit and cond.value is True
+    head = body[0] if forever and len(body) == 1 else None
+    chain = type(head) is If and head.dispatch is not None
+    subject = head.subject if type(head) is Switch else None
+    var = subject.record if type(subject) is FieldGet else subject
+    while forever or (truth := _EXPR[type(cond)](it, cond, env)) is True:
+        stmts = body
+        if forever:
+            it.steps += 1
+            if chain and (arm := _arm(it, head, env)) is not None:
+                it.steps += arm[1]
+                stmts = () if arm[0] is None else arm[0].stmts
+            elif type(var) is Var:
+                scope = env
+                while scope.parent is not None and var.name not in scope.vars:
+                    scope = scope.parent
+                value = scope.vars.get(var.name)  # as in _arm
+                if subject is not var:
+                    value = value.fields.get(subject.field) if type(value) is Record else None
+                if type(value) is int:  # as in _switch, a bool selects no case
+                    it.steps += 2 if subject is var else 3
+                    block = head.table.get(value, head.orelse)
+                    stmts = () if block is None else block.stmts
+        for inner in stmts:
             result = _STMT[type(inner)](it, inner, env)
             if result is not None:
                 return result
@@ -489,6 +553,14 @@ def _return(it, stmt, env):
     value = stmt.value
     if value is None:
         return (NULL,)
+    if type(value) is Var:
+        it.steps += 1
+        while value.name not in env.vars:
+            env = env.parent or _unbound(value)
+        return (env.vars[value.name],)
+    if type(value) is IntLit:
+        it.steps += 1
+        return (value.value,)
     return (_EXPR[type(value)](it, value, env),)
 
 
@@ -510,17 +582,12 @@ def _expr_stmt(it, stmt, env):
 def _field_set(it, stmt, env):
     record, value = stmt.record, stmt.value
     if type(record) is Var:
-        # v.f = e reads v in place, as _field_get does; e is still
-        # evaluated in env, so the walk keeps its own variable.
+        # v.f = e reads v in place; e is evaluated in env after the walk.
         it.steps += 2
-        name, scope = record.name, env
-        while scope is not None:
-            if name in scope.vars:
-                record = scope.vars[name]
-                break
-            scope = scope.parent
-        else:
-            raise _err(f"unbound name {name!r}", record)
+        scope = env
+        while record.name not in scope.vars:
+            scope = scope.parent or _unbound(record)
+        record = scope.vars[record.name]
     else:
         it.steps += 1
         record = _EXPR[type(record)](it, record, env)
@@ -565,24 +632,40 @@ def _null(it, expr, env):
 
 def _var(it, expr, env):
     it.steps += 1
-    name = expr.name
-    while env is not None:
-        if name in env.vars:
-            return env.vars[name]
-        env = env.parent
-    raise _err(f"unbound name {name!r}", expr)
+    while expr.name not in env.vars:
+        env = env.parent or _unbound(expr)
+    return env.vars[expr.name]
 
 
 def _binary(it, expr, env):
     it.steps += 1
     op, lhs, rhs = expr.op, expr.lhs, expr.rhs
-    a = _EXPR[type(lhs)](it, lhs, env)
+    if type(lhs) is Var:
+        it.steps += 1
+        scope = env
+        while lhs.name not in scope.vars:
+            scope = scope.parent or _unbound(lhs)
+        a = scope.vars[lhs.name]
+    elif type(lhs) is IntLit:
+        it.steps += 1
+        a = lhs.value
+    else:
+        a = _EXPR[type(lhs)](it, lhs, env)
     if op in _SHORT_CIRCUIT:
         # The lhs decides `&&` when false and `||` when true.
         if _bool(a, lhs) is _SHORT_CIRCUIT[op]:
             return a
         return _bool(_EXPR[type(rhs)](it, rhs, env), rhs)
-    b = _EXPR[type(rhs)](it, rhs, env)
+    if type(rhs) is Var:
+        it.steps += 1
+        while rhs.name not in env.vars:
+            env = env.parent or _unbound(rhs)
+        b = env.vars[rhs.name]
+    elif type(rhs) is IntLit:
+        it.steps += 1
+        b = rhs.value
+    else:
+        b = _EXPR[type(rhs)](it, rhs, env)
     if type(a) is int and type(b) is int:
         try:
             value = _INT_OPS[op](a, b)
@@ -643,19 +726,43 @@ def _unary(it, expr, env):
 
 def _call(it, expr, env):
     it.steps += 1
-    callee = expr.callee
-    fn = _EXPR[type(callee)](it, callee, env)
+    fn = expr.callee
+    if type(fn) is Var:
+        it.steps += 1
+        scope = env
+        while fn.name not in scope.vars:
+            scope = scope.parent or _unbound(fn)
+        fn = scope.vars[fn.name]
+    else:
+        fn = _EXPR[type(fn)](it, fn, env)
     # A loop, not a comprehension, which would cost a Python frame.
     args = []
     for arg in expr.args:
-        args.append(_EXPR[type(arg)](it, arg, env))
+        if type(arg) is Var:
+            it.steps += 1
+            scope = env
+            while arg.name not in scope.vars:
+                scope = scope.parent or _unbound(arg)
+            args.append(scope.vars[arg.name])
+        elif type(arg) is IntLit:
+            it.steps += 1
+            args.append(arg.value)
+        else:
+            args.append(_EXPR[type(arg)](it, arg, env))
     return it.call(fn, args, expr)
 
 
 def _next_call(it, expr, env):
     it.steps += 1
     gen, arg = expr.gen, expr.arg
-    target = _EXPR[type(gen)](it, gen, env)
+    if type(gen) is Var:
+        it.steps += 1
+        scope = env
+        while gen.name not in scope.vars:
+            scope = scope.parent or _unbound(gen)
+        target = scope.vars[gen.name]
+    else:
+        target = _EXPR[type(gen)](it, gen, env)
     value = NULL if arg is None else _EXPR[type(arg)](it, arg, env)
     return it.next_value(target, value, expr)
 
@@ -663,18 +770,11 @@ def _next_call(it, expr, env):
 def _field_get(it, expr, env):
     record = expr.record
     if type(record) is Var:
-        # v.f reads v in place: the access's step and v's are charged
-        # together before the lookup, where _var would charge v's, and an
-        # unbound v raises _var's error at v.
+        # v.f reads v in place, charging both steps before the lookup.
         it.steps += 2
-        name = record.name
-        while env is not None:
-            if name in env.vars:
-                record = env.vars[name]
-                break
-            env = env.parent
-        else:
-            raise _err(f"unbound name {name!r}", record)
+        while record.name not in env.vars:
+            env = env.parent or _unbound(record)
+        record = env.vars[record.name]
     else:
         it.steps += 1
         record = _EXPR[type(record)](it, record, env)

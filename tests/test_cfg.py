@@ -429,12 +429,11 @@ def test_the_graph_checks_hold_under_python_dash_o():
     # The checks raise AssertionError themselves, so `python -O`, which
     # drops assert statements, keeps them.
     script = f"""
-from corolower.cfg import END, BasicBlock, Cfg, Goto, YieldTo, _renumber, merge_blocks
+from corolower.cfg import END, BasicBlock, Cfg, Goto, YieldTo, merge_blocks
 from corolower.syntax import IntLit
 from corolower.transform import _receivers
 for check in (
     lambda: merge_blocks(Cfg({{1: BasicBlock(1, [], Goto(END))}}, 1)),
-    lambda: _renumber({{1: []}}, {{1: None}}, 1, []),
     lambda: _receivers({TWO_RECEIVERS}),
 ):
     try:
@@ -449,7 +448,6 @@ for check in (
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "goto 1 -> END instead of a finish",
-        "block 1 has no terminator",
         "two receivers resume at one state",
     ]
 

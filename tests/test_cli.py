@@ -164,6 +164,22 @@ def test_a_long_binary_chain_ends_by_budget_or_by_the_stack(capsys, tmp_path, mo
     monkeypatch.setenv("COROLOWER_BUDGET", "100")
     assert run_cli(capsys, "run", path) == (2, "", f"error: {path}: step budget exceeded\n")
 
+def test_a_deeply_nested_record_prints(capsys, tmp_path):
+    # `run` and `diff` render every printed value; a record 5,000 deep
+    # renders without recursion. One that contains itself still ends with
+    # the stack message.
+    path = tmp_path / "deep.mini"
+    path.write_text(
+        "fn main() {\n  let r = {}\n  let i = 0\n  while (i < 5000) {\n"
+        "    r = { n: r }\n    i = i + 1\n  }\n  print(r)\n}\n"
+    )
+    assert run_cli(capsys, "run", path) == (0, "{ n: " * 5000 + "{}" + " }" * 5000 + "\n", "")
+    assert run_cli(capsys, "diff", path) == (0, "", f"{path}: OK\n")
+    path.write_text("fn main() {\n  let r = { n: null }\n  r.n = r\n  print(r)\n}\n")
+    message = f"error: {path}: nesting or recursion too deep for the Python stack\n"
+    assert run_cli(capsys, "run", path) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "last, budget, error",
     [

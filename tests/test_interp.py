@@ -144,6 +144,101 @@ def test_division_by_zero():
         interp_native(parse_source("fn main() { print(1 % 0) }"))
 
 
+def operand_text(value):
+    if value is None or type(value) is bool:
+        return render_value(value)
+    if value == INT_MIN:
+        return MIN_TEXT
+    return str(value) if value >= 0 else f"(0 - {-value})"
+
+
+def expected_binary(op, a, b):
+    """a op b by Python's own arithmetic: `/` and `%` truncate toward zero,
+    `+ - * / %` wrap to 64 bits, and `==` never holds across types."""
+    if op in ("==", "!="):
+        return (type(a) is type(b) and a == b) == (op == "==")
+    if op in ("&&", "||"):
+        return (a and b) if op == "&&" else (a or b)
+    if op in ("<", "<=", ">", ">="):
+        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+    quotient = a // b if b else None
+    if quotient is not None and quotient < 0 and quotient * b != a:
+        quotient += 1  # Python's `//` floors; the language truncates
+    if op in ("/", "%"):
+        value = quotient if op == "/" else a - quotient * b
+    else:
+        value = {"+": a + b, "-": a - b, "*": a * b}[op]
+    return (value - INT_MIN) % 2**64 + INT_MIN
+
+
+INT_PAIRS = [
+    (7, 7), (0, 0), (INT_MIN, INT_MAX), (INT_MAX, INT_MIN), (INT_MIN, INT_MIN),
+    (INT_MAX, INT_MAX), (INT_MIN, -1), (INT_MAX, 1), (INT_MIN, 1), (-1, INT_MIN),
+    (-7, 2), (7, -2), (-7, -2), (2, 7), (0, 5), (5, 0), (-5, 0),
+]
+# Each pair with the operators it is evaluated under; `/` and `%` by zero
+# raise (test_division_by_zero_in_every_form).
+BINARY_CASES = [
+    *[
+        (op, a, b)
+        for a, b in INT_PAIRS
+        for op in ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=")
+        if b != 0 or op not in "/%"
+    ],
+    *[
+        (op, a, b)
+        for a, b in [(1, True), (True, 1), (0, False), (None, None), (None, 0), (0, None),
+                     (True, True), (True, False), (None, False), (False, None)]
+        for op in ("==", "!=")
+    ],
+    *[(op, a, b) for a in (True, False) for b in (True, False) for op in ("&&", "||")],
+]
+
+
+def binary_program(cases, lhs_var, rhs_var):
+    """A generator that yields a op b for each case, each operand read from
+    a parameter when its flag is set and written as a literal otherwise,
+    and a main that prints every result."""
+    params, args, yields = [], [], []
+    for index, (op, a, b) in enumerate(cases):
+        operands = []
+        for side, value, is_var in (("a", a, lhs_var), ("b", b, rhs_var)):
+            if is_var:
+                params.append(f"{side}{index}")
+                args.append(operand_text(value))
+            operands.append(params[-1] if is_var else operand_text(value))
+        yields.append(f"  yield {operands[0]} {op} {operands[1]}\n")
+    return (
+        f"fn* ops({', '.join(params)}) {{\n{''.join(yields)}}}\n\n"
+        f"fn main() {{\n  let g = ops({', '.join(args)})\n  let n = 0\n"
+        f"  while (n < {len(cases)}) {{\n    print(next(g))\n    n = n + 1\n  }}\n}}\n"
+    )
+
+
+@pytest.mark.parametrize("rhs_var", [True, False], ids=["rhs-var", "rhs-literal"])
+@pytest.mark.parametrize("lhs_var", [True, False], ids=["lhs-var", "lhs-literal"])
+def test_every_binary_operator_on_both_operand_paths_in_every_form(lhs_var, rhs_var):
+    # `_binary` reads a `Var` or `IntLit` operand in place and any other
+    # through its handler. Negative operands are `0 - n`, never literals,
+    # and a first-order variable is a field of `_e`.
+    forms = program_forms(parse_source(binary_program(BINARY_CASES, lhs_var, rhs_var)))
+    expected = [expected_binary(*case) for case in BINARY_CASES]
+    printed = {name: Interpreter(program).run() for name, program in forms.items()}
+    assert printed == dict.fromkeys(forms, expected)
+    assert len(printed) == 4
+
+
+@pytest.mark.parametrize("rhs_var", [True, False], ids=["rhs-var", "rhs-literal"])
+@pytest.mark.parametrize("lhs_var", [True, False], ids=["lhs-var", "lhs-literal"])
+@pytest.mark.parametrize("op, message", [("/", "division by zero"), ("%", "modulo by zero")])
+def test_division_by_zero_in_every_form(op, message, lhs_var, rhs_var):
+    forms = program_forms(parse_source(binary_program([(op, 7, 0)], lhs_var, rhs_var)))
+    for name, program in forms.items():
+        with pytest.raises(InterpError) as err:
+            Interpreter(program).run()
+        assert err.value.message == message, name
+
+
 def test_equality_never_crosses_types():
     program = parse_source(
         "fn main() { print(0 == false) print(null == 0) print(null == null) print(1 == 1) }"
@@ -276,16 +371,22 @@ def entered_frames(program):
 
 
 def test_the_hot_path_enters_no_helper_frame():
-    # At most one Python frame per evaluated node: no arithmetic wrapper,
-    # boolean test or comprehension of its own, and `v.f` and `v.f = e`
-    # read v in place instead of entering _var.
-    forms = program_forms(parse_source((CORPUS_DIR / "fib.mini").read_text()))
-    entered = {name: entered_frames(program) for name, program in forms.items()}
+    # The interpreter frames of a whole run, per form (native, lowered-opt,
+    # lowered-noopt, first-order). A node costs at most its handler's
+    # frame: no form enters an arithmetic wrapper, a boolean test or a
+    # comprehension. A `Var` or `IntLit` operand read in place costs none,
+    # and neither do the `true`, `if` and `switch` of a machine's dispatch
+    # loop. Entering `_var` and `_literal` for every leaf and `_literal`,
+    # `_if` or `_switch` on every pass of the loop, these runs took fib
+    # 262 / 361 / 431 / 450 frames and tally 100 / 160 / 215 / 203.
     helpers = {"wrap64", "_bool", "<lambda>", "<listcomp>", "<dictcomp>"}
-    assert {name: helpers & set(calls) for name, calls in entered.items()} == dict.fromkeys(
-        forms, set()
-    )
-    assert entered["first-order"]["_var"] == 52
+    for name, frames in (("fib", (150, 198, 238, 336)), ("tally", (71, 101, 110, 163))):
+        forms = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))
+        entered = {form: entered_frames(program) for form, program in forms.items()}
+        assert {form: helpers & set(calls) for form, calls in entered.items()} == dict.fromkeys(
+            forms, set()
+        ), name
+        assert tuple(sum(calls.values()) for calls in entered.values()) == frames, name
 
 
 def test_render_output_one_value_per_line():
@@ -297,6 +398,26 @@ def test_render_value_forms():
     assert render_value(-(2**63)) == str(-(2**63))
     assert render_value(False) == "false"
     assert render_value(None) == "null"
+
+
+def test_render_value_of_records():
+    # Records render from a stack, so depth costs no Python frames; a
+    # record that contains itself has no rendering and raises as the
+    # recursion that rendered records before did.
+    assert render_value(Record({})) == "{}"
+    assert render_value(Record({"a": 1, "b": Record({"c": None})})) == "{ a: 1, b: { c: null } }"
+    shared = Record({"x": True})
+    assert render_value(Record({"p": shared, "q": Record({"r": shared}), "e": Record({})})) == (
+        "{ p: { x: true }, q: { r: { x: true } }, e: {} }"
+    )
+    deep = Record({})
+    for _ in range(10_000):
+        deep = Record({"n": deep})
+    assert render_value(deep) == "{ n: " * 10_000 + "{}" + " }" * 10_000
+    looped = Record({"n": None})
+    looped.fields["n"] = Record({"m": looped})
+    with pytest.raises(RecursionError):
+        render_value(looped)
 
 
 def test_dispatch_tables_cover_the_ast():

@@ -476,6 +476,124 @@ def test_every_budget_ends_before_or_in_the_error(monkeypatch, source, error, st
 
 
 @pytest.mark.parametrize(
+    "source, error, steps",
+    [
+        ("fn main() { let x = 1 print(x) print(missing + x) }", (1, 38), 7),
+        ("fn main() { let x = 1 print(x) print(x + missing) }", (1, 42), 8),
+        ("fn main() { print(1) let x = missing }", (1, 30), 4),
+        ("fn main() { let x = 1 print(x) x = missing }", (1, 36), 6),
+        ("fn f() { return missing } fn main() { print(1) print(f()) }", (1, 17), 7),
+        (
+            "fn* g() { yield 1 yield missing } "
+            "fn main() { let s = g() print(next(s)) print(next(s)) }",
+            (1, 25),
+            13,
+        ),
+        ("fn main() { print(1) print(missing(1)) }", (1, 28), 5),
+        ("fn f(a, b) { return a } fn main() { print(f(1, 2)) print(f(1, missing)) }", (1, 63), 12),
+        ("fn main() { print(1) print(next(missing)) }", (1, 33), 5),
+    ],
+    ids=["lhs", "rhs", "let", "assign", "return", "yield", "callee", "argument", "next"],
+)
+def test_an_unbound_operand_read_in_place_fails_where_its_handler_did(
+    monkeypatch, source, error, steps
+):
+    # A `Var` operand read in place charges its step where `_var` did and
+    # raises `_var`'s error at the `Var`, at every budget. Each error, its
+    # position and the steps before it are those of a run that entered
+    # `_var` for every variable.
+    program = parse_source(source)
+    assert assert_every_budget_exact(monkeypatch, program) == (
+        InterpError,
+        "unbound name 'missing'",
+        *error,
+    )
+    assert outcome(program, 10_000_000)[::2] == ([1], steps)
+
+
+CHAIN_LOOP = """fn main() {
+  let s = INIT
+  while (true) {
+    if (SEL == 1) {
+      print(1)
+      SEL = 2
+    } else {
+      if (SEL == 2) {
+        print(2)
+        return 0
+      } else {
+        print(9)
+        SEL = 1
+      }
+    }
+  }
+}
+"""
+
+SWITCH_LOOP = """fn main() {
+  let s = INIT
+  while (true) {
+    switch (SEL) case 1 {
+      print(1)
+      SEL = 2
+    } case 2 {
+      print(2)
+      return 0
+    } else {
+      print(9)
+      SEL = 1
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "init, selector, printed, error, steps",
+    [
+        ("null", "s", [9, 1, 2], None, (40, 26)),
+        ("true", "s", [9, 1, 2], None, (40, 26)),
+        ("{ i: 1 }", "s", [9, 1, 2], None, (41, 27)),
+        ("{ i: null }", "s.i", [9, 1, 2], None, (48, 32)),
+        ("{ i: true }", "s.i", [9, 1, 2], None, (48, 32)),
+        ("{ i: { i: 1 } }", "s.i", [9, 1, 2], None, (49, 33)),
+        ("null", "s.i", [], ("field access on a non-record value", 4), (8, 7)),
+        ("{ j: 1 }", "s.i", [], ("record has no field 'i'", 4), (9, 8)),
+    ],
+    ids=["null", "bool", "record", "field-null", "field-bool", "field-record", "non-record", "no-field"],
+)
+@pytest.mark.parametrize("shape", ["chain", "switch"])
+def test_a_dispatch_loop_falls_back_on_a_selector_that_is_not_an_integer(
+    monkeypatch, shape, init, selector, printed, error, steps
+):
+    # The loop's first pass sees `init` and runs the dispatch through its
+    # handler; the passes after it see 1 and then 2, and select the arm in
+    # place. Every outcome and step count is that of a loop that ran its
+    # dispatch through `_if` or `_switch` on every pass.
+    template = CHAIN_LOOP if shape == "chain" else SWITCH_LOOP
+    program = parse_source(template.replace("INIT", init).replace("SEL", selector))
+    if error is not None:
+        col = 10 if shape == "chain" else 14
+        error = (InterpError, error[0], error[1], col)
+    assert assert_every_budget_exact(monkeypatch, program) == error
+    assert outcome(program, 10_000_000) == (printed, error, steps[shape == "switch"])
+
+
+@pytest.mark.parametrize(
+    "dispatch, col, steps",
+    [("switch (missing) case 1 { return 0 }", 45, 6), ("if (missing == 1) { return 0 }", 41, 7)],
+    ids=["switch", "chain"],
+)
+def test_a_dispatch_loop_on_an_unbound_name_fails_at_the_name(monkeypatch, dispatch, col, steps):
+    # 2 steps for `print(1)`, 1 for the loop and 1 for `true`; then the
+    # switch and its subject, or the `if`, `==` and the name.
+    program = parse_source(f"fn main() {{ print(1) while (true) {{ {dispatch} }} }}")
+    error = (InterpError, "unbound name 'missing'", 1, col)
+    assert assert_every_budget_exact(monkeypatch, program) == error
+    assert outcome(program, 10_000_000) == ([1], error, steps)
+
+
+@pytest.mark.parametrize(
     "source",
     [
         "fn main() { while (true) { } }",
