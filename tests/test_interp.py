@@ -145,8 +145,10 @@ def test_division_by_zero():
 
 
 def operand_text(value):
-    if value is None or type(value) is bool:
-        return render_value(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
     if value == INT_MIN:
         return MIN_TEXT
     return str(value) if value >= 0 else f"(0 - {-value})"
