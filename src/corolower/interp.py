@@ -49,20 +49,19 @@ turn it into one), and so is running out of Python's stack (`run` and
 
 A state machine selects its state with one lookup. A machine of more
 than four states, or an optimized one of four (transform.CHAIN_MAX),
-dispatches through a `switch`, whose table on the node holds the case
-of each integer label; any other value runs `else`. A smaller one
-dispatches through an `_i == k` chain, whose head `if` (`==` between a
-selector, a variable or a field of one, and an integer literal) carries
-the chain's jump table. `_arm` reads the selector without charging a
-step and looks it up there, the sink 0 and values no test matches
-included; for an integer the tests' steps are charged at once and the
-block run. Such tests cannot raise, so outputs, steps and errors are
-exact. Any other value (null, a boolean, a record, an unbound name, a
-missing field) runs the tests one by one. The dispatch loop, a
-`while (true)` whose body is the chain or switch, selects in its own
-frame with `true` charged in place: the arm through `_arm`, or the case
-from the table of a switch on a variable or a field of one. Any other
-selector runs `_if` or `_switch`.
+dispatches through a `switch` and a smaller one through an `_i == k`
+chain. A switch or a chain's head `if` that selects on a variable or a
+field of one carries a jump table (`dispatch`, see syntax.If): for each
+integer, the block it reaches and the steps the switch or the chain's
+tests charge on the way, the sink 0 and values no test matches included.
+The machine's dispatch loop, a `while (true)` whose one statement is the
+switch or the chain, reads the selector in place without charging a
+step and, for an integer, charges `true` and those steps at once and
+runs the block. Such tests cannot raise, so outputs, steps and errors
+are exact. Any other value (null, a boolean, a record, an unbound name,
+a missing field) runs the head through `_if` or `_switch`, step by step,
+as does a switch or a chain outside such a loop, like the switch of a
+machine with no jump back into its dispatch, which needs no loop.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -228,7 +227,7 @@ def render_value(v) -> str:
             elif type(v) is not Record:
                 out.append(v if type(v) is str else render_value(v))
             elif id(v) in opened:
-                raise RecursionError("a record that contains itself has no end")
+                raise InterpError("cannot render a record that contains itself")
             elif not v.fields:
                 out.append("{}")
             else:
@@ -452,45 +451,22 @@ def _yield_outside_generator(it, stmt, env):
 
 
 def _if(it, stmt, env):
-    if stmt.dispatch is not None and (arm := _arm(it, stmt, env)) is not None:
-        it.steps += arm[1]
-        block = arm[0]
+    it.steps += 1
+    cond = stmt.cond
+    truth = _EXPR[type(cond)](it, cond, env)
+    if truth is True:
+        block = stmt.then
+    elif truth is False:
+        block = stmt.orelse
         if block is None:
             return None
     else:
-        it.steps += 1
-        cond = stmt.cond
-        truth = _EXPR[type(cond)](it, cond, env)
-        if truth is True:
-            block = stmt.then
-        elif truth is False:
-            block = stmt.orelse
-            if block is None:
-                return None
-        else:
-            raise _not_bool(truth, cond)
+        raise _not_bool(truth, cond)
     for inner in block.stmts:
         result = _STMT[type(inner)](it, inner, env)
         if result is not None:
             return result
     return None
-
-
-def _arm(it, stmt, env):
-    """The arm of the dispatch chain under stmt that the selector's value
-    picks: the block its tests reach (None when an `if` without else is
-    false) and the steps they charge, read without charging a step from
-    the table built with the chain (syntax.If). None unless the value is
-    an integer, so that the tests could raise nothing."""
-    name, field, table, other = stmt.dispatch
-    while env.parent is not None and name not in env.vars:
-        env = env.parent
-    value = env.vars.get(name)  # None when the name is unbound
-    if field is not None:
-        value = value.fields.get(field) if type(value) is Record else None
-    if type(value) is not int:  # a bool would find the arm of 0 or 1
-        return None
-    return table.get(value, other)
 
 
 def _switch(it, stmt, env):
@@ -515,26 +491,23 @@ def _while(it, stmt, env):
     cond, body = stmt.cond, stmt.body.stmts
     forever = type(cond) is BoolLit and cond.value is True
     head = body[0] if forever and len(body) == 1 else None
-    chain = type(head) is If and head.dispatch is not None
-    subject = head.subject if type(head) is Switch else None
-    var = subject.record if type(subject) is FieldGet else subject
+    dispatch = getattr(head, "dispatch", None)  # only If and Switch have one
+    if dispatch is not None:
+        name, field, table, other = dispatch
     while forever or (truth := _EXPR[type(cond)](it, cond, env)) is True:
         stmts = body
         if forever:
             it.steps += 1
-            if chain and (arm := _arm(it, head, env)) is not None:
-                it.steps += arm[1]
-                stmts = () if arm[0] is None else arm[0].stmts
-            elif type(var) is Var:
+            if dispatch is not None:
                 scope = env
-                while scope.parent is not None and var.name not in scope.vars:
+                while scope.parent is not None and name not in scope.vars:
                     scope = scope.parent
-                value = scope.vars.get(var.name)  # as in _arm
-                if subject is not var:
-                    value = value.fields.get(subject.field) if type(value) is Record else None
-                if type(value) is int:  # as in _switch, a bool selects no case
-                    it.steps += 2 if subject is var else 3
-                    block = head.table.get(value, head.orelse)
+                value = scope.vars.get(name)  # None when the name is unbound
+                if field is not None:
+                    value = value.fields.get(field) if type(value) is Record else None
+                if type(value) is int:  # a bool would find the arm of 0 or 1
+                    block, steps = table.get(value, other)
+                    it.steps += steps
                     stmts = () if block is None else block.stmts
         for inner in stmts:
             result = _STMT[type(inner)](it, inner, env)

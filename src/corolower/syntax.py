@@ -185,20 +185,23 @@ class If(Stmt):
 
     def __post_init__(self):
         # `(name, field, table, other)` when the condition is a dispatch
-        # test (see _selector), and None otherwise: the jump table of the
-        # chain this `if` heads, like Switch.table. table maps each literal
-        # to the block its test reaches and the nodes evaluated to reach it,
-        # the first test of a literal winning, and other is the same for any
-        # other value. The chain goes on into an else that is one `if` on
-        # the same selector, built before this one, so its table extends.
-        # A plain attribute, not a field: the interpreter reads it with one
-        # load, and equality, repr and the tree walks never see it.
-        selector = _selector(self.cond)
+        # test `s == k`, s a selector (see _selector) and k an integer
+        # literal, and None otherwise: the jump table of the chain this `if`
+        # heads. table maps each literal to the block its test reaches and
+        # the nodes evaluated to reach it, the first test of a literal
+        # winning, and other is the same for any other value. The chain goes
+        # on into an else that is one `if` on the same selector, built
+        # before this one, so its table extends. A plain attribute, not a
+        # field: the interpreter reads it with one load, and equality, repr
+        # and the tree walks never see it.
+        cond = self.cond
+        is_test = type(cond) is Binary and cond.op == "==" and type(cond.rhs) is IntLit
+        selector = _selector(cond.lhs) if is_test else None
         if selector is None:
             self.dispatch = None
             return
         cost = 4 if selector[1] is None else 5  # the if, ==, selector, literal
-        table = {self.cond.rhs.value: (self.then, cost)}
+        table = {cond.rhs.value: (self.then, cost)}
         other = (self.orelse, cost)
         rest = self.orelse.stmts if self.orelse is not None else ()
         inner = rest[0].dispatch if len(rest) == 1 and type(rest[0]) is If else None
@@ -221,9 +224,18 @@ class Switch(Stmt):
     orelse: Optional[Block] = None
 
     def __post_init__(self):
-        # {label: block}, the jump table the interpreter takes a case from
-        # in one lookup; a plain attribute like If.dispatch.
+        # {label: block}, the jump table `_switch` takes a case from in one
+        # lookup; a plain attribute like If.dispatch. dispatch has If's
+        # shape when the subject is a selector, each case costing the
+        # switch and its subject, and is None otherwise.
         self.table = dict(self.cases)
+        selector = _selector(self.subject)
+        if selector is None:
+            self.dispatch = None
+            return
+        cost = 2 if selector[1] is None else 3
+        table = {label: (block, cost) for label, block in self.cases}
+        self.dispatch = (*selector, table, (self.orelse, cost))
 
 
 @dataclass
@@ -445,19 +457,15 @@ def identifiers(decl: FuncDecl) -> set[str]:
     return _names(decl.body) | set(decl.params)
 
 
-# -- dispatch tests -----------------------------------------------------------
+# -- dispatch selectors -------------------------------------------------------
 
 
-def _selector(cond: Expr) -> Optional[tuple[str, Optional[str]]]:
-    """The (name, field) that a dispatch test reads, field None for a Var;
-    None for any other condition. A dispatch test is `s == k`, k an IntLit
-    and the selector s a Var or a field of a Var: the tests of a state
-    machine's `_i == k` chain."""
-    if type(cond) is not Binary or cond.op != "==" or type(cond.rhs) is not IntLit:
-        return None
-    lhs = cond.lhs
-    if type(lhs) is Var:
-        return lhs.name, None
-    if type(lhs) is FieldGet and type(lhs.record) is Var:
-        return lhs.record.name, lhs.field
+def _selector(expr: Expr) -> Optional[tuple[str, Optional[str]]]:
+    """The (name, field) that a selector reads, field None for a Var, and
+    None for any other expression. A selector is a Var or a field of a
+    Var, as a state machine's `_i` and `_e._i` are."""
+    if type(expr) is Var:
+        return expr.name, None
+    if type(expr) is FieldGet and type(expr.record) is Var:
+        return expr.record.name, expr.field
     return None

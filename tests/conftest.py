@@ -1,10 +1,11 @@
+import copy
 from pathlib import Path
 
 import pytest
 
 from corolower.errors import InterpError
 from corolower.interp import Interpreter
-from corolower.syntax import FuncLit, children
+from corolower.syntax import FuncLit, If, Switch, children, walk
 
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
@@ -37,6 +38,17 @@ def outcome(program, budget):
     except InterpError as err:
         error = (type(err), err.message, err.line, err.col)
     return it.output, error, it.steps
+
+
+def without_tables(root):
+    """A copy of root in which no `if` or `switch` carries a dispatch
+    table (syntax.If), so that a dispatch loop runs every selection step
+    by step through `_if` or `_switch`."""
+    root = copy.deepcopy(root)
+    for node in walk(root):
+        if type(node) is If or type(node) is Switch:
+            node.dispatch = None
+    return root
 
 
 def wide_source(arms: int, nexts: int) -> str:

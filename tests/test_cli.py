@@ -166,8 +166,8 @@ def test_a_long_binary_chain_ends_by_budget_or_by_the_stack(capsys, tmp_path, mo
 
 def test_a_deeply_nested_record_prints(capsys, tmp_path):
     # `run` and `diff` render every printed value; a record 5,000 deep
-    # renders without recursion. One that contains itself still ends with
-    # the stack message.
+    # renders without recursion. One that contains itself has no text, and
+    # both end with a runtime error that says so.
     path = tmp_path / "deep.mini"
     path.write_text(
         "fn main() {\n  let r = {}\n  let i = 0\n  while (i < 5000) {\n"
@@ -176,7 +176,7 @@ def test_a_deeply_nested_record_prints(capsys, tmp_path):
     assert run_cli(capsys, "run", path) == (0, "{ n: " * 5000 + "{}" + " }" * 5000 + "\n", "")
     assert run_cli(capsys, "diff", path) == (0, "", f"{path}: OK\n")
     path.write_text("fn main() {\n  let r = { n: null }\n  r.n = r\n  print(r)\n}\n")
-    message = f"error: {path}: nesting or recursion too deep for the Python stack\n"
+    message = f"error: {path}: cannot render a record that contains itself\n"
     assert run_cli(capsys, "run", path) == (2, "", message)
 
 
@@ -295,14 +295,14 @@ def test_cfg_optimize_draws_the_graph_the_lowering_uses(capsys, tmp_path):
 
 
 def test_run_of_a_record_that_holds_itself_exit_2(capsys, tmp_path):
-    # Rendering the output recurses without end: an error line, no traceback.
+    # The output has no rendering: an error line that says why, no traceback.
     path = tmp_path / "cycle.mini"
     path.write_text("fn main() { let r = { a: 1 } r.a = r print(r) }\n")
     for command in ("run", "diff"):
         code, out, err = run_cli(capsys, command, path)
         assert code == 2, command
         assert out == ""
-        assert err == f"error: {path}: nesting or recursion too deep for the Python stack\n"
+        assert err == f"error: {path}: cannot render a record that contains itself\n"
 
 
 def nested_ifs_source(depth, yields, arm=False):

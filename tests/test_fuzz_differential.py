@@ -5,9 +5,8 @@ same seeds without yields in `if` arms, so that the optimized CFG keeps
 more `if` statements whole. A third runs generators whose closure reads
 their locals after they move on, in every form but the first-order one,
 which rejects closures. A fourth traces some of the lowered machines past
-their finish with the interpreter's dispatch lookup on and off."""
-
-import importlib
+their finish with and without the dispatch tables of their chains and
+switches."""
 
 import pytest
 
@@ -28,13 +27,11 @@ from corolower.syntax import If, While
 from corolower.transform import CHAIN_MAX, plan_generator, transform_program
 
 from cfg_oracle import eval_cfg
+from conftest import without_tables
 from genfuzz import closure_generator_program, random_generator_program
 
 SEEDS = range(200)
 SCRIPT = [None] + list(range(1, 30))
-
-# The package exports the function `interp` under the module's name.
-interp_module = importlib.import_module("corolower.interp")
 
 
 def check_forms_agree(seed, arm_yields=True):
@@ -123,13 +120,14 @@ def traced(program, name, args, budget):
     return results, error, it.steps
 
 
-def test_the_dispatch_lookup_keeps_fuzz_traces_exact(monkeypatch):
+def test_the_dispatch_lookup_keeps_fuzz_traces_exact():
     # Each machine runs to its finish and then keeps selecting the sink 0.
     # Budgets sampled across each trace land at every depth of the
-    # dispatch, and outcomes must not depend on whether `_arm` takes the
-    # chain's arm from its table or the handlers run the tests one by one.
-    # A machine of more than CHAIN_MAX states, or optimized of CHAIN_MAX,
-    # dispatches through a switch, which `_arm` never sees.
+    # dispatch, and outcomes must not depend on whether the dispatch loop
+    # takes the arm or case from the table of its chain or switch or a
+    # copy without tables runs the selection step by step. A machine of
+    # more than CHAIN_MAX states, or optimized of CHAIN_MAX, dispatches
+    # through a switch and any other through a chain.
     switched = 0
     for seed in range(0, 200, 5):
         for arm_yields in (True, False):
@@ -143,10 +141,9 @@ def test_the_dispatch_lookup_keeps_fuzz_traces_exact(monkeypatch):
                     full = traced(form, name, args, 10**6)
                     assert full[0][-1] is None and full[1] is None
                     budgets = [*range(1, full[2], 1 + full[2] // 12), full[2]]
-                    with_arm = [traced(form, name, args, b) for b in budgets]
-                    monkeypatch.setattr(interp_module, "_arm", lambda it, stmt, env: None)
-                    without = [traced(form, name, args, b) for b in budgets]
-                    monkeypatch.undo()
-                    assert with_arm == without, (seed, arm_yields, opt)
-                    assert with_arm[-1] == full
+                    with_tables = [traced(form, name, args, b) for b in budgets]
+                    plain = without_tables(form)
+                    without = [traced(plain, name, args, b) for b in budgets]
+                    assert with_tables == without, (seed, arm_yields, opt)
+                    assert with_tables[-1] == full
     assert switched == 27  # machines of 4 (optimized) to 15 states

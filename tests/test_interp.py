@@ -18,10 +18,18 @@ from corolower.interp import (
     resume_sequence,
 )
 from corolower.parser import parse_source
-from corolower.syntax import Block, If, NullLit, Program, Return, Switch, walk
+from corolower.syntax import Block, BoolLit, If, NullLit, Program, Return, Switch, While, walk
 from corolower.transform import transform_program
 
-from conftest import CORPUS_DIR, CORPUS_FILES, FIB_SOURCE, RECEIVE_SOURCE, outcome, wide_source
+from conftest import (
+    CORPUS_DIR,
+    CORPUS_FILES,
+    FIB_SOURCE,
+    RECEIVE_SOURCE,
+    outcome,
+    wide_source,
+    without_tables,
+)
 
 # The package exports the function `interp` under the module's name.
 interp_module = importlib.import_module("corolower.interp")
@@ -382,7 +390,7 @@ def test_the_hot_path_enters_no_helper_frame():
     # `_if` or `_switch` on every pass of the loop, these runs took fib
     # 262 / 361 / 431 / 450 frames and tally 100 / 160 / 215 / 203.
     helpers = {"wrap64", "_bool", "<lambda>", "<listcomp>", "<dictcomp>"}
-    for name, frames in (("fib", (150, 198, 238, 336)), ("tally", (71, 101, 110, 163))):
+    for name, frames in (("fib", (150, 178, 208, 316)), ("tally", (71, 91, 110, 153))):
         forms = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))
         entered = {form: entered_frames(program) for form, program in forms.items()}
         assert {form: helpers & set(calls) for form, calls in entered.items()} == dict.fromkeys(
@@ -404,8 +412,8 @@ def test_render_value_forms():
 
 def test_render_value_of_records():
     # Records render from a stack, so depth costs no Python frames; a
-    # record that contains itself has no rendering and raises as the
-    # recursion that rendered records before did.
+    # record that contains itself has no rendering and raises a runtime
+    # error that says so.
     assert render_value(Record({})) == "{}"
     assert render_value(Record({"a": 1, "b": Record({"c": None})})) == "{ a: 1, b: { c: null } }"
     shared = Record({"x": True})
@@ -418,7 +426,7 @@ def test_render_value_of_records():
     assert render_value(deep) == "{ n: " * 10_000 + "{}" + " }" * 10_000
     looped = Record({"n": None})
     looped.fields["n"] = Record({"m": looped})
-    with pytest.raises(RecursionError):
+    with pytest.raises(InterpError, match="^cannot render a record that contains itself$"):
         render_value(looped)
 
 
@@ -469,39 +477,52 @@ def test_print_shows_functions_and_generator_instances():
     assert render_output(interp_native(program)) == "&f\n<fn f>\n<fn>\n<generator g>\n"
 
 
-# -- dispatch chains ------------------------------------------------------------
+# -- dispatch loops -------------------------------------------------------------
 #
-# `_if` runs the head of a dispatch chain through `_arm` when it can: one
-# lookup in the jump table built with the head (syntax.If). Every outcome
-# must be the one of the step-by-step tests: the
-# printed prefix, the error's kind, message and position, and the steps
-# charged.
+# A dispatch loop, a `while (true)` whose one statement is a chain or a
+# switch, takes the arm or case from the table built with its head
+# (syntax.If) in one lookup. Every outcome must be the one of a copy
+# without tables (conftest.without_tables), whose loops run `_if` or
+# `_switch` on every pass: the printed prefix, the error's kind, message
+# and position, and the steps charged.
 
 
-def outcomes_with_and_without_arms(monkeypatch, program, budgets):
-    """The outcome at each budget with `_arm` on, for each budget whether
-    each call of `_arm` took an arm, and the outcomes with `_arm` off."""
-    visits = []
-    arm = interp_module._arm
+def head_frames(root, run):
+    """What run() returns, and how many times it entered `_if` or
+    `_switch` on the head of a dispatch loop under root, counted with
+    sys.setprofile. A pass of the loop enters its head's handler unless it
+    took the arm or case from the table."""
+    heads = {
+        id(loop.body.stmts[0])
+        for loop in walk(root)
+        if type(loop) is While and loop.cond == BoolLit(True) and len(loop.body.stmts) == 1
+    }
+    handlers = {interp_module._if.__code__, interp_module._switch.__code__}
+    entered = 0
 
-    def counted(it, stmt, env):
-        found = arm(it, stmt, env)
-        visits[-1].append(found is not None)
-        return found
+    def count(frame, event, arg):
+        nonlocal entered
+        if event == "call" and frame.f_code in handlers and id(frame.f_locals["stmt"]) in heads:
+            entered += 1
 
-    monkeypatch.setattr(interp_module, "_arm", counted)
-    with_arms = []
-    for budget in budgets:
-        visits.append([])
-        with_arms.append(outcome(program, budget))
-    monkeypatch.setattr(interp_module, "_arm", lambda it, stmt, env: None)
-    without = [outcome(program, budget) for budget in budgets]
-    monkeypatch.undo()
-    return with_arms, visits, without
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, entered
 
 
-def taken(visits):
-    return sum(map(sum, visits))
+def outcomes_with_and_without_tables(program, budgets):
+    """The outcome at each budget with the dispatch tables and without
+    them, and of the passes of the dispatch loops in the run at the last
+    budget, how many took the table and how many ran the head's handler."""
+    plain = without_tables(program)
+    with_tables = [outcome(program, budget) for budget in budgets]
+    without = [outcome(plain, budget) for budget in budgets]
+    passes = head_frames(plain, lambda: outcome(plain, budgets[-1]))[1]
+    fell_back = head_frames(program, lambda: outcome(program, budgets[-1]))[1]
+    return with_tables, without, passes - fell_back, fell_back
 
 
 def full_steps(program):
@@ -510,49 +531,63 @@ def full_steps(program):
     return it.steps
 
 
-def arm_of(stmt, **bindings):
-    """What `_arm` picks for stmt with only these names bound."""
-    return interp_module._arm(Interpreter(Program([])), stmt, Env(None, bindings))
-
-
 @pytest.mark.parametrize("form", ["lowered-opt", "lowered-noopt", "first-order"])
 @pytest.mark.parametrize("name", ["fib", "receive", "tally", "exhaust"])
-def test_dispatch_arms_keep_every_budget_exact(monkeypatch, name, form):
+def test_dispatch_arms_keep_every_budget_exact(name, form):
     program = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))[form]
     steps = full_steps(program)
     budgets = range(1, steps + 1)
-    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-    assert with_arms == without
-    assert with_arms[-1][1:] == (None, steps)
-    assert all(error[0] is BudgetExceeded for _, error, _ in with_arms[:-1])
-    # At the full budget every visit of a dispatch chain takes an arm, the
-    # visits that find the sink 0 included: exhaust's six `next`s resume
-    # the three states and then the sink three times. Tally's unoptimized
-    # machine has 8 states and dispatches through a switch instead.
-    assert all(visits[-1])
-    assert bool(visits[-1]) == ((name, form) != ("tally", "lowered-noopt"))
+    with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
+    assert with_tables == without
+    assert with_tables[-1][1:] == (None, steps)
+    assert all(error[0] is BudgetExceeded for _, error, _ in with_tables[:-1])
+    # At the full budget every pass of a dispatch loop takes the table,
+    # the passes that find the sink 0 included: exhaust's six `next`s
+    # resume the three states and then the sink three times. Tally's
+    # unoptimized machine of 6 states dispatches through a switch.
+    assert taken > 0 and fell_back == 0
     if name == "exhaust":
-        assert len(visits[-1]) == 6
+        assert taken == 6
 
 
-def test_dispatch_of_a_switched_machine(monkeypatch):
+def test_dispatch_of_a_switched_machine():
     # 21 states optimized and 62 unoptimized: one switch whose labels are
-    # the states, and no `if` that heads a dispatch chain, so `_arm` takes
-    # nothing. Budgets every 11 steps land all over the run.
+    # the states, on `_i` lowered and `_e._i` first-order. Optimized,
+    # every case returns and the switch is the body itself, which
+    # `_switch` runs on every `next`; unoptimized, it is the one statement
+    # of a dispatch loop, whose 125 passes take the table. Budgets every
+    # 11 steps land all over the run.
     source = parse_source(wide_source(20, 60))
     for name, program in program_forms(source).items():
         if name == "native":
             continue
         steps = full_steps(program)
         budgets = [*range(1, steps, 11), steps]
-        with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-        assert taken(visits) == 0, name
-        assert with_arms == without, name
-        assert with_arms[-1][1:] == (None, steps), name
+        with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
+        assert (taken, fell_back) == ((125 if name == "lowered-noopt" else 0), 0), name
+        assert with_tables == without, name
+        assert with_tables[-1][1:] == (None, steps), name
         (switch,) = [n for n in walk(program) if type(n) is Switch]
         states = transform.plan_generator(source.decls[0], name != "lowered-noopt")[1].states
         assert list(switch.table) == states, name
         assert switch.orelse == Block([Return(NullLit())]), name
+        # The switch and `_i`, or the switch, `_e` and its field.
+        selector, cost = (("_e", "_i"), 3) if name == "first-order" else (("_i", None), 2)
+        table = {label: (block, cost) for label, block in switch.cases}
+        assert switch.dispatch == (*selector, table, (switch.orelse, cost)), name
+
+
+def test_a_switch_on_a_selector_carries_its_table():
+    # Tally's unoptimized machine of 6 states switches on `_i`: the switch
+    # and the variable, 2 steps to any case. A switch on any other
+    # expression than a variable or a field of one carries no table.
+    tally = program_forms(parse_source((CORPUS_DIR / "tally.mini").read_text()))["lowered-noopt"]
+    (switch,) = [n for n in walk(tally) if type(n) is Switch]
+    table = {label: (block, 2) for label, block in switch.cases}
+    assert list(table) == [1, 2, 3, 4, 5, 6]
+    assert switch.dispatch == ("_i", None, table, (switch.orelse, 2))
+    program = parse_source("fn main() { let s = 1 switch (s + 3) case 4 { print(4) } }")
+    assert program.decls[0].body.stmts[1].dispatch is None
 
 
 @pytest.mark.parametrize(
@@ -602,33 +637,38 @@ def test_switch_runs_the_case_of_an_int_label(subject, printed, steps):
     ],
 )
 @pytest.mark.parametrize("op", ["==", "<"])
-def test_dispatch_arms_fall_back_on_any_other_selector(monkeypatch, init, selector, op):
+def test_dispatch_arms_fall_back_on_any_other_selector(init, selector, op):
     # Null, a boolean, a record, an unbound name, a missing field and a
     # field of a non-record: the tests run one by one, so errors and steps
     # stay those of each test. Any integer, a literal of the chain or
-    # another value, takes its arm at any budget: the budget is checked at
-    # the prints after it. A `<` test heads no chain, so its tests always
-    # run one by one.
+    # another value, takes its arm from the table at any budget: the
+    # budget is checked at the prints after it. A `<` test heads no chain,
+    # so its tests always run one by one.
     source = f"""fn main() {{
   let s = {init}
   print(7)
-  if ({selector} {op} 1) {{
-    print(1)
-  }} else {{
-    if ({selector} {op} 4) {{
-      print(4)
+  while (true) {{
+    if ({selector} {op} 1) {{
+      print(1)
+      return 1
     }} else {{
-      print(5)
+      if ({selector} {op} 4) {{
+        print(4)
+        return 4
+      }} else {{
+        print(5)
+        return 5
+      }}
     }}
   }}
-  print(8)
 }}"""
     program = parse_source(source)
     budgets = range(1, 30)
-    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-    assert with_arms == without
+    with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
+    assert with_tables == without
     ints = {"s": ("0", "1", "3"), "s.i": ("{ i: 0 }", "{ i: 3 }", "{ i: 4 }")}
-    assert (taken(visits) > 0) == (op == "==" and init in ints.get(selector, ()))
+    takes = op == "==" and init in ints.get(selector, ())
+    assert (taken, fell_back) == ((1, 0) if takes else (0, 1))
 
 
 def test_fib_dispatch_arms():
@@ -637,7 +677,8 @@ def test_fib_dispatch_arms():
     # chain; the sink 0 passes all three tests to the `return null`.
     forms = program_forms(parse_source(FIB_SOURCE))
     for form, cost in (("lowered-opt", 4), ("first-order", 5)):
-        head = next(n for n in walk(forms[form]) if type(n) is If and n.dispatch is not None)
+        loop = next(n for n in walk(forms[form]) if type(n) is While and n.cond == BoolLit(True))
+        head = loop.body.stmts[0]
         chain = [head]
         while len(chain) < 3:
             chain.append(chain[-1].orelse.stmts[0])
@@ -647,62 +688,77 @@ def test_fib_dispatch_arms():
         assert other == (chain[-1].orelse, cost * 3), form
         assert chain[-1].orelse.stmts == [Return(NullLit())]
 
-        def select(k):
-            return arm_of(head, **{name: k if field is None else Record({field: k})})
+        def run_from(loop, k):
+            """The result and the steps of fib's dispatch loop run from
+            state k, with a = 0, b = 1 and c = 0."""
+            state = {"_i": k, "a": 0, "b": 1, "c": 0}
+            it = Interpreter(Program([]))
+            env = Env(None, state if field is None else {"_e": Record(state)})
+            return interp_module._while(it, loop, env), it.steps
 
-        for k, test in zip((1, 2, 3), chain):
-            assert select(k) == (test.then, cost * k), form
-        assert select(0) == other, form
+        # State 1 starts fib and state 3 steps it, each going on to 2,
+        # which returns a; the sink 0 and any other value return null.
+        plain = without_tables(loop)
+        for k, result in ((0, None), (1, 0), (2, 0), (3, 1), (4, None)):
+            ran, fell_back = head_frames(loop, lambda: run_from(loop, k))
+            assert ran == run_from(plain, k) and ran[0] == (result,), (form, k)
+            assert fell_back == 0, (form, k)
+        # The loop and `true`, the tests, and `return` and `null`.
+        assert run_from(loop, 0)[1] == 4 + cost * 3, form
 
 
 @pytest.mark.parametrize("init, printed", [("1", [1]), ("2", [2]), ("5", [])])
-def test_a_dispatch_chain_takes_the_first_test_of_a_literal(monkeypatch, init, printed):
+def test_a_dispatch_chain_takes_the_first_test_of_a_literal(init, printed):
+    # Any other integer passes all three tests and runs nothing: 12 steps
+    # a pass, till the budget ends the loop in its third pass.
     program = parse_source(
         f"""fn main() {{
   let s = {init}
-  if (s == 1) {{ print(1) }} else {{ if (s == 2) {{ print(2) }} else {{ if (s == 1) {{ print(3) }} }} }}
-  print(9)
+  while (true) {{
+    if (s == 1) {{ print(1) return 1 }} else {{ if (s == 2) {{ print(2) return 2 }} else {{ if (s == 1) {{ print(3) return 3 }} }} }}
+  }}
 }}"""
     )
-    first = program.decls[0].body.stmts[1]
+    first = program.decls[0].body.stmts[1].body.stmts[0]
     second = first.orelse.stmts[0]
     third = second.orelse.stmts[0]
     assert first.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 12))
     assert second.dispatch[2:] == ({2: (second.then, 4), 1: (third.then, 8)}, (None, 8))
-    budgets = range(1, full_steps(program) + 1)
-    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-    assert with_arms == without
-    assert with_arms[-1][0] == printed + [9]
-    assert all(visits[-1]) and len(visits[-1]) == 1
+    budgets = range(1, 40)
+    with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
+    assert with_tables == without
+    assert with_tables[-1][:2] == (printed, None if printed else (BudgetExceeded, "step budget exceeded", None, None))
+    assert (taken, fell_back) == (1 if printed else 3, 0)
 
 
 @pytest.mark.parametrize("init, printed", [("1", [1]), ("2", [2]), ("0", []), ("true", [])])
-def test_a_dispatch_chain_whose_last_if_has_no_else(monkeypatch, init, printed):
-    # Any other integer passes both tests and runs nothing: 8 steps. A
-    # boolean runs the tests one by one, so each `if` asks `_arm` in vain.
+def test_a_dispatch_chain_whose_last_if_has_no_else(init, printed):
+    # Any other integer passes both tests and runs nothing: 8 steps a
+    # pass, till the budget ends the loop in its fourth pass. A boolean
+    # runs the tests one by one, through `_if` on every pass.
     program = parse_source(
         f"""fn main() {{
   let s = {init}
-  if (s == 1) {{ print(1) }} else {{ if (s == 2) {{ print(2) }} }}
-  print(9)
+  while (true) {{
+    if (s == 1) {{ print(1) return 1 }} else {{ if (s == 2) {{ print(2) return 2 }} }}
+  }}
 }}"""
     )
-    first = program.decls[0].body.stmts[1]
+    first = program.decls[0].body.stmts[1].body.stmts[0]
     second = first.orelse.stmts[0]
     assert first.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 8))
     assert second.dispatch == ("s", None, {2: (second.then, 4)}, (None, 4))
-    assert arm_of(first, s=0) == (None, 8)
-    budgets = range(1, full_steps(program) + 1)
-    with_arms, visits, without = outcomes_with_and_without_arms(monkeypatch, program, budgets)
-    assert with_arms == without
-    assert with_arms[-1][0] == printed + [9]
-    assert visits[-1] == ([False, False] if init == "true" else [True])
+    budgets = range(1, 40)
+    with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
+    assert with_tables == without
+    assert with_tables[-1][:2] == (printed, None if printed else (BudgetExceeded, "step budget exceeded", None, None))
+    assert (taken, fell_back) == {"1": (1, 0), "2": (1, 0), "0": (4, 0), "true": (0, 4)}[init]
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_running_leaves_every_dispatch_table_as_built(path):
     for form, program in program_forms(parse_source(path.read_text())).items():
-        heads = [n for n in walk(program) if type(n) is If and n.dispatch is not None]
+        heads = [n for n in walk(program) if type(n) in (If, Switch) and n.dispatch is not None]
         built = [(n.dispatch, dict(n.dispatch[2])) for n in heads]
         Interpreter(program).run()
         for head, (dispatch, table) in zip(heads, built):
@@ -712,22 +768,38 @@ def test_running_leaves_every_dispatch_table_as_built(path):
 def test_a_dispatch_tree_stops_at_any_other_statement():
     # Only an arm that is one `==` test on the same selector continues the
     # chain, and the table holds every test of the chain from the start.
-    program = parse_source(
-        """fn main() {
-  let s = 2
-  let t = 2
-  if (s == 1) { if (t == 1) { print(1) } } else { if (s == 2) { print(2) } print(3) }
-  if (s == 3) { if (s.i == 3) { print(4) } } else { if (s == 2) { print(5) } else { if (s < 9) { print(6) } } }
+    # `two(3)` takes its arm from the table and fails in it, at `s.i`.
+    source = """fn one(s, t) {
+  while (true) {
+    if (s == 1) { if (t == 1) { print(1) } return 1 } else { if (s == 2) { print(2) } print(3) return 3 }
+  }
+}
+
+fn two(s) {
+  while (true) {
+    if (s == 3) { if (s.i == 3) { print(4) } return 4 } else { if (s == 2) { print(5) return 5 } else { if (s < 9) { print(6) return 6 } else { return 7 } } }
+  }
+}
+
+fn main() {
+  print(one(2, 2))
+  print(one(1, 1))
+  print(two(2))
+  print(two(5))
+  print(two(9))
+  print(two(3))
 }"""
-    )
-    first, second = program.decls[0].body.stmts[2:]
-    assert arm_of(first, s=2) == (first.orelse, 4)
-    assert arm_of(first, s=1, t=1) == (first.then, 4)
-    assert first.dispatch[2] == {1: (first.then, 4)}
+    program = parse_source(source)
+    first, second = (decl.body.stmts[0].body.stmts[0] for decl in program.decls[:2])
     third = second.orelse.stmts[0]
-    assert arm_of(second, s=3) == (second.then, 4)
-    assert arm_of(second, s=2) == (third.then, 8)
-    assert arm_of(second, s=5) == (third.orelse, 8)
+    assert first.dispatch[2:] == ({1: (first.then, 4)}, (first.orelse, 4))
     assert third.orelse.stmts[0].dispatch is None
-    assert second.dispatch[2] == {3: (second.then, 4), 2: (third.then, 8)}
-    assert interp_native(program) == [2, 3, 5]
+    assert second.dispatch[2:] == ({3: (second.then, 4), 2: (third.then, 8)}, (third.orelse, 8))
+    steps = outcome(program, 10_000_000)[2]
+    with_tables, without, taken, fell_back = outcomes_with_and_without_tables(
+        program, range(1, steps + 1)
+    )
+    assert with_tables == without
+    error = (InterpError, "field access on a non-record value", 9, 24)
+    assert with_tables[-1] == ([2, 3, 3, 1, 1, 5, 5, 6, 6, 7], error, steps)
+    assert (taken, fell_back) == (6, 0)
