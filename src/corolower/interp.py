@@ -50,18 +50,18 @@ turn it into one), and so is running out of Python's stack (`run` and
 A state machine selects its state with one lookup. A machine of more
 than four states, or an optimized one of four (transform.CHAIN_MAX),
 dispatches through a `switch` and a smaller one through an `_i == k`
-chain. A switch or a chain's head `if` that selects on a variable or a
-field of one carries a jump table (`dispatch`, see syntax.If): for each
-integer, the block it reaches and the steps the switch or the chain's
-tests charge on the way, the sink 0 and values no test matches included.
-The machine's dispatch loop, a `while (true)` whose one statement is the
-switch or the chain, reads the selector in place without charging a
-step and, for an integer, charges `true` and those steps at once and
-runs the block. Such tests cannot raise, so outputs, steps and errors
-are exact. Any other value (null, a boolean, a record, an unbound name,
-a missing field) runs the head through `_if` or `_switch`, step by step,
-as does a switch or a chain outside such a loop, like the switch of a
-machine with no jump back into its dispatch, which needs no loop.
+chain. The machine's dispatch loop, a `while (true)` whose one statement
+is a switch or a chain that selects on a variable or a field of one,
+carries its jump table (`dispatch`, see syntax.While): for each integer,
+the block it reaches and the steps the switch or the chain's tests
+charge on the way, the sink 0 and values no test matches included.
+`_while` reads the selector in place without charging a step and, for an
+integer, charges `true` and those steps at once and runs the block. Such
+tests cannot raise, so outputs, steps and errors are exact. Any other
+value (null, a boolean, a record, an unbound name, a missing field) runs
+the loop's statement through `_if` or `_switch`, step by step, as does a
+switch or a chain outside such a loop, like the switch of a machine with
+no jump back into its dispatch, which needs no loop.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -178,7 +178,7 @@ def _unbound(var):
 
 
 def _not_int(v, node):
-    return _err(f"expected an integer, got {render_value(v)}", node)
+    return _err(f"expected an integer, got {_shown(v)}", node)
 
 
 def _bool(v, node) -> bool:
@@ -188,7 +188,7 @@ def _bool(v, node) -> bool:
 
 
 def _not_bool(v, node):
-    return _err(f"expected a boolean, got {render_value(v)}", node)
+    return _err(f"expected a boolean, got {_shown(v)}", node)
 
 
 def values_equal(a, b) -> bool:
@@ -246,6 +246,15 @@ def render_value(v) -> str:
     raise AssertionError(f"unrenderable value {v!r}")
 
 
+def _shown(v) -> str:
+    """v as an error message shows it: rendered, or named if it is a
+    record that contains itself, which has no rendering."""
+    try:
+        return render_value(v)
+    except InterpError:
+        return "a record that contains itself"
+
+
 def render_output(values) -> str:
     return "".join(render_value(v) + "\n" for v in values)
 
@@ -287,7 +296,7 @@ class Interpreter:
         if type(fn) is FuncRefV:
             fn = self._resolve_ref(fn, node)
         if type(fn) is not Closure:
-            raise _err(f"value {render_value(fn)} is not callable", node)
+            raise _err(f"value {_shown(fn)} is not callable", node)
         if len(args) != len(fn.params):
             raise _err(
                 f"{fn.name or 'fn'} expects {len(fn.params)} argument(s), got {len(args)}",
@@ -328,7 +337,7 @@ class Interpreter:
             return self.resume(target, value)
         if type(target) is Closure:
             return self.call(target, [value], node)
-        raise _err(f"next on non-resumable value {render_value(target)}", node)
+        raise _err(f"next on non-resumable value {_shown(target)}", node)
 
     def resume(self, inst: GenInstance, value):
         """Resume protocol: first resumption discards its value and runs from
@@ -490,8 +499,7 @@ def _while(it, stmt, env):
     it.steps += 1
     cond, body = stmt.cond, stmt.body.stmts
     forever = type(cond) is BoolLit and cond.value is True
-    head = body[0] if forever and len(body) == 1 else None
-    dispatch = getattr(head, "dispatch", None)  # only If and Switch have one
+    dispatch = stmt.dispatch
     if dispatch is not None:
         name, field, table, other = dispatch
     while forever or (truth := _EXPR[type(cond)](it, cond, env)) is True:

@@ -183,34 +183,6 @@ class If(Stmt):
     then: Block
     orelse: Optional[Block] = None
 
-    def __post_init__(self):
-        # `(name, field, table, other)` when the condition is a dispatch
-        # test `s == k`, s a selector (see _selector) and k an integer
-        # literal, and None otherwise: the jump table of the chain this `if`
-        # heads. table maps each literal to the block its test reaches and
-        # the nodes evaluated to reach it, the first test of a literal
-        # winning, and other is the same for any other value. The chain goes
-        # on into an else that is one `if` on the same selector, built
-        # before this one, so its table extends. A plain attribute, not a
-        # field: the interpreter reads it with one load, and equality, repr
-        # and the tree walks never see it.
-        cond = self.cond
-        is_test = type(cond) is Binary and cond.op == "==" and type(cond.rhs) is IntLit
-        selector = _selector(cond.lhs) if is_test else None
-        if selector is None:
-            self.dispatch = None
-            return
-        cost = 4 if selector[1] is None else 5  # the if, ==, selector, literal
-        table = {cond.rhs.value: (self.then, cost)}
-        other = (self.orelse, cost)
-        rest = self.orelse.stmts if self.orelse is not None else ()
-        inner = rest[0].dispatch if len(rest) == 1 and type(rest[0]) is If else None
-        if inner is not None and inner[:2] == selector:
-            for value, (block, steps) in inner[2].items():
-                table.setdefault(value, (block, steps + cost))
-            other = (inner[3][0], inner[3][1] + cost)
-        self.dispatch = (*selector, table, other)
-
 
 @dataclass
 class Switch(Stmt):
@@ -225,23 +197,45 @@ class Switch(Stmt):
 
     def __post_init__(self):
         # {label: block}, the jump table `_switch` takes a case from in one
-        # lookup; a plain attribute like If.dispatch. dispatch has If's
-        # shape when the subject is a selector, each case costing the
-        # switch and its subject, and is None otherwise.
+        # lookup; a plain attribute like While.dispatch.
         self.table = dict(self.cases)
-        selector = _selector(self.subject)
-        if selector is None:
-            self.dispatch = None
-            return
-        cost = 2 if selector[1] is None else 3
-        table = {label: (block, cost) for label, block in self.cases}
-        self.dispatch = (*selector, table, (self.orelse, cost))
 
 
 @dataclass
 class While(Stmt):
     cond: Expr
     body: Block
+
+    def __post_init__(self):
+        # The jump table of a dispatch loop, a `while (true)` whose one
+        # statement is a switch or an `s == k` chain on a selector s (see
+        # _selector), and None for any other loop: `(name, field, table,
+        # other)`. table maps each integer the switch or the chain selects
+        # to its block and the steps charged on the way there, the first
+        # test of a literal winning, and other is the same for any other
+        # value. The chain goes on into an else that is one `if` on the same
+        # selector. A plain attribute, not a field: the interpreter reads it
+        # with one load, and equality, repr and the tree walks never see it.
+        self.dispatch = None
+        cond, stmts = self.cond, self.body.stmts
+        if type(cond) is not BoolLit or cond.value is not True or len(stmts) != 1:
+            return
+        head, selector, table, steps = stmts[0], None, {}, 0
+        if type(head) is Switch and (selector := _selector(head.subject)) is not None:
+            steps, other = (2 if selector[1] is None else 3), head.orelse  # the switch, s
+            table = {label: (block, steps) for label, block in head.cases}
+        while type(head) is If:  # each test charges the if, ==, s and k
+            test = head.cond
+            is_test = type(test) is Binary and test.op == "==" and type(test.rhs) is IntLit
+            tested = _selector(test.lhs) if is_test else None
+            if tested is None or selector not in (None, tested):
+                break
+            selector, other = tested, head.orelse
+            steps += 4 if tested[1] is None else 5
+            table.setdefault(test.rhs.value, (head.then, steps))
+            head = other.stmts[0] if other is not None and len(other.stmts) == 1 else None
+        if selector is not None:
+            self.dispatch = (*selector, table, (other, steps))
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from corolower.errors import InterpError
 from corolower.interp import Interpreter
-from corolower.syntax import FuncLit, If, Switch, children, walk
+from corolower.syntax import FuncLit, While, children, walk
 
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
@@ -41,12 +41,12 @@ def outcome(program, budget):
 
 
 def without_tables(root):
-    """A copy of root in which no `if` or `switch` carries a dispatch
-    table (syntax.If), so that a dispatch loop runs every selection step
-    by step through `_if` or `_switch`."""
+    """A copy of root in which no loop carries a dispatch table
+    (syntax.While), so that a dispatch loop runs every selection step by
+    step through `_if` or `_switch`."""
     root = copy.deepcopy(root)
     for node in walk(root):
-        if type(node) is If or type(node) is Switch:
+        if type(node) is While:
             node.dispatch = None
     return root
 

@@ -305,6 +305,24 @@ def test_run_of_a_record_that_holds_itself_exit_2(capsys, tmp_path):
         assert err == f"error: {path}: cannot render a record that contains itself\n"
 
 
+@pytest.mark.parametrize(
+    "stmt, error",
+    [
+        ("print(r + 1)", "expected an integer, got a record that contains itself (line 1, col 49)"),
+        ("if (r) { }", "expected a boolean, got a record that contains itself (line 1, col 45)"),
+        ("r(1)", "value a record that contains itself is not callable (line 1, col 42)"),
+        ("next(r)", "next on non-resumable value a record that contains itself (line 1, col 41)"),
+    ],
+)
+def test_an_error_names_a_record_that_holds_itself(capsys, tmp_path, stmt, error):
+    # A message that shows a value keeps its own words and position when
+    # the value has no rendering.
+    path = tmp_path / "cycle.mini"
+    path.write_text(f"fn main() {{ let r = {{ n: null }} r.n = r {stmt} }}\n")
+    for command in ("run", "diff"):
+        assert run_cli(capsys, command, path) == (2, "", f"error: {path}: {error}\n"), command
+
+
 def nested_ifs_source(depth, yields, arm=False):
     """A generator of `yields` leading yields, then `depth` nested `if`s
     without a yield, inside the parser's limit up to depth 147; with

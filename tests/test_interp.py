@@ -18,7 +18,21 @@ from corolower.interp import (
     resume_sequence,
 )
 from corolower.parser import parse_source
-from corolower.syntax import Block, BoolLit, If, NullLit, Program, Return, Switch, While, walk
+from corolower.syntax import (
+    Binary,
+    Block,
+    BoolLit,
+    FieldGet,
+    If,
+    IntLit,
+    NullLit,
+    Program,
+    Return,
+    Switch,
+    Var,
+    While,
+    walk,
+)
 from corolower.transform import transform_program
 
 from conftest import (
@@ -480,8 +494,8 @@ def test_print_shows_functions_and_generator_instances():
 # -- dispatch loops -------------------------------------------------------------
 #
 # A dispatch loop, a `while (true)` whose one statement is a chain or a
-# switch, takes the arm or case from the table built with its head
-# (syntax.If) in one lookup. Every outcome must be the one of a copy
+# switch, takes the arm or case from the table built with the loop
+# (syntax.While) in one lookup. Every outcome must be the one of a copy
 # without tables (conftest.without_tables), whose loops run `_if` or
 # `_switch` on every pass: the printed prefix, the error's kind, message
 # and position, and the steps charged.
@@ -554,9 +568,10 @@ def test_dispatch_of_a_switched_machine():
     # 21 states optimized and 62 unoptimized: one switch whose labels are
     # the states, on `_i` lowered and `_e._i` first-order. Optimized,
     # every case returns and the switch is the body itself, which
-    # `_switch` runs on every `next`; unoptimized, it is the one statement
-    # of a dispatch loop, whose 125 passes take the table. Budgets every
-    # 11 steps land all over the run.
+    # `_switch` runs on every `next`, and no loop carries a table;
+    # unoptimized, it is the one statement of a dispatch loop, whose 125
+    # passes take the loop's table. Budgets every 11 steps land all over
+    # the run.
     source = parse_source(wide_source(20, 60))
     for name, program in program_forms(source).items():
         if name == "native":
@@ -571,22 +586,35 @@ def test_dispatch_of_a_switched_machine():
         states = transform.plan_generator(source.decls[0], name != "lowered-noopt")[1].states
         assert list(switch.table) == states, name
         assert switch.orelse == Block([Return(NullLit())]), name
-        # The switch and `_i`, or the switch, `_e` and its field.
-        selector, cost = (("_e", "_i"), 3) if name == "first-order" else (("_i", None), 2)
-        table = {label: (block, cost) for label, block in switch.cases}
-        assert switch.dispatch == (*selector, table, (switch.orelse, cost)), name
+        loops = [n for n in walk(program) if type(n) is While and n.dispatch is not None]
+        if name != "lowered-noopt":
+            assert loops == [], name
+            continue
+        # The switch and `_i`, 2 steps to any case.
+        (loop,) = loops
+        assert loop.body.stmts[0] is switch
+        table = {label: (block, 2) for label, block in switch.cases}
+        assert loop.dispatch == ("_i", None, table, (switch.orelse, 2))
 
 
 def test_a_switch_on_a_selector_carries_its_table():
-    # Tally's unoptimized machine of 6 states switches on `_i`: the switch
-    # and the variable, 2 steps to any case. A switch on any other
-    # expression than a variable or a field of one carries no table.
-    tally = program_forms(parse_source((CORPUS_DIR / "tally.mini").read_text()))["lowered-noopt"]
-    (switch,) = [n for n in walk(tally) if type(n) is Switch]
-    table = {label: (block, 2) for label, block in switch.cases}
-    assert list(table) == [1, 2, 3, 4, 5, 6]
-    assert switch.dispatch == ("_i", None, table, (switch.orelse, 2))
-    program = parse_source("fn main() { let s = 1 switch (s + 3) case 4 { print(4) } }")
+    # Tally's unoptimized machine of 6 states switches on `_i` in its
+    # dispatch loop: the switch and the variable, 2 steps to any case.
+    # if_in_loop's first-order machine switches on `_e._i`, which reads a
+    # field too: 3 steps. A loop around a switch on any other expression
+    # than a variable or a field of one carries no table.
+    for name, form, selector, cost, labels in (
+        ("tally", "lowered-noopt", ("_i", None), 2, [1, 2, 3, 4, 5, 6]),
+        ("if_in_loop", "first-order", ("_e", "_i"), 3, [1, 2, 3, 6]),
+    ):
+        program = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))[form]
+        (switch,) = [n for n in walk(program) if type(n) is Switch]
+        (loop,) = [n for n in walk(program) if type(n) is While and n.dispatch is not None]
+        assert loop.body.stmts[0] is switch, name
+        table = {label: (block, cost) for label, block in switch.cases}
+        assert list(table) == labels, name
+        assert loop.dispatch == (*selector, table, (switch.orelse, cost)), name
+    program = parse_source("fn main() { let s = 1 while (true) { switch (s + 3) case 4 { return 4 } } }")
     assert program.decls[0].body.stmts[1].dispatch is None
 
 
@@ -674,15 +702,14 @@ def test_dispatch_arms_fall_back_on_any_other_selector(init, selector, op):
 def test_fib_dispatch_arms():
     # Each `_i == k` test is 4 steps (if, ==, _i, k) lowered and 5
     # first-order (`_e._i` reads a field too). The table is built with the
-    # chain; the sink 0 passes all three tests to the `return null`.
+    # loop; the sink 0 passes all three tests to the `return null`.
     forms = program_forms(parse_source(FIB_SOURCE))
     for form, cost in (("lowered-opt", 4), ("first-order", 5)):
         loop = next(n for n in walk(forms[form]) if type(n) is While and n.cond == BoolLit(True))
-        head = loop.body.stmts[0]
-        chain = [head]
+        chain = [loop.body.stmts[0]]
         while len(chain) < 3:
             chain.append(chain[-1].orelse.stmts[0])
-        name, field, table, other = head.dispatch
+        name, field, table, other = loop.dispatch
         assert (name, field) == (("_i", None) if cost == 4 else ("_e", "_i")), form
         assert table == {k: (test.then, cost * k) for k, test in zip((1, 2, 3), chain)}, form
         assert other == (chain[-1].orelse, cost * 3), form
@@ -719,11 +746,10 @@ def test_a_dispatch_chain_takes_the_first_test_of_a_literal(init, printed):
   }}
 }}"""
     )
-    first = program.decls[0].body.stmts[1].body.stmts[0]
+    loop = program.decls[0].body.stmts[1]
+    first = loop.body.stmts[0]
     second = first.orelse.stmts[0]
-    third = second.orelse.stmts[0]
-    assert first.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 12))
-    assert second.dispatch[2:] == ({2: (second.then, 4), 1: (third.then, 8)}, (None, 8))
+    assert loop.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 12))
     budgets = range(1, 40)
     with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
     assert with_tables == without
@@ -744,10 +770,10 @@ def test_a_dispatch_chain_whose_last_if_has_no_else(init, printed):
   }}
 }}"""
     )
-    first = program.decls[0].body.stmts[1].body.stmts[0]
+    loop = program.decls[0].body.stmts[1]
+    first = loop.body.stmts[0]
     second = first.orelse.stmts[0]
-    assert first.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 8))
-    assert second.dispatch == ("s", None, {2: (second.then, 4)}, (None, 4))
+    assert loop.dispatch == ("s", None, {1: (first.then, 4), 2: (second.then, 8)}, (None, 8))
     budgets = range(1, 40)
     with_tables, without, taken, fell_back = outcomes_with_and_without_tables(program, budgets)
     assert with_tables == without
@@ -758,11 +784,59 @@ def test_a_dispatch_chain_whose_last_if_has_no_else(init, printed):
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_running_leaves_every_dispatch_table_as_built(path):
     for form, program in program_forms(parse_source(path.read_text())).items():
-        heads = [n for n in walk(program) if type(n) in (If, Switch) and n.dispatch is not None]
-        built = [(n.dispatch, dict(n.dispatch[2])) for n in heads]
+        loops = [n for n in walk(program) if type(n) is While and n.dispatch is not None]
+        built = [(n.dispatch, dict(n.dispatch[2])) for n in loops]
         Interpreter(program).run()
-        for head, (dispatch, table) in zip(heads, built):
-            assert head.dispatch is dispatch and dispatch[2] == table, form
+        for loop, (dispatch, table) in zip(loops, built):
+            assert loop.dispatch is dispatch and dispatch[2] == table, form
+
+
+def is_selector(expr):
+    return type(expr) is Var or type(expr) is FieldGet and type(expr.record) is Var
+
+
+def selects(loop):
+    """Whether loop is a `while (true)` whose one statement is a switch
+    on a selector or an `if (s == k)` on one."""
+    stmts = loop.body.stmts
+    head = stmts[0] if loop.cond == BoolLit(True) and len(stmts) == 1 else None
+    if type(head) is Switch:
+        return is_selector(head.subject)
+    test = head.cond if type(head) is If else None
+    return type(test) is Binary and test.op == "==" and is_selector(test.lhs) and type(test.rhs) is IntLit
+
+
+def test_only_a_dispatch_loop_carries_a_table():
+    # A jump table belongs to the loop that selects through it: no `if` or
+    # `switch` of any form carries one, and of the corpus's loops exactly
+    # the 60 dispatch loops do.
+    tables = 0
+    for path in CORPUS_FILES:
+        for form, program in program_forms(parse_source(path.read_text())).items():
+            for node in walk(program):
+                if type(node) is If or type(node) is Switch:
+                    assert not hasattr(node, "dispatch"), (path.stem, form)
+                elif type(node) is While:
+                    assert (node.dispatch is not None) == selects(node), (path.stem, form)
+                    tables += node.dispatch is not None
+    assert tables == 60
+    # A switch on another expression, two statements, a loop that tests.
+    for loop in (
+        "while (true) { switch (s + 3) case 4 { return 4 } }",
+        "while (true) { if (s == 1) { return 1 } s = 1 }",
+        "while (s < 3) { if (s == 1) { return 1 } else { if (s == 2) { return 2 } } }",
+    ):
+        program = parse_source(f"fn main() {{ let s = 1 {loop} }}")
+        assert program.decls[0].body.stmts[1].dispatch is None, loop
+    # An else that tests another selector ends the chain: `t == 2` runs
+    # through `_if` after the table's one entry.
+    program = parse_source(
+        "fn main() { let s = 2 let t = 2 while (true) { if (s == 1) { return 1 } else { if (t == 2) { print(2) return 2 } } } }"
+    )
+    loop = program.decls[0].body.stmts[2]
+    first = loop.body.stmts[0]
+    assert loop.dispatch == ("s", None, {1: (first.then, 4)}, (first.orelse, 4))
+    assert outcome(program, 100) == outcome(without_tables(program), 100) == ([2], None, 18)
 
 
 def test_a_dispatch_tree_stops_at_any_other_statement():
@@ -790,11 +864,11 @@ fn main() {
   print(two(3))
 }"""
     program = parse_source(source)
-    first, second = (decl.body.stmts[0].body.stmts[0] for decl in program.decls[:2])
+    one, two = (decl.body.stmts[0] for decl in program.decls[:2])
+    first, second = one.body.stmts[0], two.body.stmts[0]
     third = second.orelse.stmts[0]
-    assert first.dispatch[2:] == ({1: (first.then, 4)}, (first.orelse, 4))
-    assert third.orelse.stmts[0].dispatch is None
-    assert second.dispatch[2:] == ({3: (second.then, 4), 2: (third.then, 8)}, (third.orelse, 8))
+    assert one.dispatch[2:] == ({1: (first.then, 4)}, (first.orelse, 4))
+    assert two.dispatch[2:] == ({3: (second.then, 4), 2: (third.then, 8)}, (third.orelse, 8))
     steps = outcome(program, 10_000_000)[2]
     with_tables, without, taken, fell_back = outcomes_with_and_without_tables(
         program, range(1, steps + 1)
