@@ -18,14 +18,20 @@ the handler found there, which charges the node's step before anything
 else: one step per evaluated expression, per executed statement and per
 further `while` iteration. A node costs at most one Python frame, its
 handler's, and a leaf none where its parent reads it in place: a `Var`
-or `IntLit` operand of a binary operator, argument of a call or value of
-`let`, assignment, `return` or `yield`, and a `Var` callee, generator of
-`next` or record of `v.f` and `v.f = e`, where an integer could only
-raise. The parent charges the leaf's step where its handler would and
-raises `_var`'s error at an unbound `Var`. `+`, `-` and `*` on two
-integers are Python's (`_INT_OPS`), wrapped only outside 64 bits. `if`
-and `while` compare their tests with `True` and `False` in place, and
-argument lists and records are built by loops, not comprehensions.
+or `IntLit` operand of a binary operator, argument of a call, field of a
+record literal or value of `let`, assignment, `v.f = e`, `return` or
+`yield`; a `Var` callee, generator of `next`, subject of `switch` or
+record of `v.f` and `v.f = e`, where an integer could only raise; and a
+`v.f` whose `v` is a `Var` as an operand, callee or argument, value of
+`v.f = e` or `return`, or subject of `switch`. The parent charges the
+leaf's steps where its handler would and raises its handler's error at
+the same node. A field access is one dict lookup, whose failure names
+the fault (`_field_error`); `v.f = e` first tests that `f` is there, so
+it never adds a field. `+`, `-` and `*` on two integers are Python's
+(`_INT_OPS`), wrapped only outside 64 bits, which `/` leaves only at
+`INT_MIN / -1` and `%` never. `if` and `while` compare their tests with
+`True` and `False` in place, and argument lists and records are built by
+loops, not comprehensions. `call` resolves a `&f` callee in place.
 Function bodies run in one of two ways:
 
 - `Interpreter.call` runs a plain body's statements itself, as `_if`,
@@ -177,6 +183,14 @@ def _unbound(var):
     raise _err(f"unbound name {var.name!r}", var)
 
 
+def _ref_error(name, target, node):
+    # A function reference names a global, which holds a closure unless
+    # the name was assigned another value.
+    if target is None:
+        return _err(f"unbound name {name!r}", node)
+    return _err(f"&{name} does not name a function", node)
+
+
 def _not_int(v, node):
     return _err(f"expected an integer, got {_shown(v)}", node)
 
@@ -294,8 +308,10 @@ class Interpreter:
         if self.steps > self.step_budget:
             raise self._exhausted()
         if type(fn) is FuncRefV:
-            fn = self._resolve_ref(fn, node)
-        if type(fn) is not Closure:
+            name, fn = fn.name, self.globals.vars.get(fn.name)
+            if type(fn) is not Closure:
+                raise _ref_error(name, fn, node)
+        elif type(fn) is not Closure:
             raise _err(f"value {_shown(fn)} is not callable", node)
         if len(args) != len(fn.params):
             raise _err(
@@ -305,7 +321,8 @@ class Interpreter:
         bindings = dict(zip(fn.params, args))
         for name in fn.body.declared:
             bindings.setdefault(name, NULL)
-        env = Env(fn.env, bindings)
+        env = Env.__new__(Env)  # no __init__ frame
+        env.vars, env.parent = bindings, fn.env
         if fn.is_generator:
             return GenInstance(fn.name, _exec_gen(self, fn.body.stmts, env))
         try:
@@ -322,15 +339,6 @@ class Interpreter:
         if self.steps > self.step_budget:
             raise self._exhausted()
         return result[0]
-
-    def _resolve_ref(self, ref: FuncRefV, node=None) -> Closure:
-        # A function reference names a global; globals hold only closures.
-        target = self.globals.vars.get(ref.name)
-        if type(target) is not Closure:
-            if target is None:
-                raise _err(f"unbound name {ref.name!r}", node)
-            raise _err(f"&{ref.name} does not name a function", node)
-        return target
 
     def next_value(self, target, value, node=None):
         if type(target) is GenInstance:
@@ -481,7 +489,23 @@ def _if(it, stmt, env):
 def _switch(it, stmt, env):
     it.steps += 1
     subject = stmt.subject
-    value = _EXPR[type(subject)](it, subject, env)
+    if type(subject) is Var:
+        it.steps += 1
+        scope = env
+        while subject.name not in scope.vars:
+            scope = scope.parent or _unbound(subject)
+        value = scope.vars[subject.name]
+    elif type(subject) is FieldGet and type(subject.record) is Var:
+        it.steps += 2
+        scope, name = env, subject.record.name
+        while name not in scope.vars:
+            scope = scope.parent or _unbound(subject.record)
+        try:
+            value = scope.vars[name].fields[subject.field]
+        except (AttributeError, KeyError):
+            raise _field_error(scope.vars[name], subject, "access") from None
+    else:
+        value = _EXPR[type(subject)](it, subject, env)
     # Only an int selects a case: a bool would find the case of 0 or 1.
     block = stmt.table.get(value) if type(value) is int else None
     if block is None:
@@ -542,6 +566,15 @@ def _return(it, stmt, env):
     if type(value) is IntLit:
         it.steps += 1
         return (value.value,)
+    if type(value) is FieldGet and type(value.record) is Var:
+        it.steps += 2
+        name = value.record.name
+        while name not in env.vars:
+            env = env.parent or _unbound(value.record)
+        try:
+            return (env.vars[name].fields[value.field],)
+        except (AttributeError, KeyError):
+            raise _field_error(env.vars[name], value, "access") from None
     return (_EXPR[type(value)](it, value, env),)
 
 
@@ -574,7 +607,26 @@ def _field_set(it, stmt, env):
         record = _EXPR[type(record)](it, record, env)
     if type(record) is not Record or stmt.field not in record.fields:
         raise _field_error(record, stmt, "assignment")
-    record.fields[stmt.field] = _EXPR[type(value)](it, value, env)
+    if type(value) is Var:
+        it.steps += 1
+        while value.name not in env.vars:
+            env = env.parent or _unbound(value)
+        value = env.vars[value.name]
+    elif type(value) is IntLit:
+        it.steps += 1
+        value = value.value
+    elif type(value) is FieldGet and type(value.record) is Var:
+        it.steps += 2
+        name = value.record.name
+        while name not in env.vars:
+            env = env.parent or _unbound(value.record)
+        try:
+            value = env.vars[name].fields[value.field]
+        except (AttributeError, KeyError):
+            raise _field_error(env.vars[name], value, "access") from None
+    else:
+        value = _EXPR[type(value)](it, value, env)
+    record.fields[stmt.field] = value
 
 
 def _field_error(record, node, action):
@@ -630,6 +682,15 @@ def _binary(it, expr, env):
     elif type(lhs) is IntLit:
         it.steps += 1
         a = lhs.value
+    elif type(lhs) is FieldGet and type(lhs.record) is Var:
+        it.steps += 2
+        scope, name = env, lhs.record.name
+        while name not in scope.vars:
+            scope = scope.parent or _unbound(lhs.record)
+        try:
+            a = scope.vars[name].fields[lhs.field]
+        except (AttributeError, KeyError):
+            raise _field_error(scope.vars[name], lhs, "access") from None
     else:
         a = _EXPR[type(lhs)](it, lhs, env)
     if op in _SHORT_CIRCUIT:
@@ -645,6 +706,15 @@ def _binary(it, expr, env):
     elif type(rhs) is IntLit:
         it.steps += 1
         b = rhs.value
+    elif type(rhs) is FieldGet and type(rhs.record) is Var:
+        it.steps += 2
+        name = rhs.record.name
+        while name not in env.vars:
+            env = env.parent or _unbound(rhs.record)
+        try:
+            b = env.vars[name].fields[rhs.field]
+        except (AttributeError, KeyError):
+            raise _field_error(env.vars[name], rhs, "access") from None
     else:
         b = _EXPR[type(rhs)](it, rhs, env)
     if type(a) is int and type(b) is int:
@@ -665,20 +735,23 @@ def _binary(it, expr, env):
 
 def _div(a, b):
     q = abs(a) // abs(b)
-    return wrap64(-q if (a < 0) != (b < 0) else q)
+    if (a < 0) != (b < 0):
+        return -q
+    return q if q <= _INT_MAX else _INT_MIN  # INT_MIN / -1 wraps
 
 
 def _mod(a, b):
+    # |a - q * b| < |b|, so the remainder is always within 64 bits.
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         q = -q
-    return wrap64(a - q * b)
+    return a - q * b
 
 
 _SHORT_CIRCUIT = {"&&": False, "||": True}
 _BY_ZERO = {"/": "division by zero", "%": "modulo by zero"}
 # On two integers `==` and `!=` agree with values_equal. `_binary` wraps
-# a result outside 64 bits; `_div` and `_mod` wrap their own.
+# a result outside 64 bits, which `/` and `%` never leave.
 _INT_OPS = {
     "+": operator.add,
     "-": operator.sub,
@@ -714,6 +787,15 @@ def _call(it, expr, env):
         while fn.name not in scope.vars:
             scope = scope.parent or _unbound(fn)
         fn = scope.vars[fn.name]
+    elif type(fn) is FieldGet and type(fn.record) is Var:
+        it.steps += 2
+        scope, name = env, fn.record.name
+        while name not in scope.vars:
+            scope = scope.parent or _unbound(fn.record)
+        try:
+            fn = scope.vars[name].fields[fn.field]
+        except (AttributeError, KeyError):
+            raise _field_error(scope.vars[name], fn, "access") from None
     else:
         fn = _EXPR[type(fn)](it, fn, env)
     # A loop, not a comprehension, which would cost a Python frame.
@@ -728,6 +810,15 @@ def _call(it, expr, env):
         elif type(arg) is IntLit:
             it.steps += 1
             args.append(arg.value)
+        elif type(arg) is FieldGet and type(arg.record) is Var:
+            it.steps += 2
+            scope, name = env, arg.record.name
+            while name not in scope.vars:
+                scope = scope.parent or _unbound(arg.record)
+            try:
+                args.append(scope.vars[name].fields[arg.field])
+            except (AttributeError, KeyError):
+                raise _field_error(scope.vars[name], arg, "access") from None
         else:
             args.append(_EXPR[type(arg)](it, arg, env))
     return it.call(fn, args, expr)
@@ -759,24 +850,30 @@ def _field_get(it, expr, env):
     else:
         it.steps += 1
         record = _EXPR[type(record)](it, record, env)
-    if type(record) is not Record or expr.field not in record.fields:
-        raise _field_error(record, expr, "access")
-    return record.fields[expr.field]
+    try:
+        return record.fields[expr.field]
+    except (AttributeError, KeyError):
+        raise _field_error(record, expr, "access") from None
 
 
 def _record_lit(it, expr, env):
     it.steps += 1
     fields = {}
     for name, value in expr.fields:
-        fields[name] = _EXPR[type(value)](it, value, env)
+        if type(value) is IntLit:
+            it.steps += 1
+            fields[name] = value.value
+        else:
+            fields[name] = _EXPR[type(value)](it, value, env)
     return Record(fields)
 
 
 def _func_ref(it, expr, env):
     it.steps += 1
-    ref = FuncRefV(expr.name)
-    it._resolve_ref(ref, expr)
-    return ref
+    target = it.globals.vars.get(expr.name)
+    if type(target) is not Closure:
+        raise _ref_error(expr.name, target, expr)
+    return FuncRefV(expr.name)
 
 
 def _func_lit(it, expr, env):

@@ -335,4 +335,8 @@ def transform_program(program: Program, opt: bool = True) -> Program:
         rewrite_generator(d, opt, names) if d.is_generator else d
         for d in program.decls
     ]
-    return Program(decls, program.entry)
+    lowered = Program(decls, program.entry)
+    # Every name of the lowered program is the source's or a fresh one, so
+    # the taken set covers them: defunctionalize need not walk for them.
+    lowered.identifiers = frozenset(names.taken)
+    return lowered

@@ -16,6 +16,7 @@ from corolower.interp import (
     render_output,
     render_value,
     resume_sequence,
+    trace_instance,
 )
 from corolower.parser import parse_source
 from corolower.syntax import (
@@ -375,9 +376,9 @@ def test_funcref_to_unknown_name():
         interp_native(parse_source("fn main() { let r = &nope }"))
 
 
-def entered_frames(program):
-    """How many times a full run of program enters each function of the
-    interpreter module, by name, counted with sys.setprofile."""
+def entered_frames(run):
+    """How many times run() enters each function of the interpreter
+    module, by name, counted with sys.setprofile."""
     code_file = interp_module.__file__
     entered = Counter()
 
@@ -385,10 +386,9 @@ def entered_frames(program):
         if event == "call" and frame.f_code.co_filename == code_file:
             entered[frame.f_code.co_name] += 1
 
-    it = Interpreter(program)
     sys.setprofile(count)
     try:
-        it.run()
+        run()
     finally:
         sys.setprofile(None)
     return entered
@@ -397,20 +397,46 @@ def entered_frames(program):
 def test_the_hot_path_enters_no_helper_frame():
     # The interpreter frames of a whole run, per form (native, lowered-opt,
     # lowered-noopt, first-order). A node costs at most its handler's
-    # frame: no form enters an arithmetic wrapper, a boolean test or a
-    # comprehension. A `Var` or `IntLit` operand read in place costs none,
-    # and neither do the `true`, `if` and `switch` of a machine's dispatch
-    # loop. Entering `_var` and `_literal` for every leaf and `_literal`,
-    # `_if` or `_switch` on every pass of the loop, these runs took fib
-    # 262 / 361 / 431 / 450 frames and tally 100 / 160 / 215 / 203.
+    # frame: no form enters an arithmetic wrapper, a boolean test, a
+    # comprehension, `_field_get` or `Env`'s `__init__`, and `call`
+    # resolves a `&f` itself. A `Var`, `IntLit` or `v.f` leaf read in
+    # place costs none, and neither do an integer field of a record
+    # literal and the `true`, `if` and `switch` of a machine's dispatch
+    # loop, so first-order enters no `_literal` either. Entering `_var`
+    # and `_literal` for every leaf and `_literal`, `_if` or `_switch` on
+    # every pass of the loop, these runs took fib 262 / 361 / 431 / 450
+    # frames and tally 100 / 160 / 215 / 203; entering `_field_get`,
+    # `_literal`, `__init__` and a resolving frame for those, fib 150 /
+    # 178 / 208 / 316 and tally 71 / 91 / 110 / 153.
     helpers = {"wrap64", "_bool", "<lambda>", "<listcomp>", "<dictcomp>"}
-    for name, frames in (("fib", (150, 178, 208, 316)), ("tally", (71, 91, 110, 153))):
+    helpers |= {"_field_get", "__init__"}
+    for name, frames in (("fib", (148, 166, 196, 194)), ("tally", (69, 84, 103, 93))):
         forms = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))
-        entered = {form: entered_frames(program) for form, program in forms.items()}
+        entered = {form: entered_frames(Interpreter(p).run) for form, p in forms.items()}
         assert {form: helpers & set(calls) for form, calls in entered.items()} == dict.fromkeys(
             forms, set()
         ), name
+        assert "_literal" not in entered["first-order"], name
         assert tuple(sum(calls.values()) for calls in entered.values()) == frames, name
+
+
+def test_a_wide_machine_reads_its_state_in_place_on_next():
+    # wide_source's arms test `(i + j) % 2 == 0`, and `%` never wraps.
+    # Its optimized machine has no dispatch loop, so each `next` runs
+    # `_switch`, which reads `_i` (lowered-opt) or `_e._i` (first-order)
+    # in place, as the arms read `_e.i` and `apply` reads `c.fn` and
+    # `c.env`. Read in their handlers, these 60 `next`s entered 60 `_var`
+    # frames lowered-opt and 302 `_field_get` frames first-order, and
+    # every form 60 `wrap64`.
+    program = parse_source(wide_source(20, 60))
+    for form, lowered in program_forms(program).items():
+        it = Interpreter(lowered)
+        instance = it.call(it.globals.lookup("wide"), [0])
+        entered = entered_frames(lambda: trace_instance(it, instance, [None] * 60))
+        assert "wrap64" not in entered, form
+        if form in ("lowered-opt", "first-order"):
+            assert {"_var", "_field_get"} & set(entered) == set(), form
+            assert entered["_switch"] == 60, form
 
 
 def test_render_output_one_value_per_line():

@@ -511,6 +511,163 @@ def test_an_unbound_operand_read_in_place_fails_where_its_handler_did(
     assert outcome(program, 10_000_000)[::2] == ([1], steps)
 
 
+# A `v.f` read in place at each site that reads one, from a record that
+# is null, an integer, a record without the field, an unbound name or a
+# record with it (`FIELD_RECORDS`, in that order).
+FIELD_SITES = {
+    "lhs": "fn main() {{ {let} print(1) print({get} + 1) }}",
+    "rhs": "fn main() {{ {let} print(1) print(1 + {get}) }}",
+    "callee": "fn main() {{ {let} print(1) print({get}(1)) }}",
+    "argument": "fn f(a, b) {{ return b }} fn main() {{ {let} print(1) print(f(1, {get})) }}",
+    "return": "fn f() {{ {let} return {get} }} fn main() {{ print(1) print(f()) }}",
+    "field-set": "fn main() {{ {let} let r = {{ f: 0 }} print(1) r.f = {get} print(r.f) }}",
+    "switch": "fn main() {{ {let} print(1) switch ({get}) case 2 {{ print(2) }} print(3) }}",
+}
+FIELD_RECORDS = {"null": "null", "int": "7", "no-field": "{ g: 1 }", "unbound": None, "record": "{ f: 2 }"}
+NON_RECORD = "field access on a non-record value"
+NO_FIELD = "record has no field 'f'"
+UNBOUND = "unbound name 'missing'"
+# Each run's printed values, error and steps, as a run that entered
+# `_field_get` for every `v.f` ended.
+FIELD_READS = {
+    "lhs": [
+        ([1], (NON_RECORD, 1, 42), 8),
+        ([1], (NON_RECORD, 1, 39), 8),
+        ([1], (NO_FIELD, 1, 46), 9),
+        ([1], (UNBOUND, 1, 41), 8),
+        ([1, 3], None, 10),
+    ],
+    "rhs": [
+        ([1], (NON_RECORD, 1, 46), 9),
+        ([1], (NON_RECORD, 1, 43), 9),
+        ([1], (NO_FIELD, 1, 50), 10),
+        ([1], (UNBOUND, 1, 45), 9),
+        ([1, 3], None, 10),
+    ],
+    "callee": [
+        ([1], (NON_RECORD, 1, 42), 8),
+        ([1], (NON_RECORD, 1, 39), 8),
+        ([1], (NO_FIELD, 1, 46), 9),
+        ([1], (UNBOUND, 1, 41), 8),
+        ([1], ("value 2 is not callable", 1, 48), 10),
+    ],
+    "argument": [
+        ([1], (NON_RECORD, 1, 71), 10),
+        ([1], (NON_RECORD, 1, 68), 10),
+        ([1], (NO_FIELD, 1, 75), 11),
+        ([1], (UNBOUND, 1, 70), 10),
+        ([1, 2], None, 13),
+    ],
+    "return": [
+        ([1], (NON_RECORD, 1, 31), 10),
+        ([1], (NON_RECORD, 1, 28), 10),
+        ([1], (NO_FIELD, 1, 35), 11),
+        ([1], (UNBOUND, 1, 30), 10),
+        ([1, 2], None, 11),
+    ],
+    "field-set": [
+        ([1], (NON_RECORD, 1, 59), 11),
+        ([1], (NON_RECORD, 1, 56), 11),
+        ([1], (NO_FIELD, 1, 63), 12),
+        ([1], (UNBOUND, 1, 58), 11),
+        ([1, 2], None, 15),
+    ],
+    "switch": [
+        ([1], (NON_RECORD, 1, 44), 7),
+        ([1], (NON_RECORD, 1, 41), 7),
+        ([1], (NO_FIELD, 1, 48), 8),
+        ([1], (UNBOUND, 1, 43), 7),
+        ([1, 2, 3], None, 12),
+    ],
+}
+
+
+@pytest.mark.parametrize("record", FIELD_RECORDS)
+@pytest.mark.parametrize("site", FIELD_SITES)
+def test_a_field_read_in_place_ends_where_its_handler_did(monkeypatch, site, record):
+    # A `v.f` read in place charges its two steps where `_field_get` did,
+    # before the lookup, and raises its error at the `FieldGet`, or at
+    # the `Var` when `v` is unbound, at every budget.
+    value = FIELD_RECORDS[record]
+    source = FIELD_SITES[site].format(
+        let=f"let v = {value or 'null'}", get="missing.f" if value is None else "v.f"
+    )
+    program = parse_source(source)
+    error = assert_every_budget_exact(monkeypatch, program)
+    output, _, steps = outcome(program, 10_000_000)
+    expected = FIELD_READS[site][list(FIELD_RECORDS).index(record)]
+    assert (output, error and error[1:], steps) == expected
+    assert error is None or error[0] is InterpError
+
+
+@pytest.mark.parametrize(
+    "value, ending, steps",
+    [
+        ("n", [1, 4], 18),
+        ("5", [1, 5], 18),
+        ("w.k", [1, 5], 19),
+        ("w.g.h", [1, 3], 20),
+        ("w.k + w.g.h", [1, 8], 23),
+        ("missing", ("unbound name 'missing'", 1, 85), 15),
+        ("w.h", ("record has no field 'h'", 1, 86), 16),
+        ("w.g.g", ("record has no field 'g'", 1, 88), 17),
+        ("missing.g", ("unbound name 'missing'", 1, 85), 16),
+    ],
+    ids=["var", "int", "field", "nested", "binary", "unbound", "no-field", "nested-no-field",
+         "unbound-record"],
+)
+def test_a_field_assignment_reads_its_value_where_its_handler_did(
+    monkeypatch, value, ending, steps
+):
+    # `r.f = e` reads a `Var`, `IntLit` or `w.g` value in place, after
+    # charging its own two steps and testing that `r` has `f`; a nested
+    # `w.g.h` reads `w.g` through `_field_get`.
+    program = parse_source(
+        "fn main() { let n = 4 let w = { k: 5, g: { h: 3 } } let r = { f: 0 } print(1) "
+        f"r.f = {value} print(r.f) }}"
+    )
+    error = assert_every_budget_exact(monkeypatch, program)
+    output, _, ran = outcome(program, 10_000_000)
+    assert (output, error) == ((ending, None) if error is None else ([1], (InterpError, *ending)))
+    assert ran == steps
+
+
+@pytest.mark.parametrize(
+    "source, ending, steps",
+    [
+        (
+            "fn f() { return 2 } fn main() { let r = &f print(r()) f = 1 print(1) print(r()) }",
+            ([2, 1], ("&f does not name a function", 1, 77)),
+            14,
+        ),
+        (
+            "fn f() { return 2 } fn main() { print(1) f = 1 print(&f) }",
+            ([1], ("&f does not name a function", 1, 54)),
+            6,
+        ),
+        ("fn main() { print(1) print(&nope) }", ([1], ("unbound name 'nope'", 1, 28)), 4),
+        (
+            "fn main() { print(1) switch (missing) case 1 { print(2) } }",
+            ([1], ("unbound name 'missing'", 1, 30)),
+            4,
+        ),
+        ("fn main() { let s = 1 print(1) switch (s) case 1 { print(2) } }", ([1, 2], None), 8),
+    ],
+    ids=["call", "reference", "unbound-reference", "unbound-subject", "subject"],
+)
+def test_a_reference_and_a_switch_subject_read_in_place_end_as_before(
+    monkeypatch, source, ending, steps
+):
+    # `call` resolves a `&f` callee and `_func_ref` checks its name without
+    # `_resolve_ref`'s frame, which raises only their errors; `switch`
+    # reads a `Var` subject in place.
+    program = parse_source(source)
+    error = assert_every_budget_exact(monkeypatch, program)
+    output, _, ran = outcome(program, 10_000_000)
+    assert (output, error and error[1:]) == ending
+    assert ran == steps
+
+
 CHAIN_LOOP = """fn main() {
   let s = INIT
   while (true) {
