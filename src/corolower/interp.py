@@ -8,30 +8,38 @@ generators run unmodified against the lowered program.
 
 Values: 64-bit integers with wrapping arithmetic, booleans, null,
 closures over a shared mutable environment, generator instances,
-records, and late-bound function references. Locals are function-scoped
-and pre-bound to null when a frame is created, mirroring the uniform
-variable hoisting performed by the lowering (a `let` executes as plain
-assignment into the frame).
+records, and late-bound function references. A call's environment is one
+dict, its activation, mapping each name to a cell, a one-item list. A
+declaration's call starts from an empty dict and a closure's from a copy
+of the activation that made the closure, whose cells the two then share;
+each parameter and declared local gets a fresh cell, the locals holding
+null, mirroring the uniform variable hoisting performed by the lowering
+(a `let` executes as plain assignment into its cell). So a read or write
+is one lookup, and a name the activation does not hold is a
+declaration's, which `Interpreter.globals` maps to its value and is
+consulted only then (`_global`).
 
 Evaluation looks each node's class up in `_EXPR` or `_STMT` and calls
 the handler found there, which charges the node's step before anything
 else: one step per evaluated expression, per executed statement and per
 further `while` iteration. A node costs at most one Python frame, its
-handler's, and a leaf none where its parent reads it in place: a `Var`
-or `IntLit` operand of a binary operator, argument of a call, field of a
-record literal or value of `let`, assignment, `v.f = e`, `return` or
-`yield`; a `Var` callee, generator of `next`, subject of `switch` or
-record of `v.f` and `v.f = e`, where an integer could only raise; and a
-`v.f` whose `v` is a `Var` as an operand, callee or argument, value of
-`v.f = e` or `return`, or subject of `switch`. The parent charges the
-leaf's steps where its handler would and raises its handler's error at
-the same node. A field access is one dict lookup, whose failure names
-the fault (`_field_error`); `v.f = e` first tests that `f` is there, so
-it never adds a field. `+`, `-` and `*` on two integers are Python's
-(`_INT_OPS`), wrapped only outside 64 bits, which `/` leaves only at
-`INT_MIN / -1` and `%` never. `if` and `while` compare their tests with
-`True` and `False` in place, and argument lists and records are built by
-loops, not comprehensions. `call` resolves a `&f` callee in place.
+handler's, and a leaf none where its parent reads it in place: a `Var`,
+`IntLit` or `null` operand of a binary operator, argument of a call,
+value of `let`, assignment, `v.f = e`, `return` or `yield`, or an
+`IntLit` or `null` field of a record literal; a `Var` callee, generator
+of `next`, subject of `switch` or record of `v.f` and `v.f = e`, where a
+literal could only raise; and a `v.f` whose `v` is a `Var` as an
+operand, callee or argument, value of `v.f = e` or `return`, or subject
+of `switch`. The parent charges the leaf's steps where its handler would
+and raises its handler's error at the same node. A field access is one
+dict lookup, whose failure names the fault (`_field_error`); `v.f = e`
+first tests that `f` is there, so it never adds a field. `+`, `-` and
+`*` on two integers are Python's (`_INT_OPS`), wrapped only outside 64
+bits, which `/` leaves only at `INT_MIN / -1` and `%` never. `if` and
+`while` compare their tests with `True` and `False` in place, and
+argument lists and records are built by loops, not comprehensions.
+`call` resolves a `&f` callee, and a callee that names a declaration, in
+place.
 Function bodies run in one of two ways:
 
 - `Interpreter.call` runs a plain body's statements itself, as `_if`,
@@ -64,10 +72,11 @@ charge on the way, the sink 0 and values no test matches included.
 `_while` reads the selector in place without charging a step and, for an
 integer, charges `true` and those steps at once and runs the block. Such
 tests cannot raise, so outputs, steps and errors are exact. Any other
-value (null, a boolean, a record, an unbound name, a missing field) runs
-the loop's statement through `_if` or `_switch`, step by step, as does a
-switch or a chain outside such a loop, like the switch of a machine with
-no jump back into its dispatch, which needs no loop.
+value (null, a boolean, a record, a name the activation does not hold, a
+missing field) runs the loop's statement through `_if` or `_switch`,
+step by step, as does a switch or a chain outside such a loop, like the
+switch of a machine with no jump back into its dispatch, which needs no
+loop.
 
 `trace_instance` is the one loop that traces a generator, one result per
 resumption; `resume_sequence` uses it.
@@ -128,7 +137,7 @@ def wrap64(x: int) -> int:
 class Closure:
     params: list[str]
     body: Block
-    env: "Env"
+    env: dict  # the activation that made it; a declaration's is empty
     is_generator: bool = False
     name: str | None = None
 
@@ -153,22 +162,16 @@ class FuncRefV:
     name: str
 
 
-class Env:
-    """Mutable name->value bindings with innermost-first lookup."""
+class Env(dict):
+    """The globals: each declaration's name mapped to its value, which a
+    function that assigns the name replaces."""
 
-    __slots__ = ("vars", "parent")
+    __slots__ = ()
 
-    def __init__(self, parent: "Env | None" = None, bindings: dict | None = None):
-        self.vars: dict[str, object] = {} if bindings is None else bindings
-        self.parent = parent
-
-    def lookup(self, name, node=None):
-        env = self
-        while env is not None:
-            if name in env.vars:
-                return env.vars[name]
-            env = env.parent
-        raise _err(f"unbound name {name!r}", node)
+    def lookup(self, name):
+        if name in self:
+            return self[name]
+        raise _err(f"unbound name {name!r}")
 
 
 def _err(message, node=None):
@@ -178,8 +181,15 @@ def _err(message, node=None):
     return InterpError(message)
 
 
+def _global(it, var):
+    """The value of a `Var` that the activation does not hold: a
+    declaration's, or `_var`'s error at the `Var`."""
+    return it.globals[var.name] if var.name in it.globals else _unbound(var)
+
+
 def _unbound(var):
-    """Raise _var's error, ending a walk: `scope = scope.parent or _unbound(var)`."""
+    """Raise _var's error: the name is neither the activation's nor a
+    declaration's."""
     raise _err(f"unbound name {var.name!r}", var)
 
 
@@ -281,8 +291,8 @@ class Interpreter:
         self.output: list[object] = []
         self.globals = Env()
         for decl in program.decls:
-            self.globals.vars[decl.name] = Closure(
-                decl.params, decl.body, self.globals, decl.is_generator, decl.name
+            self.globals[decl.name] = Closure(
+                decl.params, decl.body, {}, decl.is_generator, decl.name
             )
 
     # -- driving ------------------------------------------------------------
@@ -308,7 +318,7 @@ class Interpreter:
         if self.steps > self.step_budget:
             raise self._exhausted()
         if type(fn) is FuncRefV:
-            name, fn = fn.name, self.globals.vars.get(fn.name)
+            name, fn = fn.name, self.globals.get(fn.name)
             if type(fn) is not Closure:
                 raise _ref_error(name, fn, node)
         elif type(fn) is not Closure:
@@ -318,11 +328,11 @@ class Interpreter:
                 f"{fn.name or 'fn'} expects {len(fn.params)} argument(s), got {len(args)}",
                 node,
             )
-        bindings = dict(zip(fn.params, args))
+        env = fn.env.copy()  # shares the maker's cells
         for name in fn.body.declared:
-            bindings.setdefault(name, NULL)
-        env = Env.__new__(Env)  # no __init__ frame
-        env.vars, env.parent = bindings, fn.env
+            env[name] = [NULL]
+        for name, arg in zip(fn.params, args):
+            env[name] = [arg]
         if fn.is_generator:
             return GenInstance(fn.name, _exec_gen(self, fn.body.stmts, env))
         try:
@@ -378,7 +388,7 @@ class Interpreter:
 # return None, or the `(value,)` of a `return` for the executor to pass up.
 
 
-def _exec_gen(it: Interpreter, stmts, env: Env):
+def _exec_gen(it: Interpreter, stmts, env: dict):
     for stmt in stmts:
         kind = type(stmt)
         if kind not in _GEN_KINDS:
@@ -418,18 +428,15 @@ def _exec_gen(it: Interpreter, stmts, env: Env):
             value = stmt.value
             if type(value) is Var:
                 it.steps += 1
-                scope = env
-                while value.name not in scope.vars:
-                    scope = scope.parent or _unbound(value)
-                value = scope.vars[value.name]
-            elif type(value) is IntLit:
+                value = env[value.name][0] if value.name in env else _global(it, value)
+            elif type(value) is IntLit or type(value) is NullLit:
                 it.steps += 1
                 value = value.value
             else:
                 value = _EXPR[type(value)](it, value, env)
             received = yield value
             if kind is LetYield:
-                env.vars[stmt.name] = received
+                env[stmt.name][0] = received
     return None
 
 
@@ -445,21 +452,19 @@ def _assign(it, stmt, env):
     value = stmt.value
     if type(value) is Var:
         it.steps += 1
-        scope = env
-        while value.name not in scope.vars:
-            scope = scope.parent or _unbound(value)
-        value = scope.vars[value.name]
-    elif type(value) is IntLit:
+        value = env[value.name][0] if value.name in env else _global(it, value)
+    elif type(value) is IntLit or type(value) is NullLit:
         it.steps += 1
         value = value.value
     else:
         value = _EXPR[type(value)](it, value, env)
     name = stmt.name
-    while name not in env.vars:
-        env = env.parent
-        if env is None:
-            raise _err(f"assignment to undeclared name {name!r}", stmt)
-    env.vars[name] = value
+    if name in env:
+        env[name][0] = value
+    elif name in it.globals:
+        it.globals[name] = value
+    else:
+        raise _err(f"assignment to undeclared name {name!r}", stmt)
 
 
 def _yield_outside_generator(it, stmt, env):
@@ -491,19 +496,15 @@ def _switch(it, stmt, env):
     subject = stmt.subject
     if type(subject) is Var:
         it.steps += 1
-        scope = env
-        while subject.name not in scope.vars:
-            scope = scope.parent or _unbound(subject)
-        value = scope.vars[subject.name]
+        value = env[subject.name][0] if subject.name in env else _global(it, subject)
     elif type(subject) is FieldGet and type(subject.record) is Var:
         it.steps += 2
-        scope, name = env, subject.record.name
-        while name not in scope.vars:
-            scope = scope.parent or _unbound(subject.record)
+        name = subject.record.name
+        value = env[name][0] if name in env else _global(it, subject.record)
         try:
-            value = scope.vars[name].fields[subject.field]
+            value = value.fields[subject.field]
         except (AttributeError, KeyError):
-            raise _field_error(scope.vars[name], subject, "access") from None
+            raise _field_error(value, subject, "access") from None
     else:
         value = _EXPR[type(subject)](it, subject, env)
     # Only an int selects a case: a bool would find the case of 0 or 1.
@@ -531,10 +532,7 @@ def _while(it, stmt, env):
         if forever:
             it.steps += 1
             if dispatch is not None:
-                scope = env
-                while scope.parent is not None and name not in scope.vars:
-                    scope = scope.parent
-                value = scope.vars.get(name)  # None when the name is unbound
+                value = env[name][0] if name in env else None  # else the statement decides
                 if field is not None:
                     value = value.fields.get(field) if type(value) is Record else None
                 if type(value) is int:  # a bool would find the arm of 0 or 1
@@ -560,21 +558,18 @@ def _return(it, stmt, env):
         return (NULL,)
     if type(value) is Var:
         it.steps += 1
-        while value.name not in env.vars:
-            env = env.parent or _unbound(value)
-        return (env.vars[value.name],)
-    if type(value) is IntLit:
+        return (env[value.name][0] if value.name in env else _global(it, value),)
+    if type(value) is IntLit or type(value) is NullLit:
         it.steps += 1
         return (value.value,)
     if type(value) is FieldGet and type(value.record) is Var:
         it.steps += 2
         name = value.record.name
-        while name not in env.vars:
-            env = env.parent or _unbound(value.record)
+        record = env[name][0] if name in env else _global(it, value.record)
         try:
-            return (env.vars[name].fields[value.field],)
+            return (record.fields[value.field],)
         except (AttributeError, KeyError):
-            raise _field_error(env.vars[name], value, "access") from None
+            raise _field_error(record, value, "access") from None
     return (_EXPR[type(value)](it, value, env),)
 
 
@@ -596,12 +591,9 @@ def _expr_stmt(it, stmt, env):
 def _field_set(it, stmt, env):
     record, value = stmt.record, stmt.value
     if type(record) is Var:
-        # v.f = e reads v in place; e is evaluated in env after the walk.
+        # v.f = e reads v in place, then evaluates e.
         it.steps += 2
-        scope = env
-        while record.name not in scope.vars:
-            scope = scope.parent or _unbound(record)
-        record = scope.vars[record.name]
+        record = env[record.name][0] if record.name in env else _global(it, record)
     else:
         it.steps += 1
         record = _EXPR[type(record)](it, record, env)
@@ -609,21 +601,18 @@ def _field_set(it, stmt, env):
         raise _field_error(record, stmt, "assignment")
     if type(value) is Var:
         it.steps += 1
-        while value.name not in env.vars:
-            env = env.parent or _unbound(value)
-        value = env.vars[value.name]
-    elif type(value) is IntLit:
+        value = env[value.name][0] if value.name in env else _global(it, value)
+    elif type(value) is IntLit or type(value) is NullLit:
         it.steps += 1
         value = value.value
     elif type(value) is FieldGet and type(value.record) is Var:
         it.steps += 2
         name = value.record.name
-        while name not in env.vars:
-            env = env.parent or _unbound(value.record)
+        source = env[name][0] if name in env else _global(it, value.record)
         try:
-            value = env.vars[name].fields[value.field]
+            value = source.fields[value.field]
         except (AttributeError, KeyError):
-            raise _field_error(env.vars[name], value, "access") from None
+            raise _field_error(source, value, "access") from None
     else:
         value = _EXPR[type(value)](it, value, env)
     record.fields[stmt.field] = value
@@ -658,16 +647,9 @@ def _literal(it, expr, env):
     return expr.value
 
 
-def _null(it, expr, env):
-    it.steps += 1
-    return NULL
-
-
 def _var(it, expr, env):
     it.steps += 1
-    while expr.name not in env.vars:
-        env = env.parent or _unbound(expr)
-    return env.vars[expr.name]
+    return env[expr.name][0] if expr.name in env else _global(it, expr)
 
 
 def _binary(it, expr, env):
@@ -675,22 +657,18 @@ def _binary(it, expr, env):
     op, lhs, rhs = expr.op, expr.lhs, expr.rhs
     if type(lhs) is Var:
         it.steps += 1
-        scope = env
-        while lhs.name not in scope.vars:
-            scope = scope.parent or _unbound(lhs)
-        a = scope.vars[lhs.name]
-    elif type(lhs) is IntLit:
+        a = env[lhs.name][0] if lhs.name in env else _global(it, lhs)
+    elif type(lhs) is IntLit or type(lhs) is NullLit:
         it.steps += 1
         a = lhs.value
     elif type(lhs) is FieldGet and type(lhs.record) is Var:
         it.steps += 2
-        scope, name = env, lhs.record.name
-        while name not in scope.vars:
-            scope = scope.parent or _unbound(lhs.record)
+        name = lhs.record.name
+        a = env[name][0] if name in env else _global(it, lhs.record)
         try:
-            a = scope.vars[name].fields[lhs.field]
+            a = a.fields[lhs.field]
         except (AttributeError, KeyError):
-            raise _field_error(scope.vars[name], lhs, "access") from None
+            raise _field_error(a, lhs, "access") from None
     else:
         a = _EXPR[type(lhs)](it, lhs, env)
     if op in _SHORT_CIRCUIT:
@@ -700,21 +678,18 @@ def _binary(it, expr, env):
         return _bool(_EXPR[type(rhs)](it, rhs, env), rhs)
     if type(rhs) is Var:
         it.steps += 1
-        while rhs.name not in env.vars:
-            env = env.parent or _unbound(rhs)
-        b = env.vars[rhs.name]
-    elif type(rhs) is IntLit:
+        b = env[rhs.name][0] if rhs.name in env else _global(it, rhs)
+    elif type(rhs) is IntLit or type(rhs) is NullLit:
         it.steps += 1
         b = rhs.value
     elif type(rhs) is FieldGet and type(rhs.record) is Var:
         it.steps += 2
         name = rhs.record.name
-        while name not in env.vars:
-            env = env.parent or _unbound(rhs.record)
+        b = env[name][0] if name in env else _global(it, rhs.record)
         try:
-            b = env.vars[name].fields[rhs.field]
+            b = b.fields[rhs.field]
         except (AttributeError, KeyError):
-            raise _field_error(env.vars[name], rhs, "access") from None
+            raise _field_error(b, rhs, "access") from None
     else:
         b = _EXPR[type(rhs)](it, rhs, env)
     if type(a) is int and type(b) is int:
@@ -782,20 +757,23 @@ def _call(it, expr, env):
     it.steps += 1
     fn = expr.callee
     if type(fn) is Var:
+        # A declaration is resolved here too, without `_global`'s frame.
         it.steps += 1
-        scope = env
-        while fn.name not in scope.vars:
-            scope = scope.parent or _unbound(fn)
-        fn = scope.vars[fn.name]
+        name = fn.name
+        if name in env:
+            fn = env[name][0]
+        elif name in it.globals:
+            fn = it.globals[name]
+        else:
+            _unbound(fn)
     elif type(fn) is FieldGet and type(fn.record) is Var:
         it.steps += 2
-        scope, name = env, fn.record.name
-        while name not in scope.vars:
-            scope = scope.parent or _unbound(fn.record)
+        name = fn.record.name
+        record = env[name][0] if name in env else _global(it, fn.record)
         try:
-            fn = scope.vars[name].fields[fn.field]
+            fn = record.fields[fn.field]
         except (AttributeError, KeyError):
-            raise _field_error(scope.vars[name], fn, "access") from None
+            raise _field_error(record, fn, "access") from None
     else:
         fn = _EXPR[type(fn)](it, fn, env)
     # A loop, not a comprehension, which would cost a Python frame.
@@ -803,22 +781,18 @@ def _call(it, expr, env):
     for arg in expr.args:
         if type(arg) is Var:
             it.steps += 1
-            scope = env
-            while arg.name not in scope.vars:
-                scope = scope.parent or _unbound(arg)
-            args.append(scope.vars[arg.name])
-        elif type(arg) is IntLit:
+            args.append(env[arg.name][0] if arg.name in env else _global(it, arg))
+        elif type(arg) is IntLit or type(arg) is NullLit:
             it.steps += 1
             args.append(arg.value)
         elif type(arg) is FieldGet and type(arg.record) is Var:
             it.steps += 2
-            scope, name = env, arg.record.name
-            while name not in scope.vars:
-                scope = scope.parent or _unbound(arg.record)
+            name = arg.record.name
+            record = env[name][0] if name in env else _global(it, arg.record)
             try:
-                args.append(scope.vars[name].fields[arg.field])
+                args.append(record.fields[arg.field])
             except (AttributeError, KeyError):
-                raise _field_error(scope.vars[name], arg, "access") from None
+                raise _field_error(record, arg, "access") from None
         else:
             args.append(_EXPR[type(arg)](it, arg, env))
     return it.call(fn, args, expr)
@@ -829,10 +803,7 @@ def _next_call(it, expr, env):
     gen, arg = expr.gen, expr.arg
     if type(gen) is Var:
         it.steps += 1
-        scope = env
-        while gen.name not in scope.vars:
-            scope = scope.parent or _unbound(gen)
-        target = scope.vars[gen.name]
+        target = env[gen.name][0] if gen.name in env else _global(it, gen)
     else:
         target = _EXPR[type(gen)](it, gen, env)
     value = NULL if arg is None else _EXPR[type(arg)](it, arg, env)
@@ -844,9 +815,7 @@ def _field_get(it, expr, env):
     if type(record) is Var:
         # v.f reads v in place, charging both steps before the lookup.
         it.steps += 2
-        while record.name not in env.vars:
-            env = env.parent or _unbound(record)
-        record = env.vars[record.name]
+        record = env[record.name][0] if record.name in env else _global(it, record)
     else:
         it.steps += 1
         record = _EXPR[type(record)](it, record, env)
@@ -860,7 +829,7 @@ def _record_lit(it, expr, env):
     it.steps += 1
     fields = {}
     for name, value in expr.fields:
-        if type(value) is IntLit:
+        if type(value) is IntLit or type(value) is NullLit:
             it.steps += 1
             fields[name] = value.value
         else:
@@ -870,7 +839,7 @@ def _record_lit(it, expr, env):
 
 def _func_ref(it, expr, env):
     it.steps += 1
-    target = it.globals.vars.get(expr.name)
+    target = it.globals.get(expr.name)
     if type(target) is not Closure:
         raise _ref_error(expr.name, target, expr)
     return FuncRefV(expr.name)
@@ -884,7 +853,7 @@ def _func_lit(it, expr, env):
 _EXPR = {
     IntLit: _literal,
     BoolLit: _literal,
-    NullLit: _null,
+    NullLit: _literal,
     Var: _var,
     Binary: _binary,
     Unary: _unary,

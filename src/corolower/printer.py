@@ -50,14 +50,14 @@ def print_source(program: Program) -> str:
     return "\n".join(_decl(d) for d in program.decls)
 
 
-def expr_source(expr: Expr, indent: int = 0) -> str:
+def expr_source(expr: Expr) -> str:
     """Render a single expression (used for CFG labels and diagnostics)."""
-    return _expr(expr, 1, indent)
+    return _expr(expr, 1, 0)
 
 
-def stmt_lines(stmt: Stmt, indent: int = 0) -> list[str]:
+def stmt_lines(stmt: Stmt) -> list[str]:
     """Render one statement as its source lines."""
-    return _STMT[type(stmt)](stmt, "  " * indent, indent)
+    return _STMT[type(stmt)](stmt, "", 0)
 
 
 def _decl(decl: FuncDecl) -> str:

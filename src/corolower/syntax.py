@@ -54,7 +54,7 @@ class BoolLit(Expr):
 
 @dataclass
 class NullLit(Expr):
-    pass
+    value = None  # not a field: read in place like an IntLit's
 
 
 @dataclass

@@ -17,7 +17,6 @@ from corolower.interp import (
     _STMT,
     DEFAULT_STEP_BUDGET,
     NULL,
-    Env,
     GenInstance,
     Interpreter,
     _bool,
@@ -42,13 +41,15 @@ def eval_cfg(
     """Run a graph as a generator resumed once per resume value and return
     what each resumption produces, in resume_sequence's shape and through
     its loop. bindings supplies the parameters, and the graph's declared
-    locals start as null, as in a native call."""
+    locals start as null, as in a native call: each in a cell of its own."""
     it = Interpreter(program if program is not None else Program([], entry=""), step_budget)
-    env = Env(it.globals, dict.fromkeys(graph.declared, NULL) | bindings)
+    env = {name: [NULL] for name in graph.declared}
+    for name, value in bindings.items():
+        env[name] = [value]
     return trace_instance(it, GenInstance(None, _walk(it, graph, env)), resume_values)
 
 
-def _walk(it: Interpreter, graph: Cfg, env: Env):
+def _walk(it: Interpreter, graph: Cfg, env: dict):
     """The graph's body as a Python generator with `_exec_gen`'s protocol:
     it yields at a YieldTo, binding its receiver to the value sent back,
     and returns `(value,)` at a Finish with a value."""
@@ -68,7 +69,7 @@ def _walk(it: Interpreter, graph: Cfg, env: Env):
         elif isinstance(term, YieldTo):
             received = yield _EXPR[type(term.value)](it, term.value, env)
             if term.receiver is not None:
-                env.vars[term.receiver] = received
+                env[term.receiver][0] = received
             ip = term.resume
         elif isinstance(term, Finish):
             if term.value is None:

@@ -1,17 +1,20 @@
-"""The names the benchmark in `perfbench/` imports from corolower, checked
-here because the benchmark's own tests are slow and run apart from this
-suite: an API change that would break the benchmark fails here first.
+"""The names the benchmark in `perfbench/` imports from corolower, and the
+methods it calls on an interpreter's `globals`, checked here because the
+benchmark's own tests are slow and run apart from this suite: an API
+change that would break the benchmark fails here first.
 Also the layering of the package: the CFG stage does not reach into the
 interpreter, whose tables only the tests' CFG oracle runs a graph on."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import corolower
 from corolower.cli import program_forms
+from corolower.errors import InterpError
 from corolower.interp import Closure, GenInstance, Interpreter, Record, resume_any, resume_sequence
 from corolower.parser import parse_source
 
@@ -28,6 +31,22 @@ def corolower_imports():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("corolower"):
                 found.update((node.module, alias.name) for alias in node.names)
+    return found
+
+
+def globals_calls():
+    """(method, number of arguments) for every `<x>.globals.<method>(...)`
+    call in perfbench."""
+    found = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "globals"
+            ):
+                found.add((node.func.attr, len(node.args)))
     return found
 
 
@@ -66,6 +85,20 @@ def test_every_name_the_benchmark_imports_resolves():
         if not hasattr(importlib.import_module(module), name)
     )
     assert missing == []
+
+
+def test_every_globals_call_the_benchmark_makes_resolves():
+    # perfbench/bench.py finds a workload's generator with
+    # `Interpreter(program).globals.lookup(name)`.
+    calls = globals_calls()
+    assert ("lookup", 1) in calls
+    interp = Interpreter(parse_source(FIB_SOURCE), 10_000)
+    for method, arity in calls:
+        inspect.signature(getattr(interp.globals, method)).bind(*["fib"] * arity)
+    fib = interp.globals.lookup("fib")
+    assert type(fib) is Closure and fib.name == "fib" and fib.is_generator
+    with pytest.raises(InterpError, match="^unbound name 'nope'$"):
+        interp.globals.lookup("nope")
 
 
 def test_resume_sequence_returns_a_plain_list():

@@ -8,7 +8,6 @@ from corolower import transform
 from corolower.cli import program_forms
 from corolower.errors import BudgetExceeded, InterpError, ValidationError
 from corolower.interp import (
-    Env,
     Interpreter,
     Record,
     interp,
@@ -294,11 +293,112 @@ def test_assignment_to_undeclared():
 
 
 def test_locals_are_function_scoped_and_prebound():
-    # `let` inside a branch is a frame slot, like the hoisted machine form.
+    # `let` inside a branch is a cell of the activation, like the hoisted
+    # machine form.
     program = parse_source(
         "fn main() { if (false) { let x = 1 } print(x) }"
     )
     assert interp_native(program) == [None]
+
+
+ENVIRONMENT_CASES = {
+    # A closure's assignment to a captured local is seen by its maker and
+    # by a sibling, and a closure made by a closure shares the same cell.
+    "captured": (
+        """fn main() {
+  let n = 1
+  let inc = fn () { n = n + 1 return n }
+  let get = fn () { return n }
+  print(inc())
+  print(n)
+  print(get())
+  n = 10
+  print(get())
+  let twice = fn () { let again = fn () { n = n + 1 } again() again() return n }
+  print(twice())
+  print(n)
+}""",
+        ([2, 2, 2, 10, 12, 12], None, 54),
+    ),
+    # A closure's own local or parameter shadows its maker's.
+    "shadowed": (
+        """fn main() {
+  let x = 1
+  let f = fn () { let x = 2 x = x + 10 return x }
+  let g = fn (x) { x = x + 100 return x }
+  print(f())
+  print(g(5))
+  print(x)
+}""",
+        ([12, 105, 1], None, 29),
+    ),
+    # Each recursive call gets fresh cells, and each closure keeps its own
+    # call's.
+    "recursion": (
+        """fn make(k) {
+  let c = k
+  let r = fn () { return c }
+  if (k > 0) {
+    let inner = make(k - 1)
+    c = c * 10
+    print(inner())
+  }
+  return r
+}
+fn main() { let f = make(2) print(f()) }""",
+        ([0, 10, 20], None, 69),
+    ),
+    # Assigning a declaration's name replaces it for every function.
+    "declaration": (
+        """fn one() { return 1 }
+fn two() { return 2 }
+fn swap() { one = two }
+fn main() {
+  print(one())
+  swap()
+  print(one())
+  let f = fn () { return one() }
+  print(f())
+  one = 7
+  print(one)
+}""",
+        ([1, 2, 2, 7], None, 29),
+    ),
+    # A name neither the closure's, its maker's nor a declaration's fails
+    # at the name.
+    "unbound": (
+        """fn main() {
+  let f = fn () { return y + 1 }
+  print(1)
+  print(f())
+}""",
+        ([1], (InterpError, "unbound name 'y'", 2, 26), 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ENVIRONMENT_CASES)
+def test_the_environment_model(case):
+    # Printed values, error and steps, as the scope chain gave them.
+    source, expected = ENVIRONMENT_CASES[case]
+    assert outcome(parse_source(source), 10_000) == expected
+
+
+def test_an_activation_holds_only_its_parameters_and_locals():
+    # A generator instance's activation is one dict of cells, holding its
+    # parameters and declared locals and no declaration's name however
+    # many there are; each call makes fresh cells.
+    decls = "".join(f"fn d{k}() {{ }}\n" for k in range(50))
+    program = parse_source(
+        decls + "fn* g(a, b) { let x = a + b let y = yield x if (y) { let z = 1 } }\nfn main() { }"
+    )
+    it = Interpreter(program)
+    first, second = (it.call(it.globals.lookup("g"), [1, k]) for k in (2, 3))
+    env = first.runner.gi_frame.f_locals["env"]
+    assert env == {"a": [1], "b": [2], "x": [None], "y": [None], "z": [None]}
+    assert it.resume(first, None) == 3 and env["x"] == [3]
+    other = second.runner.gi_frame.f_locals["env"]
+    assert other["b"] == [3] and all(other[name] is not env[name] for name in env)
 
 
 def test_budget_exceeded():
@@ -398,19 +498,22 @@ def test_the_hot_path_enters_no_helper_frame():
     # The interpreter frames of a whole run, per form (native, lowered-opt,
     # lowered-noopt, first-order). A node costs at most its handler's
     # frame: no form enters an arithmetic wrapper, a boolean test, a
-    # comprehension, `_field_get` or `Env`'s `__init__`, and `call`
-    # resolves a `&f` itself. A `Var`, `IntLit` or `v.f` leaf read in
-    # place costs none, and neither do an integer field of a record
-    # literal and the `true`, `if` and `switch` of a machine's dispatch
-    # loop, so first-order enters no `_literal` either. Entering `_var`
-    # and `_literal` for every leaf and `_literal`, `_if` or `_switch` on
+    # comprehension, `_field_get` or an `__init__`, and `call` resolves a
+    # `&f` or a declaration's name itself, so no form enters `_global`. A
+    # `Var`, `IntLit`, `null` or `v.f` leaf read in place costs none, and
+    # neither do an integer or null field of a record literal and the
+    # `true`, `if` and `switch` of a machine's dispatch loop, so
+    # first-order enters no `_literal` either. Entering `_var` and
+    # `_literal` for every leaf and `_literal`, `_if` or `_switch` on
     # every pass of the loop, these runs took fib 262 / 361 / 431 / 450
     # frames and tally 100 / 160 / 215 / 203; entering `_field_get`,
     # `_literal`, `__init__` and a resolving frame for those, fib 150 /
-    # 178 / 208 / 316 and tally 71 / 91 / 110 / 153.
+    # 178 / 208 / 316 and tally 71 / 91 / 110 / 153; entering `_null` for
+    # every `null` leaf, fib 148 / 166 / 196 / 194 and tally 69 / 84 /
+    # 103 / 93.
     helpers = {"wrap64", "_bool", "<lambda>", "<listcomp>", "<dictcomp>"}
-    helpers |= {"_field_get", "__init__"}
-    for name, frames in (("fib", (148, 166, 196, 194)), ("tally", (69, 84, 103, 93))):
+    helpers |= {"_field_get", "__init__", "_global"}
+    for name, frames in (("fib", (148, 163, 193, 181)), ("tally", (65, 78, 97, 85))):
         forms = program_forms(parse_source((CORPUS_DIR / f"{name}.mini").read_text()))
         entered = {form: entered_frames(Interpreter(p).run) for form, p in forms.items()}
         assert {form: helpers & set(calls) for form, calls in entered.items()} == dict.fromkeys(
@@ -746,7 +849,8 @@ def test_fib_dispatch_arms():
             state k, with a = 0, b = 1 and c = 0."""
             state = {"_i": k, "a": 0, "b": 1, "c": 0}
             it = Interpreter(Program([]))
-            env = Env(None, state if field is None else {"_e": Record(state)})
+            bindings = state if field is None else {"_e": Record(state)}
+            env = {name: [value] for name, value in bindings.items()}
             return interp_module._while(it, loop, env), it.steps
 
         # State 1 starts fib and state 3 steps it, each going on to 2,
